@@ -19,13 +19,12 @@ from .state import (
     CallerRef, CallPayload, Event, EventKind, Frame, Message, ReturnPayload,
     SignalPayload, SimState, StoredObject, Thread, ThreadStatus,
     alloc_object, empty_state, enqueue_event, pop_frame, push_frame,
-    read_attr, take_matching_event, validate_state, write_attr,
+    take_matching_event, validate_state, write_attr,
 )
 from .universe import (
     AttrDef, BOOL, BoolType, BoolVal, ClassDef, ClassType, INT, IntType,
     IntVal, MethodDef, NULL_OID, NullOid, OidVal, OpSig, RecordVal,
-    VOID, VOID_VAL, VoidType, VoidVal, default_value, super_chain,
-    type_of_value, validate_model,
+    VOID, VOID_VAL, VoidType, VoidVal, super_chain, validate_model,
 )
 from .variation import (
     Config, ConcRunnables, RtcRunnables, RunnableEntry, deliver_reliable,
@@ -49,11 +48,11 @@ __all__ = [
     "ThreadStatus", "TraceRecord", "VOID", "VOID_VAL", "VoidType", "VoidVal",
     "add_last_exec_info", "alloc_object", "build_config",
     "build_initial_state", "collect_runnables", "consume_event",
-    "default_value", "deliver_reliable", "dispatch_single", "empty_state",
+    "deliver_reliable", "dispatch_single", "empty_state",
     "enqueue_event", "exec_step", "load_model", "make_config", "parse_model",
-    "pop_frame", "print_model", "push_frame", "read_attr", "render_action",
+    "pop_frame", "print_model", "push_frame", "render_action",
     "render_final_state", "render_trace", "run", "run_main", "run_model",
     "schedule_prio", "schedule_rr", "super_chain", "take_matching_event",
-    "trace_recorder", "type_of_value", "validate_model", "validate_state",
+    "trace_recorder", "validate_model", "validate_state",
     "write_attr",
 ]

@@ -25,13 +25,21 @@ into plain body indices. ``parse_model`` yields a validated ``ModelDef`` or
 raises ``ModelError`` with located diagnostics; ``print_model`` renders the
 canonical source for a ``ModelDef``, and parsing that text reproduces the
 value exactly.
+
+The parser checks only what needs its tokens: syntax, duplicate classes and
+methods (which the tables would swallow), labels, call-site and start
+operation resolution, config keys, and attribute references (which need
+the setup's links). Every other rule has one home, ``validate_model`` for
+the model and ``smm.vm.check_setup`` for the setup; the parser places each
+of their problems at the token it recorded for the element the problem
+names, and reports everything it found in one pass, in source order.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import actions as A
 from .errors import Diagnostic, ModelError
@@ -40,14 +48,14 @@ from .universe import (
     AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, INT, IntVal,
     MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig, RecordVal,
     SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, super_chain,
-    validate_model, value_fits,
+    validate_model,
 )
 from .variation import (
     Config, DISPATCHERS, MEDIA, RUNNABLES, SCHEDULERS, make_config,
 )
 from .vm import (
     Active, AllDone, Blocked, OKind, Passive, RunResult, Setup, SetupEntry,
-    StepLimit, run_main,
+    StepLimit, check_setup, run_main,
 )
 
 
@@ -155,13 +163,12 @@ class _OpFixup:
 
 @dataclass
 class _RawOp:
+    """A method whose body awaits call-site resolution."""
+
     class_name: str
-    op_name: str
+    sig: OpSig
     params: list[tuple[str, TypeRef]]
-    return_type: TypeRef
     body: list
-    loc: _Token
-    action_locs: list[_Token] = field(default_factory=list)
 
 
 class _Parser:
@@ -170,12 +177,12 @@ class _Parser:
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.classes: dict[str, ClassDef] = {}
-        self.class_locs: dict[str, _Token] = {}
         self.scl: SubclassRel = {}
         self.raw_ops: list[_RawOp] = []
         self.fixups: list[_OpFixup] = []
         self.setup: list[SetupEntry] = []
-        self.setup_locs: list[_Token] = []
+        # Model element (a ``Problem.where`` key) -> the token naming it.
+        self.locs: dict[tuple, _Token] = {}
         self.setup_active: list[tuple[int, str, _Token]] = []
         self.config = ConfigSel()
 
@@ -241,20 +248,20 @@ class _Parser:
             return VOID
         return ClassType(tok.text)
 
-    def parse_literal(self) -> tuple[Value, _Token]:
+    def parse_literal(self) -> Value:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return IntVal(int(tok.text)), tok
+            return IntVal(int(tok.text))
         if tok.kind == "ident" and tok.text in ("true", "false", "void", "null"):
             self.next()
             if tok.text == "true":
-                return BoolVal(True), tok
+                return BoolVal(True)
             if tok.text == "false":
-                return BoolVal(False), tok
+                return BoolVal(False)
             if tok.text == "void":
-                return VOID_VAL, tok
-            return NULL_OID, tok
+                return VOID_VAL
+            return NULL_OID
         self.fail(f"expected a literal, found {tok.text or 'end of file'!r}")
 
     def parse_class(self):
@@ -263,13 +270,17 @@ class _Parser:
         name = name_tok.text
         if name in self.classes:
             self.note(f"duplicate class {name!r}", name_tok)
+        self.locs[("class", name)] = name_tok
         supers: list[str] = []
         if self.peek().kind == "ident" and self.peek().text == "extends":
             self.next()
-            supers.append(self.ident("a superclass name").text)
-            while self.peek().text == ",":
+            while True:
+                sup_tok = self.ident("a superclass name")
+                supers.append(sup_tok.text)
+                self.locs[("extends", name, sup_tok.text)] = sup_tok
+                if self.peek().text != ",":
+                    break
                 self.next()
-                supers.append(self.ident("a superclass name").text)
         self.expect("punct", "{")
         attrs: list[AttrDef] = []
         while self.peek().text != "}":
@@ -278,17 +289,12 @@ class _Parser:
             self.expect("punct", ":")
             attr_type = self.parse_type()
             self.expect("punct", "=")
-            init, init_tok = self.parse_literal()
+            init = self.parse_literal()
             self.expect("punct", ";")
-            if any(a.name == attr_tok.text for a in attrs):
-                self.note(f"duplicate attribute {attr_tok.text!r}", attr_tok)
-            if not value_fits(init, attr_type, {}):
-                self.note(f"initial value does not fit type {attr_type}",
-                          init_tok)
+            self.locs[("attr", name, len(attrs))] = attr_tok
             attrs.append(AttrDef(attr_tok.text, attr_type, init))
         self.expect("punct", "}")
         self.classes[name] = ClassDef(name, tuple(attrs))
-        self.class_locs[name] = name_tok
         if supers:
             self.scl[name] = tuple(supers)
 
@@ -304,16 +310,19 @@ class _Parser:
                 p_tok = self.ident("a parameter name")
                 self.expect("punct", ":")
                 p_type = self.parse_type()
-                if any(n == p_tok.text for n, _ in params):
-                    self.note(f"duplicate parameter {p_tok.text!r}", p_tok)
                 params.append((p_tok.text, p_type))
                 if self.peek().text != ",":
                     break
                 self.next()
         self.expect("punct", ")")
         self.expect("punct", ":")
-        ret = self.parse_type()
-        raw = _RawOp(cls_tok.text, op_tok.text, params, ret, [], cls_tok)
+        sig = OpSig(op_tok.text, tuple(t for _, t in params), self.parse_type())
+        where = ("op", cls_tok.text, sig)
+        if where in self.locs:
+            self.note(f"duplicate method {cls_tok.text}.{op_tok.text}",
+                      cls_tok)
+        self.locs[where] = cls_tok
+        raw = _RawOp(cls_tok.text, sig, params, [])
         self.parse_body(raw)
         self.raw_ops.append(raw)
 
@@ -344,22 +353,21 @@ class _Parser:
                 continue
             act = raw.body[index]
             raw.body[index] = replace(act, target=labels[label])
-        for pc, act in enumerate(raw.body):
-            if isinstance(act, (A.Jump, A.BranchIfFalse)) and \
-                    not 0 <= act.target < len(raw.body):
-                self.note(
-                    f"jump target {act.target} outside the body "
-                    f"(0..{len(raw.body) - 1})", raw.action_locs[pc])
 
     def parse_jump_target(self, pending, index: int) -> int:
-        """A label reference or a raw body index; labels resolve later."""
+        """A label reference or a raw body index; labels resolve later.
+
+        A label's placeholder target is 0, which is always in range, so an
+        unknown label is reported once, as unknown, and not also as a jump
+        out of the body.
+        """
         tok = self.peek()
         if tok.kind == "int":
             self.next()
             return int(tok.text)
         lbl = self.ident("a label or body index")
         pending.append((index, lbl.text, lbl))
-        return -1
+        return 0
 
     def parse_arg_list(self) -> list[str]:
         self.expect("punct", "(")
@@ -384,15 +392,10 @@ class _Parser:
             self.expect("punct", ":")
             t = self.parse_type()
             self.expect("punct", "=")
-            init, init_tok = self.parse_literal()
-            if not value_fits(init, t, {}):
-                self.note(f"initial value does not fit type {t}", init_tok)
-            body.append(A.NewLocal(name, t, init))
+            body.append(A.NewLocal(name, t, self.parse_literal()))
         elif kw == "loadparam":
             local = self.ident("a local name").text
             param = self.ident("a parameter name").text
-            if not any(n == param for n, _ in raw.params):
-                self.note(f"unknown parameter {param!r}", tok)
             body.append(A.LocalFromParam(local, param))
         elif kw == "loadattr":
             local = self.ident("a local name").text
@@ -400,8 +403,7 @@ class _Parser:
             body.append(A.LocalFromAttr(local, attr))
         elif kw == "set":
             local = self.ident("a local name").text
-            value, _ = self.parse_literal()
-            body.append(A.LocalConst(local, value))
+            body.append(A.LocalConst(local, self.parse_literal()))
         elif kw == "setattr":
             attr = self.ident("an attribute name").text
             local = self.ident("a local name").text
@@ -451,13 +453,12 @@ class _Parser:
                 self.next()
                 body.append(A.ReturnLocal(nxt.text))
             else:
-                value, _ = self.parse_literal()
-                body.append(A.ReturnConst(value))
+                body.append(A.ReturnConst(self.parse_literal()))
         else:
             self.fail(f"unknown statement {kw!r}", tok)
 
         self.expect("punct", ";")
-        raw.action_locs.append(tok)
+        self.locs[("action", raw.class_name, raw.sig, index)] = tok
 
     def parse_setup(self):
         self.expect("ident", "setup")
@@ -473,11 +474,7 @@ class _Parser:
             elif kind_tok.text == "active":
                 op_tok = self.ident("an operation name")
                 self.expect("ident", "prio")
-                prio_tok = self.expect("int")
-                prio = int(prio_tok.text)
-                if prio < 0:
-                    self.note("priority must be non-negative", prio_tok)
-                kind = Active(_UNRESOLVED, prio)
+                kind = Active(_UNRESOLVED, int(self.expect("int").text))
                 self.setup_active.append((len(self.setup), op_tok.text, op_tok))
             else:
                 self.fail("expected 'passive' or 'active'", kind_tok)
@@ -493,10 +490,8 @@ class _Parser:
                         self.next()
                 self.expect("punct", "]")
             self.expect("punct", ";")
-            if any(e.name == name_tok.text for e in self.setup):
-                self.note(f"duplicate setup object {name_tok.text!r}", name_tok)
+            self.locs[("setup", len(self.setup))] = name_tok
             self.setup.append(SetupEntry(name_tok.text, cls, kind, tuple(links)))
-            self.setup_locs.append(name_tok)
         self.expect("punct", "}")
 
     def parse_config(self):
@@ -524,9 +519,7 @@ class _Parser:
     def finish(self) -> ModelDef:
         sigs_by_name: dict[str, list[OpSig]] = {}
         for raw in self.raw_ops:
-            sig = OpSig(raw.op_name, tuple(t for _, t in raw.params),
-                        raw.return_type)
-            sigs_by_name.setdefault(raw.op_name, []).append(sig)
+            sigs_by_name.setdefault(raw.sig.name, []).append(raw.sig)
 
         def resolve(name: str, arity: int, loc: _Token) -> OpSig | None:
             found = [sig for sig in sigs_by_name.get(name, [])
@@ -550,82 +543,62 @@ class _Parser:
 
         meth_map: MethMap = {}
         for raw in self.raw_ops:
-            if raw.class_name not in self.classes:
-                self.note(f"operation for unknown class {raw.class_name!r}",
-                          raw.loc)
-                continue
-            for t in [t for _, t in raw.params] + [raw.return_type]:
-                if isinstance(t, ClassType) and t.name not in self.classes:
-                    self.note(f"unknown class {t.name!r} in the signature of "
-                              f"{raw.class_name}.{raw.op_name}", raw.loc)
-            sig = OpSig(raw.op_name, tuple(t for _, t in raw.params),
-                        raw.return_type)
-            per_class = meth_map.setdefault(raw.class_name, {})
-            if sig in per_class:
-                self.note(f"duplicate method {raw.class_name}.{raw.op_name}",
-                          raw.loc)
-            if not raw.body:
-                self.note(f"method {raw.class_name}.{raw.op_name} has an "
-                          f"empty body", raw.loc)
-                continue
-            per_class[sig] = MethodDef(sig, tuple(raw.params), tuple(raw.body))
+            meth_map.setdefault(raw.class_name, {})[raw.sig] = MethodDef(
+                raw.sig, tuple(raw.params), tuple(raw.body))
 
-        self._check_attr_refs(meth_map)
-        self._resolve_setup(meth_map)
+        for where, message in (validate_model(self.classes, self.scl, meth_map)
+                               + check_setup(self.classes, self.setup)):
+            self.note(message, self.locs[where])
 
-        if not self.diags:
-            # Safety net for invariants with no dedicated located check
-            # above (e.g. inheritance cycles).
-            for msg in validate_model(self.classes, self.scl, meth_map):
-                self.diags.append(Diagnostic(msg, 1, 1))
+        # Each class's chain, computed once; a class on an inheritance
+        # cycle has none (validate_model reported the cycle).
+        chains: dict[str, tuple[str, ...]] = {}
+        for name in self.classes:
+            try:
+                chains[name] = super_chain(name, self.scl)
+            except ModelError:
+                pass
+        self._check_attr_refs(meth_map, chains)
+        self._resolve_start_ops(meth_map, chains)
 
         if self.diags:
-            raise ModelError(self.diags)
+            raise ModelError(sorted(self.diags,
+                                    key=lambda d: (d.line, d.column)))
         return ModelDef(self.classes, self.scl, meth_map, tuple(self.setup),
                         self.config)
 
-    def _known_attrs(self, cls_name: str) -> set[str]:
-        """Attribute names an instance executing this class's code may have:
-        anything declared along the chain, on subclasses, or set up as a link."""
-        names: set[str] = set()
-        try:
-            chain = set(super_chain(cls_name, self.scl))
-        except ModelError:
-            return set()
-        for other in self.classes:
-            try:
-                other_chain = super_chain(other, self.scl)
-            except ModelError:
+    def _check_attr_refs(self, meth_map: MethMap,
+                         chains: dict[str, tuple[str, ...]]):
+        """Each attribute an action reads or writes must be one an instance
+        running that code may have: declared along the class's chain or on
+        a subclass, or set up as a link."""
+        links = {link for entry in self.setup for link in entry.links}
+        attrs = {name: {a.name for a in cls.attributes}
+                 for name, cls in self.classes.items()}
+        known = {name: set(links) for name in chains}
+        for name, chain in chains.items():
+            for sup in chain:
+                if sup in known:  # not an unknown superclass
+                    known[sup] |= attrs[name]
+                    known[name] |= attrs[sup]
+        for cls_name, ops in meth_map.items():
+            names = known.get(cls_name)
+            if names is None:  # unknown class or a cycle, reported already
                 continue
-            if other in chain or cls_name in other_chain:
-                names.update(a.name for a in self.classes[other].attributes)
-        for entry in self.setup:
-            names.update(entry.links)
-        return names
+            for sig, meth in ops.items():
+                for pc, act in enumerate(meth.body):
+                    if isinstance(act, (A.LocalFromAttr, A.SetAttr)) and \
+                            act.attr not in names:
+                        self.note(f"unknown attribute {act.attr!r} for class "
+                                  f"{cls_name!r}",
+                                  self.locs[("action", cls_name, sig, pc)])
 
-    def _check_attr_refs(self, meth_map: MethMap):
-        for raw in self.raw_ops:
-            if raw.class_name not in self.classes:
-                continue
-            known = self._known_attrs(raw.class_name)
-            for pc, act in enumerate(raw.body):
-                attr = None
-                if isinstance(act, (A.LocalFromAttr, A.SetAttr)):
-                    attr = act.attr
-                if attr is not None and attr not in known:
-                    self.note(f"unknown attribute {attr!r} for class "
-                              f"{raw.class_name!r}", raw.action_locs[pc])
-
-    def _resolve_setup(self, meth_map: MethMap):
-        for pos, (index, op_name, loc) in enumerate(self.setup_active):
+    def _resolve_start_ops(self, meth_map: MethMap,
+                           chains: dict[str, tuple[str, ...]]):
+        for index, op_name, loc in self.setup_active:
             entry = self.setup[index]
-            if entry.class_name not in self.classes:
-                self.note(f"setup object {entry.name!r} has unknown class "
-                          f"{entry.class_name!r}", self.setup_locs[index])
-                continue
-            try:
-                chain = super_chain(entry.class_name, self.scl)
-            except ModelError:
+            chain = chains.get(entry.class_name)
+            if chain is None:  # unknown class or a cycle, reported already
                 continue
             named = {sig for cls in chain for sig in meth_map.get(cls, {})
                      if sig.name == op_name}
@@ -646,23 +619,6 @@ class _Parser:
             self.setup[index] = replace(entry,
                                         kind=Active(candidates[0],
                                                     entry.kind.prio))
-        for index, entry in enumerate(self.setup):
-            if entry.class_name not in self.classes:
-                self.note(f"setup object {entry.name!r} has unknown class "
-                          f"{entry.class_name!r}", self.setup_locs[index])
-            for link in entry.links:
-                if not any(e.name == link for e in self.setup):
-                    self.note(f"setup object {entry.name!r} links unknown "
-                              f"object {link!r}", self.setup_locs[index])
-            cls = self.classes.get(entry.class_name)
-            if cls is not None:
-                for attr in cls.attributes:
-                    if attr.name in entry.links and \
-                            not isinstance(attr.type, ClassType):
-                        self.note(
-                            f"link {attr.name!r} of {entry.name!r} would "
-                            f"overwrite a non-reference attribute",
-                            self.setup_locs[index])
 
 
 # Placeholder signature for unresolved call/send sites; replaced during

@@ -52,7 +52,6 @@ class Frame:
 class ThreadStatus(enum.Enum):
     READY = "ready"
     WAITING = "waiting"
-    TERMINATED = "terminated"
 
 
 @dataclass(frozen=True)
@@ -174,16 +173,6 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
         cs={**s.cs, oid: {}},
         es={**s.es, oid: ()},
     ), oid
-
-
-def read_attr(s: SimState, oid: int, name: str) -> Value:
-    obj = s.ds.get(oid)
-    if obj is None:
-        raise ExecError(f"no object with id {oid}", oid=oid)
-    if not obj.attrs.has(name):
-        raise ExecError(f"object {oid} ({obj.class_name}) has no attribute "
-                        f"{name!r}", oid=oid)
-    return obj.attrs.get(name)
 
 
 def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
@@ -316,8 +305,6 @@ def validate_state(s: SimState, class_table: ClassTable | None = None) -> list[s
                 problems.append(f"thread {tid} of object {oid} carries id {thr.tid}")
             if tid >= s.next_tid:
                 problems.append(f"thread {tid} not covered by the id counter")
-            if thr.status is ThreadStatus.TERMINATED:
-                problems.append(f"terminated thread {tid} still stored on {oid}")
             if not thr.frames:
                 problems.append(f"thread {tid} of object {oid} has no frames")
             for f in thr.frames:

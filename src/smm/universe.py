@@ -9,7 +9,7 @@ name is a key of the model's class table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import ModelError
 
@@ -155,64 +155,33 @@ ClassTable = dict[str, ClassDef]
 
 # --- operations -------------------------------------------------------------
 
-def default_value(t: TypeRef, class_table: ClassTable | None = None) -> Value:
-    """The value a declaration of type ``t`` starts with.
-
-    Class-typed slots start as the null reference; no object exists yet.
-    """
-    if isinstance(t, IntType):
-        return IntVal(0)
-    if isinstance(t, BoolType):
-        return BoolVal(False)
-    if isinstance(t, VoidType):
-        return VOID_VAL
-    if isinstance(t, ClassType):
-        if class_table is not None and t.name not in class_table:
-            raise ModelError(f"unknown class {t.name!r} in type")
-        return NULL_OID
-    raise ModelError(f"unknown type {t!r}")
-
-
-def type_of_value(v: Value, ds) -> TypeRef:
-    """Runtime type of a value; object references resolve via the data store.
-
-    ``ds`` maps allocated ids to stored objects (see smm.state.DataStore).
-    """
-    from .errors import ExecError
-
-    if isinstance(v, IntVal):
-        return INT
-    if isinstance(v, BoolVal):
-        return BOOL
-    if isinstance(v, VoidVal):
-        return VOID
-    if isinstance(v, OidVal):
-        if v.oid not in ds:
-            raise ExecError(f"dangling object reference {v.oid}")
-        return ClassType(ds[v.oid].class_name)
-    raise ExecError(f"value {v!r} has no nominal type")
-
-
 def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
     """Linearize a class and its superclasses for method lookup.
 
     Depth-first over declaration order, keeping the first occurrence of each
     class; single inheritance yields the plain chain. Cycles are a model
-    defect and rejected.
+    defect and rejected. The walk keeps its own stack, so chain depth is
+    bounded by memory, not by Python's recursion limit.
     """
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(c: str, path: tuple[str, ...]) -> None:
-        if c in path:
-            raise ModelError(f"inheritance cycle through class {c!r}")
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-        for sup in scl.get(c, ()):
-            walk(sup, path + (c,))
-
-    walk(cls, ())
+    out = [cls]
+    seen = {cls}
+    path = {cls}  # the classes on the stack: meeting one again is a cycle
+    stack = [(cls, iter(scl.get(cls, ())))]
+    while stack:
+        c, sups = stack[-1]
+        sup = next(sups, None)
+        if sup is None:
+            stack.pop()
+            path.discard(c)
+        elif sup in path:
+            raise ModelError(f"inheritance cycle through class {sup!r}")
+        elif sup not in seen:
+            # A class seen before but off the stack is fully walked, and
+            # its walk found no cycle; there is nothing new above it.
+            seen.add(sup)
+            out.append(sup)
+            path.add(sup)
+            stack.append((sup, iter(scl.get(sup, ()))))
     return tuple(out)
 
 
@@ -252,90 +221,120 @@ def same_kind(a: Value, b: Value) -> bool:
     return type(a) is type(b)
 
 
-def validate_model(class_table: ClassTable, scl: SubclassRel,
-                   meth_map: MethMap) -> list[str]:
-    """Check the structural invariants of a model; return problem messages.
+class Problem(NamedTuple):
+    """One model defect and the model element it is about.
 
-    A valid model has unique attribute names with type-correct initial
+    ``where`` names the element, so that a caller holding source positions
+    can locate the problem: ``("class", C)``, ``("extends", C, S)``,
+    ``("attr", C, i)``, ``("op", C, sig)``, ``("action", C, sig, pc)`` or,
+    for the setup rules in ``smm.vm.check_setup``, ``("setup", i)``.
+    """
+
+    where: tuple
+    message: str
+
+
+def validate_model(class_table: ClassTable, scl: SubclassRel,
+                   meth_map: MethMap) -> list[Problem]:
+    """Check the structural invariants of a model; return its problems.
+
+    This is the only home of every rule decidable from the three tables: a
+    valid model has unique attribute names with type-correct initial
     values, an acyclic subclass relation over known classes, and method
-    entries whose signatures, parameters and bodies are internally
-    consistent (non-empty bodies, jump targets in range).
+    entries of known classes whose signatures, parameters and bodies are
+    internally consistent (unique parameters, non-empty bodies, jump
+    targets in range, known parameters and classes, fitting initial
+    values). The setup rules live in ``smm.vm.check_setup``; the parser
+    keeps only what needs its tokens or would be lost in these tables
+    (syntax, duplicate classes and methods, labels, name resolution, config
+    keys, attribute references).
     """
     from . import actions
 
-    problems: list[str] = []
+    problems: list[Problem] = []
 
-    for cls in class_table.values():
+    def report(where: tuple, message: str) -> None:
+        problems.append(Problem(where, message))
+
+    def unknown(t: TypeRef) -> bool:
+        return isinstance(t, ClassType) and t.name not in class_table
+
+    for name, cls in class_table.items():
         seen: set[str] = set()
-        for attr in cls.attributes:
+        for i, attr in enumerate(cls.attributes):
+            where = ("attr", name, i)
             if attr.name in seen:
-                problems.append(
-                    f"class {cls.name!r}: duplicate attribute {attr.name!r}")
+                report(where, f"class {name!r}: duplicate attribute "
+                              f"{attr.name!r}")
             seen.add(attr.name)
-            if isinstance(attr.type, ClassType) and attr.type.name not in class_table:
-                problems.append(
-                    f"class {cls.name!r}: attribute {attr.name!r} has unknown "
-                    f"class type {attr.type.name!r}")
+            if unknown(attr.type):
+                report(where, f"class {name!r}: attribute {attr.name!r} has "
+                              f"unknown class type {attr.type.name!r}")
             elif not value_fits(attr.init, attr.type, scl):
-                problems.append(
-                    f"class {cls.name!r}: attribute {attr.name!r} initial value "
-                    f"does not fit type {attr.type}")
+                report(where, f"class {name!r}: attribute {attr.name!r} "
+                              f"initial value does not fit type {attr.type}")
 
     for name, supers in scl.items():
         if name not in class_table:
-            problems.append(f"subclass relation names unknown class {name!r}")
+            report(("class", name),
+                   f"subclass relation names unknown class {name!r}")
         for sup in supers:
             if sup not in class_table:
-                problems.append(
-                    f"class {name!r} extends unknown class {sup!r}")
+                report(("extends", name, sup),
+                       f"class {name!r} extends unknown class {sup!r}")
     for name in class_table:
         try:
             super_chain(name, scl)
         except ModelError as err:
-            problems.append(str(err))
+            report(("class", name), str(err))
 
     for cls_name, ops in meth_map.items():
-        if cls_name not in class_table:
-            problems.append(f"method table names unknown class {cls_name!r}")
         for sig, meth in ops.items():
-            where = f"method {cls_name}.{sig.name}"
+            where = ("op", cls_name, sig)
+            label = f"method {cls_name}.{sig.name}"
+            if cls_name not in class_table:
+                report(where, f"{label}: operation for unknown class "
+                              f"{cls_name!r}")
             for t in sig.param_types + (sig.return_type,):
-                if isinstance(t, ClassType) and t.name not in class_table:
-                    problems.append(f"{where}: signature uses unknown class "
-                                    f"{t.name!r}")
+                if unknown(t):
+                    report(where, f"{label}: signature uses unknown class "
+                                  f"{t.name!r}")
             if meth.implements != sig:
-                problems.append(f"{where}: implements a different signature")
+                report(where, f"{label}: implements a different signature")
+            names = [pname for pname, _ in meth.params]
+            for i, pname in enumerate(names):
+                if pname in names[:i]:
+                    report(where, f"{label}: duplicate parameter {pname!r}")
             if len(meth.params) != len(sig.param_types):
-                problems.append(f"{where}: parameter count does not match signature")
+                report(where, f"{label}: parameter count does not match "
+                              f"signature")
             else:
                 for (pname, ptype), want in zip(meth.params, sig.param_types):
                     if ptype != want:
-                        problems.append(
-                            f"{where}: parameter {pname!r} type {ptype} does "
-                            f"not match signature type {want}")
+                        report(where, f"{label}: parameter {pname!r} type "
+                                      f"{ptype} does not match signature "
+                                      f"type {want}")
             if not meth.body:
-                problems.append(f"{where}: empty body")
+                report(where, f"{label}: empty body")
             for pc, act in enumerate(meth.body):
-                target = None
-                if isinstance(act, actions.Jump):
-                    target = act.target
-                elif isinstance(act, actions.BranchIfFalse):
-                    target = act.target
-                if target is not None and not 0 <= target < len(meth.body):
-                    problems.append(
-                        f"{where}: action {pc} jumps to {target}, outside the "
-                        f"body of {len(meth.body)} actions")
-                if isinstance(act, actions.NewLocal):
-                    if isinstance(act.type, ClassType) and act.type.name not in class_table:
-                        problems.append(
-                            f"{where}: action {pc} declares unknown class "
-                            f"type {act.type.name!r}")
+                at = ("action", cls_name, sig, pc)
+                if isinstance(act, (actions.Jump, actions.BranchIfFalse)) and \
+                        not 0 <= act.target < len(meth.body):
+                    report(at, f"{label}: action {pc} jumps to {act.target}, "
+                               f"outside the body of {len(meth.body)} actions")
+                elif isinstance(act, actions.NewLocal):
+                    if unknown(act.type):
+                        report(at, f"{label}: action {pc} declares unknown "
+                                   f"class type {act.type.name!r}")
                     elif not value_fits(act.init, act.type, scl):
-                        problems.append(
-                            f"{where}: action {pc} initial value does not fit "
-                            f"type {act.type}")
-                if isinstance(act, actions.NewObject) and act.class_name not in class_table:
-                    problems.append(
-                        f"{where}: action {pc} creates unknown class "
-                        f"{act.class_name!r}")
+                        report(at, f"{label}: action {pc} initial value does "
+                                   f"not fit type {act.type}")
+                elif isinstance(act, actions.NewObject) and \
+                        act.class_name not in class_table:
+                    report(at, f"{label}: action {pc} creates unknown class "
+                               f"{act.class_name!r}")
+                elif isinstance(act, actions.LocalFromParam) and \
+                        act.param not in names:
+                    report(at, f"{label}: action {pc} loads unknown "
+                               f"parameter {act.param!r}")
     return problems

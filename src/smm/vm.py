@@ -18,13 +18,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .actions import Action, interpret
-from .errors import ExecError, InternalError, ModelError
+from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, EventKind, Frame, RecordVal,
     SimState, Thread, ThreadStatus, alloc_object, add_link_attr, empty_state,
     take_matching_event, update_thread,
 )
-from .universe import ClassType, MethodDef, OidVal, OpSig
+from .universe import ClassTable, ClassType, MethodDef, OidVal, OpSig, Problem
 from .variation import Config, RunnableEntry, RunnablesSelector
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -241,39 +241,58 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         steps += 1
 
 
+def check_setup(class_table: ClassTable, setup: Setup) -> list[Problem]:
+    """The setup rules, checked here and nowhere else.
+
+    Object names are unique, classes are known, priorities are not
+    negative, and every link names a setup object and does not replace a
+    declared attribute of a non-class type. Both the parser, which reports
+    each problem at its entry, and ``build_initial_state`` call it. Each
+    problem names its entry as ``("setup", index)``. Whether an active
+    entry's start operation dispatches depends on the chosen dispatcher,
+    so ``build_initial_state`` checks that itself.
+    """
+    problems: list[Problem] = []
+    names = {entry.name for entry in setup}
+    seen: set[str] = set()
+    for i, entry in enumerate(setup):
+        found: list[str] = []
+        if entry.name in seen:
+            found.append(f"duplicate setup object {entry.name!r}")
+        seen.add(entry.name)
+        cls = class_table.get(entry.class_name)
+        if cls is None:
+            found.append(f"setup object {entry.name!r} has unknown class "
+                         f"{entry.class_name!r}")
+        else:
+            found.extend(f"link {attr.name!r} of {entry.name!r} would "
+                         f"overwrite a non-reference attribute"
+                         for attr in cls.attributes
+                         if attr.name in entry.links
+                         and not isinstance(attr.type, ClassType))
+        if isinstance(entry.kind, Active) and entry.kind.prio < 0:
+            found.append(f"setup object {entry.name!r} has a negative "
+                         f"priority")
+        found.extend(f"setup object {entry.name!r} links unknown object "
+                     f"{link!r}" for link in entry.links if link not in names)
+        problems.extend(Problem(("setup", i), msg) for msg in found)
+    return problems
+
+
 def build_initial_state(cfg: Config, setup: Setup) -> SimState:
     """Objects, links and start threads for a setup, ready to hand to run.
 
     Objects are allocated in list order, so the first entry gets id 0.
     Link names add a reference attribute named after the linked entry.
     Each active entry starts one ready thread at pc 0 of its operation.
+    A setup that breaks a ``check_setup`` rule raises ``ModelError`` with
+    one diagnostic per problem.
     """
-    problems: list[str] = []
-    by_name: dict[str, int] = {}
-    for entry in setup:
-        if entry.name in by_name:
-            problems.append(f"setup: duplicate object name {entry.name!r}")
-        by_name[entry.name] = -1
-        if entry.class_name not in cfg.class_table:
-            problems.append(f"setup: {entry.name!r} has unknown class "
-                            f"{entry.class_name!r}")
-        if isinstance(entry.kind, Active) and entry.kind.prio < 0:
-            problems.append(f"setup: {entry.name!r} has negative priority")
-        for link in entry.links:
-            if not any(e.name == link for e in setup):
-                problems.append(f"setup: {entry.name!r} links unknown object "
-                                f"{link!r}")
-        cls = cfg.class_table.get(entry.class_name)
-        if cls is not None:
-            for attr in cls.attributes:
-                if attr.name in entry.links and \
-                        not isinstance(attr.type, ClassType):
-                    problems.append(
-                        f"setup: link {attr.name!r} of {entry.name!r} would "
-                        f"overwrite a non-reference attribute")
+    problems = check_setup(cfg.class_table, setup)
     if problems:
-        raise ModelError("; ".join(problems))
+        raise ModelError([Diagnostic(p.message) for p in problems])
 
+    by_name: dict[str, int] = {}
     s = empty_state()
     for entry in setup:
         s, oid = alloc_object(s, cfg.class_table[entry.class_name])

@@ -84,6 +84,18 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
         assert "bad.smm:1:" in err
 
+    def test_deep_inheritance_chain_runs(self, tmp_path, capsys):
+        # Deeper than Python's recursion limit: the chain walk must not
+        # recurse.
+        lines = ["class C0 { }"]
+        lines += [f"class C{i} extends C{i - 1} {{ }}" for i in range(1, 1500)]
+        lines += ["op C0.go(): Void { return void; }",
+                  "setup { o: C1499 active go prio 0; }"]
+        model = tmp_path / "deep.smm"
+        model.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(model)]) == EXIT_OK
+        assert "C1499(id 0)" in capsys.readouterr().out
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         crashy = tmp_path / "crashy.smm"
         crashy.write_text("""

@@ -178,6 +178,44 @@ class TestDiagnostics:
             assert diag.line is not None and diag.column is not None
 
 
+# Sources with the problems each must report, in source order, as
+# (line, message fragment): every problem once, at the line of the element
+# it names, and all of them in one pass.
+LOCATED = [
+    ("class A { }\nsetup { o: Nope active go prio 1; }",
+     [(2, "unknown class 'Nope'")]),
+    ("class A { }\nop A.f(): Void {\n  goto nowhere;\n  return void;\n}",
+     [(3, "unknown label 'nowhere'")]),
+    ("class A { }\nclass B extends Zed { }",
+     [(2, "extends unknown class 'Zed'")]),
+    ("class A { }\nclass B {\n  attr p: Ghost = null;\n}",
+     [(3, "unknown class type 'Ghost'")]),
+    ("class A { }\nop A.f(): Void {\n  let x: Ghost = null;\n"
+     "  return void;\n}",
+     [(3, "unknown class type 'Ghost'")]),
+    ("class A { }\nop A.f(): Void {\n  let y: A = null;\n  new y Nope;\n"
+     "  return void;\n}",
+     [(4, "creates unknown class 'Nope'")]),
+    ("class A { }\nclass B extends C { }\nclass C extends B { }",
+     [(2, "inheritance cycle"), (3, "inheritance cycle")]),
+    ("class A { }\nclass B extends Zed { }\nop B.f(): Void {\n"
+     "  goto nowhere;\n  return void;\n}",
+     [(2, "extends unknown class 'Zed'"), (4, "unknown label 'nowhere'")]),
+]
+
+
+class TestLocatedDiagnostics:
+    @pytest.mark.parametrize("source, expected", LOCATED)
+    def test_each_problem_is_reported_once_where_it_is(self, source,
+                                                       expected):
+        with pytest.raises(ModelError) as err:
+            parse_model(source)
+        found = [(d.line, d.message) for d in err.value.diagnostics]
+        assert len(found) == len(expected), found
+        for (line, message), (want_line, fragment) in zip(found, expected):
+            assert line == want_line and fragment in message, found
+
+
 class TestRoundTrip:
     def test_fixture_round_trips(self, prodcons_model):
         text = print_model(prodcons_model)

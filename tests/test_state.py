@@ -9,7 +9,7 @@ from smm import (
     CallPayload, ClassDef, EventKind, ExecError, Frame, IntVal, InternalError,
     OidVal, RecordVal, ReturnPayload, BoolVal, Message,
     alloc_object, empty_state, enqueue_event, pop_frame, push_frame,
-    read_attr, take_matching_event, validate_state, write_attr,
+    take_matching_event, validate_state, write_attr,
 )
 from smm.state import make_event
 
@@ -69,19 +69,19 @@ class TestAttrAccess:
     def test_read_after_write(self):
         s, oid = _state_with_buffer()
         s = write_attr(s, oid, "data", IntVal(20))
-        assert read_attr(s, oid, "data") == IntVal(20)
+        assert s.ds[oid].attrs.get("data") == IntVal(20)
 
     def test_write_does_not_mutate_the_old_state(self):
         s, oid = _state_with_buffer()
         s2 = write_attr(s, oid, "data", IntVal(10))
-        assert read_attr(s, oid, "data") == IntVal(-1)
-        assert read_attr(s2, oid, "data") == IntVal(10)
+        assert s.ds[oid].attrs.get("data") == IntVal(-1)
+        assert s2.ds[oid].attrs.get("data") == IntVal(10)
 
     def test_last_write_wins(self):
         s, oid = _state_with_buffer()
         s = write_attr(s, oid, "data", IntVal(10))
         s = write_attr(s, oid, "data", IntVal(20))
-        assert read_attr(s, oid, "data") == IntVal(20)
+        assert s.ds[oid].attrs.get("data") == IntVal(20)
 
     def test_kind_mismatch_is_a_type_error(self):
         s, oid = _state_with_buffer()
@@ -90,8 +90,6 @@ class TestAttrAccess:
 
     def test_unknown_attribute(self):
         s, oid = _state_with_buffer()
-        with pytest.raises(ExecError):
-            read_attr(s, oid, "x")
         with pytest.raises(ExecError):
             write_attr(s, oid, "x", IntVal(1))
 
@@ -103,8 +101,8 @@ class TestAttrAccess:
     @given(st.integers(min_value=-10**9, max_value=10**9))
     def test_read_write_identity(self, n):
         s, oid = _state_with_buffer()
-        assert read_attr(write_attr(s, oid, "data", IntVal(n)), oid,
-                         "data") == IntVal(n)
+        s2 = write_attr(s, oid, "data", IntVal(n))
+        assert s2.ds[oid].attrs.get("data") == IntVal(n)
 
 
 class TestEnqueueEvent:

@@ -4,48 +4,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smm import (
-    AttrDef, BOOL, BoolVal, ClassDef, ClassType, ExecError, INT, IntType,
-    IntVal, MethodDef, ModelError, NULL_OID, OidVal, OpSig, RecordVal,
-    StoredObject, VOID, VOID_VAL, VoidVal, default_value, super_chain,
-    type_of_value, validate_model,
+    AttrDef, BoolVal, ClassDef, ClassType, INT, IntVal, MethodDef,
+    ModelError, NULL_OID, OidVal, OpSig, RecordVal, StoredObject, VOID,
+    VOID_VAL, super_chain, validate_model,
 )
 from smm.actions import Jump, NewLocal, ReturnConst
 from smm.universe import same_kind, value_fits
 
-from conftest import buffer_class, buffer_tables
+from conftest import buffer_tables
 
 
-class TestDefaultValue:
-    def test_int_defaults_to_zero(self):
-        assert default_value(INT) == IntVal(0)
+def _recursive_super_chain(cls, scl):
+    """The depth-first definition of ``super_chain``, written as a
+    recursion: the oracle for the iterative walk."""
+    out = []
 
-    def test_bool_defaults_to_false(self):
-        assert default_value(BOOL) == BoolVal(False)
+    def walk(c, path):
+        if c in path:
+            raise ModelError(f"inheritance cycle through class {c!r}")
+        if c not in out:
+            out.append(c)
+        for sup in scl.get(c, ()):
+            walk(sup, path + (c,))
 
-    def test_void_is_the_singleton(self):
-        assert default_value(VOID) == VoidVal()
-
-    def test_class_type_defaults_to_null(self):
-        table = {"Buffer": buffer_class()}
-        assert default_value(ClassType("Buffer"), table) == NULL_OID
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ModelError):
-            default_value(ClassType("Nope"), {"Buffer": buffer_class()})
-
-
-class TestTypeOfValue:
-    def test_int(self):
-        assert type_of_value(IntVal(10), {}) == IntType()
-
-    def test_oid_resolves_through_data_store(self):
-        ds = {3: StoredObject("Buffer", RecordVal())}
-        assert type_of_value(IntVal(1), ds) == INT
-        assert type_of_value(OidVal(3), ds) == ClassType("Buffer")
-
-    def test_dangling_oid_is_an_error(self):
-        with pytest.raises(ExecError):
-            type_of_value(OidVal(9), {})
+    walk(cls, ())
+    return tuple(out)
 
 
 class TestSuperChain:
@@ -68,6 +51,30 @@ class TestSuperChain:
         with pytest.raises(ModelError):
             super_chain("A", {"A": ("B",), "B": ("A",)})
 
+    def test_deep_chain_needs_no_recursion(self):
+        scl = {f"C{i}": (f"C{i + 1}",) for i in range(1499)}
+        chain = super_chain("C0", scl)
+        assert chain == tuple(f"C{i}" for i in range(1500))
+
+    def test_long_cycle_rejected(self):
+        scl = {f"C{i}": (f"C{(i + 1) % 1500}",) for i in range(1500)}
+        with pytest.raises(ModelError, match="cycle through class 'C0'"):
+            super_chain("C0", scl)
+
+    @given(st.dictionaries(
+        st.sampled_from("ABCDEF"),
+        st.lists(st.sampled_from("ABCDEF"), max_size=3).map(tuple)))
+    def test_matches_the_recursive_definition(self, scl):
+        for cls in "ABCDEF":
+            try:
+                expected = _recursive_super_chain(cls, scl)
+            except ModelError as err:
+                with pytest.raises(ModelError) as got:
+                    super_chain(cls, scl)
+                assert str(got.value) == str(err)
+            else:
+                assert super_chain(cls, scl) == expected
+
     @given(st.integers(min_value=1, max_value=6))
     def test_chain_starts_with_its_input(self, depth):
         scl = {f"C{i}": (f"C{i + 1}",) for i in range(depth - 1)}
@@ -85,17 +92,17 @@ class TestValidateModel:
         cls = ClassDef("X", (AttrDef("a", INT, IntVal(0)),
                              AttrDef("a", INT, IntVal(0))))
         problems = validate_model({"X": cls}, {}, {})
-        assert any("duplicate attribute" in p for p in problems)
+        assert any("duplicate attribute" in p.message for p in problems)
 
     def test_init_value_must_fit_type(self):
         cls = ClassDef("X", (AttrDef("a", INT, BoolVal(True)),))
         problems = validate_model({"X": cls}, {}, {})
-        assert any("does not fit" in p for p in problems)
+        assert any("does not fit" in p.message for p in problems)
 
     def test_unknown_superclass(self):
         cls = ClassDef("X", ())
         problems = validate_model({"X": cls}, {"X": ("Ghost",)}, {})
-        assert any("unknown class" in p for p in problems)
+        assert any("unknown class" in p.message for p in problems)
 
     def test_method_signature_mismatch(self):
         sig_a = OpSig("f", (), VOID)
@@ -103,20 +110,20 @@ class TestValidateModel:
         meth = MethodDef(sig_b, (), (ReturnConst(VOID_VAL),))
         problems = validate_model({"X": ClassDef("X", ())}, {},
                                   {"X": {sig_a: meth}})
-        assert any("different signature" in p for p in problems)
+        assert any("different signature" in p.message for p in problems)
 
     def test_empty_body_rejected(self):
         sig = OpSig("f", (), VOID)
         problems = validate_model({"X": ClassDef("X", ())}, {},
                                   {"X": {sig: MethodDef(sig, (), ())}})
-        assert any("empty body" in p for p in problems)
+        assert any("empty body" in p.message for p in problems)
 
     def test_jump_target_out_of_range(self):
         sig = OpSig("f", (), VOID)
         meth = MethodDef(sig, (), (Jump(7), ReturnConst(VOID_VAL)))
         problems = validate_model({"X": ClassDef("X", ())}, {},
                                   {"X": {sig: meth}})
-        assert any("jumps to 7" in p for p in problems)
+        assert any("jumps to 7" in p.message for p in problems)
 
     def test_overloaded_signatures_coexist(self):
         # Identity of an operation is its full signature, so one class can
@@ -150,7 +157,7 @@ class TestValueCompat:
                                    ReturnConst(VOID_VAL)))
         problems = validate_model({"X": ClassDef("X", ())}, {},
                                   {"X": {sig: meth}})
-        assert any("unknown class" in p for p in problems)
+        assert any("unknown class" in p.message for p in problems)
 
 
 class TestRecordVal:

@@ -75,6 +75,18 @@ class TestBuildInitialState:
         with pytest.raises(ModelError):
             build_initial_state(cfg, setup)
 
+    def test_each_setup_problem_is_its_own_diagnostic(self):
+        cfg = buffer_config()
+        setup = (SetupEntry("x", "Ghost", Passive(), ("nobody",)),
+                 SetupEntry("x", "Buffer", Passive(), ()))
+        with pytest.raises(ModelError) as err:
+            build_initial_state(cfg, setup)
+        assert [d.message for d in err.value.diagnostics] == [
+            "setup object 'x' has unknown class 'Ghost'",
+            "setup object 'x' links unknown object 'nobody'",
+            "duplicate setup object 'x'",
+        ]
+
     def test_undispatchable_start_op_rejected_before_any_step(self):
         cfg = buffer_config()
         setup = (SetupEntry("b", "Buffer", Active(OpSig("ghost", (), VOID), 1),
