@@ -18,7 +18,7 @@ from .frontend import (
 from .state import (
     CallerRef, CallPayload, Event, EventKind, Frame, Message, ReturnPayload,
     SignalPayload, SimState, StoredObject, Thread, ThreadStatus,
-    alloc_object, empty_state, enqueue_event, pop_frame, push_frame,
+    alloc_object, empty_state, enqueue_event, pop_frame,
     take_matching_event, validate_state, write_attr,
 )
 from .universe import (
@@ -33,7 +33,7 @@ from .variation import (
 from .vm import (
     Active, AllDone, Blocked, OKind, Passive, RunResult, Setup, SetupEntry,
     StepLimit, add_last_exec_info, build_initial_state, collect_runnables,
-    consume_event, exec_step, run, run_main,
+    consume_event, run, run_main,
 )
 
 __all__ = [
@@ -49,8 +49,8 @@ __all__ = [
     "add_last_exec_info", "alloc_object", "build_config",
     "build_initial_state", "collect_runnables", "consume_event",
     "deliver_reliable", "dispatch_single", "empty_state",
-    "enqueue_event", "exec_step", "load_model", "make_config", "parse_model",
-    "pop_frame", "print_model", "push_frame", "render_action",
+    "enqueue_event", "load_model", "make_config", "parse_model",
+    "pop_frame", "print_model", "render_action",
     "render_final_state", "render_trace", "run", "run_main", "run_model",
     "schedule_prio", "schedule_rr", "super_chain", "take_matching_event",
     "trace_recorder", "validate_model", "validate_state",

@@ -239,7 +239,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         try:
             s2 = write_attr(s, oid, action.attr, v)
         except ExecError as err:
-            raise ExecError(str(err), oid=oid, tid=tid, pc=pc) from None
+            raise ExecError(err.message, oid=oid, tid=tid, pc=pc) from None
         return commit(replace(frame, pc=pc + 1), s2)
 
     if isinstance(action, BinOp):

@@ -43,11 +43,13 @@ class ExecError(SmmError):
     """A model-level fault during execution; aborts the run.
 
     Carries the executing (oid, tid, pc) when known so a failing action can
-    be pinpointed in the model source.
+    be pinpointed in the model source; ``message`` is the text without that
+    context, for re-raising with a fuller one.
     """
 
     def __init__(self, message: str, *, oid: int | None = None,
                  tid: int | None = None, pc: int | None = None):
+        self.message = message
         self.oid = oid
         self.tid = tid
         self.pc = pc

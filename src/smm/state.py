@@ -18,7 +18,8 @@ from typing import Callable, Union
 
 from .errors import ExecError, InternalError
 from .universe import (
-    ClassDef, ClassTable, NullOid, OidVal, OpSig, RecordVal, Value, same_kind,
+    ClassDef, ClassTable, MethodDef, NullOid, OidVal, OpSig, RecordVal, Value,
+    same_kind,
 )
 
 
@@ -41,8 +42,10 @@ class CallerRef:
 
 @dataclass(frozen=True)
 class Frame:
+    """One activation: the method it runs, dispatched when it was created."""
+
     self_oid: int
-    op: OpSig
+    meth: MethodDef
     params: RecordVal
     locals: RecordVal
     pc: int
@@ -222,21 +225,6 @@ def take_matching_event(es: EventStore, oid: int,
         if pred(e):
             return {**es, oid: queue[:i] + queue[i + 1:]}, e
     return es, None
-
-
-def push_frame(s: SimState, oid: int, tid: int, frame: Frame, *,
-               base_prio: int = 0,
-               status: ThreadStatus = ThreadStatus.READY) -> SimState:
-    """Push a frame, creating the thread entry if it does not exist yet."""
-    threads = s.cs.get(oid)
-    if threads is None:
-        raise ExecError(f"no object with id {oid}", oid=oid)
-    thr = threads.get(tid)
-    if thr is None:
-        thr = Thread(tid, base_prio, status, (frame,))
-    else:
-        thr = replace(thr, frames=thr.frames + (frame,))
-    return replace(s, cs={**s.cs, oid: {**threads, tid: thr}})
 
 
 def pop_frame(s: SimState, oid: int, tid: int) -> tuple[SimState, Frame]:

@@ -9,12 +9,14 @@ travel between objects (reliable in-order delivery).
 Every strategy is a pure function of its inputs; swapping strategies is the
 only sanctioned way to change the machine's observable behavior.
 
-Buffered call and signal events are offered through pseudo-thread entries:
-ids reserved above the state's thread counter name handler threads that do
-not exist yet. The reservation walks objects in ascending id and each
-object's offered events in queue order, so every pending handler gets a
-distinct, reproducible id. The executor materializes the thread under the
-reserved id when the entry is scheduled.
+A runnables selector reports, for one object, its offered live threads
+and the buffered call and signal events it is willing to handle. Ids for
+the handler threads those events would start are reserved above the
+state's thread counter by ``vm.collect_runnables``, in its single walk
+over objects in ascending id and each object's offered events in queue
+order, so every pending handler gets a distinct, reproducible id. The
+executor materializes the thread under the reserved id when the entry is
+scheduled.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ MethodDispatcher = Callable[[SubclassRel, MethMap, DataStore, int, OpSig], Metho
 _HANDLER_KINDS = (EventKind.CALL, EventKind.SIGNAL)
 
 
-def _event_prio(e: Event) -> int:
-    return e.msg.payload.prio
-
-
 def _has_matching_return(s: SimState, oid: int, tid: int) -> bool:
     return any(e.kind is EventKind.RETURN and e.msg.sender_thread == tid
                for e in s.es.get(oid, ()))
@@ -63,6 +61,12 @@ class RunnablesSelector:
     ``pending_handler_events``. Ready threads are always offered; a waiting
     thread is offered as soon as its return event is buffered, whatever
     else the object is doing, so a synchronous call can always complete.
+
+    The class is the strategy type ``Config.runnables_sel`` holds. It
+    stays a class, not a plain function, because wrappers of the strategy
+    (the traced pass in ``perfbench/tracing.py``) rely on its ``name``,
+    on ``pending_handler_events(s, oid)`` as a separate method and on
+    ``__call__(s, oid)``.
     """
 
     name = "base"
@@ -70,28 +74,14 @@ class RunnablesSelector:
     def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
         raise NotImplementedError
 
-    def pseudo_entries(self, s: SimState, oid: int) -> list[tuple[int, Event]]:
-        """Reserved (tid, event) pairs for this object's offered events."""
-        base = s.next_tid
-        for other in sorted(s.ds):
-            if other == oid:
-                break
-            base += len(self.pending_handler_events(s, other))
-        offered = self.pending_handler_events(s, oid)
-        return [(base + i, e) for i, e in enumerate(offered)]
-
-    def __call__(self, s: SimState, oid: int) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for tid in sorted(s.threads_of(oid)):
-            thr = s.cs[oid][tid]
-            if thr.status is ThreadStatus.READY:
-                out.append((tid, thr.base_prio))
-            elif thr.status is ThreadStatus.WAITING and \
-                    _has_matching_return(s, oid, tid):
-                out.append((tid, thr.base_prio))
-        for tid, event in self.pseudo_entries(s, oid):
-            out.append((tid, _event_prio(event)))
-        return out
+    def __call__(self, s: SimState,
+                 oid: int) -> tuple[list[tuple[int, int]], list[Event]]:
+        """This object's (tid, prio) live-thread offers and offered events."""
+        live = [(tid, thr.base_prio)
+                for tid, thr in sorted(s.threads_of(oid).items())
+                if thr.status is ThreadStatus.READY
+                or _has_matching_return(s, oid, tid)]
+        return live, self.pending_handler_events(s, oid)
 
 
 class RtcRunnables(RunnablesSelector):
@@ -105,10 +95,11 @@ class RtcRunnables(RunnablesSelector):
     name = "rtc"
 
     def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
-        if s.threads_of(oid):
-            return []
-        pending = [e for e in s.es.get(oid, ()) if e.kind in _HANDLER_KINDS]
-        return pending[:1]
+        if not s.threads_of(oid):
+            for e in s.es.get(oid, ()):
+                if e.kind in _HANDLER_KINDS:
+                    return [e]
+        return []
 
 
 class ConcRunnables(RunnablesSelector):

@@ -1,12 +1,15 @@
 """The simulation engine: initial-state construction and the step loop.
 
 A run repeats a two-stage schedule: collect every thread each object is
-willing to run (the runnables selector's call), enrich the offers with the
-time each thread last executed, let the scheduler pick one (object, thread)
-pair, and perform exactly one atomic step on it. A step first consumes a
+willing to run (one walk over the objects, which also reserves ids for the
+handler threads of offered events), enrich the offers with the time each
+thread last executed, let the scheduler pick one (object, thread) pair,
+and perform exactly one atomic step on it. A step first consumes a
 pending event when there is one to consume (materializing a handler thread
 for a call or signal, or resuming a caller with its return value), then
 interprets the single action the thread's program counter addresses.
+Methods are dispatched only where a frame is created, and the frame keeps
+its method.
 
 The engine is single-threaded and deterministic: with equal configuration
 and setup, two runs produce equal results. All concurrency is model-level.
@@ -20,11 +23,11 @@ from typing import Callable, Union
 from .actions import Action, interpret
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
-    CallerRef, CallPayload, EventKind, Frame, RecordVal,
+    CallerRef, CallPayload, Event, EventKind, Frame, RecordVal,
     SimState, Thread, ThreadStatus, alloc_object, add_link_attr, empty_state,
     take_matching_event, update_thread,
 )
-from .universe import ClassTable, ClassType, MethodDef, OidVal, OpSig, Problem
+from .universe import ClassTable, ClassType, OidVal, OpSig, Problem
 from .variation import Config, RunnableEntry, RunnablesSelector
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -87,13 +90,26 @@ class RunResult:
 
 # --- scheduling plumbing --------------------------------------------------------
 
-def collect_runnables(sel: RunnablesSelector,
-                      s: SimState) -> list[tuple[int, int, int]]:
-    """All (oid, tid, prio) offers, objects in ascending id order."""
-    out: list[tuple[int, int, int]] = []
+def collect_runnables(
+        sel: RunnablesSelector,
+        s: SimState) -> tuple[list[tuple[int, int, int]], dict[int, Event]]:
+    """All (oid, tid, prio) offers and the event each reserved id stands for.
+
+    Objects come in ascending id order, each with its live threads first.
+    Every offered event gets the next id above ``s.next_tid``, in object
+    order and then queue order, and is offered at its own priority.
+    """
+    offers: list[tuple[int, int, int]] = []
+    reserved: dict[int, Event] = {}
+    tid = s.next_tid
     for oid in sorted(s.ds):
-        out.extend((oid, tid, prio) for tid, prio in sel(s, oid))
-    return out
+        live, events = sel(s, oid)
+        offers.extend((oid, live_tid, prio) for live_tid, prio in live)
+        for event in events:
+            offers.append((oid, tid, event.msg.payload.prio))
+            reserved[tid] = event
+            tid += 1
+    return offers, reserved
 
 
 def add_last_exec_info(times: TimesMap,
@@ -111,14 +127,16 @@ def add_last_exec_info(times: TimesMap,
 
 # --- the atomic step -------------------------------------------------------------
 
-def consume_event(s: SimState, cfg: Config, oid: int, tid: int) -> SimState:
+def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
+                  event: Event | None = None) -> SimState:
     """Prepare thread ``tid`` of ``oid`` for execution, consuming one event.
 
     Three cases:
-    - ``tid`` is a reserved handler id: remove the pending call or signal
-      it stands for and materialize the thread under that id, with the
-      message arguments bound to the dispatched method's parameters. A call
-      records who to answer; a signal has no caller to answer.
+    - ``tid`` is a reserved handler id and ``event`` the pending call or
+      signal it stands for: remove the event and materialize the thread
+      under that id, running the dispatched method with the message
+      arguments bound to its parameters. A call records who to answer; a
+      signal has no caller to answer.
     - ``tid`` is waiting and its return event is buffered: remove it, bind
       the value to the frame's result local (creating it), mark ready.
     - otherwise the state is returned unchanged.
@@ -128,12 +146,12 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int) -> SimState:
         if thr.status is not ThreadStatus.WAITING:
             return s
         frame = thr.top
-        es, event = take_matching_event(
+        es, answer = take_matching_event(
             s.es, oid,
             lambda e: e.kind is EventKind.RETURN and e.msg.sender_thread == tid)
-        if event is None:
+        if answer is None:
             return s
-        payload = event.msg.payload
+        payload = answer.msg.payload
         new_frame = replace(frame,
                             locals=frame.locals.set(payload.result_local,
                                                     payload.value))
@@ -141,17 +159,12 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int) -> SimState:
                           frames=thr.frames[:-1] + (new_frame,))
         return update_thread(replace(s, es=es), oid, tid, new_thr)
 
-    for reserved, event in cfg.runnables_sel.pseudo_entries(s, oid):
-        if reserved == tid:
-            break
-    else:
+    es, taken = take_matching_event(
+        s.es, oid, lambda e: event is not None and e.seq == event.seq)
+    if taken is None:
         raise InternalError(
             f"scheduled thread {tid} of object {oid} neither exists nor "
             f"names a pending event")
-
-    es, taken = take_matching_event(s.es, oid, lambda e: e.seq == event.seq)
-    if taken is None:  # pragma: no cover - pseudo_entries only offers queued events
-        raise InternalError(f"pending event seq {event.seq} vanished")
     payload = taken.msg.payload
     meth = cfg.dispatcher(cfg.subclass_rel, cfg.meth_map, s.ds, oid, payload.op)
     if len(meth.params) != len(payload.args.fields):
@@ -166,16 +179,22 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int) -> SimState:
                            payload.result_local)
     else:
         caller = None
-    frame = Frame(self_oid=oid, op=payload.op, params=params,
+    frame = Frame(self_oid=oid, meth=meth, params=params,
                   locals=RecordVal(), pc=0, caller=caller)
     thread = Thread(tid, payload.prio, ThreadStatus.READY, (frame,))
     s2 = replace(s, es=es, next_tid=max(s.next_tid, tid + 1))
     return update_thread(s2, oid, tid, thread)
 
 
-def _exec_info(oid: int, tid: int, s: SimState,
-               cfg: Config) -> tuple[SimState, int, Action]:
-    s1 = consume_event(s, cfg, oid, tid)
+def step(s: SimState, cfg: Config, oid: int, tid: int,
+         event: Event | None = None) -> tuple[SimState, int, Action]:
+    """One atomic step: consume an event if due, then interpret one action.
+
+    ``event`` is the pending event a reserved ``tid`` stands for, as
+    ``collect_runnables`` reported it. Returns the successor state and the
+    pc and action that ran.
+    """
+    s1 = consume_event(s, cfg, oid, tid, event)
     thr = s1.thread(oid, tid)
     if thr is None:
         raise InternalError(f"thread {tid} of object {oid} missing after "
@@ -184,19 +203,12 @@ def _exec_info(oid: int, tid: int, s: SimState,
         raise InternalError(f"thread {tid} of object {oid} was scheduled "
                             f"but is not ready (selector contract violation)")
     frame = thr.top
-    meth: MethodDef = cfg.dispatcher(cfg.subclass_rel, cfg.meth_map, s1.ds,
-                                     oid, frame.op)
-    if frame.pc >= len(meth.body):
-        raise ExecError(f"fell off the end of {frame.op.name!r} without a "
-                        f"return", oid=oid, tid=tid, pc=frame.pc)
-    action = meth.body[frame.pc]
+    body = frame.meth.body
+    if frame.pc >= len(body):
+        raise ExecError(f"fell off the end of {frame.meth.implements.name!r} "
+                        f"without a return", oid=oid, tid=tid, pc=frame.pc)
+    action = body[frame.pc]
     return interpret(action, s1, oid, tid, cfg), frame.pc, action
-
-
-def exec_step(oid: int, tid: int, s: SimState, cfg: Config) -> SimState:
-    """One atomic step: consume an event if due, then interpret one action."""
-    s2, _, _ = _exec_info(oid, tid, s, cfg)
-    return s2
 
 
 # --- the run loop -------------------------------------------------------------------
@@ -224,7 +236,7 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     times = dict(times)
     steps = 0
     while True:
-        runnables = collect_runnables(cfg.runnables_sel, s)
+        runnables, reserved = collect_runnables(cfg.runnables_sel, s)
         if not runnables:
             waiting = _waiting_threads(s)
             halt: HaltReason = Blocked(waiting) if waiting else AllDone()
@@ -233,7 +245,7 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
             return RunResult(s, t, StepLimit())
         entries = add_last_exec_info(times, runnables)
         oid, tid = cfg.scheduler(t, entries)
-        s, pc, action = _exec_info(oid, tid, s, cfg)
+        s, pc, action = step(s, cfg, oid, tid, reserved.get(tid))
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
         times[tid] = t
@@ -306,12 +318,12 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
             continue
         oid = by_name[entry.name]
         try:
-            cfg.dispatcher(cfg.subclass_rel, cfg.meth_map, s.ds, oid,
-                           entry.kind.op)
+            meth = cfg.dispatcher(cfg.subclass_rel, cfg.meth_map, s.ds, oid,
+                                  entry.kind.op)
         except ExecError as err:
             raise ModelError(f"setup: {entry.name!r} cannot start "
                              f"{entry.kind.op.name!r}: {err}") from None
-        frame = Frame(self_oid=oid, op=entry.kind.op, params=RecordVal(),
+        frame = Frame(self_oid=oid, meth=meth, params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
         thread = Thread(s.next_tid, entry.kind.prio, ThreadStatus.READY,
                         (frame,))

@@ -6,14 +6,16 @@ import pytest
 
 from smm import (
     AttrDef, BoolVal, CallerRef, ClassDef, ClassType, EventKind,
-    ExecError, Frame, INT, IntVal, NULL_OID, OidVal, RecordVal, ThreadStatus,
-    VOID, VOID_VAL, alloc_object, empty_state, make_config, push_frame,
+    ExecError, Frame, INT, IntVal, MethodDef, NULL_OID, OidVal, RecordVal,
+    Thread, ThreadStatus, VOID, VOID_VAL, alloc_object, empty_state,
+    make_config,
 )
 from smm.actions import (
     BinOp, BranchIfFalse, Call, Jump, LocalConst, LocalFromAttr,
     LocalFromParam, NewLocal, NewObject, ReturnConst, ReturnLocal, SendSignal,
     SetAttr, interpret,
 )
+from smm.state import update_thread
 from smm.universe import OpSig
 
 from conftest import PUT_OP, buffer_class
@@ -36,9 +38,10 @@ def _setup(locals_=(), params=(), pc=0, caller=None):
     s = empty_state()
     s, buf = alloc_object(s, buffer_class())
     s, worker = alloc_object(s, _worker_class())
-    frame = Frame(self_oid=worker, op=WORK_OP, params=RecordVal(tuple(params)),
+    frame = Frame(self_oid=worker, meth=MethodDef(WORK_OP, (), ()),
+                  params=RecordVal(tuple(params)),
                   locals=RecordVal(tuple(locals_)), pc=pc, caller=caller)
-    s = push_frame(s, worker, 0, frame, base_prio=5)
+    s = update_thread(s, worker, 0, Thread(0, 5, ThreadStatus.READY, (frame,)))
     s = replace(s, next_tid=1)
     return s, buf, worker
 

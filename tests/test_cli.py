@@ -112,6 +112,25 @@ class TestRunCommand:
         assert code == EXIT_RUNTIME
         assert "null reference" in err
 
+    def test_attribute_write_error_carries_one_context_suffix(self, tmp_path,
+                                                              capsys):
+        model = tmp_path / "inherited.smm"
+        model.write_text("""
+        class B { attr n: Int = 0; }
+        class C extends B { }
+        op C.go(): Void {
+          let one: Int = 1;
+          setattr n one;
+          return void;
+        }
+        setup { c: C active go prio 1; }
+        """)
+        code = main(["run", str(model)])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err == ("smm: runtime error: object 0 (C) has no attribute "
+                       "'n' [oid=0, tid=0, pc=1]\n")
+
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         code = main(["run", PRODCONS, "--scheduler", "fifo"])
         capsys.readouterr()

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from smm import (
     CallPayload, ClassDef, EventKind, ExecError, Frame, IntVal, InternalError,
-    OidVal, RecordVal, ReturnPayload, BoolVal, Message,
-    alloc_object, empty_state, enqueue_event, pop_frame, push_frame,
+    OidVal, RecordVal, ReturnPayload, BoolVal, Message, Thread, ThreadStatus,
+    alloc_object, empty_state, enqueue_event, pop_frame,
     take_matching_event, validate_state, write_attr,
 )
-from smm.state import make_event
+from smm.state import make_event, update_thread
 
-from conftest import GET_OP, PUT_OP, buffer_class, buffer_tables
+from conftest import PUT_OP, buffer_class, buffer_tables, get_method
 
 
 def _call_event(seq: int, *, receiver: int = 0, sender: int = 0,
@@ -175,15 +175,20 @@ class TestTakeMatchingEvent:
 
 
 def _frame(oid: int, pc: int = 0):
-    return Frame(self_oid=oid, op=GET_OP, params=RecordVal(),
+    return Frame(self_oid=oid, meth=get_method(), params=RecordVal(),
                  locals=RecordVal(), pc=pc, caller=None)
 
 
+def _with_thread(s, oid, *frames):
+    """``s`` with thread 0 of ``oid`` running ``frames``, the last on top."""
+    return update_thread(s, oid, 0, Thread(0, 1, ThreadStatus.READY, frames))
+
+
 class TestFrameStack:
-    def test_push_then_pop_removes_the_thread(self):
+    def test_popping_the_last_frame_removes_the_thread(self):
         s, oid = _state_with_buffer()
         f = _frame(oid)
-        s = push_frame(s, oid, 0, f, base_prio=1)
+        s = _with_thread(s, oid, f)
         s2, popped = pop_frame(s, oid, 0)
         assert popped == f
         assert 0 not in s2.cs[oid]
@@ -196,8 +201,7 @@ class TestFrameStack:
     def test_two_frames_pop_top(self):
         s, oid = _state_with_buffer()
         f1, f2 = _frame(oid, 0), _frame(oid, 3)
-        s = push_frame(s, oid, 0, f1)
-        s = push_frame(s, oid, 0, f2)
+        s = _with_thread(s, oid, f1, f2)
         s2, popped = pop_frame(s, oid, 0)
         assert popped == f2
         assert s2.cs[oid][0].frames == (f1,)
@@ -207,7 +211,7 @@ class TestValidateState:
     def test_fresh_states_validate(self):
         classes, _, _ = buffer_tables()
         s, oid = _state_with_buffer()
-        s = push_frame(s, oid, 0, _frame(oid))
+        s = _with_thread(s, oid, _frame(oid))
         from dataclasses import replace
         s = replace(s, next_tid=1)
         assert validate_state(s, classes) == []

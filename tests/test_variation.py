@@ -8,15 +8,17 @@ from hypothesis import given, strategies as st
 
 from smm import (
     ClassDef, ExecError, Frame, IntVal, Message, MethodDef,
-    OpSig, RecordVal, ReturnPayload, RunnableEntry, ThreadStatus,
-    VOID, VOID_VAL, alloc_object, deliver_reliable, dispatch_single,
-    empty_state, push_frame, schedule_prio, schedule_rr, super_chain,
+    OpSig, RecordVal, ReturnPayload, RunnableEntry, Thread, ThreadStatus,
+    VOID, VOID_VAL, alloc_object, collect_runnables, deliver_reliable,
+    dispatch_single, empty_state, schedule_prio, schedule_rr, super_chain,
 )
 from smm.actions import ReturnConst
-from smm.state import CallPayload, make_event
+from smm.state import CallPayload, make_event, update_thread
 from smm.variation import ConcRunnables, RtcRunnables
 
-from conftest import GET_OP, PUT_OP, buffer_class, buffer_tables, put_method
+from conftest import (
+    GET_OP, PUT_OP, buffer_class, buffer_tables, get_method, put_method,
+)
 
 RTC = RtcRunnables()
 CONC = ConcRunnables()
@@ -39,13 +41,10 @@ def _buffer_state():
 
 
 def _with_thread(s, oid, tid, status=ThreadStatus.READY, prio=1):
-    frame = Frame(self_oid=oid, op=GET_OP, params=RecordVal(),
+    frame = Frame(self_oid=oid, meth=get_method(), params=RecordVal(),
                   locals=RecordVal(), pc=0, caller=None)
-    s = push_frame(s, oid, tid, frame, base_prio=prio)
-    thr = s.cs[oid][tid]
-    s = replace(s, cs={**s.cs, oid: {**s.cs[oid], tid: replace(thr, status=status)}},
-                next_tid=max(s.next_tid, tid + 1))
-    return s
+    s = update_thread(s, oid, tid, Thread(tid, prio, status, (frame,)))
+    return replace(s, next_tid=max(s.next_tid, tid + 1))
 
 
 class TestRtcSelection:
@@ -53,63 +52,76 @@ class TestRtcSelection:
         s, oid = _buffer_state()
         s = _with_thread(s, oid, 0)
         s = replace(s, es={oid: (_call_event(0, oid),)}, next_seq=1)
-        assert RTC(s, oid) == [(0, 1)]
+        assert RTC(s, oid) == ([(0, 1)], [])
 
     def test_idle_object_offers_oldest_event(self):
         s, oid = _buffer_state()
-        s = replace(s, es={oid: (_call_event(0, oid, prio=1),
-                                 _call_event(1, oid, prio=9))}, next_seq=2)
-        # Pseudo entry carries the event's own priority.
-        assert RTC(s, oid) == [(s.next_tid, 1)]
+        oldest = _call_event(0, oid, prio=1)
+        s = replace(s, es={oid: (oldest, _call_event(1, oid, prio=9))},
+                    next_seq=2)
+        # The reserved entry carries the event's own priority.
+        assert collect_runnables(RTC, s) == ([(oid, s.next_tid, 1)],
+                                             {s.next_tid: oldest})
+
+    def test_idle_object_skips_returns_before_the_first_call(self):
+        s, oid = _buffer_state()
+        call = _call_event(1, oid)
+        s = replace(s, es={oid: (_return_event(0, oid, tid=5), call,
+                                 _call_event(2, oid))}, next_seq=3)
+        assert RTC(s, oid) == ([], [call])
 
     def test_waiting_thread_with_return_is_offered(self):
         s, oid = _buffer_state()
         s = _with_thread(s, oid, 0, status=ThreadStatus.WAITING, prio=4)
         s = replace(s, es={oid: (_return_event(0, oid, tid=0),)}, next_seq=1)
-        assert RTC(s, oid) == [(0, 4)]
+        assert RTC(s, oid) == ([(0, 4)], [])
 
     def test_waiting_thread_without_return_is_not_offered(self):
         s, oid = _buffer_state()
         s = _with_thread(s, oid, 0, status=ThreadStatus.WAITING)
-        assert RTC(s, oid) == []
+        assert RTC(s, oid) == ([], [])
 
     def test_waiting_thread_still_gates_new_events(self):
         s, oid = _buffer_state()
         s = _with_thread(s, oid, 0, status=ThreadStatus.WAITING)
         s = replace(s, es={oid: (_call_event(0, oid),)}, next_seq=1)
-        assert RTC(s, oid) == []
+        assert RTC(s, oid) == ([], [])
 
 
 class TestConcSelection:
     def test_ready_thread_and_event_both_offered(self):
         s, oid = _buffer_state()
         s = _with_thread(s, oid, 0, prio=2)
-        s = replace(s, es={oid: (_call_event(0, oid, prio=1),)}, next_seq=1)
-        assert CONC(s, oid) == [(0, 2), (s.next_tid, 1)]
+        call = _call_event(0, oid, prio=1)
+        s = replace(s, es={oid: (call,)}, next_seq=1)
+        assert collect_runnables(CONC, s) == (
+            [(oid, 0, 2), (oid, s.next_tid, 1)], {s.next_tid: call})
 
     def test_empty_object_offers_nothing(self):
         s, oid = _buffer_state()
-        assert CONC(s, oid) == []
+        assert CONC(s, oid) == ([], [])
 
     def test_one_pseudo_per_buffered_event(self):
         s, oid = _buffer_state()
-        s = replace(s, es={oid: (_call_event(0, oid, prio=1),
-                                 _call_event(1, oid, prio=9))}, next_seq=2)
+        e0, e1 = _call_event(0, oid, prio=1), _call_event(1, oid, prio=9)
+        s = replace(s, es={oid: (e0, e1)}, next_seq=2)
         base = s.next_tid
-        assert CONC(s, oid) == [(base, 1), (base + 1, 9)]
+        assert collect_runnables(CONC, s) == (
+            [(oid, base, 1), (oid, base + 1, 9)], {base: e0, base + 1: e1})
 
     def test_reserved_ids_distinct_across_objects(self):
         s, a = alloc_object(empty_state(), buffer_class())
         s, b = alloc_object(s, buffer_class())
-        s = replace(s, es={a: (_call_event(0, a),), b: (_call_event(1, b),)},
-                    next_seq=2)
-        ids = [tid for tid, _ in CONC(s, a)] + [tid for tid, _ in CONC(s, b)]
-        assert len(set(ids)) == len(ids) == 2
+        ea, eb = _call_event(0, a), _call_event(1, b)
+        s = replace(s, es={a: (ea,), b: (eb,)}, next_seq=2)
+        base = s.next_tid
+        assert collect_runnables(CONC, s) == (
+            [(a, base, 1), (b, base + 1, 1)], {base: ea, base + 1: eb})
 
     def test_return_events_never_spawn_handlers(self):
         s, oid = _buffer_state()
         s = replace(s, es={oid: (_return_event(0, oid, tid=5),)}, next_seq=1)
-        assert CONC(s, oid) == []
+        assert CONC(s, oid) == ([], [])
 
 
 def E(oid, tid, prio, last):

@@ -8,15 +8,16 @@ import pytest
 from smm import (
     Active, AllDone, Blocked, CallerRef, CallPayload, EventKind,
     ExecError, Frame, IntVal, InternalError, Message, ModelError, OidVal,
-    OpSig, Passive, RecordVal, SetupEntry, StepLimit, ThreadStatus, VOID,
-    add_last_exec_info, alloc_object, build_initial_state, collect_runnables,
-    consume_event, deliver_reliable, empty_state, exec_step, parse_model,
-    push_frame, run, run_main, run_model,
+    OpSig, Passive, RecordVal, SetupEntry, StepLimit, Thread, ThreadStatus,
+    VOID, add_last_exec_info, alloc_object, build_initial_state,
+    collect_runnables, consume_event, deliver_reliable, empty_state,
+    parse_model, run, run_main, run_model,
 )
-from smm.state import ReturnPayload, make_event
+from smm.state import ReturnPayload, make_event, update_thread
 from smm.variation import RtcRunnables
+from smm.vm import step
 
-from conftest import GET_OP, PUT_OP, buffer_config
+from conftest import PUT_OP, buffer_config, get_method, put_method
 
 PRODCONS_SETUP = (
     SetupEntry("prod1", "Producer", Active(OpSig("produce", (), VOID), 10), ("b",)),
@@ -98,14 +99,15 @@ class TestBuildInitialState:
 class TestCollectRunnables:
     def test_empty_state(self):
         cfg = buffer_config()
-        assert collect_runnables(cfg.runnables_sel, empty_state()) == []
+        assert collect_runnables(cfg.runnables_sel, empty_state()) == ([], {})
 
     def test_fixture_initial_state_under_rtc(self, prodcons_model):
         from smm.frontend import build_config
         cfg = build_config(prodcons_model, runnables="rtc")
         s = build_initial_state(cfg, prodcons_model.setup)
-        rs = collect_runnables(cfg.runnables_sel, s)
+        rs, reserved = collect_runnables(cfg.runnables_sel, s)
         assert rs == [(0, 0, 10), (1, 1, 1), (2, 2, 1)]
+        assert reserved == {}
 
 
 class TestAddLastExecInfo:
@@ -145,12 +147,12 @@ class TestConsumeEvent:
         s, buf = self._buffer()
         s = _queued_call(s, buf, sender=5, sender_tid=7)
         reserved = s.next_tid
-        s2 = consume_event(s, cfg, buf, reserved)
+        s2 = consume_event(s, cfg, buf, reserved, s.es[buf][0])
         thr = s2.cs[buf][reserved]
         assert thr.status is ThreadStatus.READY
         assert thr.base_prio == 3
         frame = thr.top
-        assert frame.op == PUT_OP and frame.pc == 0
+        assert frame.meth == put_method() and frame.pc == 0
         # Message arguments are bound to the dispatched method's parameters.
         assert frame.params.fields == (("p", IntVal(10)),)
         assert frame.caller == CallerRef(5, 7, "result")
@@ -165,7 +167,7 @@ class TestConsumeEvent:
                       SignalPayload(PUT_OP, RecordVal((("0", IntVal(1)),)), 2))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
         reserved = s.next_tid
-        s2 = consume_event(s, cfg, buf, reserved)
+        s2 = consume_event(s, cfg, buf, reserved, s.es[buf][0])
         thr = s2.cs[buf][reserved]
         assert thr.top.caller is None
         assert thr.base_prio == 2
@@ -173,12 +175,11 @@ class TestConsumeEvent:
     def test_return_event_resumes_the_waiting_caller(self):
         cfg = buffer_config()
         s, buf = self._buffer()
-        frame = Frame(self_oid=buf, op=GET_OP, params=RecordVal(),
+        frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
                       locals=RecordVal(), pc=3, caller=None)
-        s = push_frame(s, buf, 0, frame, base_prio=1)
-        thr = s.cs[buf][0]
-        s = replace(s, cs={buf: {0: replace(thr, status=ThreadStatus.WAITING)}},
-                    next_tid=1)
+        s = update_thread(s, buf, 0,
+                          Thread(0, 1, ThreadStatus.WAITING, (frame,)))
+        s = replace(s, next_tid=1)
         msg = Message(9, 0, buf, ReturnPayload(IntVal(-1), "v"))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
         s2 = consume_event(s, cfg, buf, 0)
@@ -191,9 +192,10 @@ class TestConsumeEvent:
     def test_ready_thread_is_left_alone(self):
         cfg = buffer_config()
         s, buf = self._buffer()
-        frame = Frame(self_oid=buf, op=GET_OP, params=RecordVal(),
+        frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
-        s = push_frame(s, buf, 0, frame)
+        s = update_thread(s, buf, 0,
+                          Thread(0, 0, ThreadStatus.READY, (frame,)))
         s = replace(s, next_tid=1)
         s = _queued_call(s, buf)
         assert consume_event(s, cfg, buf, 0) == s
@@ -212,7 +214,8 @@ class TestExecStep:
         s, buf = alloc_object(empty_state(), buffer_class())
         s = _queued_call(s, buf, value=10)
         reserved = s.next_tid
-        s2 = exec_step(buf, reserved, s, cfg)
+        s2, pc, _ = step(s, cfg, buf, reserved, s.es[buf][0])
+        assert pc == 0
         # One step: the event was consumed and put's first action ran.
         thr = s2.cs[buf][reserved]
         assert thr.top.pc == 1
@@ -227,13 +230,14 @@ class TestExecStep:
         classes = {"Buffer": buffer_class()}
         cfg = make_config(classes, {}, {"Buffer": {sig: meth}})
         s, buf = alloc_object(empty_state(), classes["Buffer"])
-        frame = Frame(self_oid=buf, op=sig, params=RecordVal(),
+        frame = Frame(self_oid=buf, meth=meth, params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
-        s = push_frame(s, buf, 0, frame)
+        s = update_thread(s, buf, 0,
+                          Thread(0, 0, ThreadStatus.READY, (frame,)))
         s = replace(s, next_tid=1)
-        s = exec_step(buf, 0, s, cfg)
-        with pytest.raises(ExecError, match="fell off"):
-            exec_step(buf, 0, s, cfg)
+        s, _, _ = step(s, cfg, buf, 0)
+        with pytest.raises(ExecError, match="fell off the end of 'stub'"):
+            step(s, cfg, buf, 0)
 
 
 class TestRunLoop:
@@ -296,12 +300,12 @@ class TestRunLoop:
         times: dict[int, int] = {}
         t = 0
         while True:
-            rs = collect_runnables(cfg.runnables_sel, s)
+            rs, reserved = collect_runnables(cfg.runnables_sel, s)
             if not rs:
                 break
             entries = add_last_exec_info(times, rs)
             oid, tid = cfg.scheduler(t, entries)
-            s = exec_step(oid, tid, s, cfg)
+            s, _, _ = step(s, cfg, oid, tid, reserved.get(tid))
             problems = validate_state(s, prodcons_model.classes)
             assert problems == [], f"step {t}: {problems}"
             times[tid] = t
