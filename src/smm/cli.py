@@ -21,6 +21,7 @@ from .frontend import (
     TraceRecord, build_config, load_model, render_final_state, render_trace,
     trace_recorder,
 )
+from .variation import DISPATCHERS, MEDIA, RUNNABLES, SCHEDULERS
 from .vm import AllDone, Blocked, StepLimit, run_main
 
 EXIT_OK = 0
@@ -42,10 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="simulate a model file")
     run.add_argument("file", help="model source (.smm)")
-    run.add_argument("--runnables", choices=["rtc", "conc"])
-    run.add_argument("--scheduler", choices=["rr", "prio"])
-    run.add_argument("--dispatch", choices=["single"])
-    run.add_argument("--medium", choices=["reliable"])
+    run.add_argument("--runnables", choices=list(RUNNABLES))
+    run.add_argument("--scheduler", choices=list(SCHEDULERS))
+    run.add_argument("--dispatch", choices=list(DISPATCHERS))
+    run.add_argument("--medium", choices=list(MEDIA))
     run.add_argument("--max-steps", type=int, metavar="N")
     run.add_argument("--trace", action="store_true",
                      help="print one line per executed step")

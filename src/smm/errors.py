@@ -43,7 +43,8 @@ class ExecError(SmmError):
     """A model-level fault during execution; aborts the run.
 
     Carries the executing (oid, tid, pc) when known so a failing action can
-    be pinpointed in the model source; ``message`` is the text without that
+    be pinpointed in the model source; ``vm.step`` attaches them to every
+    error of the action it runs. ``message`` is the text without that
     context, for re-raising with a fuller one.
     """
 

@@ -85,9 +85,6 @@ class RecordVal:
 
     fields: tuple[tuple[str, "Value"], ...] = ()
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.fields)
-
     def has(self, name: str) -> bool:
         return any(n == name for n, _ in self.fields)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
-from .actions import Action, interpret
+from .actions import Action, interpret, replace_top
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, Event, EventKind, Frame, RecordVal,
@@ -145,19 +145,16 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
     if thr is not None:
         if thr.status is not ThreadStatus.WAITING:
             return s
-        frame = thr.top
         es, answer = take_matching_event(
             s.es, oid,
             lambda e: e.kind is EventKind.RETURN and e.msg.sender_thread == tid)
         if answer is None:
             return s
         payload = answer.msg.payload
-        new_frame = replace(frame,
-                            locals=frame.locals.set(payload.result_local,
-                                                    payload.value))
-        new_thr = replace(thr, status=ThreadStatus.READY,
-                          frames=thr.frames[:-1] + (new_frame,))
-        return update_thread(replace(s, es=es), oid, tid, new_thr)
+        frame = thr.top
+        frame = replace(frame, locals=frame.locals.set(payload.result_local,
+                                                       payload.value))
+        return replace_top(replace(s, es=es), thr, frame)
 
     es, taken = take_matching_event(
         s.es, oid, lambda e: event is not None and e.seq == event.seq)
@@ -192,7 +189,8 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
 
     ``event`` is the pending event a reserved ``tid`` stands for, as
     ``collect_runnables`` reported it. Returns the successor state and the
-    pc and action that ran.
+    pc and action that ran. This is the one place that attaches the
+    running (oid, tid, pc) to an ``ExecError``.
     """
     s1 = consume_event(s, cfg, oid, tid, event)
     thr = s1.thread(oid, tid)
@@ -204,11 +202,14 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
                             f"but is not ready (selector contract violation)")
     frame = thr.top
     body = frame.meth.body
-    if frame.pc >= len(body):
-        raise ExecError(f"fell off the end of {frame.meth.implements.name!r} "
-                        f"without a return", oid=oid, tid=tid, pc=frame.pc)
-    action = body[frame.pc]
-    return interpret(action, s1, oid, tid, cfg), frame.pc, action
+    try:
+        if frame.pc >= len(body):
+            raise ExecError(f"fell off the end of "
+                            f"{frame.meth.implements.name!r} without a return")
+        action = body[frame.pc]
+        return interpret(action, s1, oid, tid, cfg), frame.pc, action
+    except ExecError as err:
+        raise ExecError(err.message, oid=oid, tid=tid, pc=frame.pc) from None
 
 
 # --- the run loop -------------------------------------------------------------------

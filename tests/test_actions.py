@@ -21,6 +21,8 @@ from smm.universe import OpSig
 from conftest import PUT_OP, buffer_class
 
 WORK_OP = OpSig("work", (), VOID)
+# Long enough that every jump target below lies inside the body.
+WORK_BODY = (ReturnConst(VOID_VAL),) * 6
 
 
 def _worker_class():
@@ -38,7 +40,7 @@ def _setup(locals_=(), params=(), pc=0, caller=None):
     s = empty_state()
     s, buf = alloc_object(s, buffer_class())
     s, worker = alloc_object(s, _worker_class())
-    frame = Frame(self_oid=worker, meth=MethodDef(WORK_OP, (), ()),
+    frame = Frame(self_oid=worker, meth=MethodDef(WORK_OP, (), WORK_BODY),
                   params=RecordVal(tuple(params)),
                   locals=RecordVal(tuple(locals_)), pc=pc, caller=caller)
     s = update_thread(s, worker, 0, Thread(0, 5, ThreadStatus.READY, (frame,)))
@@ -130,6 +132,20 @@ class TestControlActions:
         s, _, w = _setup(locals_=(("c", BoolVal(False)),), pc=3)
         s2 = interpret(BranchIfFalse("c", 1), s, w, 0, _cfg())
         assert _top(s2, w).pc == 1
+
+    @pytest.mark.parametrize("action", [Jump(-1), Jump(6),
+                                        BranchIfFalse("c", -2)])
+    def test_jump_outside_the_body_rejected(self, action):
+        s, _, w = _setup(locals_=(("c", BoolVal(False)),), pc=3)
+        with pytest.raises(ExecError, match=(
+                rf"^action 3 jumps to {action.target}, outside the body of "
+                rf"6 actions$")):
+            interpret(action, s, w, 0, _cfg())
+
+    def test_branch_not_taken_ignores_its_target(self):
+        s, _, w = _setup(locals_=(("c", BoolVal(True)),), pc=3)
+        s2 = interpret(BranchIfFalse("c", 99), s, w, 0, _cfg())
+        assert _top(s2, w).pc == 4
 
     def test_branch_requires_bool(self):
         s, _, w = _setup(locals_=(("c", IntVal(0)),))
@@ -226,10 +242,3 @@ class TestIsolation:
         assert {o: t for o, t in s2.cs.items() if o != w} == other_threads_before
         assert s2.ds == s.ds
         assert len(s2.es[buf]) == len(s.es[buf]) + 1
-
-    def test_not_ready_thread_rejected(self):
-        s, _, w = _setup()
-        thr = s.cs[w][0]
-        s = replace(s, cs={**s.cs, w: {0: replace(thr, status=ThreadStatus.WAITING)}})
-        with pytest.raises(ExecError):
-            interpret(Jump(0), s, w, 0, _cfg())

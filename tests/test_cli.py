@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from smm.cli import (
     EXIT_BLOCKED, EXIT_OK, EXIT_RUNTIME, EXIT_STEP_LIMIT, EXIT_USAGE,
@@ -130,6 +131,49 @@ class TestRunCommand:
         assert code == EXIT_RUNTIME
         assert err == ("smm: runtime error: object 0 (C) has no attribute "
                        "'n' [oid=0, tid=0, pc=1]\n")
+
+    # A driver (oid 0) calls a.go(), so the failing handler runs as thread 1
+    # of object 1; the suffix names that object, thread and body index.
+    RUNTIME_ERROR_MODEL = """
+    class A {{ attr n: Int = 0; }}
+    class D {{ }}
+    op D.main(): Void {{
+      let a: A = null;
+      loadattr a a;
+      call a.go() -> r;
+      return void;
+    }}
+    op A.go(): Void {{
+      let i: Int = 0;
+    {body}
+    }}
+    setup {{ d: D active main prio 1 links [a]; a: A passive; }}
+    """
+
+    @pytest.mark.parametrize("body, message", [
+        ("let t: A = null; call t.go() -> r; return void;",
+         "call through null reference 't' [oid=1, tid=1, pc=2]"),
+        ("set i true; return void;",
+         "type error assigning local 'i' [oid=1, tid=1, pc=1]"),
+        ("let b: Bool = true; add i i b; return void;",
+         "local 'b' is not an integer [oid=1, tid=1, pc=2]"),
+        ("top: ifnot i goto top; return void;",
+         "branch condition 'i' is not a boolean [oid=1, tid=1, pc=1]"),
+        ("let b: Bool = true; setattr n b; return void;",
+         "type error writing attribute 'n' [oid=1, tid=1, pc=2]"),
+        ("let i: Int = 1; return void;",
+         "local 'i' already exists [oid=1, tid=1, pc=1]"),
+        ("add i i i;",
+         "fell off the end of 'go' without a return [oid=1, tid=1, pc=2]"),
+    ], ids=["null-target", "local-type", "int-operand", "bool-condition",
+            "attr-type", "duplicate-let", "fell-off-the-end"])
+    def test_runtime_error_line(self, tmp_path, capsys, body, message):
+        model = tmp_path / "fails.smm"
+        model.write_text(self.RUNTIME_ERROR_MODEL.format(body=body))
+        code = main(["run", str(model)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.err == f"smm: runtime error: {message}\n"
 
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         code = main(["run", PRODCONS, "--scheduler", "fifo"])

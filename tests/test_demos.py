@@ -1,15 +1,48 @@
 from __future__ import annotations
 
+import ast
+import re
 import runpy
 
 import pytest
 
+import smm
+
 from conftest import REPO_ROOT
 
+DEMOS = ["variation_matrix", "scheduling_fairness", "embedding"]
 
-@pytest.mark.parametrize("name", ["variation_matrix", "scheduling_fairness",
-                                  "embedding"])
+
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs_and_prints(name, capsys):
     runpy.run_path(str(REPO_ROOT / "demos" / f"{name}.py"),
                    run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def _demo_imports() -> set[str]:
+    names = set()
+    for name in DEMOS:
+        tree = ast.parse((REPO_ROOT / "demos" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "smm":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _readme_code_words() -> set[str]:
+    """Identifiers inside README's code blocks and inline code spans."""
+    text = (REPO_ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+    return set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", " ".join(code)))
+
+
+def test_every_exported_name_is_documented_or_used_by_a_demo():
+    undocumented = set(smm.__all__) - _readme_code_words() - _demo_imports()
+    assert not undocumented, sorted(undocumented)
+
+
+def test_demos_import_only_exported_names():
+    assert _demo_imports() <= set(smm.__all__)
+    for name in smm.__all__:
+        assert hasattr(smm, name), name

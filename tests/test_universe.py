@@ -164,13 +164,13 @@ class TestRecordVal:
     def test_set_preserves_field_order(self):
         r = RecordVal((("a", IntVal(1)), ("b", IntVal(2))))
         r2 = r.set("a", IntVal(9))
-        assert r2.names() == ("a", "b")
+        assert [n for n, _ in r2.fields] == ["a", "b"]
         assert r2.get("a") == IntVal(9)
         assert r2.get("b") == IntVal(2)
 
     def test_set_appends_new_field_at_end(self):
         r = RecordVal((("a", IntVal(1)),))
-        assert r.set("z", IntVal(3)).names() == ("a", "z")
+        assert [n for n, _ in r.set("z", IntVal(3)).fields] == ["a", "z"]
 
     def test_get_missing_raises(self):
         with pytest.raises(KeyError):

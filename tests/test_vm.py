@@ -5,19 +5,23 @@ from dataclasses import replace
 
 import pytest
 
+import smm.vm
 from smm import (
-    Active, AllDone, Blocked, CallerRef, CallPayload, EventKind,
-    ExecError, Frame, IntVal, InternalError, Message, ModelError, OidVal,
-    OpSig, Passive, RecordVal, SetupEntry, StepLimit, Thread, ThreadStatus,
-    VOID, add_last_exec_info, alloc_object, build_initial_state,
-    collect_runnables, consume_event, deliver_reliable, empty_state,
-    parse_model, run, run_main, run_model,
+    Active, AllDone, Blocked, CallerRef, CallPayload, ClassDef, EventKind,
+    ExecError, Frame, IntVal, InternalError, Message, MethodDef, ModelDef,
+    ModelError, OidVal, OpSig, Passive, RecordVal, SetupEntry, StepLimit,
+    Thread, ThreadStatus, VOID, VOID_VAL, add_last_exec_info, alloc_object,
+    build_initial_state, collect_runnables, consume_event, deliver_reliable,
+    empty_state, parse_model, run, run_main, run_model,
 )
+from smm.actions import Jump, ReturnConst
 from smm.state import ReturnPayload, make_event, update_thread
 from smm.variation import RtcRunnables
 from smm.vm import step
 
-from conftest import PUT_OP, buffer_config, get_method, put_method
+from conftest import (
+    PUT_OP, buffer_class, buffer_config, get_method, put_method,
+)
 
 PRODCONS_SETUP = (
     SetupEntry("prod1", "Producer", Active(OpSig("produce", (), VOID), 10), ("b",)),
@@ -238,6 +242,42 @@ class TestExecStep:
         s, _, _ = step(s, cfg, buf, 0)
         with pytest.raises(ExecError, match="fell off the end of 'stub'"):
             step(s, cfg, buf, 0)
+
+    def _lone_thread(self, status):
+        s, buf = alloc_object(empty_state(), buffer_class())
+        frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
+                      locals=RecordVal(), pc=0, caller=None)
+        s = update_thread(s, buf, 0, Thread(0, 0, status, (frame,)))
+        return replace(s, next_tid=1), buf
+
+    def test_waiting_thread_is_an_internal_error(self):
+        # No return is buffered, so consuming leaves the thread waiting.
+        s, buf = self._lone_thread(ThreadStatus.WAITING)
+        with pytest.raises(InternalError, match="scheduled but is not ready"):
+            step(s, buffer_config(), buf, 0)
+
+    def test_missing_thread_is_an_internal_error(self, monkeypatch):
+        s, buf = self._lone_thread(ThreadStatus.READY)
+        with pytest.raises(InternalError):
+            step(s, buffer_config(), buf, 7)
+        # step's own check, should event consumption ever lose the thread.
+        monkeypatch.setattr(smm.vm, "consume_event", lambda s, *_: s)
+        with pytest.raises(InternalError,
+                           match="missing after event consumption"):
+            step(s, buffer_config(), buf, 7)
+
+    @pytest.mark.parametrize("target", [-2, 2, 5])
+    def test_jump_outside_the_body_fails_at_the_jump(self, target):
+        # run_model does not validate, so the jump reaches the interpreter.
+        sig = OpSig("go", (), VOID)
+        meth = MethodDef(sig, (), (Jump(target), ReturnConst(VOID_VAL)))
+        model = ModelDef({"A": ClassDef("A", ())}, {}, {"A": {sig: meth}},
+                         (SetupEntry("a", "A", Active(sig, 0)),))
+        with pytest.raises(ExecError) as info:
+            run_model(model, max_steps=10)
+        assert str(info.value) == (
+            f"action 0 jumps to {target}, outside the body of 2 actions "
+            f"[oid=0, tid=0, pc=0]")
 
 
 class TestRunLoop:
