@@ -24,8 +24,8 @@ from .state import (
     update_thread, write_attr,
 )
 from .universe import (
-    BoolVal, IntVal, NullOid, OidVal, OpSig, TypeRef, Value, same_kind,
-    value_fits,
+    BoolVal, IntVal, NullOid, OidVal, OpSig, TypeRef, Value, class_attributes,
+    same_kind, value_fits,
 )
 
 BIN_OPS = ("add", "sub", "mul", "eq", "lt")
@@ -234,9 +234,10 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
 
     if isinstance(action, SetAttr):
         v = _local(frame, action.local)
-        cls = cfg.class_table.get(s.ds[oid].class_name)
-        if cls is not None:
-            for attr in cls.attributes:
+        cls_name = s.ds[oid].class_name
+        if cls_name in cfg.class_table:
+            for attr in class_attributes(cls_name, cfg.class_table,
+                                         cfg.subclass_rel):
                 if attr.name == action.attr and not value_fits(
                         v, attr.type, cfg.subclass_rel, s.ds):
                     raise ExecError(
@@ -277,7 +278,8 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         cls = cfg.class_table.get(action.class_name)
         if cls is None:
             raise ExecError(f"unknown class {action.class_name!r}")
-        s2, new_oid = alloc_object(s, cls)
+        s2, new_oid = alloc_object(s, cls, class_attributes(
+            cls.name, cfg.class_table, cfg.subclass_rel))
         new = _store_local(frame, action.dst, OidVal(new_oid))
         return commit(replace(new, pc=pc + 1), s2)
 

@@ -547,7 +547,8 @@ class _Parser:
                 raw.sig, tuple(raw.params), tuple(raw.body))
 
         for where, message in (validate_model(self.classes, self.scl, meth_map)
-                               + check_setup(self.classes, self.setup)):
+                               + check_setup(self.classes, self.scl,
+                                             self.setup)):
             self.note(message, self.locs[where])
 
         # Each class's chain, computed once; a class on an inheritance

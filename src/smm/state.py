@@ -18,8 +18,8 @@ from typing import Callable, Union
 
 from .errors import ExecError, InternalError
 from .universe import (
-    ClassDef, ClassTable, MethodDef, NullOid, OidVal, OpSig, RecordVal, Value,
-    same_kind,
+    AttrDef, ClassDef, ClassTable, MethodDef, NullOid, OidVal, OpSig,
+    RecordVal, SubclassRel, Value, class_attributes, same_kind,
 )
 
 
@@ -162,14 +162,19 @@ def empty_state() -> SimState:
     return SimState(ds={}, cs={}, es={})
 
 
-def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
+def alloc_object(s: SimState, cls: ClassDef,
+                 attributes: tuple[AttrDef, ...] | None = None,
+                 ) -> tuple[SimState, int]:
     """Create an object of ``cls``; ids are assigned in allocation order.
 
-    Attributes start at their declared initial values; the new object gets
-    an empty thread map and an empty event queue.
+    The object gets ``attributes`` (by default ``cls``'s own; the engine
+    passes ``universe.class_attributes``, the whole chain's), each at its
+    declared initial value, an empty thread map and an empty event queue.
     """
     oid = len(s.ds)
-    attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
+    if attributes is None:
+        attributes = cls.attributes
+    attrs = RecordVal(tuple((a.name, a.init) for a in attributes))
     return replace(
         s,
         ds={**s.ds, oid: StoredObject(cls.name, attrs)},
@@ -248,10 +253,14 @@ def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
     return replace(s, cs={**s.cs, oid: {**s.cs[oid], tid: thr}})
 
 
-def validate_state(s: SimState, class_table: ClassTable | None = None) -> list[str]:
+def validate_state(s: SimState, class_table: ClassTable | None = None,
+                   subclass_rel: SubclassRel | None = None) -> list[str]:
     """Cross-store consistency check; returns problem messages (empty = ok).
 
-    Used by property tests and debug assertions, not on the hot path.
+    With a class table, each object's record must start with its
+    ``class_attributes`` under ``subclass_rel`` (no inheritance when
+    absent), in order and of the declared kinds. Used by property tests
+    and debug assertions, not on the hot path.
     """
     problems: list[str] = []
 
@@ -265,21 +274,22 @@ def validate_state(s: SimState, class_table: ClassTable | None = None) -> list[s
     for oid, obj in s.ds.items():
         check_refs(obj.attrs, f"object {oid}")
         if class_table is not None:
-            cls = class_table.get(obj.class_name)
-            if cls is None:
+            if obj.class_name not in class_table:
                 problems.append(f"object {oid} has unknown class {obj.class_name!r}")
             else:
-                declared = obj.attrs.fields[:len(cls.attributes)]
-                for attr, (name, value) in zip(cls.attributes, declared):
+                attributes = class_attributes(obj.class_name, class_table,
+                                              subclass_rel or {})
+                declared = obj.attrs.fields[:len(attributes)]
+                for attr, (name, value) in zip(attributes, declared):
                     if name != attr.name:
                         problems.append(
                             f"object {oid}: attribute order differs from "
-                            f"class {cls.name!r} at {name!r}")
+                            f"class {obj.class_name!r} at {name!r}")
                     elif not same_kind(value, attr.init):
                         problems.append(
                             f"object {oid}: attribute {name!r} kind differs "
                             f"from declaration")
-                for name, value in obj.attrs.fields[len(cls.attributes):]:
+                for name, value in obj.attrs.fields[len(attributes):]:
                     if not isinstance(value, (OidVal, NullOid)):
                         problems.append(
                             f"object {oid}: undeclared attribute {name!r} is "

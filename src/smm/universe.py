@@ -160,6 +160,20 @@ def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
     defect and rejected. The walk keeps its own stack, so chain depth is
     bounded by memory, not by Python's recursion limit.
     """
+    # A class with one superclass needs no stack: follow the chain while
+    # it does not branch, and walk depth-first from the start if it does.
+    out = [cls]
+    seen = {cls}
+    sups = scl.get(cls, ())
+    while len(sups) == 1:
+        sup = sups[0]
+        if sup in seen:
+            raise ModelError(f"inheritance cycle through class {sup!r}")
+        seen.add(sup)
+        out.append(sup)
+        sups = scl.get(sup, ())
+    if not sups:
+        return tuple(out)
     out = [cls]
     seen = {cls}
     path = {cls}  # the classes on the stack: meeting one again is a cycle
@@ -180,6 +194,18 @@ def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
             path.add(sup)
             stack.append((sup, iter(scl.get(sup, ()))))
     return tuple(out)
+
+
+def class_attributes(cls: str, class_table: ClassTable,
+                     scl: SubclassRel) -> tuple[AttrDef, ...]:
+    """The attributes an object of ``cls`` has, in record order.
+
+    Every class on the chain contributes its declared attributes, the root
+    class first and ``cls`` last. Classes missing from the table (a model
+    defect ``validate_model`` reports) contribute none.
+    """
+    return tuple(attr for c in reversed(super_chain(cls, scl))
+                 if c in class_table for attr in class_table[c].attributes)
 
 
 def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None) -> bool:
@@ -236,15 +262,15 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
     """Check the structural invariants of a model; return its problems.
 
     This is the only home of every rule decidable from the three tables: a
-    valid model has unique attribute names with type-correct initial
-    values, an acyclic subclass relation over known classes, and method
-    entries of known classes whose signatures, parameters and bodies are
-    internally consistent (unique parameters, non-empty bodies, jump
-    targets in range, known parameters and classes, fitting initial
-    values). The setup rules live in ``smm.vm.check_setup``; the parser
-    keeps only what needs its tokens or would be lost in these tables
-    (syntax, duplicate classes and methods, labels, name resolution, config
-    keys, attribute references).
+    valid model has attribute names unique along each inheritance chain,
+    with type-correct initial values, an acyclic subclass relation over
+    known classes, and method entries of known classes whose signatures,
+    parameters and bodies are internally consistent (unique parameters,
+    non-empty bodies, jump targets in range, known parameters and classes,
+    fitting initial values). The setup rules live in
+    ``smm.vm.check_setup``; the parser keeps only what needs its tokens or
+    would be lost in these tables (syntax, duplicate classes and methods,
+    labels, name resolution, config keys, attribute references).
     """
     from . import actions
 
@@ -279,11 +305,35 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
             if sup not in class_table:
                 report(("extends", name, sup),
                        f"class {name!r} extends unknown class {sup!r}")
+    chains: dict[str, tuple[str, ...]] = {}
     for name in class_table:
         try:
-            super_chain(name, scl)
+            chains[name] = super_chain(name, scl)
         except ModelError as err:
             report(("class", name), str(err))
+    # An object has the attributes of its whole chain, so a name is
+    # declared once along it; the redeclaring attribute is reported. Only
+    # a class with attributes of its own or several superclasses can meet
+    # a redeclaration not reported at the class that makes it.
+    reported: set[tuple[str, int]] = set()
+    for name, chain in chains.items():
+        if not class_table[name].attributes and len(scl.get(name, ())) < 2:
+            continue
+        declared_by: dict[str, str] = {}
+        for c in reversed(chain):
+            for i, attr in enumerate(class_table[c].attributes
+                                     if c in class_table else ()):
+                first = declared_by.setdefault(attr.name, c)
+                if first == c or (c, i) in reported:
+                    continue
+                reported.add((c, i))
+                if first in chains.get(c, ()):
+                    message = (f"class {c!r}: attribute {attr.name!r} is "
+                               f"already declared by superclass {first!r}")
+                else:  # two unrelated superclasses of ``name``
+                    message = (f"class {name!r}: attribute {attr.name!r} "
+                               f"is declared by both {first!r} and {c!r}")
+                report(("attr", c, i), message)
 
     for cls_name, ops in meth_map.items():
         for sig, meth in ops.items():

@@ -12,11 +12,17 @@ only sanctioned way to change the machine's observable behavior.
 A runnables selector reports, for one object, its offered live threads
 and the buffered call and signal events it is willing to handle. Ids for
 the handler threads those events would start are reserved above the
-state's thread counter by ``vm.collect_runnables``, in its single walk
-over objects in ascending id and each object's offered events in queue
-order, so every pending handler gets a distinct, reproducible id. The
-executor materializes the thread under the reserved id when the entry is
-scheduled.
+state's thread counter by ``vm.collect_runnables``, when it lays the
+offers out in ascending object id and each object's offered events in
+queue order, so every pending handler gets a distinct, reproducible id.
+The executor materializes the thread under the reserved id when the entry
+is scheduled.
+
+The selector contract: what ``sel(s, oid)`` returns depends only on the
+object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
+``base``, ``rtc`` and ``conc`` all keep it, and the engine relies on it to
+skip untouched objects: after a step it asks again only the objects whose
+thread map or queue the step replaced, and keeps the others' offers.
 """
 
 from __future__ import annotations

@@ -1,13 +1,18 @@
 """The simulation engine: initial-state construction and the step loop.
 
 A run repeats a two-stage schedule: collect every thread each object is
-willing to run (one walk over the objects, which also reserves ids for the
-handler threads of offered events), enrich the offers with the time each
-thread last executed, let the scheduler pick one (object, thread) pair,
-and perform exactly one atomic step on it. A step first consumes a
-pending event when there is one to consume (materializing a handler thread
-for a call or signal, or resuming a caller with its return value), then
-interprets the single action the thread's program counter addresses.
+willing to run, enriched with the time each thread last executed, let the
+scheduler pick one (object, thread) pair, and perform exactly one atomic
+step on it. Offers are kept per object between steps: the first step asks
+every object's runnables selector, and each later step asks again only
+the objects the previous step touched (the acting object, new objects,
+and those whose event queue it replaced), then lays all offers out in
+object order, reserving ids for the handler threads of offered events.
+
+A step first consumes a pending event when there is one to consume
+(materializing a handler thread for a call or signal, or resuming a
+caller with its return value), then interprets the single action the
+thread's program counter addresses.
 Methods are dispatched only where a frame is created, and the frame keeps
 its method.
 
@@ -18,7 +23,7 @@ and setup, two runs produce equal results. All concurrency is model-level.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .actions import Action, interpret, replace_top
 from .errors import Diagnostic, ExecError, InternalError, ModelError
@@ -27,7 +32,10 @@ from .state import (
     SimState, Thread, ThreadStatus, alloc_object, add_link_attr, empty_state,
     take_matching_event, update_thread,
 )
-from .universe import ClassTable, ClassType, OidVal, OpSig, Problem
+from .universe import (
+    ClassTable, ClassType, OidVal, OpSig, Problem, SubclassRel,
+    class_attributes,
+)
 from .variation import Config, RunnableEntry, RunnablesSelector
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -90,31 +98,51 @@ class RunResult:
 
 # --- scheduling plumbing --------------------------------------------------------
 
-def collect_runnables(
-        sel: RunnablesSelector,
-        s: SimState) -> tuple[list[tuple[int, int, int]], dict[int, Event]]:
-    """All (oid, tid, prio) offers and the event each reserved id stands for.
+# Each object's cached offers: the entries of its offered live threads and
+# its offered events, as its runnables selector last reported them.
+Offers = dict[int, tuple[list[RunnableEntry], list[Event]]]
 
-    Objects come in ascending id order, each with its live threads first.
-    Every offered event gets the next id above ``s.next_tid``, in object
-    order and then queue order, and is offered at its own priority.
+
+def collect_runnables(
+        sel: RunnablesSelector, s: SimState, times: TimesMap, offers: Offers,
+        dirty: Iterable[int]) -> tuple[list[RunnableEntry], dict[int, Event]]:
+    """Refresh the ``dirty`` objects' offers, then flatten every object's.
+
+    Only the ``dirty`` objects' selectors are asked; ``offers`` keeps the
+    others' answers from earlier steps and is updated in place. A kept
+    live-thread entry keeps its last execution time, which stays right
+    because a step records a time only for the thread it ran, and that
+    thread's object is always dirty. Objects come in ascending id order,
+    each with its live threads first. Every offered event gets the next id
+    above ``s.next_tid``, in object order and then queue order, and is
+    offered at its own priority. Returns the entries for the scheduler and
+    the event each reserved id stands for.
     """
-    offers: list[tuple[int, int, int]] = []
+    known = len(offers)
+    for oid in dirty:
+        live, events = sel(s, oid)
+        offers[oid] = (add_last_exec_info(times, oid, live), events)
+    if len(offers) != known:  # new objects: keep ascending id order
+        ordered = sorted(offers.items())
+        offers.clear()
+        offers.update(ordered)
+    entries: list[RunnableEntry] = []
     reserved: dict[int, Event] = {}
     tid = s.next_tid
-    for oid in sorted(s.ds):
-        live, events = sel(s, oid)
-        offers.extend((oid, live_tid, prio) for live_tid, prio in live)
+    for oid, (live, events) in offers.items():
+        entries += live
         for event in events:
-            offers.append((oid, tid, event.msg.payload.prio))
+            entries.append(RunnableEntry(oid, tid, event.msg.payload.prio,
+                                         times.get(tid, -1)))
             reserved[tid] = event
             tid += 1
-    return offers, reserved
+    return entries, reserved
 
 
-def add_last_exec_info(times: TimesMap,
-                       rs: list[tuple[int, int, int]]) -> list[RunnableEntry]:
-    """Attach each entry's last execution time, preserving order.
+def add_last_exec_info(times: TimesMap, oid: int,
+                       live: list[tuple[int, int]]) -> list[RunnableEntry]:
+    """Entries for one object's (tid, prio) offers, each with its last
+    execution time, in order.
 
     A thread materialized during a run records its creation step as its
     first execution time, so its entry is never missing afterwards. Ids
@@ -122,7 +150,25 @@ def add_last_exec_info(times: TimesMap,
     ids) read as -1: created before the first step, hence least recent.
     """
     return [RunnableEntry(oid, tid, prio, times.get(tid, -1))
-            for oid, tid, prio in rs]
+            for tid, prio in live]
+
+
+def _touched(prev: SimState, s: SimState, oid: int) -> set[int]:
+    """The objects whose offers a step from ``prev`` to ``s`` can change.
+
+    Offers depend only on an object's own thread map and queue. A step
+    changes the thread map of the acting object ``oid`` only, and states
+    share every entry a step leaves alone, so a queue that is not the
+    same object as before is one the step (or the medium) touched.
+    """
+    dirty = {oid}
+    if len(s.ds) != len(prev.ds):
+        dirty.update(s.ds.keys() - prev.ds.keys())
+    if s.es is not prev.es:
+        before = prev.es
+        dirty.update(o for o, queue in s.es.items()
+                     if before.get(o) is not queue)
+    return dirty
 
 
 # --- the atomic step -------------------------------------------------------------
@@ -235,35 +281,40 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     ``(t, oid, tid, pc, action)``.
     """
     times = dict(times)
+    offers: Offers = {}
+    dirty: Iterable[int] = s.ds  # the first step asks every object
     steps = 0
     while True:
-        runnables, reserved = collect_runnables(cfg.runnables_sel, s)
-        if not runnables:
+        entries, reserved = collect_runnables(cfg.runnables_sel, s, times,
+                                              offers, dirty)
+        if not entries:
             waiting = _waiting_threads(s)
             halt: HaltReason = Blocked(waiting) if waiting else AllDone()
             return RunResult(s, t, halt)
         if max_steps is not None and steps >= max_steps:
             return RunResult(s, t, StepLimit())
-        entries = add_last_exec_info(times, runnables)
         oid, tid = cfg.scheduler(t, entries)
+        prev = s
         s, pc, action = step(s, cfg, oid, tid, reserved.get(tid))
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
         times[tid] = t
         t += 1
         steps += 1
+        dirty = _touched(prev, s, oid)
 
 
-def check_setup(class_table: ClassTable, setup: Setup) -> list[Problem]:
+def check_setup(class_table: ClassTable, scl: SubclassRel,
+                setup: Setup) -> list[Problem]:
     """The setup rules, checked here and nowhere else.
 
     Object names are unique, classes are known, priorities are not
-    negative, and every link names a setup object and does not replace a
-    declared attribute of a non-class type. Both the parser, which reports
-    each problem at its entry, and ``build_initial_state`` call it. Each
-    problem names its entry as ``("setup", index)``. Whether an active
-    entry's start operation dispatches depends on the chosen dispatcher,
-    so ``build_initial_state`` checks that itself.
+    negative, and every link names a setup object and does not replace an
+    attribute of a non-class type, declared or inherited. Both the parser,
+    which reports each problem at its entry, and ``build_initial_state``
+    call it. Each problem names its entry as ``("setup", index)``. Whether
+    an active entry's start operation dispatches depends on the chosen
+    dispatcher, so ``build_initial_state`` checks that itself.
     """
     problems: list[Problem] = []
     names = {entry.name for entry in setup}
@@ -277,10 +328,14 @@ def check_setup(class_table: ClassTable, setup: Setup) -> list[Problem]:
         if cls is None:
             found.append(f"setup object {entry.name!r} has unknown class "
                          f"{entry.class_name!r}")
-        else:
+        elif entry.links:
+            try:
+                attributes = class_attributes(cls.name, class_table, scl)
+            except ModelError:  # a cycle, which validate_model reports
+                attributes = cls.attributes
             found.extend(f"link {attr.name!r} of {entry.name!r} would "
                          f"overwrite a non-reference attribute"
-                         for attr in cls.attributes
+                         for attr in attributes
                          if attr.name in entry.links
                          and not isinstance(attr.type, ClassType))
         if isinstance(entry.kind, Active) and entry.kind.prio < 0:
@@ -301,14 +356,17 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
     A setup that breaks a ``check_setup`` rule raises ``ModelError`` with
     one diagnostic per problem.
     """
-    problems = check_setup(cfg.class_table, setup)
+    problems = check_setup(cfg.class_table, cfg.subclass_rel, setup)
     if problems:
         raise ModelError([Diagnostic(p.message) for p in problems])
 
     by_name: dict[str, int] = {}
     s = empty_state()
     for entry in setup:
-        s, oid = alloc_object(s, cfg.class_table[entry.class_name])
+        s, oid = alloc_object(s, cfg.class_table[entry.class_name],
+                              class_attributes(entry.class_name,
+                                               cfg.class_table,
+                                               cfg.subclass_rel))
         by_name[entry.name] = oid
     for entry in setup:
         oid = by_name[entry.name]

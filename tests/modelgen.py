@@ -26,7 +26,9 @@ def _literal_for(rng: random.Random, t):
     return NULL_OID
 
 
-def random_model(rng: random.Random) -> ModelDef:
+def random_model(rng: random.Random, objects: int | None = None) -> ModelDef:
+    """A valid model drawn from ``rng``, with ``objects`` setup objects
+    (by default zero to three, also drawn)."""
     n_classes = rng.randint(1, 4)
     names = [f"C{i}" for i in range(n_classes)]
     scl = {}
@@ -42,7 +44,9 @@ def random_model(rng: random.Random) -> ModelDef:
                 t = ClassType(rng.choice(names))
             else:
                 t = rng.choice(_SCALARS)
-            attrs.append(AttrDef(f"a{j}", t, _literal_for(rng, t)))
+            # Named after the class, so no chain declares a name twice.
+            attrs.append(AttrDef(f"{name.lower()}a{j}", t,
+                                 _literal_for(rng, t)))
         classes[name] = ClassDef(name, tuple(attrs))
 
     n_ops = rng.randint(1, 4)
@@ -68,7 +72,9 @@ def random_model(rng: random.Random) -> ModelDef:
              if not sig.param_types})
 
     setup = []
-    entry_names = [f"o{i}" for i in range(rng.randint(0, 3))]
+    if objects is None:
+        objects = rng.randint(0, 3)
+    entry_names = [f"o{i}" for i in range(objects)]
     for ename in entry_names:
         cls = rng.choice(names)
         ops = nullary_by_class[cls]

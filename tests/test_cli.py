@@ -115,6 +115,26 @@ class TestRunCommand:
 
     def test_attribute_write_error_carries_one_context_suffix(self, tmp_path,
                                                               capsys):
+        # Superclass code may name an attribute only a subclass declares;
+        # run on a superclass instance, the write finds no such attribute.
+        model = tmp_path / "subclass_only.smm"
+        model.write_text("""
+        class B { }
+        class C extends B { attr n: Int = 0; }
+        op B.go(): Void {
+          let one: Int = 1;
+          setattr n one;
+          return void;
+        }
+        setup { b: B active go prio 1; }
+        """)
+        code = main(["run", str(model)])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err == ("smm: runtime error: object 0 (B) has no attribute "
+                       "'n' [oid=0, tid=0, pc=1]\n")
+
+    def test_objects_inherit_attributes(self, tmp_path, capsys):
         model = tmp_path / "inherited.smm"
         model.write_text("""
         class B { attr n: Int = 0; }
@@ -127,10 +147,51 @@ class TestRunCommand:
         setup { c: C active go prio 1; }
         """)
         code = main(["run", str(model)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert 'C(id 0): [("n",VInt 1)]' in out
+
+    def test_inherited_attributes_come_root_class_first(self, tmp_path,
+                                                        capsys):
+        model = tmp_path / "chain.smm"
+        model.write_text("""
+        class A { attr a: Int = 1; }
+        class B extends A { attr b: Bool = true; }
+        class C extends B { attr c: Int = 3; }
+        op A.go(): Void {
+          let x: C = null;
+          new x C;
+          return void;
+        }
+        setup { c: C active go prio 1 links [o]; o: A passive; }
+        """)
+        code = main(["run", str(model)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert ('C(id 0): [("a",VInt 1),("b",VBool true),("c",VInt 3),'
+                '("o",XOID 1)]') in out
+        assert 'C(id 2): [("a",VInt 1),("b",VBool true),("c",VInt 3)]' in out
+
+    def test_inherited_reference_attribute_keeps_its_type(self, tmp_path,
+                                                          capsys):
+        model = tmp_path / "typed.smm"
+        model.write_text("""
+        class B { attr peer: B = null; }
+        class C extends B { }
+        class D { }
+        op C.go(): Void {
+          let d: D = null;
+          new d D;
+          setattr peer d;
+          return void;
+        }
+        setup { c: C active go prio 1; }
+        """)
+        code = main(["run", str(model)])
         err = capsys.readouterr().err
         assert code == EXIT_RUNTIME
-        assert err == ("smm: runtime error: object 0 (C) has no attribute "
-                       "'n' [oid=0, tid=0, pc=1]\n")
+        assert err == ("smm: runtime error: type error writing attribute "
+                       "'peer' [oid=0, tid=0, pc=2]\n")
 
     # A driver (oid 0) calls a.go(), so the failing handler runs as thread 1
     # of object 1; the suffix names that object, thread and body index.

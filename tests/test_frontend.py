@@ -198,6 +198,12 @@ LOCATED = [
      [(4, "creates unknown class 'Nope'")]),
     ("class A { }\nclass B extends C { }\nclass C extends B { }",
      [(2, "inheritance cycle"), (3, "inheritance cycle")]),
+    ("class A extends B { }\nclass B extends A { }\n"
+     "setup { a: A passive links [b]; b: B passive; }",
+     [(1, "inheritance cycle"), (2, "inheritance cycle")]),
+    ("class A { attr n: Int = 0; }\nclass B extends A {\n"
+     "  attr n: Int = 1;\n}",
+     [(3, "attribute 'n' is already declared by superclass 'A'")]),
     ("class A { }\nclass B extends Zed { }\nop B.f(): Void {\n"
      "  goto nowhere;\n  return void;\n}",
      [(2, "extends unknown class 'Zed'"), (4, "unknown label 'nowhere'")]),

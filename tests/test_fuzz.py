@@ -38,5 +38,6 @@ def test_random_models_run_deterministically(seed):
         kind2, detail2, _ = _outcome(model, runnables, scheduler)
         assert (kind1, detail1) == (kind2, detail2)
         if result is not None and not isinstance(result.halt, StepLimit):
-            problems = validate_state(result.final, model.classes)
+            problems = validate_state(result.final, model.classes,
+                                      model.subclass_rel)
             assert problems == [], problems

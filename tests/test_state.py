@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smm import (
-    CallPayload, ClassDef, EventKind, ExecError, Frame, IntVal, InternalError,
-    OidVal, RecordVal, ReturnPayload, BoolVal, Message, Thread, ThreadStatus,
-    alloc_object, empty_state, enqueue_event, pop_frame,
+    AttrDef, BOOL, INT, CallPayload, ClassDef, EventKind, ExecError, Frame,
+    IntVal, InternalError, OidVal, RecordVal, ReturnPayload, BoolVal, Message,
+    Thread, ThreadStatus, alloc_object, empty_state, enqueue_event, pop_frame,
     take_matching_event, validate_state, write_attr,
 )
 from smm.state import make_event, update_thread
@@ -215,6 +215,21 @@ class TestValidateState:
         from dataclasses import replace
         s = replace(s, next_tid=1)
         assert validate_state(s, classes) == []
+
+    def test_inherited_attributes_validate_against_the_chain(self):
+        base = ClassDef("B", (AttrDef("n", INT, IntVal(0)),))
+        sub = ClassDef("C", (AttrDef("k", BOOL, BoolVal(False)),))
+        classes, scl = {"B": base, "C": sub}, {"C": ("B",)}
+        s, _ = alloc_object(empty_state(), sub,
+                            base.attributes + sub.attributes)
+        assert validate_state(s, classes, scl) == []
+        # Without the subclass relation, C's record should start with k.
+        assert validate_state(s, classes) == [
+            "object 0: attribute order differs from class 'C' at 'n'",
+            "object 0: undeclared attribute 'k' is not a link"]
+        s, _ = alloc_object(s, sub)
+        assert validate_state(s, classes, scl) == [
+            "object 1: attribute order differs from class 'C' at 'k'"]
 
     def test_dangling_reference_detected(self):
         s, oid = _state_with_buffer()

@@ -9,7 +9,7 @@ from smm import (
     VOID_VAL, super_chain, validate_model,
 )
 from smm.actions import Jump, NewLocal, ReturnConst
-from smm.universe import same_kind, value_fits
+from smm.universe import Problem, class_attributes, same_kind, value_fits
 
 from conftest import buffer_tables
 
@@ -83,6 +83,21 @@ class TestSuperChain:
         assert len(set(chain)) == len(chain)
 
 
+class TestClassAttributes:
+    def test_root_class_first(self):
+        a, b, c = (AttrDef(n, INT, IntVal(0)) for n in "abc")
+        classes = {"A": ClassDef("A", (a,)), "B": ClassDef("B", (b,)),
+                   "C": ClassDef("C", (c,))}
+        scl = {"B": ("A",), "C": ("B",)}
+        assert class_attributes("C", classes, scl) == (a, b, c)
+        assert class_attributes("A", classes, scl) == (a,)
+
+    def test_unknown_superclass_contributes_nothing(self):
+        a = AttrDef("a", INT, IntVal(0))
+        assert class_attributes("A", {"A": ClassDef("A", (a,))},
+                                {"A": ("Zed",)}) == (a,)
+
+
 class TestValidateModel:
     def test_buffer_tables_are_valid(self):
         classes, scl, mm = buffer_tables()
@@ -93,6 +108,30 @@ class TestValidateModel:
                              AttrDef("a", INT, IntVal(0))))
         problems = validate_model({"X": cls}, {}, {})
         assert any("duplicate attribute" in p.message for p in problems)
+
+    def test_attribute_redeclared_along_a_chain(self):
+        base = ClassDef("B", (AttrDef("n", INT, IntVal(0)),))
+        mid = ClassDef("M", ())
+        sub = ClassDef("C", (AttrDef("k", INT, IntVal(0)),
+                             AttrDef("n", INT, IntVal(1))))
+        problems = validate_model({"B": base, "M": mid, "C": sub},
+                                  {"M": ("B",), "C": ("M",)}, {})
+        assert problems == [
+            Problem(("attr", "C", 1), "class 'C': attribute 'n' is already "
+                                      "declared by superclass 'B'")]
+
+    def test_attribute_declared_by_two_unrelated_superclasses(self):
+        classes = {"P": ClassDef("P", (AttrDef("n", INT, IntVal(0)),)),
+                   "Q": ClassDef("Q", (AttrDef("n", INT, IntVal(0)),)),
+                   "R": ClassDef("R", ()),
+                   "S": ClassDef("S", (AttrDef("s", INT, IntVal(0)),))}
+        problems = validate_model(classes, {"R": ("P", "Q"), "S": ("R",)},
+                                  {})
+        # Reported once, at the one of the two that comes later in R's
+        # record, although S inherits the conflict too.
+        assert problems == [
+            Problem(("attr", "P", 0), "class 'R': attribute 'n' is declared "
+                                      "by both 'Q' and 'P'")]
 
     def test_init_value_must_fit_type(self):
         cls = ClassDef("X", (AttrDef("a", INT, BoolVal(True)),))

@@ -35,6 +35,11 @@ def _return_event(seq: int, receiver: int, tid: int):
     return make_event(msg, seq)
 
 
+def _collect(sel, s):
+    """Every object's offers, each selector asked afresh."""
+    return collect_runnables(sel, s, {}, {}, s.ds)
+
+
 def _buffer_state():
     s, oid = alloc_object(empty_state(), buffer_class())
     return s, oid
@@ -60,8 +65,8 @@ class TestRtcSelection:
         s = replace(s, es={oid: (oldest, _call_event(1, oid, prio=9))},
                     next_seq=2)
         # The reserved entry carries the event's own priority.
-        assert collect_runnables(RTC, s) == ([(oid, s.next_tid, 1)],
-                                             {s.next_tid: oldest})
+        assert _collect(RTC, s) == ([E(oid, s.next_tid, 1, -1)],
+                                    {s.next_tid: oldest})
 
     def test_idle_object_skips_returns_before_the_first_call(self):
         s, oid = _buffer_state()
@@ -94,8 +99,8 @@ class TestConcSelection:
         s = _with_thread(s, oid, 0, prio=2)
         call = _call_event(0, oid, prio=1)
         s = replace(s, es={oid: (call,)}, next_seq=1)
-        assert collect_runnables(CONC, s) == (
-            [(oid, 0, 2), (oid, s.next_tid, 1)], {s.next_tid: call})
+        assert _collect(CONC, s) == (
+            [E(oid, 0, 2, -1), E(oid, s.next_tid, 1, -1)], {s.next_tid: call})
 
     def test_empty_object_offers_nothing(self):
         s, oid = _buffer_state()
@@ -106,8 +111,9 @@ class TestConcSelection:
         e0, e1 = _call_event(0, oid, prio=1), _call_event(1, oid, prio=9)
         s = replace(s, es={oid: (e0, e1)}, next_seq=2)
         base = s.next_tid
-        assert collect_runnables(CONC, s) == (
-            [(oid, base, 1), (oid, base + 1, 9)], {base: e0, base + 1: e1})
+        assert _collect(CONC, s) == (
+            [E(oid, base, 1, -1), E(oid, base + 1, 9, -1)],
+            {base: e0, base + 1: e1})
 
     def test_reserved_ids_distinct_across_objects(self):
         s, a = alloc_object(empty_state(), buffer_class())
@@ -115,8 +121,9 @@ class TestConcSelection:
         ea, eb = _call_event(0, a), _call_event(1, b)
         s = replace(s, es={a: (ea,), b: (eb,)}, next_seq=2)
         base = s.next_tid
-        assert collect_runnables(CONC, s) == (
-            [(a, base, 1), (b, base + 1, 1)], {base: ea, base + 1: eb})
+        assert _collect(CONC, s) == (
+            [E(a, base, 1, -1), E(b, base + 1, 1, -1)],
+            {base: ea, base + 1: eb})
 
     def test_return_events_never_spawn_handlers(self):
         s, oid = _buffer_state()

@@ -7,12 +7,13 @@ import pytest
 
 import smm.vm
 from smm import (
-    Active, AllDone, Blocked, CallerRef, CallPayload, ClassDef, EventKind,
-    ExecError, Frame, IntVal, InternalError, Message, MethodDef, ModelDef,
-    ModelError, OidVal, OpSig, Passive, RecordVal, SetupEntry, StepLimit,
-    Thread, ThreadStatus, VOID, VOID_VAL, add_last_exec_info, alloc_object,
-    build_initial_state, collect_runnables, consume_event, deliver_reliable,
-    empty_state, parse_model, run, run_main, run_model,
+    Active, AllDone, AttrDef, Blocked, CallerRef, CallPayload, ClassDef,
+    EventKind, ExecError, Frame, INT, IntVal, InternalError, Message,
+    MethodDef, ModelDef, ModelError, OidVal, OpSig, Passive, RecordVal,
+    SetupEntry, StepLimit, Thread, ThreadStatus, VOID, VOID_VAL,
+    add_last_exec_info, alloc_object, build_initial_state, collect_runnables,
+    consume_event, deliver_reliable, empty_state, make_config, parse_model,
+    run, run_main, run_model,
 )
 from smm.actions import Jump, ReturnConst
 from smm.state import ReturnPayload, make_event, update_thread
@@ -20,7 +21,8 @@ from smm.variation import RtcRunnables
 from smm.vm import step
 
 from conftest import (
-    PUT_OP, buffer_class, buffer_config, get_method, put_method,
+    PUT_OP, buffer_class, buffer_config, buffer_tables, get_method,
+    put_method,
 )
 
 PRODCONS_SETUP = (
@@ -80,6 +82,25 @@ class TestBuildInitialState:
         with pytest.raises(ModelError):
             build_initial_state(cfg, setup)
 
+    def test_link_colliding_with_inherited_scalar_attr_rejected(self):
+        classes, _, mm = buffer_tables()
+        classes = {**classes, "Special": ClassDef("Special", ())}
+        cfg = make_config(classes, {"Special": ("Buffer",)}, mm)
+        setup = (SetupEntry("x", "Special", Passive(), ("data",)),
+                 SetupEntry("data", "Buffer", Passive(), ()))
+        with pytest.raises(ModelError) as err:
+            build_initial_state(cfg, setup)
+        assert [d.message for d in err.value.diagnostics] == [
+            "link 'data' of 'x' would overwrite a non-reference attribute"]
+
+    def test_objects_get_the_attributes_of_their_chain(self):
+        classes, _, mm = buffer_tables()
+        extra = AttrDef("k", INT, IntVal(7))
+        classes = {**classes, "Special": ClassDef("Special", (extra,))}
+        cfg = make_config(classes, {"Special": ("Buffer",)}, mm)
+        s = build_initial_state(cfg, (SetupEntry("x", "Special", Passive()),))
+        assert s.ds[0].attrs.fields == (("data", IntVal(-1)), ("k", IntVal(7)))
+
     def test_each_setup_problem_is_its_own_diagnostic(self):
         cfg = buffer_config()
         setup = (SetupEntry("x", "Ghost", Passive(), ("nobody",)),
@@ -103,33 +124,70 @@ class TestBuildInitialState:
 class TestCollectRunnables:
     def test_empty_state(self):
         cfg = buffer_config()
-        assert collect_runnables(cfg.runnables_sel, empty_state()) == ([], {})
+        assert collect_runnables(cfg.runnables_sel, empty_state(), {}, {},
+                                 ()) == ([], {})
 
     def test_fixture_initial_state_under_rtc(self, prodcons_model):
         from smm.frontend import build_config
         cfg = build_config(prodcons_model, runnables="rtc")
         s = build_initial_state(cfg, prodcons_model.setup)
-        rs, reserved = collect_runnables(cfg.runnables_sel, s)
-        assert rs == [(0, 0, 10), (1, 1, 1), (2, 2, 1)]
+        rs, reserved = collect_runnables(cfg.runnables_sel, s, {0: 3}, {},
+                                         s.ds)
+        assert [(e.oid, e.tid, e.prio, e.last_exec) for e in rs] == [
+            (0, 0, 10, 3), (1, 1, 1, -1), (2, 2, 1, -1)]
         assert reserved == {}
+
+    def test_only_dirty_objects_are_asked_again(self, prodcons_model):
+        from smm.frontend import build_config
+        cfg = build_config(prodcons_model, runnables="rtc")
+        s = build_initial_state(cfg, prodcons_model.setup)
+        asked = []
+
+        def sel(state, oid):
+            asked.append(oid)
+            return cfg.runnables_sel(state, oid)
+
+        offers: dict = {}
+        first, _ = collect_runnables(sel, s, {}, offers, s.ds)
+        assert asked == [0, 1, 2, 3]
+        # Object 1's thread is gone, but only object 2 is dirty: object 1
+        # keeps offering what it offered before, object 2 is re-asked.
+        s2 = replace(s, cs={**s.cs, 1: {}, 2: {}})
+        again, _ = collect_runnables(sel, s2, {}, offers, [2])
+        assert asked == [0, 1, 2, 3, 2]
+        assert again == [e for e in first if e.oid != 2]
+
+    def test_reserved_ids_follow_the_refreshed_counts(self):
+        cfg = buffer_config(runnables="conc")
+        s, a = alloc_object(empty_state(), buffer_class())
+        s, b = alloc_object(s, buffer_class())
+        offers: dict = {}
+        collect_runnables(cfg.runnables_sel, s, {}, offers, s.ds)
+        s = _queued_call(_queued_call(s, b), a)
+        entries, reserved = collect_runnables(cfg.runnables_sel, s, {},
+                                              offers, [a, b])
+        base = s.next_tid
+        assert [(e.oid, e.tid) for e in entries] == [(a, base), (b, base + 1)]
+        assert [reserved[tid].msg.receiver for tid in (base, base + 1)] \
+            == [a, b]
 
 
 class TestAddLastExecInfo:
     def test_recorded_time_is_attached(self):
-        entries = add_last_exec_info({5: 7}, [(0, 5, 2)])
+        entries = add_last_exec_info({5: 7}, 0, [(5, 2)])
         assert entries[0].last_exec == 7
 
     def test_missing_ids_read_as_before_the_run(self):
-        entries = add_last_exec_info({}, [(0, 5, 2)])
+        entries = add_last_exec_info({}, 0, [(5, 2)])
         assert entries[0].last_exec == -1
 
     def test_empty_list(self):
-        assert add_last_exec_info({3: 1}, []) == []
+        assert add_last_exec_info({3: 1}, 0, []) == []
 
     def test_order_preserved(self):
-        entries = add_last_exec_info({1: 4}, [(0, 0, 1), (0, 1, 1), (1, 2, 3)])
+        entries = add_last_exec_info({1: 4}, 1, [(0, 1), (1, 1), (2, 3)])
         assert [(e.oid, e.tid, e.prio, e.last_exec) for e in entries] == [
-            (0, 0, 1, -1), (0, 1, 1, 4), (1, 2, 3, -1)]
+            (1, 0, 1, -1), (1, 1, 1, 4), (1, 2, 3, -1)]
 
 
 def _queued_call(s, buf_oid, *, value=10, sender=5, sender_tid=7, prio=3):
@@ -340,10 +398,10 @@ class TestRunLoop:
         times: dict[int, int] = {}
         t = 0
         while True:
-            rs, reserved = collect_runnables(cfg.runnables_sel, s)
-            if not rs:
+            entries, reserved = collect_runnables(cfg.runnables_sel, s, times,
+                                                  {}, s.ds)
+            if not entries:
                 break
-            entries = add_last_exec_info(times, rs)
             oid, tid = cfg.scheduler(t, entries)
             s, _, _ = step(s, cfg, oid, tid, reserved.get(tid))
             problems = validate_state(s, prodcons_model.classes)
