@@ -24,8 +24,8 @@ from .state import (
     update_thread, write_attr,
 )
 from .universe import (
-    BoolVal, IntVal, NullOid, OidVal, OpSig, TypeRef, Value, class_attributes,
-    same_kind, value_fits,
+    BoolVal, IntVal, NullOid, OidVal, OpSig, TypeRef, Value, same_kind,
+    value_fits,
 )
 
 BIN_OPS = ("add", "sub", "mul", "eq", "lt")
@@ -236,8 +236,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         v = _local(frame, action.local)
         cls_name = s.ds[oid].class_name
         if cls_name in cfg.class_table:
-            for attr in class_attributes(cls_name, cfg.class_table,
-                                         cfg.subclass_rel):
+            for attr in cfg.object_class(cls_name).attributes:
                 if attr.name == action.attr and not value_fits(
                         v, attr.type, cfg.subclass_rel, s.ds):
                     raise ExecError(
@@ -275,11 +274,9 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         return commit(_jump(frame, action.target))
 
     if isinstance(action, NewObject):
-        cls = cfg.class_table.get(action.class_name)
-        if cls is None:
+        if action.class_name not in cfg.class_table:
             raise ExecError(f"unknown class {action.class_name!r}")
-        s2, new_oid = alloc_object(s, cls, class_attributes(
-            cls.name, cfg.class_table, cfg.subclass_rel))
+        s2, new_oid = alloc_object(s, cfg.object_class(action.class_name))
         new = _store_local(frame, action.dst, OidVal(new_oid))
         return commit(replace(new, pc=pc + 1), s2)
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import ExecError, InternalError
 from .universe import (
-    AttrDef, ClassDef, ClassTable, MethodDef, NullOid, OidVal, OpSig,
-    RecordVal, SubclassRel, Value, class_attributes, same_kind,
+    ClassDef, MethodDef, NullOid, OidVal, OpSig, RecordVal, Value, same_kind,
 )
+
+if TYPE_CHECKING:
+    from .variation import Config
 
 
 # --- objects and threads -----------------------------------------------------
@@ -162,19 +164,15 @@ def empty_state() -> SimState:
     return SimState(ds={}, cs={}, es={})
 
 
-def alloc_object(s: SimState, cls: ClassDef,
-                 attributes: tuple[AttrDef, ...] | None = None,
-                 ) -> tuple[SimState, int]:
+def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
     """Create an object of ``cls``; ids are assigned in allocation order.
 
-    The object gets ``attributes`` (by default ``cls``'s own; the engine
-    passes ``universe.class_attributes``, the whole chain's), each at its
-    declared initial value, an empty thread map and an empty event queue.
+    Attributes start at their declared initial values; the new object gets
+    an empty thread map and an empty event queue. The engine passes
+    ``Config.object_class``, whose attributes are the whole chain's.
     """
     oid = len(s.ds)
-    if attributes is None:
-        attributes = cls.attributes
-    attrs = RecordVal(tuple((a.name, a.init) for a in attributes))
+    attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
     return replace(
         s,
         ds={**s.ds, oid: StoredObject(cls.name, attrs)},
@@ -253,14 +251,13 @@ def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
     return replace(s, cs={**s.cs, oid: {**s.cs[oid], tid: thr}})
 
 
-def validate_state(s: SimState, class_table: ClassTable | None = None,
-                   subclass_rel: SubclassRel | None = None) -> list[str]:
+def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
     """Cross-store consistency check; returns problem messages (empty = ok).
 
-    With a class table, each object's record must start with its
-    ``class_attributes`` under ``subclass_rel`` (no inheritance when
-    absent), in order and of the declared kinds. Used by property tests
-    and debug assertions, not on the hot path.
+    With a config, each object's class must be in its class table, and the
+    object's record must start with the attributes of
+    ``cfg.object_class``, in order and of the declared kinds. Used by
+    property tests and debug assertions, not on the hot path.
     """
     problems: list[str] = []
 
@@ -273,23 +270,22 @@ def validate_state(s: SimState, class_table: ClassTable | None = None,
 
     for oid, obj in s.ds.items():
         check_refs(obj.attrs, f"object {oid}")
-        if class_table is not None:
-            if obj.class_name not in class_table:
+        if cfg is not None:
+            if obj.class_name not in cfg.class_table:
                 problems.append(f"object {oid} has unknown class {obj.class_name!r}")
             else:
-                attributes = class_attributes(obj.class_name, class_table,
-                                              subclass_rel or {})
-                declared = obj.attrs.fields[:len(attributes)]
-                for attr, (name, value) in zip(attributes, declared):
+                cls = cfg.object_class(obj.class_name)
+                declared = obj.attrs.fields[:len(cls.attributes)]
+                for attr, (name, value) in zip(cls.attributes, declared):
                     if name != attr.name:
                         problems.append(
                             f"object {oid}: attribute order differs from "
-                            f"class {obj.class_name!r} at {name!r}")
+                            f"class {cls.name!r} at {name!r}")
                     elif not same_kind(value, attr.init):
                         problems.append(
                             f"object {oid}: attribute {name!r} kind differs "
                             f"from declaration")
-                for name, value in obj.attrs.fields[len(attributes):]:
+                for name, value in obj.attrs.fields[len(cls.attributes):]:
                     if not isinstance(value, (OidVal, NullOid)):
                         problems.append(
                             f"object {oid}: undeclared attribute {name!r} is "

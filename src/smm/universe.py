@@ -152,29 +152,18 @@ ClassTable = dict[str, ClassDef]
 
 # --- operations -------------------------------------------------------------
 
-def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
-    """Linearize a class and its superclasses for method lookup.
+def _linearize(cls: str, scl: SubclassRel) -> tuple[list[str], list[str]]:
+    """Walk ``cls`` and its superclasses depth-first over declaration order.
 
-    Depth-first over declaration order, keeping the first occurrence of each
-    class; single inheritance yields the plain chain. Cycles are a model
+    Returns the classes in preorder (each class before its superclasses,
+    for method lookup) and in postorder (each class after all of its
+    superclasses, for attribute layout). Each class is met once; single
+    inheritance yields the plain chain and its reverse. Cycles are a model
     defect and rejected. The walk keeps its own stack, so chain depth is
     bounded by memory, not by Python's recursion limit.
     """
-    # A class with one superclass needs no stack: follow the chain while
-    # it does not branch, and walk depth-first from the start if it does.
-    out = [cls]
-    seen = {cls}
-    sups = scl.get(cls, ())
-    while len(sups) == 1:
-        sup = sups[0]
-        if sup in seen:
-            raise ModelError(f"inheritance cycle through class {sup!r}")
-        seen.add(sup)
-        out.append(sup)
-        sups = scl.get(sup, ())
-    if not sups:
-        return tuple(out)
-    out = [cls]
+    pre = [cls]
+    post: list[str] = []
     seen = {cls}
     path = {cls}  # the classes on the stack: meeting one again is a cycle
     stack = [(cls, iter(scl.get(cls, ())))]
@@ -184,27 +173,36 @@ def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
         if sup is None:
             stack.pop()
             path.discard(c)
+            post.append(c)
         elif sup in path:
             raise ModelError(f"inheritance cycle through class {sup!r}")
         elif sup not in seen:
             # A class seen before but off the stack is fully walked, and
             # its walk found no cycle; there is nothing new above it.
             seen.add(sup)
-            out.append(sup)
+            pre.append(sup)
             path.add(sup)
             stack.append((sup, iter(scl.get(sup, ()))))
-    return tuple(out)
+    return pre, post
+
+
+def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
+    """Linearize a class and its superclasses for method lookup: ``cls``
+    first, then depth-first over declaration order, keeping the first
+    occurrence of each class."""
+    return tuple(_linearize(cls, scl)[0])
 
 
 def class_attributes(cls: str, class_table: ClassTable,
                      scl: SubclassRel) -> tuple[AttrDef, ...]:
     """The attributes an object of ``cls`` has, in record order.
 
-    Every class on the chain contributes its declared attributes, the root
-    class first and ``cls`` last. Classes missing from the table (a model
-    defect ``validate_model`` reports) contribute none.
+    Every class on the chain contributes its declared attributes, each
+    class after all of its superclasses: root classes first, ``cls``
+    last. Classes missing from the table (a model defect
+    ``validate_model`` reports) contribute none.
     """
-    return tuple(attr for c in reversed(super_chain(cls, scl))
+    return tuple(attr for c in _linearize(cls, scl)[1]
                  if c in class_table for attr in class_table[c].attributes)
 
 
@@ -305,29 +303,29 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
             if sup not in class_table:
                 report(("extends", name, sup),
                        f"class {name!r} extends unknown class {sup!r}")
-    chains: dict[str, tuple[str, ...]] = {}
+    # An object has the attributes of its whole chain in
+    # ``class_attributes`` order, so a name is declared once along it; the
+    # later declaration is reported. Only a class with attributes of its
+    # own or several superclasses can meet a redeclaration not reported
+    # at the class that makes it.
+    reported: set[tuple[str, int]] = set()
     for name in class_table:
         try:
-            chains[name] = super_chain(name, scl)
+            _, roots_first = _linearize(name, scl)
         except ModelError as err:
             report(("class", name), str(err))
-    # An object has the attributes of its whole chain, so a name is
-    # declared once along it; the redeclaring attribute is reported. Only
-    # a class with attributes of its own or several superclasses can meet
-    # a redeclaration not reported at the class that makes it.
-    reported: set[tuple[str, int]] = set()
-    for name, chain in chains.items():
+            continue
         if not class_table[name].attributes and len(scl.get(name, ())) < 2:
             continue
         declared_by: dict[str, str] = {}
-        for c in reversed(chain):
+        for c in roots_first:
             for i, attr in enumerate(class_table[c].attributes
                                      if c in class_table else ()):
                 first = declared_by.setdefault(attr.name, c)
                 if first == c or (c, i) in reported:
                     continue
                 reported.add((c, i))
-                if first in chains.get(c, ()):
+                if first in _linearize(c, scl)[0]:
                     message = (f"class {c!r}: attribute {attr.name!r} is "
                                f"already declared by superclass {first!r}")
                 else:  # two unrelated superclasses of ``name``

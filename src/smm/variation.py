@@ -28,6 +28,7 @@ thread map or queue the step replaced, and keeps the others' offers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .errors import ExecError
@@ -35,7 +36,10 @@ from .state import (
     DataStore, Event, EventKind, EventStore, SimState, ThreadStatus,
     enqueue_event,
 )
-from .universe import ClassTable, MethMap, MethodDef, OpSig, SubclassRel, super_chain
+from .universe import (
+    ClassDef, ClassTable, MethMap, MethodDef, OpSig, SubclassRel,
+    class_attributes, super_chain,
+)
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,25 @@ class Config:
     subclass_rel: SubclassRel
     meth_map: MethMap
     class_table: ClassTable
+
+    def object_class(self, name: str) -> ClassDef:
+        """Class ``name`` as its objects hold it: with the attributes of
+        its whole chain, in ``universe.class_attributes`` order.
+
+        Built once per config and class; ``name`` must be in the class
+        table. Object allocation, the attribute write check and
+        ``state.validate_state`` all read this one layout.
+        """
+        known = self._object_classes
+        cls = known.get(name)
+        if cls is None:
+            cls = known[name] = ClassDef(name, class_attributes(
+                name, self.class_table, self.subclass_rel))
+        return cls
+
+    @cached_property
+    def _object_classes(self) -> dict[str, ClassDef]:
+        return {}
 
 
 def make_config(class_table: ClassTable, subclass_rel: SubclassRel,

@@ -319,6 +319,11 @@ def check_setup(class_table: ClassTable, scl: SubclassRel,
     problems: list[Problem] = []
     names = {entry.name for entry in setup}
     seen: set[str] = set()
+    # Only a link named like some class's non-reference attribute can
+    # overwrite one, so only then is the entry's chain walked.
+    scalars = {attr.name for cls in class_table.values()
+               for attr in cls.attributes
+               if not isinstance(attr.type, ClassType)}
     for i, entry in enumerate(setup):
         found: list[str] = []
         if entry.name in seen:
@@ -328,7 +333,7 @@ def check_setup(class_table: ClassTable, scl: SubclassRel,
         if cls is None:
             found.append(f"setup object {entry.name!r} has unknown class "
                          f"{entry.class_name!r}")
-        elif entry.links:
+        elif scalars.intersection(entry.links):
             try:
                 attributes = class_attributes(cls.name, class_table, scl)
             except ModelError:  # a cycle, which validate_model reports
@@ -363,10 +368,7 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
     by_name: dict[str, int] = {}
     s = empty_state()
     for entry in setup:
-        s, oid = alloc_object(s, cfg.class_table[entry.class_name],
-                              class_attributes(entry.class_name,
-                                               cfg.class_table,
-                                               cfg.subclass_rel))
+        s, oid = alloc_object(s, cfg.object_class(entry.class_name))
         by_name[entry.name] = oid
     for entry in setup:
         oid = by_name[entry.name]

@@ -9,10 +9,11 @@ object on every step. ``run`` keeps each object's offers between steps and
 re-asks only the objects a step touched.
 
 Stepping bundled, hand-written and random models under all four configs,
-both must hand the scheduler the same entries at every step, run the same
-``(t, oid, tid, pc)`` sequence and end with the same halt reason and
-structured final state. So must a custom medium that also drops events of
-objects other than the receiver, and a run resumed from a mid-run state.
+both must hand the scheduler the same entries and reserve the same ids for
+the same events at every step, run the same ``(t, oid, tid, pc)`` sequence
+and end with the same halt reason and structured final state. So must a
+custom medium that also drops events of objects other than the receiver,
+and a run resumed from a mid-run state.
 Every frame must hold the method its operation dispatches to.
 """
 
@@ -30,6 +31,7 @@ from smm import (
     StepLimit, ThreadStatus, build_config, build_initial_state, parse_model,
     render_final_state, run, run_model,
 )
+import smm.vm
 from smm.vm import step
 
 from modelgen import random_model
@@ -135,11 +137,18 @@ def _check_frames(cfg, s) -> None:
 
 class Trace(NamedTuple):
     """What a run showed: the scheduler's entries at every step, the
-    ``(t, oid, tid, pc)`` of every step, and how it ended."""
+    event (by sequence number) each reserved id stood for at every
+    collection, the ``(t, oid, tid, pc)`` of every step, and how it
+    ended."""
 
     offered: list
+    reserved: list
     steps: list
     outcome: tuple
+
+
+def _seqs(reserved: dict) -> dict:
+    return {tid: event.seq for tid, event in reserved.items()}
 
 
 def _ended(result: RunResult) -> tuple:
@@ -157,10 +166,11 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
     ``(times, t, state)`` instead, for a run to resume from.
     """
     times = dict(times or {})
-    offered, steps = [], []
+    offered, reserved_seqs, steps = [], [], []
     while True:
         _check_frames(cfg, s)
         offers, reserved = oracle_collect(runnables, s)
+        reserved_seqs.append(_seqs(reserved))
         if receivers is not None:
             receivers.add(len({e.msg.receiver for e in reserved.values()}))
         if until is not None and len(steps) == until:
@@ -170,9 +180,10 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
                             for tid in sorted(s.cs[oid])
                             if s.cs[oid][tid].status is ThreadStatus.WAITING)
             halt = Blocked(waiting) if waiting else AllDone()
-            return Trace(offered, steps, _ended(RunResult(s, t, halt)))
+            return Trace(offered, reserved_seqs, steps,
+                         _ended(RunResult(s, t, halt)))
         if len(steps) == max_steps:
-            return Trace(offered, steps,
+            return Trace(offered, reserved_seqs, steps,
                          _ended(RunResult(s, t, StepLimit())))
         entries = [RunnableEntry(oid, tid, prio, times.get(tid, -1))
                    for oid, tid, prio in offers]
@@ -181,7 +192,8 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
         try:
             s, pc, _ = step(s, cfg, oid, tid, reserved.get(tid))
         except ExecError as err:
-            return Trace(offered, steps, ("model-error", str(err)))
+            return Trace(offered, reserved_seqs, steps,
+                         ("model-error", str(err)))
         steps.append((t, oid, tid, pc))
         times[tid] = t
         t += 1
@@ -189,31 +201,44 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
 
 def fast_run(cfg, s, times=None, t: int = 0, *,
              max_steps: int = MAX_STEPS) -> Trace:
-    """``run``, observed through its step hook and a recording scheduler."""
-    offered, steps = [], []
+    """``run``, observed through its step hook, a recording scheduler and
+    a recording ``vm.collect_runnables``."""
+    offered, reserved_seqs, steps = [], [], []
+    collect = smm.vm.collect_runnables
+
+    def collect_runnables(*args):
+        entries, reserved = collect(*args)
+        reserved_seqs.append(_seqs(reserved))
+        return entries, reserved
 
     def scheduler(now, entries):
         offered.append(list(entries))
         return cfg.scheduler(now, entries)
 
-    try:
-        result = run(dict(times or {}), t,
-                     dataclasses.replace(cfg, scheduler=scheduler), s,
-                     max_steps=max_steps,
-                     on_step=lambda now, oid, tid, pc, _action:
-                     steps.append((now, oid, tid, pc)))
-    except ExecError as err:
-        return Trace(offered, steps, ("model-error", str(err)))
-    return Trace(offered, steps, _ended(result))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smm.vm, "collect_runnables", collect_runnables)
+        try:
+            result = run(dict(times or {}), t,
+                         dataclasses.replace(cfg, scheduler=scheduler), s,
+                         max_steps=max_steps,
+                         on_step=lambda now, oid, tid, pc, _action:
+                         steps.append((now, oid, tid, pc)))
+        except ExecError as err:
+            return Trace(offered, reserved_seqs, steps,
+                         ("model-error", str(err)))
+    return Trace(offered, reserved_seqs, steps, _ended(result))
 
 
 def assert_same(fast: Trace, slow: Trace) -> None:
     """Equal traces; on a difference, name the first step it shows at."""
     for i, (a, b) in enumerate(zip(fast.offered, slow.offered)):
         assert a == b, f"offers differ at step {i}"
+    for i, (a, b) in enumerate(zip(fast.reserved, slow.reserved)):
+        assert a == b, f"reserved ids differ at step {i}"
     for i, (a, b) in enumerate(zip(fast.steps, slow.steps)):
         assert a == b, f"step {i} differs"
     assert len(fast.offered) == len(slow.offered)
+    assert len(fast.reserved) == len(slow.reserved)
     assert len(fast.steps) == len(slow.steps)
     assert fast.outcome == slow.outcome
 

@@ -198,9 +198,10 @@ LOCATED = [
      [(4, "creates unknown class 'Nope'")]),
     ("class A { }\nclass B extends C { }\nclass C extends B { }",
      [(2, "inheritance cycle"), (3, "inheritance cycle")]),
-    ("class A extends B { }\nclass B extends A { }\n"
+    ("class A extends B { attr b: Int = 0; }\nclass B extends A { }\n"
      "setup { a: A passive links [b]; b: B passive; }",
-     [(1, "inheritance cycle"), (2, "inheritance cycle")]),
+     [(1, "inheritance cycle"), (2, "inheritance cycle"),
+      (3, "link 'b' of 'a' would overwrite a non-reference attribute")]),
     ("class A { attr n: Int = 0; }\nclass B extends A {\n"
      "  attr n: Int = 1;\n}",
      [(3, "attribute 'n' is already declared by superclass 'A'")]),

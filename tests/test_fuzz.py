@@ -12,7 +12,9 @@ import random
 
 import pytest
 
-from smm import ExecError, render_final_state, run_model, validate_state
+from smm import (
+    ExecError, build_config, render_final_state, run_model, validate_state,
+)
 from smm.vm import StepLimit
 
 from modelgen import random_model
@@ -38,6 +40,5 @@ def test_random_models_run_deterministically(seed):
         kind2, detail2, _ = _outcome(model, runnables, scheduler)
         assert (kind1, detail1) == (kind2, detail2)
         if result is not None and not isinstance(result.halt, StepLimit):
-            problems = validate_state(result.final, model.classes,
-                                      model.subclass_rel)
+            problems = validate_state(result.final, build_config(model))
             assert problems == [], problems

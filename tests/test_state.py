@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from smm import (
     AttrDef, BOOL, INT, CallPayload, ClassDef, EventKind, ExecError, Frame,
     IntVal, InternalError, OidVal, RecordVal, ReturnPayload, BoolVal, Message,
-    Thread, ThreadStatus, alloc_object, empty_state, enqueue_event, pop_frame,
-    take_matching_event, validate_state, write_attr,
+    Thread, ThreadStatus, alloc_object, empty_state, enqueue_event,
+    make_config, pop_frame, take_matching_event, validate_state, write_attr,
 )
 from smm.state import make_event, update_thread
 
@@ -209,26 +209,24 @@ class TestFrameStack:
 
 class TestValidateState:
     def test_fresh_states_validate(self):
-        classes, _, _ = buffer_tables()
         s, oid = _state_with_buffer()
         s = _with_thread(s, oid, _frame(oid))
         from dataclasses import replace
         s = replace(s, next_tid=1)
-        assert validate_state(s, classes) == []
+        assert validate_state(s, make_config(*buffer_tables())) == []
 
     def test_inherited_attributes_validate_against_the_chain(self):
         base = ClassDef("B", (AttrDef("n", INT, IntVal(0)),))
         sub = ClassDef("C", (AttrDef("k", BOOL, BoolVal(False)),))
-        classes, scl = {"B": base, "C": sub}, {"C": ("B",)}
-        s, _ = alloc_object(empty_state(), sub,
-                            base.attributes + sub.attributes)
-        assert validate_state(s, classes, scl) == []
-        # Without the subclass relation, C's record should start with k.
-        assert validate_state(s, classes) == [
-            "object 0: attribute order differs from class 'C' at 'n'",
-            "object 0: undeclared attribute 'k' is not a link"]
+        cfg = make_config({"B": base, "C": sub}, {"C": ("B",)}, {})
+        layout = cfg.object_class("C")
+        assert layout.attributes == base.attributes + sub.attributes
+        assert cfg.object_class("C") is layout
+        s, _ = alloc_object(empty_state(), layout)
+        assert validate_state(s, cfg) == []
+        # C's own attributes alone are not what a C object holds.
         s, _ = alloc_object(s, sub)
-        assert validate_state(s, classes, scl) == [
+        assert validate_state(s, cfg) == [
             "object 1: attribute order differs from class 'C' at 'k'"]
 
     def test_dangling_reference_detected(self):

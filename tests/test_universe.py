@@ -92,6 +92,17 @@ class TestClassAttributes:
         assert class_attributes("C", classes, scl) == (a, b, c)
         assert class_attributes("A", classes, scl) == (a,)
 
+    def test_every_class_after_its_superclasses(self):
+        # D extends B and C, and C extends B: method lookup walks D, B, C,
+        # but a D object holds B's attributes before C's, as a C does.
+        b, c, d = (AttrDef(n, INT, IntVal(0)) for n in "bcd")
+        classes = {"B": ClassDef("B", (b,)), "C": ClassDef("C", (c,)),
+                   "D": ClassDef("D", (d,))}
+        scl = {"C": ("B",), "D": ("B", "C")}
+        assert super_chain("D", scl) == ("D", "B", "C")
+        assert class_attributes("D", classes, scl) == (b, c, d)
+        assert class_attributes("C", classes, scl) == (b, c)
+
     def test_unknown_superclass_contributes_nothing(self):
         a = AttrDef("a", INT, IntVal(0))
         assert class_attributes("A", {"A": ClassDef("A", (a,))},
@@ -130,8 +141,20 @@ class TestValidateModel:
         # Reported once, at the one of the two that comes later in R's
         # record, although S inherits the conflict too.
         assert problems == [
-            Problem(("attr", "P", 0), "class 'R': attribute 'n' is declared "
-                                      "by both 'Q' and 'P'")]
+            Problem(("attr", "Q", 0), "class 'R': attribute 'n' is declared "
+                                      "by both 'P' and 'Q'")]
+
+    def test_redeclaration_below_a_diamond_is_reported_once(self):
+        # D extends B and C, and C extends B: B's attributes come before
+        # C's in a D object, so only C's redeclaration is at fault.
+        classes = {"B": ClassDef("B", (AttrDef("n", INT, IntVal(0)),)),
+                   "C": ClassDef("C", (AttrDef("n", INT, IntVal(1)),)),
+                   "D": ClassDef("D", ())}
+        problems = validate_model(classes, {"C": ("B",), "D": ("B", "C")},
+                                  {})
+        assert problems == [
+            Problem(("attr", "C", 0), "class 'C': attribute 'n' is already "
+                                      "declared by superclass 'B'")]
 
     def test_init_value_must_fit_type(self):
         cls = ClassDef("X", (AttrDef("a", INT, BoolVal(True)),))

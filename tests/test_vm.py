@@ -369,10 +369,12 @@ class TestRunLoop:
 
     def test_progress_drains_every_thread(self, prodcons_model):
         from smm import validate_state
+        from smm.frontend import build_config
         result = run_model(prodcons_model, runnables="conc", scheduler="rr")
         assert all(not threads for threads in result.final.cs.values())
         assert all(queue == () for queue in result.final.es.values())
-        assert validate_state(result.final, prodcons_model.classes) == []
+        assert validate_state(result.final, build_config(prodcons_model)) \
+            == []
 
     def test_time_counts_exec_invocations(self, prodcons_model):
         steps = []
@@ -394,7 +396,7 @@ class TestRunLoop:
         from smm.frontend import build_config
         cfg = build_config(prodcons_model, runnables="conc", scheduler="rr")
         s = build_initial_state(cfg, prodcons_model.setup)
-        assert validate_state(s, prodcons_model.classes) == []
+        assert validate_state(s, cfg) == []
         times: dict[int, int] = {}
         t = 0
         while True:
@@ -404,7 +406,7 @@ class TestRunLoop:
                 break
             oid, tid = cfg.scheduler(t, entries)
             s, _, _ = step(s, cfg, oid, tid, reserved.get(tid))
-            problems = validate_state(s, prodcons_model.classes)
+            problems = validate_state(s, cfg)
             assert problems == [], f"step {t}: {problems}"
             times[tid] = t
             t += 1
