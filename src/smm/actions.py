@@ -236,7 +236,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         v = _local(frame, action.local)
         cls_name = s.ds[oid].class_name
         if cls_name in cfg.class_table:
-            for attr in cfg.object_class(cls_name).attributes:
+            for attr in cfg.hierarchy.object_class(cls_name).attributes:
                 if attr.name == action.attr and not value_fits(
                         v, attr.type, cfg.subclass_rel, s.ds):
                     raise ExecError(
@@ -276,7 +276,8 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     if isinstance(action, NewObject):
         if action.class_name not in cfg.class_table:
             raise ExecError(f"unknown class {action.class_name!r}")
-        s2, new_oid = alloc_object(s, cfg.object_class(action.class_name))
+        s2, new_oid = alloc_object(s, cfg.hierarchy.object_class(
+            action.class_name))
         new = _store_local(frame, action.dst, OidVal(new_oid))
         return commit(replace(new, pc=pc + 1), s2)
 

@@ -29,7 +29,9 @@ value exactly.
 The parser checks only what needs its tokens: syntax, duplicate classes and
 methods (which the tables would swallow), labels, call-site and start
 operation resolution, config keys, and attribute references (which need
-the setup's links). Every other rule has one home, ``validate_model`` for
+the setup's links). Both of the last read one ``universe.Hierarchy``,
+which walks only the chains they ask for, so loading is linear in the
+depth of a chain. Every other rule has one home, ``validate_model`` for
 the model and ``smm.vm.check_setup`` for the setup; the parser places each
 of their problems at the token it recorded for the element the problem
 names, and reports everything it found in one pass, in source order.
@@ -45,11 +47,12 @@ from . import actions as A
 from .errors import Diagnostic, ModelError
 from .state import SimState
 from .universe import (
-    AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, INT, IntVal,
-    MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig, RecordVal,
-    SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, super_chain,
-    validate_model,
+    AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy, INT,
+    IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig, RecordVal,
+    SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
 )
+# perfbench's tracer counts chain walks by rebinding this name here.
+from .universe import super_chain  # noqa: F401
 from .variation import (
     Config, DISPATCHERS, MEDIA, RUNNABLES, SCHEDULERS, make_config,
 )
@@ -546,21 +549,12 @@ class _Parser:
             meth_map.setdefault(raw.class_name, {})[raw.sig] = MethodDef(
                 raw.sig, tuple(raw.params), tuple(raw.body))
 
+        hierarchy = Hierarchy(self.classes, self.scl)
         for where, message in (validate_model(self.classes, self.scl, meth_map)
-                               + check_setup(self.classes, self.scl,
-                                             self.setup)):
+                               + check_setup(hierarchy, self.setup)):
             self.note(message, self.locs[where])
-
-        # Each class's chain, computed once; a class on an inheritance
-        # cycle has none (validate_model reported the cycle).
-        chains: dict[str, tuple[str, ...]] = {}
-        for name in self.classes:
-            try:
-                chains[name] = super_chain(name, self.scl)
-            except ModelError:
-                pass
-        self._check_attr_refs(meth_map, chains)
-        self._resolve_start_ops(meth_map, chains)
+        self._check_attr_refs(meth_map, hierarchy)
+        self._resolve_start_ops(meth_map, hierarchy)
 
         if self.diags:
             raise ModelError(sorted(self.diags,
@@ -568,37 +562,37 @@ class _Parser:
         return ModelDef(self.classes, self.scl, meth_map, tuple(self.setup),
                         self.config)
 
-    def _check_attr_refs(self, meth_map: MethMap,
-                         chains: dict[str, tuple[str, ...]]):
+    def _check_attr_refs(self, meth_map: MethMap, hierarchy: Hierarchy):
         """Each attribute an action reads or writes must be one an instance
         running that code may have: declared along the class's chain or on
         a subclass, or set up as a link."""
         links = {link for entry in self.setup for link in entry.links}
-        attrs = {name: {a.name for a in cls.attributes}
-                 for name, cls in self.classes.items()}
-        known = {name: set(links) for name in chains}
-        for name, chain in chains.items():
-            for sup in chain:
-                if sup in known:  # not an unknown superclass
-                    known[sup] |= attrs[name]
-                    known[name] |= attrs[sup]
         for cls_name, ops in meth_map.items():
-            names = known.get(cls_name)
-            if names is None:  # unknown class or a cycle, reported already
+            cls = self.classes.get(cls_name)
+            if cls is None:  # an unknown class, reported already
                 continue
-            for sig, meth in ops.items():
-                for pc, act in enumerate(meth.body):
-                    if isinstance(act, (A.LocalFromAttr, A.SetAttr)) and \
-                            act.attr not in names:
-                        self.note(f"unknown attribute {act.attr!r} for class "
-                                  f"{cls_name!r}",
-                                  self.locs[("action", cls_name, sig, pc)])
+            own = {attr.name for attr in cls.attributes}
+            refs = [(sig, pc, act.attr) for sig, meth in ops.items()
+                    for pc, act in enumerate(meth.body)
+                    if isinstance(act, (A.LocalFromAttr, A.SetAttr))
+                    and act.attr not in own and act.attr not in links]
+            # Names the class declares or gets as links need no walk; a
+            # class on a cycle is reported already.
+            if not refs or (chain := hierarchy.chain(cls_name)) is None:
+                continue
+            related = hierarchy.below([cls_name]).union(chain)
+            names = {attr.name for c in related if c in self.classes
+                     for attr in self.classes[c].attributes}
+            for sig, pc, attr in refs:
+                if attr not in names:
+                    self.note(f"unknown attribute {attr!r} for class "
+                              f"{cls_name!r}",
+                              self.locs[("action", cls_name, sig, pc)])
 
-    def _resolve_start_ops(self, meth_map: MethMap,
-                           chains: dict[str, tuple[str, ...]]):
+    def _resolve_start_ops(self, meth_map: MethMap, hierarchy: Hierarchy):
         for index, op_name, loc in self.setup_active:
             entry = self.setup[index]
-            chain = chains.get(entry.class_name)
+            chain = hierarchy.chain(entry.class_name)
             if chain is None:  # unknown class or a cycle, reported already
                 continue
             named = {sig for cls in chain for sig in meth_map.get(cls, {})

@@ -169,7 +169,7 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
 
     Attributes start at their declared initial values; the new object gets
     an empty thread map and an empty event queue. The engine passes
-    ``Config.object_class``, whose attributes are the whole chain's.
+    ``Hierarchy.object_class``, whose attributes are the whole chain's.
     """
     oid = len(s.ds)
     attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
@@ -256,8 +256,8 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
 
     With a config, each object's class must be in its class table, and the
     object's record must start with the attributes of
-    ``cfg.object_class``, in order and of the declared kinds. Used by
-    property tests and debug assertions, not on the hot path.
+    ``cfg.hierarchy.object_class``, in order and of the declared kinds.
+    Used by property tests and debug assertions, not on the hot path.
     """
     problems: list[str] = []
 
@@ -274,7 +274,7 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
             if obj.class_name not in cfg.class_table:
                 problems.append(f"object {oid} has unknown class {obj.class_name!r}")
             else:
-                cls = cfg.object_class(obj.class_name)
+                cls = cfg.hierarchy.object_class(obj.class_name)
                 declared = obj.attrs.fields[:len(cls.attributes)]
                 for attr, (name, value) in zip(cls.attributes, declared):
                     if name != attr.name:

@@ -9,7 +9,7 @@ name is a key of the model's class table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from .errors import ModelError
 
@@ -193,17 +193,80 @@ def super_chain(cls: str, scl: SubclassRel) -> tuple[str, ...]:
     return tuple(_linearize(cls, scl)[0])
 
 
-def class_attributes(cls: str, class_table: ClassTable,
-                     scl: SubclassRel) -> tuple[AttrDef, ...]:
-    """The attributes an object of ``cls`` has, in record order.
+class Hierarchy:
+    """The class hierarchy of one model, and the one home of chain walks.
 
-    Every class on the chain contributes its declared attributes, each
-    class after all of its superclasses: root classes first, ``cls``
-    last. Classes missing from the table (a model defect
-    ``validate_model`` reports) contribute none.
+    ``cycles`` maps each class whose walk meets an inheritance cycle to the
+    class ``super_chain`` names in its error; one pass finds them all.
+    Chains and object layouts are built when asked for, and kept; the
+    layout of a class in ``cycles`` raises ``ModelError``, as
+    ``super_chain`` does.
     """
-    return tuple(attr for c in _linearize(cls, scl)[1]
-                 if c in class_table for attr in class_table[c].attributes)
+
+    def __init__(self, class_table: ClassTable, scl: SubclassRel):
+        self.class_table, self.scl = class_table, scl
+        self._chains: dict[str, tuple[str, ...]] = {}
+        self._classes: dict[str, ClassDef] = {}
+        self._subclasses: dict[str, list[str]] = {}
+        for name, supers in scl.items():
+            for sup in supers:
+                self._subclasses.setdefault(sup, []).append(name)
+        # A class is acyclic once all of its superclasses are; ``pending``
+        # counts those not yet known to be.
+        pending = {name: len(supers) for name, supers in scl.items()}
+        ready = [c for c in self._subclasses if not pending.get(c)]
+        while ready:
+            for sub in self._subclasses.get(ready.pop(), ()):
+                pending[sub] -= 1
+                if not pending[sub]:
+                    ready.append(sub)
+        # At each class, the walk from a class left pending finishes the
+        # acyclic superclasses and descends into the first other one. It
+        # names the first class it meets twice.
+        self.cycles: dict[str, str] = {}
+        for c in [name for name, n in pending.items() if n]:
+            path: dict[str, int] = {}
+            while c not in self.cycles and c not in path:
+                path[c] = len(path)
+                c = next(sup for sup in scl[c] if pending.get(sup))
+            k, through = path.get(c, len(path)), self.cycles.get(c, c)
+            for i, p in enumerate(path):  # from k on, a cycle found just now
+                self.cycles[p] = p if i >= k else through
+
+    def chain(self, cls: str | None) -> tuple[str, ...] | None:
+        """``super_chain(cls, scl)``, walked once; None for a class missing
+        from the table or in ``cycles``, defects ``validate_model``
+        reports."""
+        if cls not in self.class_table or cls in self.cycles:
+            return None
+        if cls not in self._chains:
+            self._chains[cls] = super_chain(cls, self.scl)
+        return self._chains[cls]
+
+    def roots_first(self, cls: str) -> list[str]:
+        """The classes of the chain, each after all of its superclasses."""
+        return _linearize(cls, self.scl)[1]
+
+    def object_class(self, cls: str) -> ClassDef:
+        """``cls`` as its objects hold it, with the attributes of its whole
+        chain in ``roots_first`` order; built once."""
+        if cls not in self._classes:
+            self._classes[cls] = ClassDef(cls, tuple(
+                attr for c in self.roots_first(cls) if c in self.class_table
+                for attr in self.class_table[c].attributes))
+        return self._classes[cls]
+
+    def below(self, classes: Iterable[str]) -> set[str]:
+        """``classes`` and every class whose chain holds one of them, but
+        none in ``cycles``."""
+        found = {c for c in classes if c not in self.cycles}
+        todo = list(found)
+        while todo:
+            new = [sub for sub in self._subclasses.get(todo.pop(), ())
+                   if sub not in found and sub not in self.cycles]
+            found.update(new)
+            todo += new
+        return found
 
 
 def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None) -> bool:
@@ -265,7 +328,8 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
     known classes, and method entries of known classes whose signatures,
     parameters and bodies are internally consistent (unique parameters,
     non-empty bodies, jump targets in range, known parameters and classes,
-    fitting initial values). The setup rules live in
+    fitting initial values). Chains are read from one ``Hierarchy`` and
+    walked only where a rule needs them. The setup rules live in
     ``smm.vm.check_setup``; the parser keeps only what needs its tokens or
     would be lost in these tables (syntax, duplicate classes and methods,
     labels, name resolution, config keys, attribute references).
@@ -280,6 +344,8 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
     def unknown(t: TypeRef) -> bool:
         return isinstance(t, ClassType) and t.name not in class_table
 
+    hierarchy = Hierarchy(class_table, scl)
+    declarers: dict[str, set[str]] = {}  # attribute name -> classes
     for name, cls in class_table.items():
         seen: set[str] = set()
         for i, attr in enumerate(cls.attributes):
@@ -288,6 +354,7 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
                 report(where, f"class {name!r}: duplicate attribute "
                               f"{attr.name!r}")
             seen.add(attr.name)
+            declarers.setdefault(attr.name, set()).add(name)
             if unknown(attr.type):
                 report(where, f"class {name!r}: attribute {attr.name!r} has "
                               f"unknown class type {attr.type.name!r}")
@@ -303,29 +370,32 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
             if sup not in class_table:
                 report(("extends", name, sup),
                        f"class {name!r} extends unknown class {sup!r}")
-    # An object has the attributes of its whole chain in
-    # ``class_attributes`` order, so a name is declared once along it; the
-    # later declaration is reported. Only a class with attributes of its
-    # own or several superclasses can meet a redeclaration not reported
-    # at the class that makes it.
+    # An object has the attributes of its whole chain, root classes
+    # first, so a name is declared once along it; the later declaration
+    # is reported. Only a class below two declarers of one name can hold
+    # two, and only one with attributes of its own or several
+    # superclasses can meet a redeclaration not reported at the class
+    # that makes it.
+    shared = hierarchy.below(c for cs in declarers.values() if len(cs) > 1
+                             for c in cs)
     reported: set[tuple[str, int]] = set()
     for name in class_table:
-        try:
-            _, roots_first = _linearize(name, scl)
-        except ModelError as err:
-            report(("class", name), str(err))
+        if name in hierarchy.cycles:
+            report(("class", name), f"inheritance cycle through class "
+                                    f"{hierarchy.cycles[name]!r}")
             continue
-        if not class_table[name].attributes and len(scl.get(name, ())) < 2:
+        if name not in shared or (not class_table[name].attributes
+                                  and len(scl.get(name, ())) < 2):
             continue
         declared_by: dict[str, str] = {}
-        for c in roots_first:
+        for c in hierarchy.roots_first(name):
             for i, attr in enumerate(class_table[c].attributes
                                      if c in class_table else ()):
                 first = declared_by.setdefault(attr.name, c)
                 if first == c or (c, i) in reported:
                     continue
                 reported.add((c, i))
-                if first in _linearize(c, scl)[0]:
+                if first in hierarchy.chain(c):
                     message = (f"class {c!r}: attribute {attr.name!r} is "
                                f"already declared by superclass {first!r}")
                 else:  # two unrelated superclasses of ``name``

@@ -37,8 +37,8 @@ from .state import (
     enqueue_event,
 )
 from .universe import (
-    ClassDef, ClassTable, MethMap, MethodDef, OpSig, SubclassRel,
-    class_attributes, super_chain,
+    ClassTable, Hierarchy, MethMap, MethodDef, OpSig, SubclassRel,
+    super_chain,
 )
 
 
@@ -195,24 +195,10 @@ class Config:
     meth_map: MethMap
     class_table: ClassTable
 
-    def object_class(self, name: str) -> ClassDef:
-        """Class ``name`` as its objects hold it: with the attributes of
-        its whole chain, in ``universe.class_attributes`` order.
-
-        Built once per config and class; ``name`` must be in the class
-        table. Object allocation, the attribute write check and
-        ``state.validate_state`` all read this one layout.
-        """
-        known = self._object_classes
-        cls = known.get(name)
-        if cls is None:
-            cls = known[name] = ClassDef(name, class_attributes(
-                name, self.class_table, self.subclass_rel))
-        return cls
-
     @cached_property
-    def _object_classes(self) -> dict[str, ClassDef]:
-        return {}
+    def hierarchy(self) -> Hierarchy:
+        """The class hierarchy of the tables, built once per config."""
+        return Hierarchy(self.class_table, self.subclass_rel)
 
 
 def make_config(class_table: ClassTable, subclass_rel: SubclassRel,

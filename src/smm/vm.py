@@ -32,10 +32,7 @@ from .state import (
     SimState, Thread, ThreadStatus, alloc_object, add_link_attr, empty_state,
     take_matching_event, update_thread,
 )
-from .universe import (
-    ClassTable, ClassType, OidVal, OpSig, Problem, SubclassRel,
-    class_attributes,
-)
+from .universe import ClassType, Hierarchy, OidVal, OpSig, Problem
 from .variation import Config, RunnableEntry, RunnablesSelector
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -304,50 +301,54 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         dirty = _touched(prev, s, oid)
 
 
-def check_setup(class_table: ClassTable, scl: SubclassRel,
-                setup: Setup) -> list[Problem]:
+def check_setup(hierarchy: Hierarchy, setup: Setup) -> list[Problem]:
     """The setup rules, checked here and nowhere else.
 
     Object names are unique, classes are known, priorities are not
-    negative, and every link names a setup object and does not replace an
-    attribute of a non-class type, declared or inherited. Both the parser,
-    which reports each problem at its entry, and ``build_initial_state``
-    call it. Each problem names its entry as ``("setup", index)``. Whether
-    an active entry's start operation dispatches depends on the chosen
-    dispatcher, so ``build_initial_state`` checks that itself.
+    negative, and every link names a setup object. A link into an
+    attribute, declared or inherited, must not replace one of a non-class
+    type, and may fill one of a class type only with an object of that
+    class or a subclass. Both the parser, which reports each problem at
+    its entry, and ``build_initial_state`` call it. Each problem names its
+    entry as ``("setup", index)``. Whether an active entry's start
+    operation dispatches depends on the chosen dispatcher, so
+    ``build_initial_state`` checks that itself.
     """
     problems: list[Problem] = []
-    names = {entry.name for entry in setup}
+    class_of = {entry.name: entry.class_name for entry in setup}
     seen: set[str] = set()
-    # Only a link named like some class's non-reference attribute can
-    # overwrite one, so only then is the entry's chain walked.
-    scalars = {attr.name for cls in class_table.values()
-               for attr in cls.attributes
-               if not isinstance(attr.type, ClassType)}
     for i, entry in enumerate(setup):
         found: list[str] = []
         if entry.name in seen:
             found.append(f"duplicate setup object {entry.name!r}")
         seen.add(entry.name)
-        cls = class_table.get(entry.class_name)
+        cls = hierarchy.class_table.get(entry.class_name)
         if cls is None:
             found.append(f"setup object {entry.name!r} has unknown class "
                          f"{entry.class_name!r}")
-        elif scalars.intersection(entry.links):
-            try:
-                attributes = class_attributes(cls.name, class_table, scl)
-            except ModelError:  # a cycle, which validate_model reports
-                attributes = cls.attributes
-            found.extend(f"link {attr.name!r} of {entry.name!r} would "
-                         f"overwrite a non-reference attribute"
-                         for attr in attributes
-                         if attr.name in entry.links
-                         and not isinstance(attr.type, ClassType))
+        elif entry.links:
+            # A class on a cycle, which validate_model reports, has no
+            # chain; its own attributes are checked.
+            attributes = (cls.attributes if cls.name in hierarchy.cycles
+                          else hierarchy.object_class(cls.name).attributes)
+            for attr in attributes:
+                if attr.name not in entry.links:
+                    continue
+                linked = class_of.get(attr.name)
+                chain = hierarchy.chain(linked)
+                if not isinstance(attr.type, ClassType):
+                    found.append(f"link {attr.name!r} of {entry.name!r} "
+                                 f"would overwrite a non-reference attribute")
+                elif chain is not None and attr.type.name not in chain:
+                    found.append(f"link {attr.name!r} of {entry.name!r} "
+                                 f"would store a {linked!r} in an attribute "
+                                 f"of type {attr.type}")
         if isinstance(entry.kind, Active) and entry.kind.prio < 0:
             found.append(f"setup object {entry.name!r} has a negative "
                          f"priority")
         found.extend(f"setup object {entry.name!r} links unknown object "
-                     f"{link!r}" for link in entry.links if link not in names)
+                     f"{link!r}" for link in entry.links
+                     if link not in class_of)
         problems.extend(Problem(("setup", i), msg) for msg in found)
     return problems
 
@@ -361,14 +362,14 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
     A setup that breaks a ``check_setup`` rule raises ``ModelError`` with
     one diagnostic per problem.
     """
-    problems = check_setup(cfg.class_table, cfg.subclass_rel, setup)
+    problems = check_setup(cfg.hierarchy, setup)
     if problems:
         raise ModelError([Diagnostic(p.message) for p in problems])
 
     by_name: dict[str, int] = {}
     s = empty_state()
     for entry in setup:
-        s, oid = alloc_object(s, cfg.object_class(entry.class_name))
+        s, oid = alloc_object(s, cfg.hierarchy.object_class(entry.class_name))
         by_name[entry.name] = oid
     for entry in setup:
         oid = by_name[entry.name]

@@ -97,6 +97,32 @@ class TestRunCommand:
         assert main(["run", str(model)]) == EXIT_OK
         assert "C1499(id 0)" in capsys.readouterr().out
 
+    def test_link_of_the_wrong_class_is_a_validation_error(self, tmp_path,
+                                                           capsys):
+        # The link would fill ``b: Buffer`` with a Worker, whose put() call
+        # could only fail at run time.
+        model = tmp_path / "link.smm"
+        model.write_text("""class Buffer { attr data: Int = 0; }
+class Worker { attr b: Buffer = null; }
+op Buffer.put(p: Int): Void { return void; }
+op Worker.work(): Void {
+  let b: Buffer = null;
+  loadattr b b;
+  let x: Int = 1;
+  call b.put(x) -> r;
+  return void;
+}
+setup {
+  w: Worker active work prio 1 links [b];
+  b: Worker passive;
+}
+""")
+        code = main(["run", str(model)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == (f"{model}:12:3: link 'b' of 'w' would store a "
+                       f"'Worker' in an attribute of type Buffer\n")
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         crashy = tmp_path / "crashy.smm"
         crashy.write_text("""

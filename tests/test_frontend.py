@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import smm.universe
 from smm import (
     Active, AllDone, AttrDef, ClassDef, INT, IntVal, ModelError,
     OidVal, Passive, RecordVal, RunResult, StoredObject, empty_state,
@@ -221,6 +222,92 @@ class TestLocatedDiagnostics:
         assert len(found) == len(expected), found
         for (line, message), (want_line, fragment) in zip(found, expected):
             assert line == want_line and fragment in message, found
+
+
+# Sources whose whole ModelError text is pinned, one located line each.
+CYCLES = [
+    ("class A extends B, C { }\nclass B extends A { }\n"
+     "class C extends A { }",
+     ["1:7: inheritance cycle through class 'A'",
+      "2:7: inheritance cycle through class 'B'",
+      "3:7: inheritance cycle through class 'A'"]),
+    ("class X extends A { }\nclass A extends B { }\n"
+     "class B extends C { }\nclass C extends A { }",
+     ["1:7: inheritance cycle through class 'A'",
+      "2:7: inheritance cycle through class 'A'",
+      "3:7: inheritance cycle through class 'B'",
+      "4:7: inheritance cycle through class 'C'"]),
+    ("class A extends A { }\n  class B extends A { }",
+     ["1:7: inheritance cycle through class 'A'",
+      "2:9: inheritance cycle through class 'A'"]),
+]
+
+
+class TestCycleDiagnostics:
+    @pytest.mark.parametrize("source, expected", CYCLES)
+    def test_each_class_names_the_class_its_walk_meets_twice(self, source,
+                                                            expected):
+        with pytest.raises(ModelError) as err:
+            parse_model(source)
+        assert [str(d) for d in err.value.diagnostics] == expected
+
+
+class TestSetupLinks:
+    # Worker inherits ``b: Buffer``; the setup links a Worker into it.
+    WRONG_CLASS = ("class Buffer { }\nclass Base { attr b: Buffer = null; }\n"
+                   "class Worker extends Base { }\nsetup {\n"
+                   "  w: Worker passive links [b];\n  b: {cls} passive;\n}")
+
+    def test_a_link_must_fit_the_attribute_type(self):
+        with pytest.raises(ModelError) as err:
+            parse_model(self.WRONG_CLASS.replace("{cls}", "Worker"))
+        assert [str(d) for d in err.value.diagnostics] == [
+            "5:3: link 'b' of 'w' would store a 'Worker' in an attribute "
+            "of type Buffer"]
+
+    def test_a_subclass_object_fits(self):
+        text = self.WRONG_CLASS.replace("{cls}", "Special")
+        model = parse_model("class Special extends Buffer { }\n" + text)
+        assert model.setup[0].links == ("b",)
+
+
+def _chain_source(depth: int) -> str:
+    """A ``depth``-deep single-inheritance chain with one attribute per
+    class. The leaf's method reads the root's attribute and writes its
+    own, the root's reads the leaf's, and the leaf object is linked."""
+    leaf = f"C{depth - 1}"
+    lines = ["class C0 { attr a0: Int = 0; }"]
+    lines += [f"class C{i} extends C{i - 1} {{ attr a{i}: Int = 0; }}"
+              for i in range(1, depth)]
+    lines += [f"op {leaf}.go(): Void {{ let x: Int = 0; loadattr x a0; "
+              f"setattr a{depth - 1} x; return void; }}",
+              f"op C0.f(): Void {{ let x: Int = 0; loadattr x a{depth - 1}; "
+              f"return void; }}",
+              f"setup {{ o: {leaf} active go prio 0 links [p]; "
+              f"p: C0 passive; }}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestLinearLoading:
+    def test_chain_walks_visit_each_class_a_few_times(self, monkeypatch):
+        depth = 1000
+        walk = smm.universe._linearize
+        visited = 0
+
+        def counting_walk(cls, scl):
+            nonlocal visited
+            pre, post = walk(cls, scl)
+            visited += len(pre)
+            return pre, post
+
+        monkeypatch.setattr(smm.universe, "_linearize", counting_walk)
+        parse_model(_chain_source(depth))
+        assert visited <= 10 * depth
+
+    def test_a_10000_deep_chain_loads(self):
+        model = parse_model(_chain_source(10_000))
+        assert len(model.classes) == 10_000
+        assert model.setup[0].kind.op.name == "go"
 
 
 class TestRoundTrip:

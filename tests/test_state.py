@@ -219,9 +219,9 @@ class TestValidateState:
         base = ClassDef("B", (AttrDef("n", INT, IntVal(0)),))
         sub = ClassDef("C", (AttrDef("k", BOOL, BoolVal(False)),))
         cfg = make_config({"B": base, "C": sub}, {"C": ("B",)}, {})
-        layout = cfg.object_class("C")
+        layout = cfg.hierarchy.object_class("C")
         assert layout.attributes == base.attributes + sub.attributes
-        assert cfg.object_class("C") is layout
+        assert cfg.hierarchy.object_class("C") is layout
         s, _ = alloc_object(empty_state(), layout)
         assert validate_state(s, cfg) == []
         # C's own attributes alone are not what a C object holds.

@@ -9,7 +9,7 @@ from smm import (
     VOID_VAL, super_chain, validate_model,
 )
 from smm.actions import Jump, NewLocal, ReturnConst
-from smm.universe import Problem, class_attributes, same_kind, value_fits
+from smm.universe import Hierarchy, Problem, same_kind, value_fits
 
 from conftest import buffer_tables
 
@@ -89,8 +89,9 @@ class TestClassAttributes:
         classes = {"A": ClassDef("A", (a,)), "B": ClassDef("B", (b,)),
                    "C": ClassDef("C", (c,))}
         scl = {"B": ("A",), "C": ("B",)}
-        assert class_attributes("C", classes, scl) == (a, b, c)
-        assert class_attributes("A", classes, scl) == (a,)
+        hierarchy = Hierarchy(classes, scl)
+        assert hierarchy.object_class("C") == ClassDef("C", (a, b, c))
+        assert hierarchy.object_class("A") == ClassDef("A", (a,))
 
     def test_every_class_after_its_superclasses(self):
         # D extends B and C, and C extends B: method lookup walks D, B, C,
@@ -99,14 +100,16 @@ class TestClassAttributes:
         classes = {"B": ClassDef("B", (b,)), "C": ClassDef("C", (c,)),
                    "D": ClassDef("D", (d,))}
         scl = {"C": ("B",), "D": ("B", "C")}
-        assert super_chain("D", scl) == ("D", "B", "C")
-        assert class_attributes("D", classes, scl) == (b, c, d)
-        assert class_attributes("C", classes, scl) == (b, c)
+        hierarchy = Hierarchy(classes, scl)
+        assert hierarchy.chain("D") == super_chain("D", scl) == ("D", "B", "C")
+        assert hierarchy.roots_first("D") == ["B", "C", "D"]
+        assert hierarchy.object_class("D").attributes == (b, c, d)
+        assert hierarchy.object_class("C").attributes == (b, c)
 
     def test_unknown_superclass_contributes_nothing(self):
         a = AttrDef("a", INT, IntVal(0))
-        assert class_attributes("A", {"A": ClassDef("A", (a,))},
-                                {"A": ("Zed",)}) == (a,)
+        hierarchy = Hierarchy({"A": ClassDef("A", (a,))}, {"A": ("Zed",)})
+        assert hierarchy.object_class("A").attributes == (a,)
 
 
 class TestValidateModel:
@@ -196,6 +199,40 @@ class TestValidateModel:
                     f1: MethodDef(f1, (("p", INT),),
                                   (ReturnConst(VOID_VAL),))}}
         assert validate_model({"X": ClassDef("X", ())}, {}, mm) == []
+
+
+class TestCycleDiagnostics:
+    """Each class whose walk meets a cycle is reported at its own name,
+    and the message names the first class that walk meets twice."""
+
+    @staticmethod
+    def _problems(scl):
+        return validate_model({name: ClassDef(name) for name in scl}, scl, {})
+
+    @staticmethod
+    def _cycle(name, through):
+        return Problem(("class", name),
+                       f"inheritance cycle through class {through!r}")
+
+    def test_a_class_names_the_cycle_its_walk_closes(self):
+        # C's walk goes C, A, B and meets A again, although C extends A
+        # and A extends C close a cycle through C as well.
+        scl = {"A": ("B", "C"), "B": ("A",), "C": ("A",)}
+        assert self._problems(scl) == [self._cycle("A", "A"),
+                                       self._cycle("B", "B"),
+                                       self._cycle("C", "A")]
+
+    def test_a_class_extending_into_a_three_cycle(self):
+        scl = {"X": ("A",), "A": ("B",), "B": ("C",), "C": ("A",)}
+        assert self._problems(scl) == [self._cycle("X", "A"),
+                                       self._cycle("A", "A"),
+                                       self._cycle("B", "B"),
+                                       self._cycle("C", "C")]
+
+    def test_a_class_extending_itself(self):
+        scl = {"A": ("A",), "B": ("A",)}
+        assert self._problems(scl) == [self._cycle("A", "A"),
+                                       self._cycle("B", "A")]
 
 
 class TestValueCompat:

@@ -10,7 +10,8 @@ from smm import (
     ClassDef, ExecError, Frame, IntVal, Message, MethodDef,
     OpSig, RecordVal, ReturnPayload, RunnableEntry, Thread, ThreadStatus,
     VOID, VOID_VAL, alloc_object, collect_runnables, deliver_reliable,
-    dispatch_single, empty_state, schedule_prio, schedule_rr, super_chain,
+    dispatch_single, empty_state, make_config, schedule_prio, schedule_rr,
+    super_chain,
 )
 from smm.actions import ReturnConst
 from smm.state import CallPayload, make_event, update_thread
@@ -316,3 +317,19 @@ class TestReliableMedium:
         s, _ = _buffer_state()
         with pytest.raises(ExecError):
             deliver_reliable(s.es, _call_event(0, receiver=9))
+
+
+class TestConfigHierarchy:
+    def test_built_once_per_config_and_not_a_field(self):
+        classes, scl, mm = buffer_tables()
+        cfg = make_config(classes, scl, mm)
+        hierarchy = cfg.hierarchy
+        assert cfg.hierarchy is hierarchy
+        assert cfg == make_config(classes, scl, mm)
+        # A replaced config has its own hierarchy, of its own tables.
+        sub = ClassDef("Special", ())
+        wider = replace(cfg, class_table={**classes, "Special": sub},
+                        subclass_rel={"Special": ("Buffer",)})
+        assert wider != cfg and wider.hierarchy is not hierarchy
+        assert wider.hierarchy.chain("Special") == ("Special", "Buffer")
+        assert hierarchy.chain("Special") is None

@@ -8,9 +8,10 @@ import pytest
 import smm.vm
 from smm import (
     Active, AllDone, AttrDef, Blocked, CallerRef, CallPayload, ClassDef,
-    EventKind, ExecError, Frame, INT, IntVal, InternalError, Message,
-    MethodDef, ModelDef, ModelError, OidVal, OpSig, Passive, RecordVal,
-    SetupEntry, StepLimit, Thread, ThreadStatus, VOID, VOID_VAL,
+    ClassType, EventKind, ExecError, Frame, INT, IntVal, InternalError,
+    Message, MethodDef, ModelDef, ModelError, NULL_OID, OidVal, OpSig,
+    Passive, RecordVal, SetupEntry, StepLimit, Thread, ThreadStatus, VOID,
+    VOID_VAL,
     add_last_exec_info, alloc_object, build_initial_state, collect_runnables,
     consume_event, deliver_reliable, empty_state, make_config, parse_model,
     run, run_main, run_model,
@@ -92,6 +93,24 @@ class TestBuildInitialState:
             build_initial_state(cfg, setup)
         assert [d.message for d in err.value.diagnostics] == [
             "link 'data' of 'x' would overwrite a non-reference attribute"]
+
+    def test_link_must_fit_a_class_typed_attribute(self):
+        classes, _, mm = buffer_tables()
+        slot = AttrDef("buf", ClassType("Buffer"), NULL_OID)
+        classes = {**classes, "Holder": ClassDef("Holder", (slot,)),
+                   "Special": ClassDef("Special", ())}
+        cfg = make_config(classes, {"Special": ("Buffer",)}, mm)
+        holder = SetupEntry("h", "Holder", Passive(), ("buf",))
+        setup = (holder, SetupEntry("buf", "Holder", Passive(), ()))
+        with pytest.raises(ModelError) as err:
+            build_initial_state(cfg, setup)
+        assert [d.message for d in err.value.diagnostics] == [
+            "link 'buf' of 'h' would store a 'Holder' in an attribute of "
+            "type Buffer"]
+        # An object of a subclass of the attribute's type fits.
+        s = build_initial_state(
+            cfg, (holder, SetupEntry("buf", "Special", Passive(), ())))
+        assert s.ds[0].attrs.fields == (("buf", OidVal(1)),)
 
     def test_objects_get_the_attributes_of_their_chain(self):
         classes, _, mm = buffer_tables()
