@@ -29,7 +29,6 @@ from .universe import (
 )
 
 BIN_OPS = ("add", "sub", "mul", "eq", "lt")
-ARITH_OPS = ("add", "sub", "mul")
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,22 @@ The parser checks only what needs its tokens: syntax, duplicate classes and
 methods (which the tables would swallow), labels, call-site and start
 operation resolution, config keys, and attribute references (which need
 the setup's links). Both of the last read one ``universe.Hierarchy``,
-which walks only the chains they ask for, so loading is linear in the
-depth of a chain. Every other rule has one home, ``validate_model`` for
-the model and ``smm.vm.check_setup`` for the setup; the parser places each
-of their problems at the token it recorded for the element the problem
-names, and reports everything it found in one pass, in source order.
+which walks only the chains they ask for; attribute references are
+checked per name, from its index of the classes declaring each name, or
+per class where one class reads many names. So loading is linear in the
+depth of a chain, except that the redeclaration check is still O(N²) on
+a chain where every class redeclares one name. Every other rule has one
+home, ``validate_model`` for the model and ``smm.vm.check_setup`` for the
+setup; the parser places each of their problems at the token it recorded
+for the element the problem names, and reports everything it found in
+one pass, in source order.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import actions as A
@@ -90,7 +95,6 @@ class TraceRecord:
     tid: int
     pc: int
     action: str
-    deltas: str | None = None
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -103,6 +107,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<int>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{}()\[\]:;,.=])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
@@ -115,24 +120,20 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """One scan; no token spans a newline, so columns count from the last."""
     toks: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelError([Diagnostic(f"unexpected character {text[pos]!r}",
-                                         line, col)])
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "nl":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(_Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    toks.append(_Token("eof", "", line, col))
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ModelError([Diagnostic(f"unexpected character {m.group()!r}",
+                                         line, m.start() - line_start + 1)])
+        elif kind != "ws" and kind != "comment":
+            toks.append(_Token(kind, m.group(), line,
+                               m.start() - line_start + 1))
+    toks.append(_Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -142,6 +143,12 @@ _STMT_KEYWORDS = {
     "let", "loadparam", "loadattr", "set", "setattr", "add", "sub", "mul",
     "eq", "lt", "goto", "ifnot", "new", "call", "send", "return",
 }
+
+# The keyword literals and the values they spell.
+_LITERALS = {"true": BoolVal(True), "false": BoolVal(False), "void": VOID_VAL,
+             "null": NULL_OID}
+
+_BASE_TYPES = {str(t): t for t in (INT, BOOL, VOID)}
 
 _CONFIG_KEYS = {
     "runnables": RUNNABLES, "scheduler": SCHEDULERS,
@@ -201,70 +208,62 @@ class _Parser:
         return tok
 
     def fail(self, msg: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        self.diags.append(Diagnostic(msg, tok.line, tok.col))
+        self.note(msg, tok or self.peek())
         raise _ParseAbort
 
     def note(self, msg: str, tok: _Token):
         self.diags.append(Diagnostic(msg, tok.line, tok.col))
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None,
+               what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self.fail(f"expected {want!r}, found {tok.text or 'end of file'!r}")
+            what = what or repr(text if text is not None else kind)
+            self.fail(f"expected {what}, found {tok.text or 'end of file'!r}")
         return self.next()
 
     def ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.text or 'end of file'!r}")
-        return self.next()
+        return self.expect("ident", what=what)
+
+    def items(self, read, brackets: str = "") -> list:
+        """``read()`` for each item of a comma-separated list; inside
+        ``brackets`` ("()" or "[]"), when given, the list may be empty."""
+        if brackets:
+            self.expect("punct", brackets[0])
+        found = [] if brackets and self.peek().text == brackets[1] else [read()]
+        while found and self.peek().text == ",":
+            self.next()
+            found.append(read())
+        if brackets:
+            self.expect("punct", brackets[1])
+        return found
 
     # grammar
 
     def parse(self) -> ModelDef:
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        sections = {"class": self.parse_class, "op": self.parse_op,
+                    "setup": self.parse_setup, "config": self.parse_config}
+        while (tok := self.peek()).kind != "eof":
             if tok.kind != "ident":
                 self.fail("expected 'class', 'op', 'setup' or 'config'")
-            if tok.text == "class":
-                self.parse_class()
-            elif tok.text == "op":
-                self.parse_op()
-            elif tok.text == "setup":
-                self.parse_setup()
-            elif tok.text == "config":
-                self.parse_config()
-            else:
+            if tok.text not in sections:
                 self.fail(f"expected 'class', 'op', 'setup' or 'config', "
                           f"found {tok.text!r}")
+            sections[tok.text]()
         return self.finish()
 
     def parse_type(self) -> TypeRef:
         tok = self.ident("a type name")
-        if tok.text == "Int":
-            return INT
-        if tok.text == "Bool":
-            return BOOL
-        if tok.text == "Void":
-            return VOID
-        return ClassType(tok.text)
+        return _BASE_TYPES.get(tok.text) or ClassType(tok.text)
 
     def parse_literal(self) -> Value:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
             return IntVal(int(tok.text))
-        if tok.kind == "ident" and tok.text in ("true", "false", "void", "null"):
+        if tok.kind == "ident" and tok.text in _LITERALS:
             self.next()
-            if tok.text == "true":
-                return BoolVal(True)
-            if tok.text == "false":
-                return BoolVal(False)
-            if tok.text == "void":
-                return VOID_VAL
-            return NULL_OID
+            return _LITERALS[tok.text]
         self.fail(f"expected a literal, found {tok.text or 'end of file'!r}")
 
     def parse_class(self):
@@ -277,13 +276,9 @@ class _Parser:
         supers: list[str] = []
         if self.peek().kind == "ident" and self.peek().text == "extends":
             self.next()
-            while True:
-                sup_tok = self.ident("a superclass name")
+            for sup_tok in self.items(lambda: self.ident("a superclass name")):
                 supers.append(sup_tok.text)
                 self.locs[("extends", name, sup_tok.text)] = sup_tok
-                if self.peek().text != ",":
-                    break
-                self.next()
         self.expect("punct", "{")
         attrs: list[AttrDef] = []
         while self.peek().text != "}":
@@ -306,18 +301,13 @@ class _Parser:
         cls_tok = self.ident("a class name")
         self.expect("punct", ".")
         op_tok = self.ident("an operation name")
-        self.expect("punct", "(")
-        params: list[tuple[str, TypeRef]] = []
-        if self.peek().text != ")":
-            while True:
-                p_tok = self.ident("a parameter name")
-                self.expect("punct", ":")
-                p_type = self.parse_type()
-                params.append((p_tok.text, p_type))
-                if self.peek().text != ",":
-                    break
-                self.next()
-        self.expect("punct", ")")
+
+        def param() -> tuple[str, TypeRef]:
+            p_tok = self.ident("a parameter name")
+            self.expect("punct", ":")
+            return p_tok.text, self.parse_type()
+
+        params = self.items(param, "()")
         self.expect("punct", ":")
         sig = OpSig(op_tok.text, tuple(t for _, t in params), self.parse_type())
         where = ("op", cls_tok.text, sig)
@@ -372,18 +362,6 @@ class _Parser:
         pending.append((index, lbl.text, lbl))
         return 0
 
-    def parse_arg_list(self) -> list[str]:
-        self.expect("punct", "(")
-        args: list[str] = []
-        if self.peek().text != ")":
-            while True:
-                args.append(self.ident("an argument local").text)
-                if self.peek().text != ",":
-                    break
-                self.next()
-        self.expect("punct", ")")
-        return args
-
     def parse_stmt(self, raw: _RawOp, pending):
         tok = self.ident("a statement keyword")
         kw = tok.text
@@ -428,31 +406,25 @@ class _Parser:
             dst = self.ident("a destination local").text
             cls = self.ident("a class name").text
             body.append(A.NewObject(dst, cls))
-        elif kw == "call":
+        elif kw in ("call", "send"):
             target = self.ident("a target local").text
             self.expect("punct", ".")
             op_tok = self.ident("an operation name")
-            args = self.parse_arg_list()
-            self.expect("arrow")
-            result = self.ident("a result local").text
+            args = tuple(self.items(
+                lambda: self.ident("an argument local").text, "()"))
+            if kw == "call":
+                self.expect("arrow")
+                body.append(A.Call(target, _UNRESOLVED, args,
+                                   self.ident("a result local").text))
+            else:
+                self.expect("ident", "prio")
+                body.append(A.SendSignal(target, _UNRESOLVED, args,
+                                         int(self.expect("int").text)))
             self.fixups.append(_OpFixup(body, index, op_tok.text, len(args),
                                         op_tok))
-            body.append(A.Call(target, _UNRESOLVED, tuple(args), result))
-        elif kw == "send":
-            target = self.ident("a target local").text
-            self.expect("punct", ".")
-            op_tok = self.ident("an operation name")
-            args = self.parse_arg_list()
-            self.expect("ident", "prio")
-            prio_tok = self.expect("int")
-            self.fixups.append(_OpFixup(body, index, op_tok.text, len(args),
-                                        op_tok))
-            body.append(A.SendSignal(target, _UNRESOLVED, tuple(args),
-                                     int(prio_tok.text)))
         elif kw == "return":
             nxt = self.peek()
-            if nxt.kind == "ident" and nxt.text not in ("true", "false",
-                                                        "void", "null"):
+            if nxt.kind == "ident" and nxt.text not in _LITERALS:
                 self.next()
                 body.append(A.ReturnLocal(nxt.text))
             else:
@@ -484,14 +456,8 @@ class _Parser:
             links: list[str] = []
             if self.peek().text == "links":
                 self.next()
-                self.expect("punct", "[")
-                if self.peek().text != "]":
-                    while True:
-                        links.append(self.ident("a linked object name").text)
-                        if self.peek().text != ",":
-                            break
-                        self.next()
-                self.expect("punct", "]")
+                links = self.items(
+                    lambda: self.ident("a linked object name").text, "[]")
             self.expect("punct", ";")
             self.locs[("setup", len(self.setup))] = name_tok
             self.setup.append(SetupEntry(name_tok.text, cls, kind, tuple(links)))
@@ -565,29 +531,45 @@ class _Parser:
     def _check_attr_refs(self, meth_map: MethMap, hierarchy: Hierarchy):
         """Each attribute an action reads or writes must be one an instance
         running that code may have: declared along the class's chain or on
-        a subclass, or set up as a link."""
+        a subclass, or set up as a link. A reference is answered from the
+        names its class may touch or the classes its name may be touched
+        by, whichever side answers more references, each built once; so
+        many classes reading one name load as fast as one reading many."""
         links = {link for entry in self.setup for link in entry.links}
-        for cls_name, ops in meth_map.items():
-            cls = self.classes.get(cls_name)
-            if cls is None:  # an unknown class, reported already
-                continue
-            own = {attr.name for attr in cls.attributes}
-            refs = [(sig, pc, act.attr) for sig, meth in ops.items()
-                    for pc, act in enumerate(meth.body)
-                    if isinstance(act, (A.LocalFromAttr, A.SetAttr))
-                    and act.attr not in own and act.attr not in links]
-            # Names the class declares or gets as links need no walk; a
-            # class on a cycle is reported already.
-            if not refs or (chain := hierarchy.chain(cls_name)) is None:
-                continue
-            related = hierarchy.below([cls_name]).union(chain)
-            names = {attr.name for c in related if c in self.classes
-                     for attr in self.classes[c].attributes}
-            for sig, pc, attr in refs:
-                if attr not in names:
-                    self.note(f"unknown attribute {attr!r} for class "
-                              f"{cls_name!r}",
-                              self.locs[("action", cls_name, sig, pc)])
+        # A class's own attributes and the links need no walk; an unknown
+        # class or one on a cycle is reported already.
+        refs = [(cls_name, sig, pc, act.attr)
+                for cls_name, ops in meth_map.items()
+                if cls_name in self.classes and cls_name not in hierarchy.cycles
+                for sig, meth in ops.items() for pc, act in enumerate(meth.body)
+                if isinstance(act, (A.LocalFromAttr, A.SetAttr))
+                and act.attr not in links
+                and cls_name not in hierarchy.declarers.get(act.attr, ())]
+        per_class = Counter(ref[0] for ref in refs)
+        per_name = Counter(ref[3] for ref in refs)
+
+        def related(classes: list[str]) -> set[str]:
+            return hierarchy.below(classes).union(*map(hierarchy.chain,
+                                                       classes))
+
+        names: dict[str, set[str]] = {}  # class -> names it may touch
+        touching: dict[str, set[str]] = {}  # name -> classes touching it
+        for cls_name, sig, pc, attr in refs:
+            if cls_name not in names and attr not in touching:
+                if per_name[attr] >= per_class[cls_name]:
+                    touching[attr] = related([
+                        c for c in hierarchy.declarers.get(attr, ())
+                        if c not in hierarchy.cycles])
+                else:
+                    names[cls_name] = {
+                        a.name for c in related([cls_name])
+                        if c in self.classes
+                        for a in self.classes[c].attributes}
+            if not (cls_name in touching[attr] if attr in touching
+                    else attr in names[cls_name]):
+                self.note(f"unknown attribute {attr!r} for class "
+                          f"{cls_name!r}",
+                          self.locs[("action", cls_name, sig, pc)])
 
     def _resolve_start_ops(self, meth_map: MethMap, hierarchy: Hierarchy):
         for index, op_name, loc in self.setup_active:
@@ -641,17 +623,10 @@ def load_model(path) -> ModelDef:
 def _print_literal(v: Value) -> str:
     if isinstance(v, IntVal):
         return str(v.value)
-    if isinstance(v, BoolVal):
-        return "true" if v.value else "false"
-    if isinstance(v, VoidVal):
-        return "void"
-    if isinstance(v, NullOid):
-        return "null"
+    for text, literal in _LITERALS.items():
+        if v == literal:
+            return text
     raise ModelError(f"value {v!r} has no source form")
-
-
-def _print_type(t: TypeRef) -> str:
-    return str(t)
 
 
 def render_action(act: A.Action, labels: dict[int, str] | None = None) -> str:
@@ -661,7 +636,7 @@ def render_action(act: A.Action, labels: dict[int, str] | None = None) -> str:
         return labels[pc] if labels and pc in labels else str(pc)
 
     if isinstance(act, A.NewLocal):
-        return f"let {act.name}: {_print_type(act.type)} = {_print_literal(act.init)}"
+        return f"let {act.name}: {act.type} = {_print_literal(act.init)}"
     if isinstance(act, A.LocalFromParam):
         return f"loadparam {act.local} {act.param}"
     if isinstance(act, A.LocalFromAttr):
@@ -699,15 +674,14 @@ def print_model(m: ModelDef) -> str:
         ext = f" extends {', '.join(supers)}" if supers else ""
         out.append(f"class {cls.name}{ext} {{")
         for a in cls.attributes:
-            out.append(f"  attr {a.name}: {_print_type(a.type)} = "
-                       f"{_print_literal(a.init)};")
+            out.append(f"  attr {a.name}: {a.type} = {_print_literal(a.init)};")
         out.append("}")
         out.append("")
     for cls_name, ops in m.meth_map.items():
         for sig, meth in ops.items():
-            params = ", ".join(f"{n}: {_print_type(t)}" for n, t in meth.params)
+            params = ", ".join(f"{n}: {t}" for n, t in meth.params)
             out.append(f"op {cls_name}.{sig.name}({params}): "
-                       f"{_print_type(sig.return_type)} {{")
+                       f"{sig.return_type} {{")
             targets = sorted({act.target for act in meth.body
                               if isinstance(act, (A.Jump, A.BranchIfFalse))})
             labels = {pc: f"L{pc}" for pc in targets}
@@ -729,10 +703,7 @@ def print_model(m: ModelDef) -> str:
         out.append("}")
         out.append("")
     out.append("config {")
-    out.append(f"  runnables: {m.config.runnables};")
-    out.append(f"  scheduler: {m.config.scheduler};")
-    out.append(f"  dispatch: {m.config.dispatch};")
-    out.append(f"  medium: {m.config.medium};")
+    out += [f"  {key}: {getattr(m.config, key)};" for key in _CONFIG_KEYS]
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -198,6 +198,7 @@ class Hierarchy:
 
     ``cycles`` maps each class whose walk meets an inheritance cycle to the
     class ``super_chain`` names in its error; one pass finds them all.
+    ``declarers`` maps each attribute name to the classes declaring it.
     Chains and object layouts are built when asked for, and kept; the
     layout of a class in ``cycles`` raises ``ModelError``, as
     ``super_chain`` does.
@@ -207,6 +208,10 @@ class Hierarchy:
         self.class_table, self.scl = class_table, scl
         self._chains: dict[str, tuple[str, ...]] = {}
         self._classes: dict[str, ClassDef] = {}
+        self.declarers: dict[str, set[str]] = {}
+        for name, cls in class_table.items():
+            for attr in cls.attributes:
+                self.declarers.setdefault(attr.name, set()).add(name)
         self._subclasses: dict[str, list[str]] = {}
         for name, supers in scl.items():
             for sup in supers:
@@ -345,7 +350,6 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
         return isinstance(t, ClassType) and t.name not in class_table
 
     hierarchy = Hierarchy(class_table, scl)
-    declarers: dict[str, set[str]] = {}  # attribute name -> classes
     for name, cls in class_table.items():
         seen: set[str] = set()
         for i, attr in enumerate(cls.attributes):
@@ -354,7 +358,6 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
                 report(where, f"class {name!r}: duplicate attribute "
                               f"{attr.name!r}")
             seen.add(attr.name)
-            declarers.setdefault(attr.name, set()).add(name)
             if unknown(attr.type):
                 report(where, f"class {name!r}: attribute {attr.name!r} has "
                               f"unknown class type {attr.type.name!r}")
@@ -376,8 +379,8 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
     # two, and only one with attributes of its own or several
     # superclasses can meet a redeclaration not reported at the class
     # that makes it.
-    shared = hierarchy.below(c for cs in declarers.values() if len(cs) > 1
-                             for c in cs)
+    shared = hierarchy.below(c for cs in hierarchy.declarers.values()
+                             if len(cs) > 1 for c in cs)
     reported: set[tuple[str, int]] = set()
     for name in class_table:
         if name in hierarchy.cycles:

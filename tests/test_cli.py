@@ -139,6 +139,28 @@ setup {
         assert code == EXIT_RUNTIME
         assert "null reference" in err
 
+    def test_runtime_error_under_trace(self, tmp_path, capsys):
+        # The steps that ran are printed before the error that stopped
+        # the run.
+        model = tmp_path / "fails_traced.smm"
+        model.write_text("""
+        class A { }
+        op A.go(): Void {
+          let x: Int = 0;
+          let b: Bool = true;
+          add x x b;
+          return void;
+        }
+        setup { a: A active go prio 1; }
+        """)
+        code = main(["run", str(model), "--trace"])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ("[    0] obj=0 tid=0 pc=0 let x: Int = 0\n"
+                                "[    1] obj=0 tid=0 pc=1 let b: Bool = true\n")
+        assert captured.err == ("smm: runtime error: local 'b' is not an "
+                                "integer [oid=0, tid=0, pc=2]\n")
+
     def test_attribute_write_error_carries_one_context_suffix(self, tmp_path,
                                                               capsys):
         # Superclass code may name an attribute only a subclass declares;

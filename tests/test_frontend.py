@@ -209,6 +209,24 @@ LOCATED = [
     ("class A { }\nclass B extends Zed { }\nop B.f(): Void {\n"
      "  goto nowhere;\n  return void;\n}",
      [(2, "extends unknown class 'Zed'"), (4, "unknown label 'nowhere'")]),
+    ("class A { }\nclass A { }", [(2, "duplicate class 'A'")]),
+    ("class A { }\nop A.f(): Void { return void; }\n"
+     "op A.f(): Void { return void; }",
+     [(3, "duplicate method A.f")]),
+    ("class A { }\nop A.f(): Void {\nL: goto L;\nL: return void;\n}",
+     [(4, "duplicate label 'L'")]),
+    ("class A { }\nop A.f(): Void { return void; }\n"
+     "op A.f(): Int { return 0; }\nsetup { a: A active f prio 1; }",
+     [(4, "start operation 'f' is ambiguous for class 'A'")]),
+    ("class A { }\nop A.f(): Void { return void; }\n"
+     "setup { a: A active f prio -1; }",
+     [(3, "setup object 'a' has a negative priority")]),
+    ("class A { }\nop A.f(): Void {\n  let x: Int = true;\n"
+     "  return void;\n}",
+     [(3, "method A.f: action 0 initial value does not fit type Int")]),
+    ("class A { }\nop A.f(p: Int, p: Int): Void { return void; }",
+     [(2, "method A.f: duplicate parameter 'p'")]),
+    ("class A { }\n  $", [(2, "unexpected character '$'")]),
 ]
 
 
@@ -288,26 +306,82 @@ def _chain_source(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _inherited_reads_source(depth: int) -> str:
+    """A ``depth``-deep single-inheritance chain in which every class has
+    a method that reads the root's attribute."""
+    lines = ["class C0 { attr a0: Int = 0; }"]
+    lines += [f"class C{i} extends C{i - 1} {{ }}" for i in range(1, depth)]
+    lines += [f"op C{i}.get(): Int {{ let x: Int = 0; loadattr x a0; "
+              f"return x; }}" for i in range(depth)]
+    return "\n".join(lines) + "\n"
+
+
+def _many_names_source(depth: int) -> str:
+    """A ``depth``-deep chain with one attribute per class, whose leaf
+    reads every attribute it inherits and whose root writes every one
+    its subclasses declare."""
+    lines = ["class C0 { attr a0: Int = 0; }"]
+    lines += [f"class C{i} extends C{i - 1} {{ attr a{i}: Int = 0; }}"
+              for i in range(1, depth)]
+    reads = " ".join(f"loadattr x a{i};" for i in range(depth - 1))
+    writes = " ".join(f"setattr a{i} x;" for i in range(1, depth))
+    lines += [f"op C{depth - 1}.get(): Void {{ let x: Int = 0; {reads} "
+              f"return void; }}",
+              f"op C0.put(): Void {{ let x: Int = 0; {writes} "
+              f"return void; }}"]
+    return "\n".join(lines) + "\n"
+
+
+def _count_visits(monkeypatch) -> list[int]:
+    """Count the classes ``_linearize`` walks and ``Hierarchy.below``
+    returns from now on; the count is the list's one item."""
+    walk, below = smm.universe._linearize, smm.universe.Hierarchy.below
+    visited = [0]
+
+    def counting_walk(cls, scl):
+        pre, post = walk(cls, scl)
+        visited[0] += len(pre)
+        return pre, post
+
+    def counting_below(self, classes):
+        found = below(self, classes)
+        visited[0] += len(found)
+        return found
+
+    monkeypatch.setattr(smm.universe, "_linearize", counting_walk)
+    monkeypatch.setattr(smm.universe.Hierarchy, "below", counting_below)
+    return visited
+
+
 class TestLinearLoading:
     def test_chain_walks_visit_each_class_a_few_times(self, monkeypatch):
         depth = 1000
-        walk = smm.universe._linearize
-        visited = 0
-
-        def counting_walk(cls, scl):
-            nonlocal visited
-            pre, post = walk(cls, scl)
-            visited += len(pre)
-            return pre, post
-
-        monkeypatch.setattr(smm.universe, "_linearize", counting_walk)
+        visited = _count_visits(monkeypatch)
         parse_model(_chain_source(depth))
-        assert visited <= 10 * depth
+        assert visited[0] <= 10 * depth
+
+    def test_inherited_reads_visit_each_class_a_few_times(self,
+                                                          monkeypatch):
+        depth = 1000
+        visited = _count_visits(monkeypatch)
+        parse_model(_inherited_reads_source(depth))
+        assert visited[0] <= 10 * depth
+
+    def test_one_class_reading_many_names_visits_each_class_a_few_times(
+            self, monkeypatch):
+        depth = 1000
+        visited = _count_visits(monkeypatch)
+        parse_model(_many_names_source(depth))
+        assert visited[0] <= 10 * depth
 
     def test_a_10000_deep_chain_loads(self):
         model = parse_model(_chain_source(10_000))
         assert len(model.classes) == 10_000
         assert model.setup[0].kind.op.name == "go"
+
+    def test_a_10000_deep_chain_of_inherited_reads_loads(self):
+        model = parse_model(_inherited_reads_source(10_000))
+        assert len(model.meth_map) == 10_000
 
 
 class TestRoundTrip:
