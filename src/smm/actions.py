@@ -14,7 +14,7 @@ block, and ``Return`` answers the caller (if any) and pops the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import ExecError
@@ -120,9 +120,10 @@ Action = Union[
 
 
 def _local(frame, name: str) -> Value:
-    if not frame.locals.has(name):
-        raise ExecError(f"unknown local {name!r}")
-    return frame.locals.get(name)
+    try:
+        return frame.locals.get(name)
+    except KeyError:
+        raise ExecError(f"unknown local {name!r}") from None
 
 
 def _int_local(frame, name: str) -> int:
@@ -132,10 +133,19 @@ def _int_local(frame, name: str) -> int:
     return v.value
 
 
-def _store_local(frame, name: str, v: Value):
+def _store_local(frame, name: str, v: Value) -> RecordVal:
+    """The frame's locals with ``name``, an existing local, set to ``v``."""
     if not same_kind(_local(frame, name), v):
         raise ExecError(f"type error assigning local {name!r}")
-    return replace(frame, locals=frame.locals.set(name, v))
+    return frame.locals.set(name, v)
+
+
+def _advance(frame: Frame, locals: RecordVal | None = None,
+             pc: int | None = None) -> Frame:
+    """``frame`` at ``pc`` (by default the next action), with ``locals``."""
+    return Frame(frame.self_oid, frame.meth, frame.params,
+                 frame.locals if locals is None else locals,
+                 frame.pc + 1 if pc is None else pc, frame.caller)
 
 
 def _arg_record(frame, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
@@ -145,7 +155,8 @@ def _arg_record(frame, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
     fields = []
     for i, name in enumerate(arg_names):
         v = _local(frame, name)
-        if not value_fits(v, sig.param_types[i], cfg.subclass_rel, ds):
+        if not value_fits(v, sig.param_types[i], cfg.subclass_rel, ds,
+                          cfg.hierarchy):
             raise ExecError(f"argument {i} of {sig.name!r} does not fit "
                             f"type {sig.param_types[i]}")
         fields.append((str(i), v))
@@ -168,13 +179,13 @@ def _jump(frame, target: int):
     if not 0 <= target < len(body):
         raise ExecError(f"action {frame.pc} jumps to {target}, outside the "
                         f"body of {len(body)} actions")
-    return replace(frame, pc=target)
+    return _advance(frame, pc=target)
 
 
 def _emit(s: SimState, cfg, msg: Message) -> SimState:
     """``s`` with ``msg`` handed to the medium as the next event."""
     es = cfg.medium(s.es, make_event(msg, s.next_seq))
-    return replace(s, es=es, next_seq=s.next_seq + 1)
+    return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq + 1)
 
 
 def replace_top(s: SimState, thr: Thread, frame: Frame,
@@ -183,7 +194,8 @@ def replace_top(s: SimState, thr: Thread, frame: Frame,
 
     The thread is stored under its own id at the frame's object.
     """
-    new_thr = replace(thr, status=status, frames=thr.frames[:-1] + (frame,))
+    new_thr = Thread(thr.tid, thr.base_prio, status,
+                     thr.frames[:-1] + (frame,))
     return update_thread(s, frame.self_oid, thr.tid, new_thr)
 
 
@@ -197,7 +209,6 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     """
     thr = s.thread(oid, tid)
     frame = thr.top
-    pc = frame.pc
 
     def commit(new_frame: Frame, base: SimState = s,
                status: ThreadStatus = ThreadStatus.READY) -> SimState:
@@ -206,30 +217,32 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     if isinstance(action, NewLocal):
         if frame.locals.has(action.name):
             raise ExecError(f"local {action.name!r} already exists")
-        if not value_fits(action.init, action.type, cfg.subclass_rel, s.ds):
+        if not value_fits(action.init, action.type, cfg.subclass_rel, s.ds,
+                          cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
-        new = replace(frame, locals=frame.locals.set(action.name, action.init),
-                      pc=pc + 1)
-        return commit(new)
+        return commit(_advance(frame, frame.locals.set(action.name,
+                                                       action.init)))
 
     if isinstance(action, LocalFromParam):
-        if not frame.params.has(action.param):
-            raise ExecError(f"unknown parameter {action.param!r}")
-        new = _store_local(frame, action.local, frame.params.get(action.param))
-        return commit(replace(new, pc=pc + 1))
+        try:
+            v = frame.params.get(action.param)
+        except KeyError:
+            raise ExecError(f"unknown parameter {action.param!r}") from None
+        return commit(_advance(frame, _store_local(frame, action.local, v)))
 
     if isinstance(action, LocalFromAttr):
         obj = s.ds[oid]
-        if not obj.attrs.has(action.attr):
-            raise ExecError(f"object {oid} ({obj.class_name}) has no attribute "
-                            f"{action.attr!r}")
-        new = _store_local(frame, action.local, obj.attrs.get(action.attr))
-        return commit(replace(new, pc=pc + 1))
+        try:
+            v = obj.attrs.get(action.attr)
+        except KeyError:
+            raise ExecError(f"object {oid} ({obj.class_name}) has no "
+                            f"attribute {action.attr!r}") from None
+        return commit(_advance(frame, _store_local(frame, action.local, v)))
 
     if isinstance(action, LocalConst):
-        new = _store_local(frame, action.local, action.value)
-        return commit(replace(new, pc=pc + 1))
+        return commit(_advance(frame, _store_local(frame, action.local,
+                                                   action.value)))
 
     if isinstance(action, SetAttr):
         v = _local(frame, action.local)
@@ -237,11 +250,10 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         if cls_name in cfg.class_table:
             for attr in cfg.hierarchy.object_class(cls_name).attributes:
                 if attr.name == action.attr and not value_fits(
-                        v, attr.type, cfg.subclass_rel, s.ds):
+                        v, attr.type, cfg.subclass_rel, s.ds, cfg.hierarchy):
                     raise ExecError(
                         f"type error writing attribute {action.attr!r}")
-        return commit(replace(frame, pc=pc + 1),
-                      write_attr(s, oid, action.attr, v))
+        return commit(_advance(frame), write_attr(s, oid, action.attr, v))
 
     if isinstance(action, BinOp):
         if action.op not in BIN_OPS:
@@ -258,8 +270,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
             out = BoolVal(lhs == rhs)
         else:
             out = BoolVal(lhs < rhs)
-        new = _store_local(frame, action.dst, out)
-        return commit(replace(new, pc=pc + 1))
+        return commit(_advance(frame, _store_local(frame, action.dst, out)))
 
     if isinstance(action, Jump):
         return commit(_jump(frame, action.target))
@@ -269,7 +280,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         if not isinstance(cond, BoolVal):
             raise ExecError(f"branch condition {action.cond!r} is not a boolean")
         if cond.value:
-            return commit(replace(frame, pc=pc + 1))
+            return commit(_advance(frame))
         return commit(_jump(frame, action.target))
 
     if isinstance(action, NewObject):
@@ -277,8 +288,8 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
             raise ExecError(f"unknown class {action.class_name!r}")
         s2, new_oid = alloc_object(s, cfg.hierarchy.object_class(
             action.class_name))
-        new = _store_local(frame, action.dst, OidVal(new_oid))
-        return commit(replace(new, pc=pc + 1), s2)
+        return commit(_advance(frame, _store_local(frame, action.dst,
+                                                   OidVal(new_oid))), s2)
 
     if isinstance(action, (Call, SendSignal)):
         dst = _target_oid(frame, action.target, s)
@@ -295,7 +306,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
             status = ThreadStatus.READY
         s2 = _emit(s, cfg, Message(sender=oid, sender_thread=tid,
                                    receiver=dst, payload=payload))
-        return commit(replace(frame, pc=pc + 1), s2, status)
+        return commit(_advance(frame), s2, status)
 
     if isinstance(action, (ReturnConst, ReturnLocal)):
         if isinstance(action, ReturnLocal):

@@ -47,6 +47,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from . import actions as A
 from .errors import Diagnostic, ModelError
@@ -530,11 +531,13 @@ class _Parser:
 
     def _check_attr_refs(self, meth_map: MethMap, hierarchy: Hierarchy):
         """Each attribute an action reads or writes must be one an instance
-        running that code may have: declared along the class's chain or on
-        a subclass, or set up as a link. A reference is answered from the
-        names its class may touch or the classes its name may be touched
-        by, whichever side answers more references, each built once; so
-        many classes reading one name load as fast as one reading many."""
+        running that code may have: in the layout of the class or of a
+        subclass, or set up as a link. So a class may touch a name when it
+        is above a class below one of the name's declarers. A reference is
+        answered from the names its class may touch or the classes its name
+        may be touched by, whichever side answers more references, each
+        built once; so many classes reading one name load as fast as one
+        reading many."""
         links = {link for entry in self.setup for link in entry.links}
         # A class's own attributes and the links need no walk; an unknown
         # class or one on a cycle is reported already.
@@ -548,18 +551,16 @@ class _Parser:
         per_class = Counter(ref[0] for ref in refs)
         per_name = Counter(ref[3] for ref in refs)
 
-        def related(classes: list[str]) -> set[str]:
-            return hierarchy.below(classes).union(*map(hierarchy.chain,
-                                                       classes))
+        def related(classes: Iterable[str]) -> set[str]:
+            return hierarchy.above(hierarchy.below(classes))
 
         names: dict[str, set[str]] = {}  # class -> names it may touch
         touching: dict[str, set[str]] = {}  # name -> classes touching it
         for cls_name, sig, pc, attr in refs:
             if cls_name not in names and attr not in touching:
                 if per_name[attr] >= per_class[cls_name]:
-                    touching[attr] = related([
-                        c for c in hierarchy.declarers.get(attr, ())
-                        if c not in hierarchy.cycles])
+                    touching[attr] = related(hierarchy.declarers.get(attr,
+                                                                     ()))
                 else:
                     names[cls_name] = {
                         a.name for c in related([cls_name])

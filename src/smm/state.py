@@ -13,7 +13,7 @@ inside the state, which is what makes whole runs reproducible values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import ExecError, InternalError
@@ -173,12 +173,9 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
     """
     oid = len(s.ds)
     attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
-    return replace(
-        s,
-        ds={**s.ds, oid: StoredObject(cls.name, attrs)},
-        cs={**s.cs, oid: {}},
-        es={**s.es, oid: ()},
-    ), oid
+    return SimState({**s.ds, oid: StoredObject(cls.name, attrs)},
+                    {**s.cs, oid: {}}, {**s.es, oid: ()},
+                    s.next_tid, s.next_seq), oid
 
 
 def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
@@ -186,15 +183,18 @@ def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
     obj = s.ds.get(oid)
     if obj is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
-    if not obj.attrs.has(name):
+    try:
+        old = obj.attrs.get(name)
+    except KeyError:
         raise ExecError(f"object {oid} ({obj.class_name}) has no attribute "
-                        f"{name!r}", oid=oid)
-    if not same_kind(obj.attrs.get(name), v):
+                        f"{name!r}", oid=oid) from None
+    if not same_kind(old, v):
         raise ExecError(
             f"type error writing attribute {name!r} of object {oid}: "
             f"{v!r} does not match the stored kind", oid=oid)
     new_obj = StoredObject(obj.class_name, obj.attrs.set(name, v))
-    return replace(s, ds={**s.ds, oid: new_obj})
+    return SimState({**s.ds, oid: new_obj}, s.cs, s.es, s.next_tid,
+                    s.next_seq)
 
 
 def add_link_attr(s: SimState, oid: int, name: str, target: Value) -> SimState:
@@ -202,8 +202,9 @@ def add_link_attr(s: SimState, oid: int, name: str, target: Value) -> SimState:
     if not isinstance(target, (OidVal, NullOid)):
         raise ExecError(f"link attribute {name!r} must hold a reference", oid=oid)
     obj = s.ds[oid]
-    return replace(s, ds={**s.ds, oid: StoredObject(obj.class_name,
-                                                    obj.attrs.set(name, target))})
+    new_obj = StoredObject(obj.class_name, obj.attrs.set(name, target))
+    return SimState({**s.ds, oid: new_obj}, s.cs, s.es, s.next_tid,
+                    s.next_seq)
 
 
 def enqueue_event(es: EventStore, e: Event) -> EventStore:
@@ -239,16 +240,18 @@ def pop_frame(s: SimState, oid: int, tid: int) -> tuple[SimState, Frame]:
     rest = thr.frames[:-1]
     threads = dict(s.cs[oid])
     if rest:
-        threads[tid] = replace(thr, frames=rest)
+        threads[tid] = Thread(thr.tid, thr.base_prio, thr.status, rest)
     else:
         del threads[tid]
-    return replace(s, cs={**s.cs, oid: threads}), frame
+    return SimState(s.ds, {**s.cs, oid: threads}, s.es, s.next_tid,
+                    s.next_seq), frame
 
 
 def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
     if oid not in s.cs:
         raise ExecError(f"no object with id {oid}", oid=oid)
-    return replace(s, cs={**s.cs, oid: {**s.cs[oid], tid: thr}})
+    return SimState(s.ds, {**s.cs, oid: {**s.cs[oid], tid: thr}}, s.es,
+                    s.next_tid, s.next_seq)
 
 
 def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:

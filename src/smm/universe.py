@@ -96,10 +96,12 @@ class RecordVal:
 
     def set(self, name: str, value: "Value") -> "RecordVal":
         """Replace an existing field, or append a new one at the end."""
-        if self.has(name):
-            return RecordVal(tuple(
-                (n, value if n == name else v) for n, v in self.fields))
-        return RecordVal(self.fields + ((name, value),))
+        fields = self.fields
+        for i, (n, _) in enumerate(fields):
+            if n == name:
+                return RecordVal(fields[:i] + ((name, value),)
+                                 + fields[i + 1:])
+        return RecordVal(fields + ((name, value),))
 
 
 Value = Union[IntVal, BoolVal, VoidVal, NullOid, OidVal, RecordVal]
@@ -273,13 +275,28 @@ class Hierarchy:
             todo += new
         return found
 
+    def above(self, classes: Iterable[str]) -> set[str]:
+        """``classes`` and every class on the chain of one of them, but
+        none in ``cycles``."""
+        found = {c for c in classes if c not in self.cycles}
+        todo = list(found)
+        while todo:
+            new = [sup for sup in self.scl.get(todo.pop(), ())
+                   if sup not in found]
+            found.update(new)
+            todo += new
+        return found
 
-def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None) -> bool:
+
+def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None,
+               hierarchy: Hierarchy | None = None) -> bool:
     """Assignment compatibility of a value against a declared type.
 
     A reference of a subclass fits a superclass-typed slot; null fits any
     class type. When ``ds`` is absent, any non-null reference is accepted
-    for a class type (the store is needed to learn its class).
+    for a class type (the store is needed to learn its class). With the
+    ``hierarchy`` of ``scl``, a class's chain is read from it, walked once;
+    a class it has no chain for is walked here.
     """
     if isinstance(t, IntType):
         return isinstance(v, IntVal)
@@ -293,7 +310,9 @@ def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None) -> bool:
         if isinstance(v, OidVal):
             if ds is None or v.oid not in ds:
                 return True
-            return t.name in super_chain(ds[v.oid].class_name, scl)
+            cls = ds[v.oid].class_name
+            chain = hierarchy.chain(cls) if hierarchy is not None else None
+            return t.name in (chain or super_chain(cls, scl))
         return False
     return False
 

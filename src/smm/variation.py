@@ -23,6 +23,11 @@ object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
 ``base``, ``rtc`` and ``conc`` all keep it, and the engine relies on it to
 skip untouched objects: after a step it asks again only the objects whose
 thread map or queue the step replaced, and keeps the others' offers.
+
+The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
+returns depends only on the class of object ``oid`` and on ``op``. The
+engine relies on it to ask once per (class, op) pair per ``Config``,
+through ``Config.method``; a dispatch that raises is not kept.
 """
 
 from __future__ import annotations
@@ -199,6 +204,26 @@ class Config:
     def hierarchy(self) -> Hierarchy:
         """The class hierarchy of the tables, built once per config."""
         return Hierarchy(self.class_table, self.subclass_rel)
+
+    @cached_property
+    def methods(self) -> dict[tuple[str, OpSig], MethodDef]:
+        """The dispatcher's answers so far, by (class name, op)."""
+        return {}
+
+    def method(self, ds: DataStore, oid: int, op: OpSig) -> MethodDef:
+        """The method ``dispatcher`` resolves ``op`` to on object ``oid``,
+        asked once per (class, op) of this config. A dispatch that fails
+        is not kept, so it raises again on the next ask."""
+        obj = ds.get(oid)
+        if obj is None:
+            return self.dispatcher(self.subclass_rel, self.meth_map, ds, oid,
+                                   op)
+        key = (obj.class_name, op)
+        meth = self.methods.get(key)
+        if meth is None:
+            meth = self.methods[key] = self.dispatcher(
+                self.subclass_rel, self.meth_map, ds, oid, op)
+        return meth
 
 
 def make_config(class_table: ClassTable, subclass_rel: SubclassRel,

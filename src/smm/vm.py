@@ -14,7 +14,7 @@ A step first consumes a pending event when there is one to consume
 caller with its return value), then interprets the single action the
 thread's program counter addresses.
 Methods are dispatched only where a frame is created, and the frame keeps
-its method.
+its method; the config asks its dispatcher once per (class, op).
 
 The engine is single-threaded and deterministic: with equal configuration
 and setup, two runs produce equal results. All concurrency is model-level.
@@ -22,7 +22,7 @@ and setup, two runs produce equal results. All concurrency is model-level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .actions import Action, interpret, replace_top
@@ -106,19 +106,20 @@ def collect_runnables(
     """Refresh the ``dirty`` objects' offers, then flatten every object's.
 
     Only the ``dirty`` objects' selectors are asked; ``offers`` keeps the
-    others' answers from earlier steps and is updated in place. A kept
-    live-thread entry keeps its last execution time, which stays right
-    because a step records a time only for the thread it ran, and that
-    thread's object is always dirty. Objects come in ascending id order,
-    each with its live threads first. Every offered event gets the next id
-    above ``s.next_tid``, in object order and then queue order, and is
-    offered at its own priority. Returns the entries for the scheduler and
-    the event each reserved id stands for.
+    others' answers from earlier steps and is updated in place. An entry
+    of an object that is not dirty keeps its last execution time, which
+    stays right because a step records a time only for the thread it ran,
+    and that thread's object is always dirty. Objects come in ascending id
+    order, each with its live threads first. Every offered event gets the
+    next id above ``s.next_tid``, in object order and then queue order, and
+    is offered at its own priority. Returns the entries for the scheduler
+    and the event each reserved id stands for.
     """
     known = len(offers)
     for oid in dirty:
         live, events = sel(s, oid)
-        offers[oid] = (add_last_exec_info(times, oid, live), events)
+        kept = offers[oid][0] if oid in offers else ()
+        offers[oid] = (add_last_exec_info(times, oid, live, kept), events)
     if len(offers) != known:  # new objects: keep ascending id order
         ordered = sorted(offers.items())
         offers.clear()
@@ -136,18 +137,30 @@ def collect_runnables(
     return entries, reserved
 
 
-def add_last_exec_info(times: TimesMap, oid: int,
-                       live: list[tuple[int, int]]) -> list[RunnableEntry]:
+def add_last_exec_info(
+        times: TimesMap, oid: int, live: list[tuple[int, int]],
+        kept: Iterable[RunnableEntry] = ()) -> list[RunnableEntry]:
     """Entries for one object's (tid, prio) offers, each with its last
     execution time, in order.
 
-    A thread materialized during a run records its creation step as its
-    first execution time, so its entry is never missing afterwards. Ids
-    with no recorded time (threads built during setup, reserved handler
-    ids) read as -1: created before the first step, hence least recent.
+    An entry of ``kept``, the object's previous entries, is reused while it
+    still holds the thread's priority and time; a step changes the time of
+    the thread it ran only, so only that thread and newly offered ones get
+    new entries. A thread materialized during a run records its creation
+    step as its first execution time, so its entry is never missing
+    afterwards. Ids with no recorded time (threads built during setup,
+    reserved handler ids) read as -1: created before the first step, hence
+    least recent.
     """
-    return [RunnableEntry(oid, tid, prio, times.get(tid, -1))
-            for tid, prio in live]
+    old = {entry.tid: entry for entry in kept}
+    entries = []
+    for tid, prio in live:
+        last = times.get(tid, -1)
+        entry = old.get(tid)
+        if entry is None or entry.last_exec != last or entry.prio != prio:
+            entry = RunnableEntry(oid, tid, prio, last)
+        entries.append(entry)
+    return entries
 
 
 def _touched(prev: SimState, s: SimState, oid: int) -> set[int]:
@@ -195,9 +208,11 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
             return s
         payload = answer.msg.payload
         frame = thr.top
-        frame = replace(frame, locals=frame.locals.set(payload.result_local,
-                                                       payload.value))
-        return replace_top(replace(s, es=es), thr, frame)
+        frame = Frame(frame.self_oid, frame.meth, frame.params,
+                      frame.locals.set(payload.result_local, payload.value),
+                      frame.pc, frame.caller)
+        return replace_top(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq),
+                           thr, frame)
 
     es, taken = take_matching_event(
         s.es, oid, lambda e: event is not None and e.seq == event.seq)
@@ -206,7 +221,7 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
             f"scheduled thread {tid} of object {oid} neither exists nor "
             f"names a pending event")
     payload = taken.msg.payload
-    meth = cfg.dispatcher(cfg.subclass_rel, cfg.meth_map, s.ds, oid, payload.op)
+    meth = cfg.method(s.ds, oid, payload.op)
     if len(meth.params) != len(payload.args.fields):
         raise ExecError(
             f"{payload.op.name!r} was sent {len(payload.args.fields)} "
@@ -222,7 +237,7 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
     frame = Frame(self_oid=oid, meth=meth, params=params,
                   locals=RecordVal(), pc=0, caller=caller)
     thread = Thread(tid, payload.prio, ThreadStatus.READY, (frame,))
-    s2 = replace(s, es=es, next_tid=max(s.next_tid, tid + 1))
+    s2 = SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq)
     return update_thread(s2, oid, tid, thread)
 
 
@@ -380,8 +395,7 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
             continue
         oid = by_name[entry.name]
         try:
-            meth = cfg.dispatcher(cfg.subclass_rel, cfg.meth_map, s.ds, oid,
-                                  entry.kind.op)
+            meth = cfg.method(s.ds, oid, entry.kind.op)
         except ExecError as err:
             raise ModelError(f"setup: {entry.name!r} cannot start "
                              f"{entry.kind.op.name!r}: {err}") from None
@@ -389,8 +403,8 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
                       locals=RecordVal(), pc=0, caller=None)
         thread = Thread(s.next_tid, entry.kind.prio, ThreadStatus.READY,
                         (frame,))
-        s = update_thread(replace(s, next_tid=s.next_tid + 1), oid,
-                          thread.tid, thread)
+        s = update_thread(SimState(s.ds, s.cs, s.es, s.next_tid + 1,
+                                   s.next_seq), oid, thread.tid, thread)
     return s
 
 

@@ -289,6 +289,27 @@ class TestSetupLinks:
         assert model.setup[0].links == ("b",)
 
 
+class TestAttributeReferences:
+    # Code of C writes n, which only D declares.
+    SIBLINGS = ("class C { }\nclass D { attr n: Int = 0; }\n{joint}"
+                "op C.f(): Void { let v: Int = 1; setattr n v; "
+                "return void; }\n")
+
+    def test_a_superclass_may_touch_a_sibling_superclass_attribute(self):
+        text = self.SIBLINGS.replace("{joint}", "class X extends C, D { }\n")
+        model = parse_model(text + "setup { x: X active f prio 1; }\n")
+        result = run_model(model)
+        assert isinstance(result.halt, AllDone)
+        assert result.final.ds[0].attrs == RecordVal((("n", IntVal(1)),))
+
+    def test_without_a_joint_subclass_the_name_is_unknown(self):
+        with pytest.raises(ModelError) as err:
+            parse_model(self.SIBLINGS.replace("{joint}",
+                                              "class X extends C { }\n"))
+        assert [str(d) for d in err.value.diagnostics] == [
+            "4:34: unknown attribute 'n' for class 'C'"]
+
+
 def _chain_source(depth: int) -> str:
     """A ``depth``-deep single-inheritance chain with one attribute per
     class. The leaf's method reads the root's attribute and writes its
@@ -333,9 +354,10 @@ def _many_names_source(depth: int) -> str:
 
 
 def _count_visits(monkeypatch) -> list[int]:
-    """Count the classes ``_linearize`` walks and ``Hierarchy.below``
-    returns from now on; the count is the list's one item."""
-    walk, below = smm.universe._linearize, smm.universe.Hierarchy.below
+    """Count the classes ``_linearize`` walks and ``Hierarchy.below`` and
+    ``Hierarchy.above`` return from now on; the count is the list's one
+    item."""
+    walk = smm.universe._linearize
     visited = [0]
 
     def counting_walk(cls, scl):
@@ -343,13 +365,17 @@ def _count_visits(monkeypatch) -> list[int]:
         visited[0] += len(pre)
         return pre, post
 
-    def counting_below(self, classes):
-        found = below(self, classes)
-        visited[0] += len(found)
-        return found
+    def counting(method):
+        def wrapper(self, classes):
+            found = method(self, classes)
+            visited[0] += len(found)
+            return found
+        return wrapper
 
     monkeypatch.setattr(smm.universe, "_linearize", counting_walk)
-    monkeypatch.setattr(smm.universe.Hierarchy, "below", counting_below)
+    for name in ("below", "above"):
+        monkeypatch.setattr(smm.universe.Hierarchy, name, counting(
+            getattr(smm.universe.Hierarchy, name)))
     return visited
 
 

@@ -2,11 +2,13 @@
 
 Before ``universe.Hierarchy``, ``validate_model`` walked every class's
 chain, and the parser unioned every class's chain with every other's to
-learn which attributes a method may touch. Those rules are kept here,
-unchanged, as the oracle: on random hierarchies with cycles, unknown
-superclasses, diamonds and redeclared attribute names, the hierarchy must
-give the same problems, in the same order, and the parser the same
-located diagnostics.
+learn which attributes a method may touch. Those rules are kept here as
+the oracle: on random hierarchies with cycles, unknown superclasses,
+diamonds and redeclared attribute names, the hierarchy must give the same
+problems, in the same order, and the parser the same located diagnostics.
+The attribute-reference rule is the corrected one: a class may touch every
+name in the layout of a class whose chain holds it, so code of ``C`` may
+touch a name that only ``D`` declares when some class extends both.
 """
 
 from __future__ import annotations
@@ -95,22 +97,21 @@ def oracle_problems(class_table, scl):
 
 
 def oracle_attr_refs(classes, scl, meth_map, links):
-    """The attribute-reference problems: every class's chain, unioned both
-    ways with every other class's."""
+    """The attribute-reference problems: every class's layout, granted to
+    each class on its chain."""
     chains = {}
     for name in classes:
         try:
             chains[name] = oracle_linearize(name, scl)[0]
         except ModelError:
             pass
-    attrs = {name: {a.name for a in cls.attributes}
-             for name, cls in classes.items()}
     known = {name: set(links) for name in chains}
     for name, chain in chains.items():
+        layout = {a.name for c in chain if c in classes
+                  for a in classes[c].attributes}
         for sup in chain:
             if sup in known:
-                known[sup] |= attrs[name]
-                known[name] |= attrs[sup]
+                known[sup] |= layout
     problems = []
     for cls_name, ops in meth_map.items():
         names = known.get(cls_name)
@@ -230,6 +231,7 @@ def test_walks_and_cycles_match_the_oracle(scl):
             with pytest.raises(ModelError, match=re.escape(str(err))):
                 hierarchy.object_class(name)
             assert hierarchy.chain(name) is None
+            assert hierarchy.above([name]) == set()
             continue
         assert name not in hierarchy.cycles
         assert hierarchy.chain(name) == (tuple(pre) if name in table
@@ -240,3 +242,4 @@ def test_walks_and_cycles_match_the_oracle(scl):
         below = {c for c in CLASSES + ("Zed",) if c not in hierarchy.cycles
                  and name in oracle_linearize(c, scl)[0]}
         assert hierarchy.below([name]) == below
+        assert hierarchy.above([name]) == set(pre)

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from smm import (
-    ClassDef, ExecError, Frame, IntVal, Message, MethodDef,
+    ClassDef, Config, ExecError, Frame, IntVal, Message, MethodDef,
     OpSig, RecordVal, ReturnPayload, RunnableEntry, Thread, ThreadStatus,
-    VOID, VOID_VAL, alloc_object, collect_runnables, deliver_reliable,
+    VOID, VOID_VAL, alloc_object, collect_runnables, consume_event,
+    deliver_reliable,
     dispatch_single, empty_state, make_config, schedule_prio, schedule_rr,
     super_chain,
 )
@@ -18,7 +19,8 @@ from smm.state import CallPayload, make_event, update_thread
 from smm.variation import ConcRunnables, RtcRunnables
 
 from conftest import (
-    GET_OP, PUT_OP, buffer_class, buffer_tables, get_method, put_method,
+    GET_OP, PUT_OP, buffer_class, buffer_config, buffer_tables, get_method,
+    put_method,
 )
 
 RTC = RtcRunnables()
@@ -333,3 +335,59 @@ class TestConfigHierarchy:
         assert wider != cfg and wider.hierarchy is not hierarchy
         assert wider.hierarchy.chain("Special") == ("Special", "Buffer")
         assert hierarchy.chain("Special") is None
+
+
+class TestMethodMemo:
+    NOPE = OpSig("nope", (), VOID)
+
+    def _two_buffers(self):
+        s, a = alloc_object(empty_state(), buffer_class())
+        s, b = alloc_object(s, buffer_class())
+        return s, a, b
+
+    def test_not_a_field_and_equality_unchanged(self):
+        classes, scl, mm = buffer_tables()
+        cfg = make_config(classes, scl, mm)
+        s, a, _ = self._two_buffers()
+        assert cfg.method(s.ds, a, GET_OP) is mm["Buffer"][GET_OP]
+        assert cfg.methods == {("Buffer", GET_OP): mm["Buffer"][GET_OP]}
+        assert "methods" not in {f.name for f in fields(Config)}
+        assert cfg == make_config(classes, scl, mm)
+        assert replace(cfg).methods == {}
+
+    def test_a_replaced_dispatcher_is_asked_once_per_class_and_op(self):
+        asked = []
+
+        def dispatcher(scl, mm, ds, oid, op):
+            asked.append((ds[oid].class_name, op))
+            return dispatch_single(scl, mm, ds, oid, op)
+
+        classes, scl, mm = buffer_tables()
+        cfg = replace(make_config(classes, scl, mm), dispatcher=dispatcher)
+        s, a, b = self._two_buffers()
+        for oid in (a, b, a, b):
+            for op in (GET_OP, PUT_OP):
+                assert cfg.method(s.ds, oid, op) is mm["Buffer"][op]
+        assert asked == [("Buffer", GET_OP), ("Buffer", PUT_OP)]
+
+    def test_a_failing_dispatch_raises_for_its_object_every_time(self):
+        cfg = buffer_config()
+        s, a, b = self._two_buffers()
+        for oid in (a, b, a):
+            with pytest.raises(ExecError) as err:
+                cfg.method(s.ds, oid, self.NOPE)
+            assert str(err.value) == (f"no class of 'Buffer' implements "
+                                      f"{self.NOPE} [oid={oid}]")
+        assert cfg.methods == {}
+
+    def test_a_failing_handler_dispatch_names_its_object(self):
+        cfg = buffer_config()
+        s, a, b = self._two_buffers()
+        for seq, oid in enumerate((a, b, a)):
+            msg = Message(9, 0, oid, CallPayload(self.NOPE, RecordVal(), "r",
+                                                 1))
+            event = make_event(msg, seq)
+            queued = replace(s, es=deliver_reliable(s.es, event),
+                             next_seq=seq + 1)
+            with pytest.raises(ExecError, match=rf"\[oid={oid}\]$"):
+                consume_event(queued, cfg, oid, s.next_tid, event)

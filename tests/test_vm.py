@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+import smm.universe
+import smm.variation
 import smm.vm
 from smm import (
     Active, AllDone, AttrDef, Blocked, CallerRef, CallPayload, ClassDef,
@@ -207,6 +209,15 @@ class TestAddLastExecInfo:
         entries = add_last_exec_info({1: 4}, 1, [(0, 1), (1, 1), (2, 3)])
         assert [(e.oid, e.tid, e.prio, e.last_exec) for e in entries] == [
             (1, 0, 1, -1), (1, 1, 1, 4), (1, 2, 3, -1)]
+
+    def test_unchanged_entries_are_kept(self):
+        kept = add_last_exec_info({0: 3, 1: 4}, 1, [(0, 1), (1, 1), (2, 2)])
+        entries = add_last_exec_info({0: 3, 1: 9}, 1,
+                                     [(0, 1), (1, 1), (2, 5), (3, 1)], kept)
+        assert [(e.oid, e.tid, e.prio, e.last_exec) for e in entries] == [
+            (1, 0, 1, 3), (1, 1, 1, 9), (1, 2, 5, -1), (1, 3, 1, -1)]
+        assert entries[0] is kept[0]
+        assert all(new is not old for new, old in zip(entries[1:], kept[1:]))
 
 
 def _queued_call(s, buf_oid, *, value=10, sender=5, sender_tid=7, prio=3):
@@ -559,3 +570,47 @@ class TestSignals:
         handler_steps = [t for t, oid in steps if oid == 1]
         assert len(sender_steps) == 5
         assert handler_steps and min(handler_steps) > sender_steps[3]
+
+
+def _deep_source(depth: int, pings: int) -> str:
+    """A ``depth``-deep chain whose root implements every operation. Two
+    leaf objects each create a leaf, store it in a class-typed attribute
+    and call it ``pings`` times with an argument."""
+    leaf = f"L{depth}"
+    lines = ["class L0 { }"]
+    lines += [f"class L{i} extends L{i - 1} {{ }}" for i in range(1, depth)]
+    lines += [f"class {leaf} extends L{depth - 1} {{ attr hits: Int = 0; "
+              f"attr peer: {leaf} = null; }}",
+              "op L0.ping(x: Int): Int { let d: Int = 0; loadparam d x; "
+              "let v: Int = 0; loadattr v hits; add v v d; setattr hits v; "
+              "return v; }",
+              f"op L0.go(): Void {{ let t: {leaf} = null; new t {leaf}; "
+              f"setattr peer t; let one: Int = 1; let z: Int = 0; "
+              f"let k: Int = {pings}; let c: Bool = false;",
+              "loop: call t.ping(one) -> r; sub k k one; eq c k z;",
+              "ifnot c goto loop; return void; }",
+              f"setup {{ a: {leaf} active go prio 1; "
+              f"b: {leaf} active go prio 2; }}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestStaticWork:
+    def test_a_deep_chain_is_walked_once_per_class_not_per_dispatch(
+            self, monkeypatch):
+        from smm.frontend import build_config
+        model = parse_model(_deep_source(100, 100))
+        walk = smm.universe.super_chain
+        walked = [0]
+
+        def counting(cls, scl):
+            walked[0] += 1
+            return walk(cls, scl)
+
+        for module in (smm.universe, smm.variation):
+            monkeypatch.setattr(module, "super_chain", counting)
+        result = run_main(build_config(model), model.setup)
+        assert result.halt == AllDone()
+        assert result.final.ds[2].attrs.get("hits") == IntVal(100)
+        # The two starts and 200 calls dispatch, and both writes of
+        # ``peer`` check a class-typed value: 204 walks without the memo.
+        assert walked[0] <= len(model.classes)
