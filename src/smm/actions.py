@@ -15,7 +15,7 @@ block, and ``Return`` answers the caller (if any) and pops the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ExecError
 from .state import (
@@ -28,7 +28,15 @@ from .universe import (
     value_fits,
 )
 
-BIN_OPS = ("add", "sub", "mul", "eq", "lt")
+# Each binary operator's name, as the source spells it, and what it
+# computes from its two integer operands.
+BIN_OPS: dict[str, Callable[[int, int], Value]] = {
+    "add": lambda a, b: IntVal(a + b),
+    "sub": lambda a, b: IntVal(a - b),
+    "mul": lambda a, b: IntVal(a * b),
+    "eq": lambda a, b: BoolVal(a == b),
+    "lt": lambda a, b: BoolVal(a < b),
+}
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,7 @@ def _arg_record(frame, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
     fields = []
     for i, name in enumerate(arg_names):
         v = _local(frame, name)
-        if not value_fits(v, sig.param_types[i], cfg.subclass_rel, ds,
-                          cfg.hierarchy):
+        if not value_fits(v, sig.param_types[i], ds, cfg.hierarchy):
             raise ExecError(f"argument {i} of {sig.name!r} does not fit "
                             f"type {sig.param_types[i]}")
         fields.append((str(i), v))
@@ -217,8 +224,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     if isinstance(action, NewLocal):
         if frame.locals.has(action.name):
             raise ExecError(f"local {action.name!r} already exists")
-        if not value_fits(action.init, action.type, cfg.subclass_rel, s.ds,
-                          cfg.hierarchy):
+        if not value_fits(action.init, action.type, s.ds, cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
         return commit(_advance(frame, frame.locals.set(action.name,
@@ -250,26 +256,17 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         if cls_name in cfg.class_table:
             for attr in cfg.hierarchy.object_class(cls_name).attributes:
                 if attr.name == action.attr and not value_fits(
-                        v, attr.type, cfg.subclass_rel, s.ds, cfg.hierarchy):
+                        v, attr.type, s.ds, cfg.hierarchy):
                     raise ExecError(
                         f"type error writing attribute {action.attr!r}")
         return commit(_advance(frame), write_attr(s, oid, action.attr, v))
 
     if isinstance(action, BinOp):
-        if action.op not in BIN_OPS:
+        compute = BIN_OPS.get(action.op)
+        if compute is None:
             raise ExecError(f"unknown operator {action.op!r}")
-        lhs = _int_local(frame, action.lhs)
-        rhs = _int_local(frame, action.rhs)
-        if action.op == "add":
-            out: Value = IntVal(lhs + rhs)
-        elif action.op == "sub":
-            out = IntVal(lhs - rhs)
-        elif action.op == "mul":
-            out = IntVal(lhs * rhs)
-        elif action.op == "eq":
-            out = BoolVal(lhs == rhs)
-        else:
-            out = BoolVal(lhs < rhs)
+        out = compute(_int_local(frame, action.lhs),
+                      _int_local(frame, action.rhs))
         return commit(_advance(frame, _store_local(frame, action.dst, out)))
 
     if isinstance(action, Jump):

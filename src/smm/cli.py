@@ -21,7 +21,7 @@ from .frontend import (
     TraceRecord, build_config, load_model, render_final_state, render_trace,
     trace_recorder,
 )
-from .variation import DISPATCHERS, MEDIA, RUNNABLES, SCHEDULERS
+from .variation import VARIATION_POINTS
 from .vm import AllDone, Blocked, StepLimit, run_main
 
 EXIT_OK = 0
@@ -43,10 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="simulate a model file")
     run.add_argument("file", help="model source (.smm)")
-    run.add_argument("--runnables", choices=list(RUNNABLES))
-    run.add_argument("--scheduler", choices=list(SCHEDULERS))
-    run.add_argument("--dispatch", choices=list(DISPATCHERS))
-    run.add_argument("--medium", choices=list(MEDIA))
+    for point, table in VARIATION_POINTS.items():
+        run.add_argument(f"--{point}", choices=list(table))
     run.add_argument("--max-steps", type=int, metavar="N")
     run.add_argument("--trace", action="store_true",
                      help="print one line per executed step")
@@ -74,9 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     try:
-        cfg = build_config(model, runnables=args.runnables,
-                           scheduler=args.scheduler, dispatch=args.dispatch,
-                           medium=args.medium)
+        cfg = build_config(model, **{point: getattr(args, point)
+                                     for point in VARIATION_POINTS})
     except (ModelError, ExecError) as err:
         print(f"smm: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -29,16 +29,18 @@ value exactly.
 The parser checks only what needs its tokens: syntax, duplicate classes and
 methods (which the tables would swallow), labels, call-site and start
 operation resolution, config keys, and attribute references (which need
-the setup's links). Both of the last read one ``universe.Hierarchy``,
-which walks only the chains they ask for; attribute references are
-checked per name, from its index of the classes declaring each name, or
-per class where one class reads many names. So loading is linear in the
-depth of a chain, except that the redeclaration check is still O(N²) on
-a chain where every class redeclares one name. Every other rule has one
-home, ``validate_model`` for the model and ``smm.vm.check_setup`` for the
-setup; the parser places each of their problems at the token it recorded
-for the element the problem names, and reports everything it found in
-one pass, in source order.
+the setup's links). A load builds one ``universe.Hierarchy``, which walks
+only the chains asked for, and every check reads it: ``validate_model``,
+``smm.vm.check_setup`` and the parser's start-operation and attribute
+reference checks. Attribute references are checked per name, from its
+index of the classes declaring each name, or per class where one class
+reads many names. So loading is linear in the depth of a chain, except
+that the redeclaration check is still O(N²) on a chain where every class
+redeclares one name. Every other rule has one home, ``validate_model``
+for the model and ``smm.vm.check_setup`` for the setup; the parser places
+each of their problems at the token it recorded for the element the
+problem names, and reports everything it found in one pass, in source
+order.
 """
 
 from __future__ import annotations
@@ -50,18 +52,16 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import actions as A
-from .errors import Diagnostic, ModelError
+from .errors import Diagnostic, ExecError, ModelError
 from .state import SimState
 from .universe import (
     AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy, INT,
-    IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig, RecordVal,
-    SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
+    IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig, SubclassRel,
+    TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
 )
 # perfbench's tracer counts chain walks by rebinding this name here.
 from .universe import super_chain  # noqa: F401
-from .variation import (
-    Config, DISPATCHERS, MEDIA, RUNNABLES, SCHEDULERS, make_config,
-)
+from .variation import Config, VARIATION_POINTS, make_config, strategy
 from .vm import (
     Active, AllDone, Blocked, OKind, Passive, RunResult, Setup, SetupEntry,
     StepLimit, check_setup, run_main,
@@ -141,8 +141,8 @@ def _tokenize(text: str) -> list[_Token]:
 # --- parser ---------------------------------------------------------------------
 
 _STMT_KEYWORDS = {
-    "let", "loadparam", "loadattr", "set", "setattr", "add", "sub", "mul",
-    "eq", "lt", "goto", "ifnot", "new", "call", "send", "return",
+    "let", "loadparam", "loadattr", "set", "setattr", "goto", "ifnot", "new",
+    "call", "send", "return", *A.BIN_OPS,
 }
 
 # The keyword literals and the values they spell.
@@ -150,11 +150,6 @@ _LITERALS = {"true": BoolVal(True), "false": BoolVal(False), "void": VOID_VAL,
              "null": NULL_OID}
 
 _BASE_TYPES = {str(t): t for t in (INT, BOOL, VOID)}
-
-_CONFIG_KEYS = {
-    "runnables": RUNNABLES, "scheduler": SCHEDULERS,
-    "dispatch": DISPATCHERS, "medium": MEDIA,
-}
 
 
 class _ParseAbort(Exception):
@@ -257,11 +252,19 @@ class _Parser:
         tok = self.ident("a type name")
         return _BASE_TYPES.get(tok.text) or ClassType(tok.text)
 
+    def integer(self) -> int:
+        """The next token, which must be an integer, as its value."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than ``int`` converts from text
+            self.fail(f"integer of {len(tok.text.lstrip('-'))} digits is "
+                      f"too long", tok)
+
     def parse_literal(self) -> Value:
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            return IntVal(int(tok.text))
+            return IntVal(self.integer())
         if tok.kind == "ident" and tok.text in _LITERALS:
             self.next()
             return _LITERALS[tok.text]
@@ -355,10 +358,8 @@ class _Parser:
         unknown label is reported once, as unknown, and not also as a jump
         out of the body.
         """
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return int(tok.text)
+        if self.peek().kind == "int":
+            return self.integer()
         lbl = self.ident("a label or body index")
         pending.append((index, lbl.text, lbl))
         return 0
@@ -420,7 +421,7 @@ class _Parser:
             else:
                 self.expect("ident", "prio")
                 body.append(A.SendSignal(target, _UNRESOLVED, args,
-                                         int(self.expect("int").text)))
+                                         self.integer()))
             self.fixups.append(_OpFixup(body, index, op_tok.text, len(args),
                                         op_tok))
         elif kw == "return":
@@ -450,7 +451,7 @@ class _Parser:
             elif kind_tok.text == "active":
                 op_tok = self.ident("an operation name")
                 self.expect("ident", "prio")
-                kind = Active(_UNRESOLVED, int(self.expect("int").text))
+                kind = Active(_UNRESOLVED, self.integer())
                 self.setup_active.append((len(self.setup), op_tok.text, op_tok))
             else:
                 self.fail("expected 'passive' or 'active'", kind_tok)
@@ -470,15 +471,15 @@ class _Parser:
         values = {}
         while self.peek().text != "}":
             key_tok = self.ident("a config key")
-            if key_tok.text not in _CONFIG_KEYS:
+            if key_tok.text not in VARIATION_POINTS:
                 self.fail(f"unknown config key {key_tok.text!r}; expected one "
-                          f"of {sorted(_CONFIG_KEYS)}", key_tok)
+                          f"of {sorted(VARIATION_POINTS)}", key_tok)
             self.expect("punct", ":")
             val_tok = self.ident("a strategy name")
-            if val_tok.text not in _CONFIG_KEYS[key_tok.text]:
-                self.note(
-                    f"unknown {key_tok.text} strategy {val_tok.text!r}; "
-                    f"choose from {sorted(_CONFIG_KEYS[key_tok.text])}", val_tok)
+            try:
+                strategy(key_tok.text, val_tok.text)
+            except ExecError as err:
+                self.note(err.message, val_tok)
             self.expect("punct", ";")
             values[key_tok.text] = val_tok.text
         self.expect("punct", "}")
@@ -517,7 +518,7 @@ class _Parser:
                 raw.sig, tuple(raw.params), tuple(raw.body))
 
         hierarchy = Hierarchy(self.classes, self.scl)
-        for where, message in (validate_model(self.classes, self.scl, meth_map)
+        for where, message in (validate_model(hierarchy, meth_map)
                                + check_setup(hierarchy, self.setup)):
             self.note(message, self.locs[where])
         self._check_attr_refs(meth_map, hierarchy)
@@ -704,7 +705,8 @@ def print_model(m: ModelDef) -> str:
         out.append("}")
         out.append("")
     out.append("config {")
-    out += [f"  {key}: {getattr(m.config, key)};" for key in _CONFIG_KEYS]
+    out += [f"  {point}: {getattr(m.config, point)};"
+            for point in VARIATION_POINTS]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -722,9 +724,6 @@ def _render_value(v: Value) -> str:
         return f"XOID {v.oid}"
     if isinstance(v, NullOid):
         return "XNULL"
-    if isinstance(v, RecordVal):
-        inner = ",".join(f"({n!r},{_render_value(x)})" for n, x in v.fields)
-        return f"[{inner}]"
     return repr(v)
 
 
@@ -739,9 +738,6 @@ def _value_json(v: Value):
         return {"kind": "oid", "value": v.oid}
     if isinstance(v, NullOid):
         return {"kind": "null"}
-    if isinstance(v, RecordVal):
-        return {"kind": "record",
-                "fields": [[n, _value_json(x)] for n, x in v.fields]}
     raise ModelError(f"value {v!r} has no output form")
 
 

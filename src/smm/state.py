@@ -145,6 +145,12 @@ EventStore = dict[int, tuple[Event, ...]]
 EventPred = Callable[[Event], bool]
 
 
+def returns_to(tid: int) -> EventPred:
+    """The events a waiting thread ``tid`` resumes with: returns routed to
+    it (a return's ``sender_thread`` names the thread it resumes)."""
+    return lambda e: e.kind is EventKind.RETURN and e.msg.sender_thread == tid
+
+
 @dataclass(frozen=True)
 class SimState:
     ds: DataStore

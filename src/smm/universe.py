@@ -288,15 +288,15 @@ class Hierarchy:
         return found
 
 
-def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None,
+def value_fits(v: Value, t: TypeRef, ds=None,
                hierarchy: Hierarchy | None = None) -> bool:
     """Assignment compatibility of a value against a declared type.
 
     A reference of a subclass fits a superclass-typed slot; null fits any
     class type. When ``ds`` is absent, any non-null reference is accepted
-    for a class type (the store is needed to learn its class). With the
-    ``hierarchy`` of ``scl``, a class's chain is read from it, walked once;
-    a class it has no chain for is walked here.
+    for a class type (the store is needed to learn its class). With ``ds``,
+    the class's chain is read from ``hierarchy``; a class it has no chain
+    for (missing from its table, or on a cycle) counts as its own chain.
     """
     if isinstance(t, IntType):
         return isinstance(v, IntVal)
@@ -311,8 +311,7 @@ def value_fits(v: Value, t: TypeRef, scl: SubclassRel, ds=None,
             if ds is None or v.oid not in ds:
                 return True
             cls = ds[v.oid].class_name
-            chain = hierarchy.chain(cls) if hierarchy is not None else None
-            return t.name in (chain or super_chain(cls, scl))
+            return t.name in (hierarchy.chain(cls) or (cls,))
         return False
     return False
 
@@ -342,24 +341,26 @@ class Problem(NamedTuple):
     message: str
 
 
-def validate_model(class_table: ClassTable, scl: SubclassRel,
-                   meth_map: MethMap) -> list[Problem]:
+def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     """Check the structural invariants of a model; return its problems.
 
-    This is the only home of every rule decidable from the three tables: a
-    valid model has attribute names unique along each inheritance chain,
-    with type-correct initial values, an acyclic subclass relation over
-    known classes, and method entries of known classes whose signatures,
-    parameters and bodies are internally consistent (unique parameters,
-    non-empty bodies, jump targets in range, known parameters and classes,
-    fitting initial values). Chains are read from one ``Hierarchy`` and
-    walked only where a rule needs them. The setup rules live in
+    This is the only home of every rule decidable from the three tables:
+    the class table and subclass relation of ``hierarchy``, and the method
+    map. A valid model has attribute names unique along each inheritance
+    chain, with type-correct initial values, an acyclic subclass relation
+    over known classes, and method entries of known classes whose
+    signatures, parameters and bodies are internally consistent (unique
+    parameters, non-empty bodies, jump targets in range, known parameters
+    and classes, fitting initial values). Chains are read from
+    ``hierarchy`` and walked only where a rule needs them; the parser hands
+    the same one to ``smm.vm.check_setup``. The setup rules live in
     ``smm.vm.check_setup``; the parser keeps only what needs its tokens or
     would be lost in these tables (syntax, duplicate classes and methods,
     labels, name resolution, config keys, attribute references).
     """
     from . import actions
 
+    class_table, scl = hierarchy.class_table, hierarchy.scl
     problems: list[Problem] = []
 
     def report(where: tuple, message: str) -> None:
@@ -368,7 +369,6 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
     def unknown(t: TypeRef) -> bool:
         return isinstance(t, ClassType) and t.name not in class_table
 
-    hierarchy = Hierarchy(class_table, scl)
     for name, cls in class_table.items():
         seen: set[str] = set()
         for i, attr in enumerate(cls.attributes):
@@ -380,7 +380,7 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
             if unknown(attr.type):
                 report(where, f"class {name!r}: attribute {attr.name!r} has "
                               f"unknown class type {attr.type.name!r}")
-            elif not value_fits(attr.init, attr.type, scl):
+            elif not value_fits(attr.init, attr.type):
                 report(where, f"class {name!r}: attribute {attr.name!r} "
                               f"initial value does not fit type {attr.type}")
 
@@ -463,7 +463,7 @@ def validate_model(class_table: ClassTable, scl: SubclassRel,
                     if unknown(act.type):
                         report(at, f"{label}: action {pc} declares unknown "
                                    f"class type {act.type.name!r}")
-                    elif not value_fits(act.init, act.type, scl):
+                    elif not value_fits(act.init, act.type):
                         report(at, f"{label}: action {pc} initial value does "
                                    f"not fit type {act.type}")
                 elif isinstance(act, actions.NewObject) and \

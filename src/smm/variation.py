@@ -3,8 +3,9 @@
 Four knobs are pluggable and bundled into a ``Config``: which threads an
 object offers for execution (run-to-completion vs concurrent), how one
 offered thread is picked (round-robin vs priority with aging), how an
-operation resolves to a method (single-inheritance lookup), and how events
-travel between objects (reliable in-order delivery).
+operation resolves to a method (lookup along the receiver's class, then its
+superclasses depth-first in declaration order), and how events travel
+between objects (reliable in-order delivery).
 
 Every strategy is a pure function of its inputs; swapping strategies is the
 only sanctioned way to change the machine's observable behavior.
@@ -39,7 +40,7 @@ from typing import Callable
 from .errors import ExecError
 from .state import (
     DataStore, Event, EventKind, EventStore, SimState, ThreadStatus,
-    enqueue_event,
+    enqueue_event, returns_to,
 )
 from .universe import (
     ClassTable, Hierarchy, MethMap, MethodDef, OpSig, SubclassRel,
@@ -62,11 +63,6 @@ Medium = Callable[[EventStore, Event], EventStore]
 MethodDispatcher = Callable[[SubclassRel, MethMap, DataStore, int, OpSig], MethodDef]
 
 _HANDLER_KINDS = (EventKind.CALL, EventKind.SIGNAL)
-
-
-def _has_matching_return(s: SimState, oid: int, tid: int) -> bool:
-    return any(e.kind is EventKind.RETURN and e.msg.sender_thread == tid
-               for e in s.es.get(oid, ()))
 
 
 class RunnablesSelector:
@@ -95,7 +91,7 @@ class RunnablesSelector:
         live = [(tid, thr.base_prio)
                 for tid, thr in sorted(s.threads_of(oid).items())
                 if thr.status is ThreadStatus.READY
-                or _has_matching_return(s, oid, tid)]
+                or any(map(returns_to(tid), s.es.get(oid, ())))]
         return live, self.pending_handler_events(s, oid)
 
 
@@ -156,7 +152,9 @@ def schedule_prio(t: int, entries: list[RunnableEntry]) -> tuple[int, int]:
 
 def dispatch_single(scl: SubclassRel, mm: MethMap, ds: DataStore,
                     oid: int, op: OpSig) -> MethodDef:
-    """Single-inheritance dispatch: first implementing class along the chain."""
+    """Dispatch to the first implementing class along ``super_chain``: the
+    receiver's class, then its superclasses depth-first in declaration
+    order (``extends C, D`` searches C and C's superclasses before D)."""
     obj = ds.get(oid)
     if obj is None:
         raise ExecError(f"dispatch on unknown object {oid}", oid=oid)
@@ -172,20 +170,23 @@ def deliver_reliable(es: EventStore, e: Event) -> EventStore:
     return enqueue_event(es, e)
 
 
-RUNNABLES: dict[str, RunnablesSelector] = {
-    "rtc": RtcRunnables(),
-    "conc": ConcRunnables(),
+# Each variation point, named as config blocks, ``make_config`` keywords
+# and ``smm run`` flags spell it, and its strategies by name.
+VARIATION_POINTS: dict[str, dict] = {
+    "runnables": {"rtc": RtcRunnables(), "conc": ConcRunnables()},
+    "scheduler": {"rr": schedule_rr, "prio": schedule_prio},
+    "dispatch": {"single": dispatch_single},
+    "medium": {"reliable": deliver_reliable},
 }
-SCHEDULERS: dict[str, Scheduler] = {
-    "rr": schedule_rr,
-    "prio": schedule_prio,
-}
-DISPATCHERS: dict[str, MethodDispatcher] = {
-    "single": dispatch_single,
-}
-MEDIA: dict[str, Medium] = {
-    "reliable": deliver_reliable,
-}
+
+
+def strategy(point: str, name: str):
+    """The strategy called ``name`` at variation point ``point``."""
+    table = VARIATION_POINTS[point]
+    if name not in table:
+        raise ExecError(f"unknown {point} strategy {name!r}; "
+                        f"choose from {sorted(table)}")
+    return table[name]
 
 
 @dataclass(frozen=True)
@@ -231,18 +232,12 @@ def make_config(class_table: ClassTable, subclass_rel: SubclassRel,
                 scheduler: str = "rr", dispatch: str = "single",
                 medium: str = "reliable") -> Config:
     """Build a Config from strategy names (the CLI/DSL-facing spellings)."""
-    for value, table, what in ((runnables, RUNNABLES, "runnables"),
-                               (scheduler, SCHEDULERS, "scheduler"),
-                               (dispatch, DISPATCHERS, "dispatch"),
-                               (medium, MEDIA, "medium")):
-        if value not in table:
-            raise ExecError(f"unknown {what} strategy {value!r}; "
-                            f"choose from {sorted(table)}")
+    # In the order of the points, so the first unknown name is reported.
     return Config(
-        dispatcher=DISPATCHERS[dispatch],
-        runnables_sel=RUNNABLES[runnables],
-        scheduler=SCHEDULERS[scheduler],
-        medium=MEDIA[medium],
+        runnables_sel=strategy("runnables", runnables),
+        scheduler=strategy("scheduler", scheduler),
+        dispatcher=strategy("dispatch", dispatch),
+        medium=strategy("medium", medium),
         subclass_rel=subclass_rel,
         meth_map=meth_map,
         class_table=class_table,

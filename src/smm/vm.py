@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Union
 from .actions import Action, interpret, replace_top
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
-    CallerRef, CallPayload, Event, EventKind, Frame, RecordVal,
-    SimState, Thread, ThreadStatus, alloc_object, add_link_attr, empty_state,
+    CallerRef, CallPayload, Event, Frame, RecordVal, SimState, Thread,
+    ThreadStatus, alloc_object, add_link_attr, empty_state, returns_to,
     take_matching_event, update_thread,
 )
 from .universe import ClassType, Hierarchy, OidVal, OpSig, Problem
@@ -189,7 +189,8 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
 
     Three cases:
     - ``tid`` is a reserved handler id and ``event`` the pending call or
-      signal it stands for: remove the event and materialize the thread
+      signal it stands for: remove that very event object from the queue
+      (not one merely equal to it) and materialize the thread
       under that id, running the dispatched method with the message
       arguments bound to its parameters. A call records who to answer; a
       signal has no caller to answer.
@@ -201,9 +202,7 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
     if thr is not None:
         if thr.status is not ThreadStatus.WAITING:
             return s
-        es, answer = take_matching_event(
-            s.es, oid,
-            lambda e: e.kind is EventKind.RETURN and e.msg.sender_thread == tid)
+        es, answer = take_matching_event(s.es, oid, returns_to(tid))
         if answer is None:
             return s
         payload = answer.msg.payload
@@ -214,8 +213,9 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
         return replace_top(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq),
                            thr, frame)
 
-    es, taken = take_matching_event(
-        s.es, oid, lambda e: event is not None and e.seq == event.seq)
+    taken = None
+    if event is not None:
+        es, taken = take_matching_event(s.es, oid, lambda e: e is event)
     if taken is None:
         raise InternalError(
             f"scheduled thread {tid} of object {oid} neither exists nor "

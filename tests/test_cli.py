@@ -182,6 +182,29 @@ setup {
         assert err == ("smm: runtime error: object 0 (B) has no attribute "
                        "'n' [oid=0, tid=0, pc=1]\n")
 
+    def test_attribute_read_error_names_the_running_object(self, tmp_path,
+                                                             capsys):
+        # C's code may read n, which D declares, because an X is both a C
+        # and a D; run on a plain C object, the read finds no such
+        # attribute.
+        model = tmp_path / "sibling_read.smm"
+        model.write_text("""
+        class C { }
+        class D { attr n: Int = 0; }
+        class X extends C, D { }
+        op C.go(): Void {
+          let v: Int = 0;
+          loadattr v n;
+          return void;
+        }
+        setup { c: C active go prio 1; }
+        """)
+        code = main(["run", str(model)])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err == ("smm: runtime error: object 0 (C) has no attribute "
+                       "'n' [oid=0, tid=0, pc=1]\n")
+
     def test_objects_inherit_attributes(self, tmp_path, capsys):
         model = tmp_path / "inherited.smm"
         model.write_text("""
@@ -256,6 +279,7 @@ setup {
       let i: Int = 0;
     {body}
     }}
+    op A.put(p: Int): Void {{ return void; }}
     setup {{ d: D active main prio 1 links [a]; a: A passive; }}
     """
 
@@ -274,8 +298,14 @@ setup {
          "local 'i' already exists [oid=1, tid=1, pc=1]"),
         ("add i i i;",
          "fell off the end of 'go' without a return [oid=1, tid=1, pc=2]"),
+        ("let t: A = null; new t A; let x: Bool = true; call t.put(x) -> r; "
+         "return void;",
+         "argument 0 of 'put' does not fit type Int [oid=1, tid=1, pc=4]"),
+        ("call i.go() -> r; return void;",
+         "local 'i' is not an object reference [oid=1, tid=1, pc=1]"),
     ], ids=["null-target", "local-type", "int-operand", "bool-condition",
-            "attr-type", "duplicate-let", "fell-off-the-end"])
+            "attr-type", "duplicate-let", "fell-off-the-end", "argument-type",
+            "int-target"])
     def test_runtime_error_line(self, tmp_path, capsys, body, message):
         model = tmp_path / "fails.smm"
         model.write_text(self.RUNTIME_ERROR_MODEL.format(body=body))

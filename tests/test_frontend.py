@@ -179,6 +179,8 @@ class TestDiagnostics:
             assert diag.line is not None and diag.column is not None
 
 
+HUGE = "9" * 5000
+
 # Sources with the problems each must report, in source order, as
 # (line, message fragment): every problem once, at the line of the element
 # it names, and all of them in one pass.
@@ -227,11 +229,25 @@ LOCATED = [
     ("class A { }\nop A.f(p: Int, p: Int): Void { return void; }",
      [(2, "method A.f: duplicate parameter 'p'")]),
     ("class A { }\n  $", [(2, "unexpected character '$'")]),
+    # An integer longer than ``int`` converts from text, at each place
+    # the grammar reads one.
+    (f"class A {{\n  attr n: Int = {HUGE};\n}}",
+     [(2, "integer of 5000 digits is too long")]),
+    (f"class A {{ }}\nop A.f(): Void {{\n  goto {HUGE};\n}}",
+     [(3, "integer of 5000 digits is too long")]),
+    ("class A { }\nop A.f(): Void {\n  let t: A = null;\n"
+     f"  send t.f() prio {HUGE};\n  return void;\n}}",
+     [(4, "integer of 5000 digits is too long")]),
+    ("class A { }\nop A.f(): Void { return void; }\n"
+     f"setup {{ a: A active f prio -{HUGE}; }}",
+     [(3, "integer of 5000 digits is too long")]),
 ]
 
 
 class TestLocatedDiagnostics:
-    @pytest.mark.parametrize("source, expected", LOCATED)
+    @pytest.mark.parametrize("source, expected", LOCATED, ids=lambda v: (
+        v.replace(HUGE, "<5000 digits>")
+        if isinstance(v, str) and HUGE in v else None))
     def test_each_problem_is_reported_once_where_it_is(self, source,
                                                        expected):
         with pytest.raises(ModelError) as err:
@@ -400,6 +416,18 @@ class TestLinearLoading:
         parse_model(_many_names_source(depth))
         assert visited[0] <= 10 * depth
 
+    def test_a_load_builds_one_hierarchy(self, monkeypatch):
+        built = []
+        init = smm.universe.Hierarchy.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(smm.universe.Hierarchy, "__init__", counting)
+        parse_model(_inherited_reads_source(10))
+        assert len(built) == 1
+
     def test_a_10000_deep_chain_loads(self):
         model = parse_model(_chain_source(10_000))
         assert len(model.classes) == 10_000
@@ -481,6 +509,16 @@ class TestRenderFinalState:
         a = render_final_state(result, "structured")
         b = render_final_state(result, "structured")
         assert a == b
+
+    def test_null_and_void_attributes(self):
+        model = parse_model("class A { attr r: A = null; attr v: Void = void; }"
+                            "\nsetup { a: A passive; }")
+        result = run_model(model)
+        assert render_final_state(result).splitlines()[1] == \
+            'A(id 0): [("r",XNULL),("v",VVoid)]'
+        doc = json.loads(render_final_state(result, "structured"))
+        assert doc["objects"][0]["attrs"] == [["r", {"kind": "null"}],
+                                              ["v", {"kind": "void"}]]
 
     def test_blocked_and_limit_names(self, deadlock_model, prodcons_model):
         blocked = run_model(deadlock_model)

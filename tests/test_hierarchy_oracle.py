@@ -196,7 +196,8 @@ ORACLE = settings(max_examples=300, deadline=None,
 def test_validate_model_matches_the_oracle(text):
     parser, _ = parse(text)
     classes, scl, _ = tables(parser)
-    assert validate_model(classes, scl, {}) == oracle_problems(classes, scl)
+    assert validate_model(Hierarchy(classes, scl), {}) == \
+        oracle_problems(classes, scl)
 
 
 @ORACLE

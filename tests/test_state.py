@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,9 @@ from hypothesis import given, strategies as st
 from smm import (
     AttrDef, BOOL, INT, CallPayload, ClassDef, EventKind, ExecError, Frame,
     IntVal, InternalError, OidVal, RecordVal, ReturnPayload, BoolVal, Message,
-    Thread, ThreadStatus, alloc_object, empty_state, enqueue_event,
-    make_config, pop_frame, take_matching_event, validate_state, write_attr,
+    StoredObject, Thread, ThreadStatus, alloc_object, empty_state,
+    enqueue_event, make_config, pop_frame, take_matching_event,
+    validate_state, write_attr,
 )
 from smm.state import make_event, update_thread
 
@@ -242,3 +244,75 @@ class TestValidateState:
         s, other = alloc_object(s, ClassDef("Other", ()))
         s = replace(s, es={**s.es, other: (e,)}, next_seq=1)
         assert any("addressed to" in p for p in validate_state(s))
+
+
+def _valid_state():
+    """A buffer (object 0) running thread 0, with one call queued."""
+    s, oid = _state_with_buffer()
+    s = _with_thread(s, oid, _frame(oid))
+    return replace(s, es={oid: (_call_event(0, receiver=oid),)}, next_tid=1,
+                   next_seq=1)
+
+
+def _thread(s, thr):
+    return replace(s, cs={0: {0: thr}})
+
+
+_READY = ThreadStatus.READY
+
+# One broken invariant per case: how to break it, and the one problem
+# ``validate_state`` must report.
+BROKEN = {
+    "unknown-class": (
+        lambda s: replace(s, ds={0: StoredObject("Ghost", s.ds[0].attrs)}),
+        "object 0 has unknown class 'Ghost'"),
+    "attribute-kind": (
+        lambda s: replace(s, ds={0: StoredObject(
+            "Buffer", RecordVal((("data", BoolVal(True)),)))}),
+        "object 0: attribute 'data' kind differs from declaration"),
+    "undeclared-scalar": (
+        lambda s: replace(s, ds={0: StoredObject(
+            "Buffer", s.ds[0].attrs.set("extra", IntVal(1)))}),
+        "object 0: undeclared attribute 'extra' is not a link"),
+    "threads-of-no-object": (
+        lambda s: replace(s, cs={**s.cs, 5: {}}),
+        "control store entry 5 has no object"),
+    "thread-id": (
+        lambda s: _thread(s, Thread(3, 1, _READY, (_frame(0),))),
+        "thread 0 of object 0 carries id 3"),
+    "thread-counter": (
+        lambda s: replace(s, next_tid=0),
+        "thread 0 not covered by the id counter"),
+    "no-frames": (
+        lambda s: _thread(s, Thread(0, 1, _READY, ())),
+        "thread 0 of object 0 has no frames"),
+    "frame-object": (
+        lambda s: _thread(s, Thread(0, 1, _READY, (_frame(1),))),
+        "thread 0: frame executes object 1, stored under 0"),
+    "queue-of-no-object": (
+        lambda s: replace(s, es={**s.es, 7: ()}),
+        "event queue for unknown object 7"),
+    "queue-order": (
+        lambda s: replace(s, es={0: (_call_event(1), _call_event(0))},
+                          next_seq=2),
+        "event queue of 0 out of sequence order"),
+    "seq-counter": (
+        lambda s: replace(s, next_seq=0),
+        "event seq 0 not covered by the counter"),
+    "event-kind": (
+        lambda s: replace(s, es={0: (replace(_call_event(0),
+                                             kind=EventKind.SIGNAL),)}),
+        "event seq 0 kind disagrees with payload"),
+}
+
+
+class TestValidateStateProblems:
+    def test_the_valid_state_validates(self):
+        assert validate_state(_valid_state(), make_config(*buffer_tables())) \
+            == []
+
+    @pytest.mark.parametrize("case", BROKEN)
+    def test_each_broken_invariant_is_reported(self, case):
+        breaks, problem = BROKEN[case]
+        cfg = make_config(*buffer_tables())
+        assert validate_state(breaks(_valid_state()), cfg) == [problem]

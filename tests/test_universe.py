@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import smm.universe
 from smm import (
     AttrDef, BoolVal, ClassDef, ClassType, INT, IntVal, MethodDef,
     ModelError, NULL_OID, OidVal, OpSig, RecordVal, StoredObject, VOID,
@@ -115,12 +116,12 @@ class TestClassAttributes:
 class TestValidateModel:
     def test_buffer_tables_are_valid(self):
         classes, scl, mm = buffer_tables()
-        assert validate_model(classes, scl, mm) == []
+        assert validate_model(Hierarchy(classes, scl), mm) == []
 
     def test_duplicate_attribute(self):
         cls = ClassDef("X", (AttrDef("a", INT, IntVal(0)),
                              AttrDef("a", INT, IntVal(0))))
-        problems = validate_model({"X": cls}, {}, {})
+        problems = validate_model(Hierarchy({"X": cls}, {}), {})
         assert any("duplicate attribute" in p.message for p in problems)
 
     def test_attribute_redeclared_along_a_chain(self):
@@ -128,8 +129,9 @@ class TestValidateModel:
         mid = ClassDef("M", ())
         sub = ClassDef("C", (AttrDef("k", INT, IntVal(0)),
                              AttrDef("n", INT, IntVal(1))))
-        problems = validate_model({"B": base, "M": mid, "C": sub},
-                                  {"M": ("B",), "C": ("M",)}, {})
+        problems = validate_model(
+            Hierarchy({"B": base, "M": mid, "C": sub},
+                      {"M": ("B",), "C": ("M",)}), {})
         assert problems == [
             Problem(("attr", "C", 1), "class 'C': attribute 'n' is already "
                                       "declared by superclass 'B'")]
@@ -139,8 +141,8 @@ class TestValidateModel:
                    "Q": ClassDef("Q", (AttrDef("n", INT, IntVal(0)),)),
                    "R": ClassDef("R", ()),
                    "S": ClassDef("S", (AttrDef("s", INT, IntVal(0)),))}
-        problems = validate_model(classes, {"R": ("P", "Q"), "S": ("R",)},
-                                  {})
+        problems = validate_model(
+            Hierarchy(classes, {"R": ("P", "Q"), "S": ("R",)}), {})
         # Reported once, at the one of the two that comes later in R's
         # record, although S inherits the conflict too.
         assert problems == [
@@ -153,40 +155,40 @@ class TestValidateModel:
         classes = {"B": ClassDef("B", (AttrDef("n", INT, IntVal(0)),)),
                    "C": ClassDef("C", (AttrDef("n", INT, IntVal(1)),)),
                    "D": ClassDef("D", ())}
-        problems = validate_model(classes, {"C": ("B",), "D": ("B", "C")},
-                                  {})
+        problems = validate_model(
+            Hierarchy(classes, {"C": ("B",), "D": ("B", "C")}), {})
         assert problems == [
             Problem(("attr", "C", 0), "class 'C': attribute 'n' is already "
                                       "declared by superclass 'B'")]
 
     def test_init_value_must_fit_type(self):
         cls = ClassDef("X", (AttrDef("a", INT, BoolVal(True)),))
-        problems = validate_model({"X": cls}, {}, {})
+        problems = validate_model(Hierarchy({"X": cls}, {}), {})
         assert any("does not fit" in p.message for p in problems)
 
     def test_unknown_superclass(self):
         cls = ClassDef("X", ())
-        problems = validate_model({"X": cls}, {"X": ("Ghost",)}, {})
+        problems = validate_model(Hierarchy({"X": cls}, {"X": ("Ghost",)}), {})
         assert any("unknown class" in p.message for p in problems)
 
     def test_method_signature_mismatch(self):
         sig_a = OpSig("f", (), VOID)
         sig_b = OpSig("g", (), VOID)
         meth = MethodDef(sig_b, (), (ReturnConst(VOID_VAL),))
-        problems = validate_model({"X": ClassDef("X", ())}, {},
+        problems = validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
                                   {"X": {sig_a: meth}})
         assert any("different signature" in p.message for p in problems)
 
     def test_empty_body_rejected(self):
         sig = OpSig("f", (), VOID)
-        problems = validate_model({"X": ClassDef("X", ())}, {},
+        problems = validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
                                   {"X": {sig: MethodDef(sig, (), ())}})
         assert any("empty body" in p.message for p in problems)
 
     def test_jump_target_out_of_range(self):
         sig = OpSig("f", (), VOID)
         meth = MethodDef(sig, (), (Jump(7), ReturnConst(VOID_VAL)))
-        problems = validate_model({"X": ClassDef("X", ())}, {},
+        problems = validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
                                   {"X": {sig: meth}})
         assert any("jumps to 7" in p.message for p in problems)
 
@@ -198,7 +200,8 @@ class TestValidateModel:
         mm = {"X": {f0: MethodDef(f0, (), (ReturnConst(VOID_VAL),)),
                     f1: MethodDef(f1, (("p", INT),),
                                   (ReturnConst(VOID_VAL),))}}
-        assert validate_model({"X": ClassDef("X", ())}, {}, mm) == []
+        assert validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
+                              mm) == []
 
 
 class TestCycleDiagnostics:
@@ -207,7 +210,8 @@ class TestCycleDiagnostics:
 
     @staticmethod
     def _problems(scl):
-        return validate_model({name: ClassDef(name) for name in scl}, scl, {})
+        return validate_model(
+            Hierarchy({name: ClassDef(name) for name in scl}, scl), {})
 
     @staticmethod
     def _cycle(name, through):
@@ -237,13 +241,33 @@ class TestCycleDiagnostics:
 
 class TestValueCompat:
     def test_null_fits_any_class_type(self):
-        assert value_fits(NULL_OID, ClassType("Buffer"), {})
+        assert value_fits(NULL_OID, ClassType("Buffer"))
 
     def test_subclass_reference_fits_superclass_slot(self):
         ds = {0: StoredObject("Sub", RecordVal())}
-        scl = {"Sub": ("Base",)}
-        assert value_fits(OidVal(0), ClassType("Base"), scl, ds)
-        assert not value_fits(OidVal(0), ClassType("Other"), scl, ds)
+        classes = {c: ClassDef(c) for c in ("Base", "Sub", "Other")}
+        hierarchy = Hierarchy(classes, {"Sub": ("Base",)})
+        assert value_fits(OidVal(0), ClassType("Base"), ds, hierarchy)
+        assert not value_fits(OidVal(0), ClassType("Other"), ds, hierarchy)
+
+    def test_chains_come_from_the_hierarchy_alone(self, monkeypatch):
+        # Ghost is missing from the class table and Loop extends itself:
+        # the hierarchy has no chain for either, so each counts as its own
+        # one-class chain, and no walk is made for them.
+        classes = {c: ClassDef(c) for c in ("Base", "Sub", "Loop")}
+        hierarchy = Hierarchy(classes, {"Sub": ("Base",), "Loop": ("Loop",)})
+        assert hierarchy.chain("Sub") == ("Sub", "Base")
+
+        def no_walk(cls, scl):
+            raise AssertionError(f"walked the chain of {cls!r}")
+
+        monkeypatch.setattr(smm.universe, "super_chain", no_walk)
+        ds = {oid: StoredObject(cls, RecordVal())
+              for oid, cls in enumerate(("Sub", "Ghost", "Loop"))}
+        fits = {(oid, t): value_fits(OidVal(oid), ClassType(t), ds, hierarchy)
+                for oid in ds for t in ("Base", "Sub", "Ghost", "Loop")}
+        assert {key for key, fit in fits.items() if fit} == {
+            (0, "Base"), (0, "Sub"), (1, "Ghost"), (2, "Loop")}
 
     def test_same_kind_groups_references(self):
         assert same_kind(NULL_OID, OidVal(1))
@@ -254,7 +278,7 @@ class TestValueCompat:
         sig = OpSig("f", (), VOID)
         meth = MethodDef(sig, (), (NewLocal("x", ClassType("Ghost"), NULL_OID),
                                    ReturnConst(VOID_VAL)))
-        problems = validate_model({"X": ClassDef("X", ())}, {},
+        problems = validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
                                   {"X": {sig: meth}})
         assert any("unknown class" in p.message for p in problems)
 

@@ -11,8 +11,8 @@ from smm import (
     OpSig, RecordVal, ReturnPayload, RunnableEntry, Thread, ThreadStatus,
     VOID, VOID_VAL, alloc_object, collect_runnables, consume_event,
     deliver_reliable,
-    dispatch_single, empty_state, make_config, schedule_prio, schedule_rr,
-    super_chain,
+    dispatch_single, empty_state, make_config, parse_model, run_model,
+    schedule_prio, schedule_rr, super_chain,
 )
 from smm.actions import ReturnConst
 from smm.state import CallPayload, make_event, update_thread
@@ -257,6 +257,33 @@ class TestDispatch:
         s, oid = _buffer_state()
         with pytest.raises(ExecError):
             dispatch_single(scl, mm, s.ds, oid, OpSig("ghost", (), VOID))
+
+    # X extends C, D: lookup searches X, then C, then D.
+    TWO_SUPERCLASSES = """
+    class C { }
+    class D { }
+    class X extends C, D { }
+    class Main { attr f: Int = 0; attr g: Int = 0; }
+    op C.f(): Int { return 1; }
+    op D.f(): Int { return 2; }
+    op D.g(): Int { return 3; }
+    op Main.go(): Void {
+      let x: X = null;
+      new x X;
+      let r: Int = 0;
+      call x.f() -> r;
+      setattr f r;
+      call x.g() -> r;
+      setattr g r;
+      return void;
+    }
+    setup { m: Main active go prio 1; }
+    """
+
+    def test_the_first_superclass_in_declaration_order_wins(self):
+        result = run_model(parse_model(self.TWO_SUPERCLASSES))
+        assert result.final.ds[0].attrs == RecordVal((("f", IntVal(1)),
+                                                      ("g", IntVal(3))))
 
     def test_random_hierarchies_match_brute_force(self):
         rng = random.Random(20260809)

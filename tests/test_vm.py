@@ -292,6 +292,18 @@ class TestConsumeEvent:
         s = _queued_call(s, buf)
         assert consume_event(s, cfg, buf, 0) == s
 
+    def test_the_reserved_event_itself_is_taken(self):
+        # Two queued calls share a seq (a hand-built state): the one the
+        # reserved id stands for is taken, not the first equal-seq one.
+        cfg = buffer_config(runnables="conc")
+        s, buf = self._buffer()
+        first = _queued_call(s, buf, value=1).es[buf][0]
+        second = _queued_call(s, buf, value=2).es[buf][0]
+        s = replace(s, es={**s.es, buf: (first, second)}, next_seq=1)
+        s2 = consume_event(s, cfg, buf, s.next_tid, second)
+        assert s2.es[buf] == (first,)
+        assert s2.cs[buf][s.next_tid].top.params.fields == (("p", IntVal(2)),)
+
     def test_bogus_pseudo_id_is_internal(self):
         cfg = buffer_config()
         s, buf = self._buffer()
