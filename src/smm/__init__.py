@@ -11,7 +11,7 @@ built programmatically; runs are reproducible values.
 
 from .errors import ExecError, InternalError, ModelError, SmmError
 from .frontend import (
-    ConfigSel, ModelDef, build_config, load_model, parse_model, print_model,
+    ModelDef, build_config, load_model, parse_model, print_model,
     render_final_state, run_model,
 )
 from .state import (

@@ -24,8 +24,8 @@ from .state import (
     update_thread, write_attr,
 )
 from .universe import (
-    BoolVal, IntVal, NullOid, OidVal, OpSig, TypeRef, Value, same_kind,
-    value_fits,
+    BoolVal, INT_RANGE, IntVal, NullOid, OidVal, OpSig, TypeRef, Value,
+    same_kind, value_fits,
 )
 
 # Each binary operator's name, as the source spells it, and what it
@@ -267,6 +267,8 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
             raise ExecError(f"unknown operator {action.op!r}")
         out = compute(_int_local(frame, action.lhs),
                       _int_local(frame, action.rhs))
+        if isinstance(out, IntVal) and out.value not in INT_RANGE:
+            raise ExecError(f"integer overflow in {action.op!r}")
         return commit(_advance(frame, _store_local(frame, action.dst, out)))
 
     if isinstance(action, Jump):

@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from . import actions as A
@@ -56,37 +56,28 @@ from .errors import Diagnostic, ExecError, ModelError
 from .state import SimState
 from .universe import (
     AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy, INT,
-    IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig, SubclassRel,
-    TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
+    INT_RANGE, IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig,
+    SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
 )
 # perfbench's tracer counts chain walks by rebinding this name here.
 from .universe import super_chain  # noqa: F401
-from .variation import Config, VARIATION_POINTS, make_config, strategy
+from .variation import Config, complete_choices, make_config, strategy
 from .vm import (
     Active, AllDone, Blocked, OKind, Passive, RunResult, Setup, SetupEntry,
     StepLimit, check_setup, run_main,
 )
 
 
-@dataclass(frozen=True)
-class ConfigSel:
-    """Strategy names selected by a model's config block."""
-
-    runnables: str = "rtc"
-    scheduler: str = "rr"
-    dispatch: str = "single"
-    medium: str = "reliable"
-
-
 @dataclass
 class ModelDef:
-    """A parsed and validated model: tables, setup and default strategies."""
+    """A parsed and validated model: tables, setup and ``config``, the
+    config block's strategy name, or else the default, for every point."""
 
     classes: ClassTable
     subclass_rel: SubclassRel
     meth_map: MethMap
     setup: Setup
-    config: ConfigSel = ConfigSel()
+    config: dict[str, str] = field(default_factory=complete_choices)
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,7 @@ class _Parser:
         # Model element (a ``Problem.where`` key) -> the token naming it.
         self.locs: dict[tuple, _Token] = {}
         self.setup_active: list[tuple[int, str, _Token]] = []
-        self.config = ConfigSel()
+        self.config = complete_choices()
 
     # token plumbing
 
@@ -256,10 +247,13 @@ class _Parser:
         """The next token, which must be an integer, as its value."""
         tok = self.expect("int")
         try:
-            return int(tok.text)
+            value = int(tok.text)
         except ValueError:  # more digits than ``int`` converts from text
             self.fail(f"integer of {len(tok.text.lstrip('-'))} digits is "
                       f"too long", tok)
+        if value not in INT_RANGE:
+            self.fail("integer outside the signed 64-bit range", tok)
+        return value
 
     def parse_literal(self) -> Value:
         tok = self.peek()
@@ -468,12 +462,11 @@ class _Parser:
     def parse_config(self):
         self.expect("ident", "config")
         self.expect("punct", "{")
-        values = {}
         while self.peek().text != "}":
             key_tok = self.ident("a config key")
-            if key_tok.text not in VARIATION_POINTS:
+            if key_tok.text not in self.config:  # it holds every point
                 self.fail(f"unknown config key {key_tok.text!r}; expected one "
-                          f"of {sorted(VARIATION_POINTS)}", key_tok)
+                          f"of {sorted(self.config)}", key_tok)
             self.expect("punct", ":")
             val_tok = self.ident("a strategy name")
             try:
@@ -481,9 +474,8 @@ class _Parser:
             except ExecError as err:
                 self.note(err.message, val_tok)
             self.expect("punct", ";")
-            values[key_tok.text] = val_tok.text
+            self.config[key_tok.text] = val_tok.text
         self.expect("punct", "}")
-        self.config = replace(self.config, **values)
 
     # resolution and validation
 
@@ -705,8 +697,7 @@ def print_model(m: ModelDef) -> str:
         out.append("}")
         out.append("")
     out.append("config {")
-    out += [f"  {point}: {getattr(m.config, point)};"
-            for point in VARIATION_POINTS]
+    out += [f"  {point}: {name};" for point, name in m.config.items()]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -804,24 +795,16 @@ def render_trace(records: list[TraceRecord]) -> str:
 
 # --- running models ------------------------------------------------------------
 
-def build_config(m: ModelDef, *, runnables: str | None = None,
-                 scheduler: str | None = None, dispatch: str | None = None,
-                 medium: str | None = None) -> Config:
-    """The model's strategy choices, with any explicit overrides applied."""
-    sel = m.config
-    return make_config(
-        m.classes, m.subclass_rel, m.meth_map,
-        runnables=runnables or sel.runnables,
-        scheduler=scheduler or sel.scheduler,
-        dispatch=dispatch or sel.dispatch,
-        medium=medium or sel.medium,
-    )
+def build_config(m: ModelDef, **choices: str | None) -> Config:
+    """The model's strategy choices, with the overrides that are not None
+    applied; ``make_config`` rejects a key that is no point, even a None."""
+    overrides = {point: name for point, name in choices.items()
+                 if name is not None or point not in m.config}
+    return make_config(m.classes, m.subclass_rel, m.meth_map,
+                       **{**m.config, **overrides})
 
 
-def run_model(m: ModelDef, *, runnables: str | None = None,
-              scheduler: str | None = None, dispatch: str | None = None,
-              medium: str | None = None, max_steps: int | None = None,
-              on_step=None) -> RunResult:
-    cfg = build_config(m, runnables=runnables, scheduler=scheduler,
-                       dispatch=dispatch, medium=medium)
+def run_model(m: ModelDef, *, max_steps: int | None = None, on_step=None,
+              **choices: str | None) -> RunResult:
+    cfg = build_config(m, **choices)
     return run_main(cfg, m.setup, max_steps=max_steps, on_step=on_step)

@@ -54,6 +54,11 @@ VOID = VoidType()
 
 # --- values ----------------------------------------------------------------
 
+# The values an ``Int`` holds: signed 64-bit. The parser rejects a
+# literal outside it and arithmetic that leaves it is a runtime error.
+INT_RANGE = range(-2**63, 2**63)
+
+
 @dataclass(frozen=True)
 class IntVal:
     value: int
@@ -266,23 +271,21 @@ class Hierarchy:
     def below(self, classes: Iterable[str]) -> set[str]:
         """``classes`` and every class whose chain holds one of them, but
         none in ``cycles``."""
-        found = {c for c in classes if c not in self.cycles}
-        todo = list(found)
-        while todo:
-            new = [sub for sub in self._subclasses.get(todo.pop(), ())
-                   if sub not in found and sub not in self.cycles]
-            found.update(new)
-            todo += new
-        return found
+        return self._closure(classes, self._subclasses)
 
     def above(self, classes: Iterable[str]) -> set[str]:
         """``classes`` and every class on the chain of one of them, but
-        none in ``cycles``."""
+        none in ``cycles``; a class outside ``cycles`` has none of them on
+        its chain, so only classes given can be left out."""
+        return self._closure(classes, self.scl)
+
+    def _closure(self, classes: Iterable[str], edges: dict) -> set[str]:
+        """``classes`` and all reachable along ``edges``, none in ``cycles``."""
         found = {c for c in classes if c not in self.cycles}
         todo = list(found)
         while todo:
-            new = [sup for sup in self.scl.get(todo.pop(), ())
-                   if sup not in found]
+            new = [c for c in edges.get(todo.pop(), ())
+                   if c not in found and c not in self.cycles]
             found.update(new)
             todo += new
         return found

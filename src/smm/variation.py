@@ -227,17 +227,28 @@ class Config:
         return meth
 
 
+def complete_choices(**chosen: str | None) -> dict[str, str]:
+    """``chosen`` with each variation point it leaves out or None set to
+    its default, the first strategy in its table, in table order. A key
+    that is no point raises ``TypeError``, as a misspelled keyword does."""
+    for key in sorted(chosen.keys() - VARIATION_POINTS.keys()):
+        raise TypeError(f"unexpected variation point {key!r}")
+    return {point: next(iter(table)) if chosen.get(point) is None
+            else chosen[point] for point, table in VARIATION_POINTS.items()}
+
+
 def make_config(class_table: ClassTable, subclass_rel: SubclassRel,
-                meth_map: MethMap, *, runnables: str = "rtc",
-                scheduler: str = "rr", dispatch: str = "single",
-                medium: str = "reliable") -> Config:
-    """Build a Config from strategy names (the CLI/DSL-facing spellings)."""
+                meth_map: MethMap, **choices: str | None) -> Config:
+    """Build a Config from strategy names (the CLI/DSL-facing spellings)
+    by variation point; see ``complete_choices``."""
     # In the order of the points, so the first unknown name is reported.
+    picked = {point: strategy(point, name)
+              for point, name in complete_choices(**choices).items()}
     return Config(
-        runnables_sel=strategy("runnables", runnables),
-        scheduler=strategy("scheduler", scheduler),
-        dispatcher=strategy("dispatch", dispatch),
-        medium=strategy("medium", medium),
+        runnables_sel=picked["runnables"],
+        scheduler=picked["scheduler"],
+        dispatcher=picked["dispatch"],
+        medium=picked["medium"],
         subclass_rel=subclass_rel,
         meth_map=meth_map,
         class_table=class_table,

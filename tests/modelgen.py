@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 
 from smm import (
-    Active, AttrDef, BOOL, BoolVal, ClassDef, ClassType, ConfigSel, INT,
-    IntVal, MethodDef, ModelDef, NULL_OID, OpSig, Passive, SetupEntry, VOID,
-    VOID_VAL, super_chain,
+    Active, AttrDef, BOOL, BoolVal, ClassDef, ClassType, INT, IntVal,
+    MethodDef, ModelDef, NULL_OID, OpSig, Passive, SetupEntry, VOID, VOID_VAL,
+    super_chain,
 )
 from smm.actions import (
     BinOp, BranchIfFalse, Call, Jump, LocalConst, LocalFromAttr,
@@ -89,8 +89,9 @@ def random_model(rng: random.Random, objects: int | None = None) -> ModelDef:
                       if n != ename and rng.random() < 0.3)
         setup.append(SetupEntry(ename, cls, kind, links))
 
-    config = ConfigSel(runnables=rng.choice(("rtc", "conc")),
-                       scheduler=rng.choice(("rr", "prio")))
+    config = {"runnables": rng.choice(("rtc", "conc")),
+              "scheduler": rng.choice(("rr", "prio")),
+              "dispatch": "single", "medium": "reliable"}
     return ModelDef(classes, scl, meth_map, tuple(setup), config)
 
 

@@ -96,6 +96,24 @@ class TestDataActions:
         s2 = interpret(BinOp("add", "i", "i", "one"), s, w, 0, _cfg())
         assert _top(s2, w).locals.get("i") == IntVal(5)
 
+    @pytest.mark.parametrize("op, lhs, rhs, out", [
+        ("add", 2**63 - 2, 1, 2**63 - 1),
+        ("add", 2**63 - 1, 1, None),
+        ("sub", -2**63 + 1, 1, -2**63),
+        ("sub", -2**63, 1, None),
+        ("mul", -2**62, 2, -2**63),
+        ("mul", 2**62, 2, None),
+        ("mul", 2**32, 2**32, None),
+    ])
+    def test_int_results_stay_signed_64_bit(self, op, lhs, rhs, out):
+        s, _, w = _setup(locals_=(("a", IntVal(lhs)), ("b", IntVal(rhs))))
+        if out is None:
+            with pytest.raises(ExecError, match=f"integer overflow in '{op}'"):
+                interpret(BinOp(op, "a", "a", "b"), s, w, 0, _cfg())
+        else:
+            s2 = interpret(BinOp(op, "a", "a", "b"), s, w, 0, _cfg())
+            assert _top(s2, w).locals.get("a") == IntVal(out)
+
     def test_binop_comparisons_produce_bools(self):
         s, _, w = _setup(locals_=(("c", BoolVal(False)), ("a", IntVal(2)),
                                   ("b", IntVal(3))))

@@ -205,6 +205,57 @@ setup {
         assert err == ("smm: runtime error: object 0 (C) has no attribute "
                        "'n' [oid=0, tid=0, pc=1]\n")
 
+    def test_integer_overflow_is_a_runtime_error(self, tmp_path, capsys):
+        # Squaring 10 leaves the signed 64-bit range at 10**32, on the
+        # fifth pass; an unbounded Int would reach 10**16384 and fail to
+        # render.
+        model = tmp_path / "squares.smm"
+        model.write_text("""
+        class A { attr x: Int = 0; }
+        op A.go(): Void {
+          let x: Int = 10;
+          let i: Int = 0;
+          let n: Int = 14;
+          let one: Int = 1;
+          let c: Bool = true;
+        again:
+          lt c i n;
+          ifnot c goto done;
+          mul x x x;
+          add i i one;
+          goto again;
+        done:
+          setattr x x;
+          return void;
+        }
+        setup { a: A active go prio 1; }
+        """)
+        code = main(["run", str(model)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert captured.err == ("smm: runtime error: integer overflow in "
+                                "'mul' [oid=0, tid=0, pc=7]\n")
+
+    @pytest.mark.parametrize("literal, code", [
+        ("9223372036854775807", EXIT_OK),
+        ("-9223372036854775808", EXIT_OK),
+        ("9223372036854775808", EXIT_VALIDATION),
+        ("-9223372036854775809", EXIT_VALIDATION),
+    ])
+    def test_integer_literals_are_signed_64_bit(self, tmp_path, capsys,
+                                               literal, code):
+        model = tmp_path / "literal.smm"
+        model.write_text(f"class A {{ attr n: Int = {literal}; }}\n"
+                         f"setup {{ a: A passive; }}\n")
+        assert main(["run", str(model)]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert f'("n",VInt {literal})' in captured.out
+        else:
+            assert captured.err == (f"{model}:1:25: integer outside the "
+                                    f"signed 64-bit range\n")
+
     def test_objects_inherit_attributes(self, tmp_path, capsys):
         model = tmp_path / "inherited.smm"
         model.write_text("""

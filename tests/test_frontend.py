@@ -24,7 +24,8 @@ class TestParseModel:
         kinds = [type(e.kind).__name__ for e in m.setup]
         assert kinds == ["Active", "Active", "Active", "Passive"]
         assert m.setup[0].kind.prio == 10
-        assert m.config.runnables == "conc" and m.config.scheduler == "rr"
+        assert m.config["runnables"] == "conc"
+        assert m.config["scheduler"] == "rr"
 
     def test_single_class(self):
         m = parse_model("class Buffer { attr data: Int = -1; }")
@@ -229,6 +230,9 @@ LOCATED = [
     ("class A { }\nop A.f(p: Int, p: Int): Void { return void; }",
      [(2, "method A.f: duplicate parameter 'p'")]),
     ("class A { }\n  $", [(2, "unexpected character '$'")]),
+    # An integer outside the signed 64-bit range of ``Int``.
+    ("class A {\n  attr n: Int = 10000000000000000000;\n}",
+     [(2, "integer outside the signed 64-bit range")]),
     # An integer longer than ``int`` converts from text, at each place
     # the grammar reads one.
     (f"class A {{\n  attr n: Int = {HUGE};\n}}",

@@ -13,7 +13,8 @@ import random
 import pytest
 
 from smm import (
-    ExecError, build_config, render_final_state, run_model, validate_state,
+    ExecError, build_config, parse_model, render_final_state, run_model,
+    validate_state,
 )
 from smm.vm import StepLimit
 
@@ -42,3 +43,45 @@ def test_random_models_run_deterministically(seed):
         if result is not None and not isinstance(result.halt, StepLimit):
             problems = validate_state(result.final, build_config(model))
             assert problems == [], problems
+
+
+# Literals at and near the ends of ``Int``'s signed 64-bit range and near
+# the square root of its top; mixed with small ones, chains of add/sub/mul
+# both stay inside the range and leave it.
+_EDGE_INTS = [2**63 - 1, 2**63 - 2, -2**63, -2**63 + 1, 2**62, -2**62,
+              2**32, 3_037_000_499, -3_037_000_499]
+
+
+def _arithmetic_model(rng: random.Random) -> str:
+    """Two active objects, each running a random add/sub/mul chain over
+    two edge literals and two small ones, storing every result. The right
+    operand is mostly the last small one, so that about a third of the
+    runs finish."""
+    lines = ["class A { attr r: Int = 0; }"]
+    for op_name in ("f", "g"):
+        body = [f"  let v{i}: Int = "
+                f"{rng.choice(_EDGE_INTS) if i < 2 else rng.randint(-3, 3)};"
+                for i in range(4)]
+        for _ in range(rng.randint(1, 6)):
+            dst, lhs = (f"v{rng.randrange(4)}" for _ in range(2))
+            rhs = f"v{rng.randrange(4) if rng.random() < 0.3 else 3}"
+            body.append(f"  {rng.choice(('add', 'sub', 'mul'))} {dst} {lhs} "
+                        f"{rhs};")
+            body.append(f"  setattr r {dst};")
+        lines += [f"op A.{op_name}(): Void {{", *body, "  return void;", "}"]
+    lines.append("setup { a: A active f prio 1; b: A active g prio 2; }")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_chains_stay_in_range_or_stop(seed):
+    model = parse_model(_arithmetic_model(random.Random(654_000 + seed)))
+    for runnables, scheduler in CONFIGS:
+        kind1, detail1, result = _outcome(model, runnables, scheduler)
+        assert (kind1, detail1) == _outcome(model, runnables, scheduler)[:2]
+        if kind1 == "model-error":
+            assert "integer overflow in" in detail1
+            continue
+        assert render_final_state(result, "text")
+        for obj in result.final.ds.values():
+            assert obj.attrs.get("r").value in range(-2**63, 2**63)

@@ -11,12 +11,14 @@ from smm import (
     OpSig, RecordVal, ReturnPayload, RunnableEntry, Thread, ThreadStatus,
     VOID, VOID_VAL, alloc_object, collect_runnables, consume_event,
     deliver_reliable,
-    dispatch_single, empty_state, make_config, parse_model, run_model,
-    schedule_prio, schedule_rr, super_chain,
+    dispatch_single, empty_state, make_config, parse_model, print_model,
+    run_model, schedule_prio, schedule_rr, super_chain,
 )
 from smm.actions import ReturnConst
+from smm.cli import main as cli_main
+from smm.frontend import build_config
 from smm.state import CallPayload, make_event, update_thread
-from smm.variation import ConcRunnables, RtcRunnables
+from smm.variation import VARIATION_POINTS, ConcRunnables, RtcRunnables
 
 from conftest import (
     GET_OP, PUT_OP, buffer_class, buffer_config, buffer_tables, get_method,
@@ -25,6 +27,10 @@ from conftest import (
 
 RTC = RtcRunnables()
 CONC = ConcRunnables()
+# The shared instances the table holds, which a Config built from names
+# refers to.
+RTC_SEL = VARIATION_POINTS["runnables"]["rtc"]
+CONC_SEL = VARIATION_POINTS["runnables"]["conc"]
 
 
 def _call_event(seq: int, receiver: int, prio: int = 1):
@@ -418,3 +424,65 @@ class TestMethodMemo:
                              next_seq=seq + 1)
             with pytest.raises(ExecError, match=rf"\[oid={oid}\]$"):
                 consume_event(queued, cfg, oid, s.next_tid, event)
+
+
+class TestChoices:
+    """A model's choices are one mapping from variation point to strategy
+    name, from the config block through ``build_config`` and ``run_model``
+    to ``make_config``."""
+
+    def test_every_point_defaults_to_the_first_strategy_in_its_table(self):
+        cfg = buffer_config()
+        firsts = {point: next(iter(table.values()))
+                  for point, table in VARIATION_POINTS.items()}
+        assert (cfg.runnables_sel, cfg.scheduler, cfg.dispatcher,
+                cfg.medium) == tuple(firsts.values())
+        assert parse_model("class A { }").config == {
+            point: next(iter(table)) for point, table in
+            VARIATION_POINTS.items()}
+
+    def test_a_flag_beats_the_config_block_and_none_keeps_it(
+            self, prodcons_model):
+        assert prodcons_model.config["runnables"] == "conc"
+        assert build_config(prodcons_model).runnables_sel is CONC_SEL
+        assert build_config(prodcons_model,
+                            runnables="rtc").runnables_sel is RTC_SEL
+        kept = build_config(prodcons_model, runnables=None, scheduler="prio")
+        assert kept.runnables_sel is CONC_SEL
+        assert kept.scheduler is schedule_prio
+
+    @pytest.mark.parametrize("entry", ["make_config", "build_config",
+                                       "run_model"])
+    def test_a_misspelled_point_is_a_type_error(self, prodcons_model, entry):
+        call = {
+            "make_config": lambda **kw: make_config(*buffer_tables(), **kw),
+            "build_config": lambda **kw: build_config(prodcons_model, **kw),
+            "run_model": lambda **kw: run_model(prodcons_model, **kw),
+        }[entry]
+        for name in ("prio", None):
+            with pytest.raises(TypeError, match="'schedular'"):
+                call(schedular=name)
+
+    def test_an_added_strategy_needs_no_other_edit(self, monkeypatch,
+                                                   tmp_path, capsys):
+        def schedule_newest(t, entries):
+            best = max(entries, key=lambda e: (e.last_exec, e.oid, e.tid))
+            return best.oid, best.tid
+
+        monkeypatch.setitem(VARIATION_POINTS["scheduler"], "newest",
+                            schedule_newest)
+        source = ("class A { }\nop A.go(): Void { return void; }\n"
+                  "setup { a: A active go prio 1; }\n"
+                  "config { scheduler: newest; }\n")
+        model = parse_model(source)
+        assert model.config["scheduler"] == "newest"
+        assert "  scheduler: newest;\n" in print_model(model)
+        assert parse_model(print_model(model)) == model
+        assert build_config(model).scheduler is schedule_newest
+        assert build_config(parse_model("class A { }"),
+                            scheduler="newest").scheduler is schedule_newest
+        path = tmp_path / "newest.smm"
+        path.write_text("class A { }\nop A.go(): Void { return void; }\n"
+                        "setup { a: A active go prio 1; }\n")
+        assert cli_main(["run", str(path), "--scheduler", "newest"]) == 0
+        assert capsys.readouterr().out == "attributes:\nA(id 0): []\ntime: 1\n"
