@@ -16,8 +16,8 @@ from .frontend import (
 )
 from .state import (
     CallerRef, CallPayload, EventKind, Frame, Message, ReturnPayload,
-    StoredObject, Thread, ThreadStatus, alloc_object, empty_state,
-    enqueue_event, pop_frame, take_matching_event, validate_state, write_attr,
+    StoredObject, Thread, ThreadStatus, alloc_object, empty_state, end_thread,
+    enqueue_event, take_matching_event, validate_state, write_attr,
 )
 from .universe import (
     AttrDef, BOOL, BoolVal, ClassDef, ClassType, INT, IntVal, MethodDef,

@@ -9,7 +9,7 @@ All operands are locals; constants enter a frame through ``LocalConst`` or
 successor state. Inter-object effects travel exclusively as events handed
 to the configured medium: a synchronous ``Call`` parks the sender until the
 matching return event is consumed, an asynchronous ``SendSignal`` does not
-block, and ``Return`` answers the caller (if any) and pops the frame.
+block, and ``Return`` answers the caller (if any) and ends the thread.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Union
 from .errors import ExecError
 from .state import (
     CallPayload, Frame, Message, RecordVal, ReturnPayload, SignalPayload,
-    SimState, Thread, ThreadStatus, alloc_object, make_event, pop_frame,
+    SimState, Thread, ThreadStatus, alloc_object, end_thread, make_event,
     update_thread, write_attr,
 )
 from .universe import (
@@ -141,19 +141,11 @@ def _int_local(frame, name: str) -> int:
     return v.value
 
 
-def _store_local(frame, name: str, v: Value) -> RecordVal:
+def store_local(frame, name: str, v: Value) -> RecordVal:
     """The frame's locals with ``name``, an existing local, set to ``v``."""
     if not same_kind(_local(frame, name), v):
         raise ExecError(f"type error assigning local {name!r}")
     return frame.locals.set(name, v)
-
-
-def _advance(frame: Frame, locals: RecordVal | None = None,
-             pc: int | None = None) -> Frame:
-    """``frame`` at ``pc`` (by default the next action), with ``locals``."""
-    return Frame(frame.self_oid, frame.meth, frame.params,
-                 frame.locals if locals is None else locals,
-                 frame.pc + 1 if pc is None else pc, frame.caller)
 
 
 def _arg_record(frame, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
@@ -181,12 +173,12 @@ def _target_oid(frame, name: str, s: SimState) -> int:
     return v.oid
 
 
-def _jump(frame, target: int):
+def _jump(frame, target: int) -> int:
     body = frame.meth.body
     if not 0 <= target < len(body):
         raise ExecError(f"action {frame.pc} jumps to {target}, outside the "
                         f"body of {len(body)} actions")
-    return _advance(frame, pc=target)
+    return target
 
 
 def _emit(s: SimState, cfg, msg: Message) -> SimState:
@@ -195,31 +187,33 @@ def _emit(s: SimState, cfg, msg: Message) -> SimState:
     return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq + 1)
 
 
-def replace_top(s: SimState, thr: Thread, frame: Frame,
-                status: ThreadStatus = ThreadStatus.READY) -> SimState:
-    """``s`` with ``thr``'s top frame replaced by ``frame``, in ``status``.
+def advance(s: SimState, thr: Thread, locals: RecordVal | None = None,
+            pc: int | None = None,
+            status: ThreadStatus = ThreadStatus.READY) -> SimState:
+    """``s`` with ``thr`` moved on: at ``pc`` (by default its next action),
+    with ``locals`` (by default its own), in ``status``.
 
-    The thread is stored under its own id at the frame's object.
+    This is the one writer of a running thread's next frame. The thread is
+    stored under its own id at its frame's object.
     """
-    new_thr = Thread(thr.tid, thr.base_prio, status,
-                     thr.frames[:-1] + (frame,))
-    return update_thread(s, frame.self_oid, thr.tid, new_thr)
+    f = thr.frame
+    frame = Frame(f.self_oid, f.meth, f.params,
+                  f.locals if locals is None else locals,
+                  f.pc + 1 if pc is None else pc, f.caller)
+    return update_thread(s, f.self_oid, thr.tid,
+                         Thread(thr.tid, thr.base_prio, status, frame))
 
 
 def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     """Execute one action of thread ``tid`` of object ``oid``.
 
-    The thread must exist and be ready, with its top frame's pc addressing
+    The thread must exist and be ready, with its frame's pc addressing
     ``action`` in the dispatched method body; ``vm.step`` checks that and
     adds the (oid, tid, pc) context to any ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
     thr = s.thread(oid, tid)
-    frame = thr.top
-
-    def commit(new_frame: Frame, base: SimState = s,
-               status: ThreadStatus = ThreadStatus.READY) -> SimState:
-        return replace_top(base, thr, new_frame, status)
+    frame = thr.frame
 
     if isinstance(action, NewLocal):
         if frame.locals.has(action.name):
@@ -227,15 +221,14 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         if not value_fits(action.init, action.type, s.ds, cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
-        return commit(_advance(frame, frame.locals.set(action.name,
-                                                       action.init)))
+        return advance(s, thr, frame.locals.set(action.name, action.init))
 
     if isinstance(action, LocalFromParam):
         try:
             v = frame.params.get(action.param)
         except KeyError:
             raise ExecError(f"unknown parameter {action.param!r}") from None
-        return commit(_advance(frame, _store_local(frame, action.local, v)))
+        return advance(s, thr, store_local(frame, action.local, v))
 
     if isinstance(action, LocalFromAttr):
         obj = s.ds[oid]
@@ -244,11 +237,10 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         except KeyError:
             raise ExecError(f"object {oid} ({obj.class_name}) has no "
                             f"attribute {action.attr!r}") from None
-        return commit(_advance(frame, _store_local(frame, action.local, v)))
+        return advance(s, thr, store_local(frame, action.local, v))
 
     if isinstance(action, LocalConst):
-        return commit(_advance(frame, _store_local(frame, action.local,
-                                                   action.value)))
+        return advance(s, thr, store_local(frame, action.local, action.value))
 
     if isinstance(action, SetAttr):
         v = _local(frame, action.local)
@@ -259,7 +251,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
                         v, attr.type, s.ds, cfg.hierarchy):
                     raise ExecError(
                         f"type error writing attribute {action.attr!r}")
-        return commit(_advance(frame), write_attr(s, oid, action.attr, v))
+        return advance(write_attr(s, oid, action.attr, v), thr)
 
     if isinstance(action, BinOp):
         compute = BIN_OPS.get(action.op)
@@ -269,26 +261,25 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
                       _int_local(frame, action.rhs))
         if isinstance(out, IntVal) and out.value not in INT_RANGE:
             raise ExecError(f"integer overflow in {action.op!r}")
-        return commit(_advance(frame, _store_local(frame, action.dst, out)))
+        return advance(s, thr, store_local(frame, action.dst, out))
 
     if isinstance(action, Jump):
-        return commit(_jump(frame, action.target))
+        return advance(s, thr, pc=_jump(frame, action.target))
 
     if isinstance(action, BranchIfFalse):
         cond = _local(frame, action.cond)
         if not isinstance(cond, BoolVal):
             raise ExecError(f"branch condition {action.cond!r} is not a boolean")
         if cond.value:
-            return commit(_advance(frame))
-        return commit(_jump(frame, action.target))
+            return advance(s, thr)
+        return advance(s, thr, pc=_jump(frame, action.target))
 
     if isinstance(action, NewObject):
         if action.class_name not in cfg.class_table:
             raise ExecError(f"unknown class {action.class_name!r}")
         s2, new_oid = alloc_object(s, cfg.hierarchy.object_class(
             action.class_name))
-        return commit(_advance(frame, _store_local(frame, action.dst,
-                                                   OidVal(new_oid))), s2)
+        return advance(s2, thr, store_local(frame, action.dst, OidVal(new_oid)))
 
     if isinstance(action, (Call, SendSignal)):
         dst = _target_oid(frame, action.target, s)
@@ -305,7 +296,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
             status = ThreadStatus.READY
         s2 = _emit(s, cfg, Message(sender=oid, sender_thread=tid,
                                    receiver=dst, payload=payload))
-        return commit(_advance(frame), s2, status)
+        return advance(s2, thr, status=status)
 
     if isinstance(action, (ReturnConst, ReturnLocal)):
         if isinstance(action, ReturnLocal):
@@ -320,7 +311,6 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
                 sender_thread=frame.caller.tid,
                 receiver=frame.caller.oid,
                 payload=ReturnPayload(value, frame.caller.result_local)))
-        s3, _ = pop_frame(s2, oid, tid)
-        return s3
+        return end_thread(s2, oid, tid)
 
     raise ExecError(f"unknown action {action!r}")

@@ -614,9 +614,18 @@ def load_model(path) -> ModelDef:
 
 # --- printing -------------------------------------------------------------------
 
+def _int_value(v: IntVal, form: str) -> int:
+    """The value of ``v``, which has no ``form`` form outside ``Int`` (only
+    a built model can hold such a value, and ``str`` may not convert it)."""
+    if v.value not in INT_RANGE:
+        raise ModelError(f"integer of {v.value.bit_length()} bits has no "
+                         f"{form} form")
+    return v.value
+
+
 def _print_literal(v: Value) -> str:
     if isinstance(v, IntVal):
-        return str(v.value)
+        return str(_int_value(v, "source"))
     for text, literal in _LITERALS.items():
         if v == literal:
             return text
@@ -706,7 +715,7 @@ def print_model(m: ModelDef) -> str:
 
 def _render_value(v: Value) -> str:
     if isinstance(v, IntVal):
-        return f"VInt {v.value}"
+        return f"VInt {_int_value(v, 'output')}"
     if isinstance(v, BoolVal):
         return f"VBool {'true' if v.value else 'false'}"
     if isinstance(v, VoidVal):
@@ -720,7 +729,7 @@ def _render_value(v: Value) -> str:
 
 def _value_json(v: Value):
     if isinstance(v, IntVal):
-        return {"kind": "int", "value": v.value}
+        return {"kind": "int", "value": _int_value(v, "output")}
     if isinstance(v, BoolVal):
         return {"kind": "bool", "value": v.value}
     if isinstance(v, VoidVal):

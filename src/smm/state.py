@@ -3,8 +3,8 @@
 A ``SimState`` is a value: every operation returns a new state and never
 mutates its argument, so a state can be kept, compared, or replayed. The
 data store holds each object's class tag and attribute record, the control
-store holds per-object thread frame stacks, and the event store holds one
-FIFO queue of incoming events per object.
+store holds each object's threads, each running one method activation, and
+the event store holds one FIFO queue of incoming events per object.
 
 Thread ids and event sequence numbers are drawn from monotone counters kept
 inside the state, which is what makes whole runs reproducible values.
@@ -64,11 +64,7 @@ class Thread:
     tid: int
     base_prio: int
     status: ThreadStatus
-    frames: tuple[Frame, ...]
-
-    @property
-    def top(self) -> Frame:
-        return self.frames[-1]
+    frame: Frame
 
 
 # --- messages and events ------------------------------------------------------
@@ -237,20 +233,13 @@ def take_matching_event(es: EventStore, oid: int,
     return es, None
 
 
-def pop_frame(s: SimState, oid: int, tid: int) -> tuple[SimState, Frame]:
-    """Pop the top frame; a thread whose stack empties is removed."""
-    thr = s.thread(oid, tid)
-    if thr is None or not thr.frames:
-        raise InternalError(f"pop on missing or empty thread {tid} of object {oid}")
-    frame = thr.frames[-1]
-    rest = thr.frames[:-1]
-    threads = dict(s.cs[oid])
-    if rest:
-        threads[tid] = Thread(thr.tid, thr.base_prio, thr.status, rest)
-    else:
-        del threads[tid]
+def end_thread(s: SimState, oid: int, tid: int) -> SimState:
+    """``s`` without thread ``tid`` of ``oid``, whose activation returned."""
+    threads = dict(s.cs.get(oid, {}))
+    if threads.pop(tid, None) is None:
+        raise InternalError(f"end of missing thread {tid} of object {oid}")
     return SimState(s.ds, {**s.cs, oid: threads}, s.es, s.next_tid,
-                    s.next_seq), frame
+                    s.next_seq)
 
 
 def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
@@ -308,15 +297,13 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
                 problems.append(f"thread {tid} of object {oid} carries id {thr.tid}")
             if tid >= s.next_tid:
                 problems.append(f"thread {tid} not covered by the id counter")
-            if not thr.frames:
-                problems.append(f"thread {tid} of object {oid} has no frames")
-            for f in thr.frames:
-                if f.self_oid != oid:
-                    problems.append(
-                        f"thread {tid}: frame executes object {f.self_oid}, "
-                        f"stored under {oid}")
-                check_refs(f.params, f"thread {tid} params")
-                check_refs(f.locals, f"thread {tid} locals")
+            f = thr.frame
+            if f.self_oid != oid:
+                problems.append(
+                    f"thread {tid}: frame executes object {f.self_oid}, "
+                    f"stored under {oid}")
+            check_refs(f.params, f"thread {tid} params")
+            check_refs(f.locals, f"thread {tid} locals")
 
     for oid, queue in s.es.items():
         if oid not in s.ds:

@@ -300,9 +300,10 @@ def value_fits(v: Value, t: TypeRef, ds=None,
     for a class type (the store is needed to learn its class). With ``ds``,
     the class's chain is read from ``hierarchy``; a class it has no chain
     for (missing from its table, or on a cycle) counts as its own chain.
+    An ``IntVal`` fits ``Int`` only inside ``INT_RANGE``.
     """
     if isinstance(t, IntType):
-        return isinstance(v, IntVal)
+        return isinstance(v, IntVal) and v.value in INT_RANGE
     if isinstance(t, BoolType):
         return isinstance(v, BoolVal)
     if isinstance(t, VoidType):
@@ -354,9 +355,10 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     over known classes, and method entries of known classes whose
     signatures, parameters and bodies are internally consistent (unique
     parameters, non-empty bodies, jump targets in range, known parameters
-    and classes, fitting initial values). Chains are read from
-    ``hierarchy`` and walked only where a rule needs them; the parser hands
-    the same one to ``smm.vm.check_setup``. The setup rules live in
+    and classes, fitting initial values, ``Int`` literals inside
+    ``INT_RANGE``). Chains are read from ``hierarchy`` and walked only
+    where a rule needs them; the parser hands the same one to
+    ``smm.vm.check_setup``. The setup rules live in
     ``smm.vm.check_setup``; the parser keeps only what needs its tokens or
     would be lost in these tables (syntax, duplicate classes and methods,
     labels, name resolution, config keys, attribute references).
@@ -469,6 +471,12 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
                     elif not value_fits(act.init, act.type):
                         report(at, f"{label}: action {pc} initial value does "
                                    f"not fit type {act.type}")
+                elif isinstance(act, (actions.LocalConst,
+                                      actions.ReturnConst)) and \
+                        isinstance(act.value, IntVal) and \
+                        not value_fits(act.value, INT):
+                    report(at, f"{label}: action {pc} uses an integer "
+                               f"outside the signed 64-bit range")
                 elif isinstance(act, actions.NewObject) and \
                         act.class_name not in class_table:
                     report(at, f"{label}: action {pc} creates unknown class "

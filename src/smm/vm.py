@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .actions import Action, interpret, replace_top
+from .actions import Action, advance, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, Event, Frame, RecordVal, SimState, Thread,
@@ -195,7 +195,8 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
       arguments bound to its parameters. A call records who to answer; a
       signal has no caller to answer.
     - ``tid`` is waiting and its return event is buffered: remove it, bind
-      the value to the frame's result local (creating it), mark ready.
+      the value to the frame's result local, mark ready. A result local
+      that exists keeps its kind; a missing one is created.
     - otherwise the state is returned unchanged.
     """
     thr = s.thread(oid, tid)
@@ -205,13 +206,14 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
         es, answer = take_matching_event(s.es, oid, returns_to(tid))
         if answer is None:
             return s
-        payload = answer.msg.payload
-        frame = thr.top
-        frame = Frame(frame.self_oid, frame.meth, frame.params,
-                      frame.locals.set(payload.result_local, payload.value),
-                      frame.pc, frame.caller)
-        return replace_top(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq),
-                           thr, frame)
+        name, value = answer.msg.payload.result_local, answer.msg.payload.value
+        frame = thr.frame
+        if frame.locals.has(name):
+            bound = store_local(frame, name, value)
+        else:
+            bound = frame.locals.set(name, value)
+        return advance(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), thr,
+                       bound, pc=frame.pc)
 
     taken = None
     if event is not None:
@@ -236,7 +238,7 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
         caller = None
     frame = Frame(self_oid=oid, meth=meth, params=params,
                   locals=RecordVal(), pc=0, caller=caller)
-    thread = Thread(tid, payload.prio, ThreadStatus.READY, (frame,))
+    thread = Thread(tid, payload.prio, ThreadStatus.READY, frame)
     s2 = SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq)
     return update_thread(s2, oid, tid, thread)
 
@@ -248,26 +250,29 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     ``event`` is the pending event a reserved ``tid`` stands for, as
     ``collect_runnables`` reported it. Returns the successor state and the
     pc and action that ran. This is the one place that attaches the
-    running (oid, tid, pc) to an ``ExecError``.
+    running (oid, tid, pc) to an ``ExecError``; an error raised while the
+    event is consumed names no pc, because no action ran.
     """
-    s1 = consume_event(s, cfg, oid, tid, event)
-    thr = s1.thread(oid, tid)
-    if thr is None:
-        raise InternalError(f"thread {tid} of object {oid} missing after "
-                            f"event consumption")
-    if thr.status is not ThreadStatus.READY:
-        raise InternalError(f"thread {tid} of object {oid} was scheduled "
-                            f"but is not ready (selector contract violation)")
-    frame = thr.top
-    body = frame.meth.body
+    pc = None
     try:
-        if frame.pc >= len(body):
+        s1 = consume_event(s, cfg, oid, tid, event)
+        thr = s1.thread(oid, tid)
+        if thr is None:
+            raise InternalError(f"thread {tid} of object {oid} missing after "
+                                f"event consumption")
+        if thr.status is not ThreadStatus.READY:
+            raise InternalError(
+                f"thread {tid} of object {oid} was scheduled but is not "
+                f"ready (selector contract violation)")
+        frame = thr.frame
+        pc, body = frame.pc, frame.meth.body
+        if pc >= len(body):
             raise ExecError(f"fell off the end of "
                             f"{frame.meth.implements.name!r} without a return")
-        action = body[frame.pc]
-        return interpret(action, s1, oid, tid, cfg), frame.pc, action
+        action = body[pc]
+        return interpret(action, s1, oid, tid, cfg), pc, action
     except ExecError as err:
-        raise ExecError(err.message, oid=oid, tid=tid, pc=frame.pc) from None
+        raise ExecError(err.message, oid=oid, tid=tid, pc=pc) from None
 
 
 # --- the run loop -------------------------------------------------------------------
@@ -401,8 +406,7 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
                              f"{entry.kind.op.name!r}: {err}") from None
         frame = Frame(self_oid=oid, meth=meth, params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
-        thread = Thread(s.next_tid, entry.kind.prio, ThreadStatus.READY,
-                        (frame,))
+        thread = Thread(s.next_tid, entry.kind.prio, ThreadStatus.READY, frame)
         s = update_thread(SimState(s.ds, s.cs, s.es, s.next_tid + 1,
                                    s.next_seq), oid, thread.tid, thread)
     return s

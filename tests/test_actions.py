@@ -43,13 +43,13 @@ def _setup(locals_=(), params=(), pc=0, caller=None):
     frame = Frame(self_oid=worker, meth=MethodDef(WORK_OP, (), WORK_BODY),
                   params=RecordVal(tuple(params)),
                   locals=RecordVal(tuple(locals_)), pc=pc, caller=caller)
-    s = update_thread(s, worker, 0, Thread(0, 5, ThreadStatus.READY, (frame,)))
+    s = update_thread(s, worker, 0, Thread(0, 5, ThreadStatus.READY, frame))
     s = replace(s, next_tid=1)
     return s, buf, worker
 
 
 def _top(s, oid, tid=0):
-    return s.cs[oid][tid].top
+    return s.cs[oid][tid].frame
 
 
 class TestDataActions:
@@ -190,7 +190,7 @@ class TestMessagingActions:
         s2 = interpret(Call("b", PUT_OP, ("x",), "r"), s, w, 0, _cfg())
         thr = s2.cs[w][0]
         assert thr.status is ThreadStatus.WAITING
-        assert thr.top.pc == 1
+        assert thr.frame.pc == 1
         (event,) = s2.es[buf]
         assert event.kind is EventKind.CALL
         assert event.msg.sender == w and event.msg.sender_thread == 0
@@ -214,7 +214,7 @@ class TestMessagingActions:
         s2 = interpret(SendSignal("b", PUT_OP, ("x",), 7), s, w, 0, _cfg())
         thr = s2.cs[w][0]
         assert thr.status is ThreadStatus.READY
-        assert thr.top.pc == 1
+        assert thr.frame.pc == 1
         (event,) = s2.es[buf]
         assert event.kind is EventKind.SIGNAL
         assert event.msg.payload.prio == 7

@@ -315,6 +315,54 @@ setup {
         assert err == ("smm: runtime error: type error writing attribute "
                        "'peer' [oid=0, tid=0, pc=2]\n")
 
+    def test_a_call_result_obeys_the_local_kind_rule(self, tmp_path, capsys):
+        # The answer lands while the caller resumes, before any action
+        # runs, so the suffix has no pc.
+        model = tmp_path / "result_kind.smm"
+        model.write_text("""
+        class A { }
+        class B { }
+        op B.f(): Int { return true; }
+        op A.go(): Void {
+          let r: Int = 0;
+          let b: B = null;
+          loadattr b b;
+          call b.f() -> r;
+          return void;
+        }
+        setup { a: A active go prio 1 links [b]; b: B passive; }
+        """)
+        assert main(["run", str(model)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "smm: runtime error: type error assigning local 'r' "
+            "[oid=0, tid=0]\n")
+
+    @pytest.mark.parametrize("action", ["call b.f() -> r",
+                                        "send b.f() prio 1"],
+                             ids=["call", "signal"])
+    def test_a_failed_handler_dispatch_names_its_thread(self, tmp_path,
+                                                        capsys, action):
+        # Only C implements f, so the handler that b (oid 0) would start
+        # for it, thread 1, has no method; no action ran, so no pc.
+        model = tmp_path / "no_method.smm"
+        model.write_text(f"""
+        class A {{ }}
+        class B {{ }}
+        class C {{ }}
+        op C.f(): Void {{ return void; }}
+        op A.go(): Void {{
+          let b: B = null;
+          loadattr b b;
+          {action};
+          return void;
+        }}
+        setup {{ b: B passive; a: A active go prio 1 links [b]; }}
+        """)
+        assert main(["run", str(model)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "smm: runtime error: no class of 'B' implements f(): Void "
+            "[oid=0, tid=1]\n")
+
     # A driver (oid 0) calls a.go(), so the failing handler runs as thread 1
     # of object 1; the suffix names that object, thread and body index.
     RUNTIME_ERROR_MODEL = """

@@ -129,10 +129,9 @@ def oracle_collect(runnables: str, s):
 def _check_frames(cfg, s) -> None:
     for oid, threads in s.cs.items():
         for thr in threads.values():
-            for frame in thr.frames:
-                assert frame.meth is cfg.dispatcher(
-                    cfg.subclass_rel, cfg.meth_map, s.ds, oid,
-                    frame.meth.implements)
+            assert thr.frame.meth is cfg.dispatcher(
+                cfg.subclass_rel, cfg.meth_map, s.ds, oid,
+                thr.frame.meth.implements)
 
 
 class Trace(NamedTuple):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from smm import (
     OidVal, Passive, RecordVal, RunResult, StoredObject, empty_state,
     parse_model, print_model, render_final_state, run_model,
 )
+from smm.universe import Hierarchy, Problem, validate_model
 from smm.vm import StepLimit
 
 from modelgen import random_model
@@ -462,6 +464,52 @@ class TestRoundTrip:
         once = print_model(prodcons_model)
         twice = print_model(parse_model(once))
         assert once == twice
+
+
+class TestBuiltIntLiterals:
+    """A model built in Python can hold an ``Int`` literal outside the
+    signed 64-bit range, which no source text can; it is reported, and
+    never printed or rendered."""
+
+    SOURCE = """
+    class A { attr n: Int = 0; }
+    op A.go(): Void { return void; }
+    setup { a: A active go prio 1; }
+    """
+
+    def _huge_attribute(self):
+        m = parse_model(self.SOURCE)
+        huge = ClassDef("A", (AttrDef("n", INT, IntVal(10**5000)),))
+        return replace(m, classes={"A": huge})
+
+    def test_validation_reports_the_attribute(self):
+        m = self._huge_attribute()
+        assert validate_model(Hierarchy(m.classes, m.subclass_rel),
+                              m.meth_map) == [
+            Problem(("attr", "A", 0), "class 'A': attribute 'n' initial "
+                                      "value does not fit type Int")]
+
+    def test_printing_raises_a_model_error(self):
+        with pytest.raises(ModelError, match="integer of 16610 bits has no "
+                                             "source form"):
+            print_model(self._huge_attribute())
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_rendering_a_run_raises_a_model_error(self, fmt):
+        result = run_model(self._huge_attribute())
+        with pytest.raises(ModelError, match="integer of 16610 bits has no "
+                                             "output form"):
+            render_final_state(result, fmt)
+
+    def test_the_first_value_past_the_range_has_no_source_form(self):
+        m = parse_model(self.SOURCE)
+        edge = ClassDef("A", (AttrDef("n", INT, IntVal(2**63 - 1)),))
+        assert "attr n: Int = 9223372036854775807;" in print_model(
+            replace(m, classes={"A": edge}))
+        past = ClassDef("A", (AttrDef("n", INT, IntVal(2**63)),))
+        with pytest.raises(ModelError, match="integer of 64 bits has no "
+                                             "source form"):
+            print_model(replace(m, classes={"A": past}))
 
 
 def _result_for_render():

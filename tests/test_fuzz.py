@@ -9,13 +9,16 @@ exception, or two runs of the same model disagreeing.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from smm import (
-    ExecError, build_config, parse_model, render_final_state, run_model,
-    validate_state,
+    ExecError, IntVal, ModelError, build_config, parse_model,
+    render_final_state, run_model, validate_state,
 )
+from smm.actions import LocalConst, NewLocal, ReturnConst
+from smm.universe import Hierarchy, validate_model
 from smm.vm import StepLimit
 
 from modelgen import random_model
@@ -29,6 +32,8 @@ def _outcome(model, runnables, scheduler):
                            max_steps=150)
         return "result", render_final_state(result, "structured"), result
     except ExecError as err:
+        # ``vm.step`` names the thread of every error a step raises.
+        assert err.oid is not None and err.tid is not None, err
         return "model-error", str(err), None
 
 
@@ -85,3 +90,72 @@ def test_integer_chains_stay_in_range_or_stop(seed):
         assert render_final_state(result, "text")
         for obj in result.final.ds.values():
             assert obj.attrs.get("r").value in range(-2**63, 2**63)
+
+
+# Literals at, just inside and beyond the ends of ``Int``, and small ones.
+_NEAR_EDGES = [2**63 - 1, 2**63, 2**64, 10**30, -2**63, -2**63 - 1, -2**64,
+               0, 7]
+
+_LITERAL_SOURCE = """
+class A { attr a0: Int = 0; attr a1: Int = 0; }
+op A.f(): Int { return 0; }
+op A.go(): Void {
+  let x: Int = 0;
+  set x 0;
+  setattr a0 x;
+  let b: A = null;
+  loadattr b b;
+  call b.f() -> r;
+  setattr a1 r;
+  return void;
+}
+setup { a: A active go prio 1 links [b]; b: A passive; }
+"""
+
+
+def _literal_model(rng: random.Random):
+    """The model above, built with a literal drawn from ``_NEAR_EDGES`` in
+    each attribute init and in the ``let``, ``set`` and ``return``
+    actions, and where validation must report each literal outside
+    ``Int``."""
+    m = parse_model(_LITERAL_SOURCE)
+    picks = [rng.choice(_NEAR_EDGES) for _ in range(5)]
+    outside = [v not in range(-2**63, 2**63) for v in picks]
+    cls = m.classes["A"]
+    attrs = tuple(replace(attr, init=IntVal(v))
+                  for attr, v in zip(cls.attributes, picks))
+    sigs = {sig.name: sig for sig in m.meth_map["A"]}
+    go, f = m.meth_map["A"][sigs["go"]], m.meth_map["A"][sigs["f"]]
+    go_body = (NewLocal("x", go.body[0].type, IntVal(picks[2])),
+               LocalConst("x", IntVal(picks[3]))) + go.body[2:]
+    methods = {sigs["go"]: replace(go, body=go_body),
+               sigs["f"]: replace(f, body=(ReturnConst(IntVal(picks[4])),))}
+    model = replace(m, classes={"A": replace(cls, attributes=attrs)},
+                    meth_map={"A": methods})
+    places = [("attr", "A", 0), ("attr", "A", 1),
+              ("action", "A", sigs["go"], 0), ("action", "A", sigs["go"], 1),
+              ("action", "A", sigs["f"], 0)]
+    return model, [where for where, out in zip(places, outside) if out]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_built_literals_outside_int_are_reported_and_never_rendered(seed):
+    model, expected = _literal_model(random.Random(321_000 + seed))
+    problems = validate_model(Hierarchy(model.classes, model.subclass_rel),
+                              model.meth_map)
+    assert [p.where for p in problems] == expected
+    for runnables, scheduler in CONFIGS:
+        try:
+            result = run_model(model, runnables=runnables,
+                               scheduler=scheduler, max_steps=150)
+        except ExecError as err:
+            assert err.oid is not None and err.tid is not None, err
+            continue
+        stored = [v.value for obj in result.final.ds.values()
+                  for _, v in obj.attrs.fields if isinstance(v, IntVal)]
+        for fmt in ("text", "structured"):
+            if all(v in range(-2**63, 2**63) for v in stored):
+                assert render_final_state(result, fmt)
+            else:
+                with pytest.raises(ModelError, match="has no output form"):
+                    render_final_state(result, fmt)

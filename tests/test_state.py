@@ -10,7 +10,7 @@ from smm import (
     AttrDef, BOOL, INT, CallPayload, ClassDef, EventKind, ExecError, Frame,
     IntVal, InternalError, OidVal, RecordVal, ReturnPayload, BoolVal, Message,
     StoredObject, Thread, ThreadStatus, alloc_object, empty_state,
-    enqueue_event, make_config, pop_frame, take_matching_event,
+    enqueue_event, make_config, end_thread, take_matching_event,
     validate_state, write_attr,
 )
 from smm.state import make_event, update_thread
@@ -181,9 +181,9 @@ def _frame(oid: int, pc: int = 0):
                  locals=RecordVal(), pc=pc, caller=None)
 
 
-def _with_thread(s, oid, *frames):
-    """``s`` with thread 0 of ``oid`` running ``frames``, the last on top."""
-    return update_thread(s, oid, 0, Thread(0, 1, ThreadStatus.READY, frames))
+def _with_thread(s, oid, frame):
+    """``s`` with thread 0 of ``oid`` running ``frame``."""
+    return update_thread(s, oid, 0, Thread(0, 1, ThreadStatus.READY, frame))
 
 
 class TestFrameStack:
@@ -191,22 +191,13 @@ class TestFrameStack:
         s, oid = _state_with_buffer()
         f = _frame(oid)
         s = _with_thread(s, oid, f)
-        s2, popped = pop_frame(s, oid, 0)
-        assert popped == f
+        s2 = end_thread(s, oid, 0)
         assert 0 not in s2.cs[oid]
 
     def test_pop_on_missing_thread_is_internal(self):
         s, oid = _state_with_buffer()
         with pytest.raises(InternalError):
-            pop_frame(s, oid, 42)
-
-    def test_two_frames_pop_top(self):
-        s, oid = _state_with_buffer()
-        f1, f2 = _frame(oid, 0), _frame(oid, 3)
-        s = _with_thread(s, oid, f1, f2)
-        s2, popped = pop_frame(s, oid, 0)
-        assert popped == f2
-        assert s2.cs[oid][0].frames == (f1,)
+            end_thread(s, oid, 42)
 
 
 class TestValidateState:
@@ -278,16 +269,13 @@ BROKEN = {
         lambda s: replace(s, cs={**s.cs, 5: {}}),
         "control store entry 5 has no object"),
     "thread-id": (
-        lambda s: _thread(s, Thread(3, 1, _READY, (_frame(0),))),
+        lambda s: _thread(s, Thread(3, 1, _READY, _frame(0))),
         "thread 0 of object 0 carries id 3"),
     "thread-counter": (
         lambda s: replace(s, next_tid=0),
         "thread 0 not covered by the id counter"),
-    "no-frames": (
-        lambda s: _thread(s, Thread(0, 1, _READY, ())),
-        "thread 0 of object 0 has no frames"),
     "frame-object": (
-        lambda s: _thread(s, Thread(0, 1, _READY, (_frame(1),))),
+        lambda s: _thread(s, Thread(0, 1, _READY, _frame(1))),
         "thread 0: frame executes object 1, stored under 0"),
     "queue-of-no-object": (
         lambda s: replace(s, es={**s.es, 7: ()}),

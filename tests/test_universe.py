@@ -9,7 +9,7 @@ from smm import (
     ModelError, NULL_OID, OidVal, OpSig, RecordVal, StoredObject, VOID,
     VOID_VAL, super_chain, validate_model,
 )
-from smm.actions import Jump, NewLocal, ReturnConst
+from smm.actions import Jump, LocalConst, NewLocal, ReturnConst
 from smm.universe import Hierarchy, Problem, same_kind, value_fits
 
 from conftest import buffer_tables
@@ -202,6 +202,51 @@ class TestValidateModel:
                                   (ReturnConst(VOID_VAL),))}}
         assert validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
                               mm) == []
+
+
+class TestIntLiterals:
+    """``Int`` is signed 64-bit in built models too: a literal outside the
+    range is reported at its attribute or action."""
+
+    SIG = OpSig("f", (), INT)
+
+    def _problems(self, *body):
+        meth = MethodDef(self.SIG, (), body)
+        return validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
+                              {"X": {self.SIG: meth}})
+
+    @pytest.mark.parametrize("value, fits", [
+        (2**63 - 1, True), (-2**63, True), (2**63, False),
+        (-2**63 - 1, False), (10**5000, False)],
+        ids=["max", "min", "max+1", "min-1", "5001-digits"])
+    def test_an_int_fits_only_inside_the_range(self, value, fits):
+        assert value_fits(IntVal(value), INT) is fits
+
+    def test_let_literal(self):
+        assert self._problems(NewLocal("x", INT, IntVal(2**63)),
+                              ReturnConst(IntVal(0))) == [
+            Problem(("action", "X", self.SIG, 0),
+                    "method X.f: action 0 initial value does not fit type "
+                    "Int")]
+
+    def test_set_literal(self):
+        assert self._problems(NewLocal("x", INT, IntVal(0)),
+                              LocalConst("x", IntVal(-2**63 - 1)),
+                              ReturnConst(IntVal(0))) == [
+            Problem(("action", "X", self.SIG, 1),
+                    "method X.f: action 1 uses an integer outside the "
+                    "signed 64-bit range")]
+
+    def test_return_literal(self):
+        assert self._problems(ReturnConst(IntVal(10**5000))) == [
+            Problem(("action", "X", self.SIG, 0),
+                    "method X.f: action 0 uses an integer outside the "
+                    "signed 64-bit range")]
+
+    def test_literals_at_the_ends_of_the_range_are_valid(self):
+        assert self._problems(NewLocal("x", INT, IntVal(2**63 - 1)),
+                              LocalConst("x", IntVal(-2**63)),
+                              ReturnConst(IntVal(2**63 - 1))) == []
 
 
 class TestCycleDiagnostics:

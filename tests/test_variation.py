@@ -57,7 +57,7 @@ def _buffer_state():
 def _with_thread(s, oid, tid, status=ThreadStatus.READY, prio=1):
     frame = Frame(self_oid=oid, meth=get_method(), params=RecordVal(),
                   locals=RecordVal(), pc=0, caller=None)
-    s = update_thread(s, oid, tid, Thread(tid, prio, status, (frame,)))
+    s = update_thread(s, oid, tid, Thread(tid, prio, status, frame))
     return replace(s, next_tid=max(s.next_tid, tid + 1))
 
 

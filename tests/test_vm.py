@@ -53,7 +53,7 @@ class TestBuildInitialState:
         prod_thread = s.cs[0][0]
         assert prod_thread.base_prio == 10
         assert prod_thread.status is ThreadStatus.READY
-        assert prod_thread.top.pc == 0 and prod_thread.top.caller is None
+        assert prod_thread.frame.pc == 0 and prod_thread.frame.caller is None
         assert s.cs[1][1].base_prio == 1
         assert s.cs[2][2].base_prio == 1
 
@@ -243,7 +243,7 @@ class TestConsumeEvent:
         thr = s2.cs[buf][reserved]
         assert thr.status is ThreadStatus.READY
         assert thr.base_prio == 3
-        frame = thr.top
+        frame = thr.frame
         assert frame.meth == put_method() and frame.pc == 0
         # Message arguments are bound to the dispatched method's parameters.
         assert frame.params.fields == (("p", IntVal(10)),)
@@ -261,7 +261,7 @@ class TestConsumeEvent:
         reserved = s.next_tid
         s2 = consume_event(s, cfg, buf, reserved, s.es[buf][0])
         thr = s2.cs[buf][reserved]
-        assert thr.top.caller is None
+        assert thr.frame.caller is None
         assert thr.base_prio == 2
 
     def test_return_event_resumes_the_waiting_caller(self):
@@ -270,15 +270,15 @@ class TestConsumeEvent:
         frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
                       locals=RecordVal(), pc=3, caller=None)
         s = update_thread(s, buf, 0,
-                          Thread(0, 1, ThreadStatus.WAITING, (frame,)))
+                          Thread(0, 1, ThreadStatus.WAITING, frame))
         s = replace(s, next_tid=1)
         msg = Message(9, 0, buf, ReturnPayload(IntVal(-1), "v"))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
         s2 = consume_event(s, cfg, buf, 0)
         thr2 = s2.cs[buf][0]
         assert thr2.status is ThreadStatus.READY
-        assert thr2.top.locals.get("v") == IntVal(-1)
-        assert thr2.top.pc == 3
+        assert thr2.frame.locals.get("v") == IntVal(-1)
+        assert thr2.frame.pc == 3
         assert s2.es[buf] == ()
 
     def test_ready_thread_is_left_alone(self):
@@ -287,7 +287,7 @@ class TestConsumeEvent:
         frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
         s = update_thread(s, buf, 0,
-                          Thread(0, 0, ThreadStatus.READY, (frame,)))
+                          Thread(0, 0, ThreadStatus.READY, frame))
         s = replace(s, next_tid=1)
         s = _queued_call(s, buf)
         assert consume_event(s, cfg, buf, 0) == s
@@ -302,7 +302,7 @@ class TestConsumeEvent:
         s = replace(s, es={**s.es, buf: (first, second)}, next_seq=1)
         s2 = consume_event(s, cfg, buf, s.next_tid, second)
         assert s2.es[buf] == (first,)
-        assert s2.cs[buf][s.next_tid].top.params.fields == (("p", IntVal(2)),)
+        assert s2.cs[buf][s.next_tid].frame.params.fields == (("p", IntVal(2)),)
 
     def test_bogus_pseudo_id_is_internal(self):
         cfg = buffer_config()
@@ -322,8 +322,8 @@ class TestExecStep:
         assert pc == 0
         # One step: the event was consumed and put's first action ran.
         thr = s2.cs[buf][reserved]
-        assert thr.top.pc == 1
-        assert thr.top.locals.get("d") == IntVal(0)
+        assert thr.frame.pc == 1
+        assert thr.frame.locals.get("d") == IntVal(0)
 
     def test_fell_off_the_end_reported(self):
         from smm.actions import NewLocal
@@ -337,7 +337,7 @@ class TestExecStep:
         frame = Frame(self_oid=buf, meth=meth, params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
         s = update_thread(s, buf, 0,
-                          Thread(0, 0, ThreadStatus.READY, (frame,)))
+                          Thread(0, 0, ThreadStatus.READY, frame))
         s = replace(s, next_tid=1)
         s, _, _ = step(s, cfg, buf, 0)
         with pytest.raises(ExecError, match="fell off the end of 'stub'"):
@@ -347,7 +347,7 @@ class TestExecStep:
         s, buf = alloc_object(empty_state(), buffer_class())
         frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
                       locals=RecordVal(), pc=0, caller=None)
-        s = update_thread(s, buf, 0, Thread(0, 0, status, (frame,)))
+        s = update_thread(s, buf, 0, Thread(0, 0, status, frame))
         return replace(s, next_tid=1), buf
 
     def test_waiting_thread_is_an_internal_error(self):
