@@ -301,6 +301,10 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     if isinstance(action, (ReturnConst, ReturnLocal)):
         if isinstance(action, ReturnLocal):
             value = _local(frame, action.name)
+            sig = frame.meth.implements
+            if not value_fits(value, sig.return_type, s.ds, cfg.hierarchy):
+                raise ExecError(f"{sig.name!r} returns a value that does not "
+                                f"fit its return type {sig.return_type}")
         else:
             value = action.value
         s2 = s

@@ -8,7 +8,7 @@
 Flags override the model file's config block. Exit codes: 0 when the run
 drains completely, 2 when it blocks on unanswerable calls, 3 when the step
 limit cuts it off, 4 for model validation errors, 5 for model-level runtime
-errors, 64 for usage errors.
+errors, 64 for usage errors, 130 when the run is interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_STEP_LIMIT = 3
 EXIT_VALIDATION = 4
 EXIT_RUNTIME = 5
 EXIT_USAGE = 64
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +93,11 @@ def main(argv: list[str] | None = None) -> int:
             print(render_trace(records))
         print(f"smm: runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        if args.trace and records:
+            print(render_trace(records))
+        print("smm: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
     if args.trace and records:
         print(render_trace(records))

@@ -356,12 +356,13 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     signatures, parameters and bodies are internally consistent (unique
     parameters, non-empty bodies, jump targets in range, known parameters
     and classes, fitting initial values, ``Int`` literals inside
-    ``INT_RANGE``). Chains are read from ``hierarchy`` and walked only
-    where a rule needs them; the parser hands the same one to
-    ``smm.vm.check_setup``. The setup rules live in
-    ``smm.vm.check_setup``; the parser keeps only what needs its tokens or
-    would be lost in these tables (syntax, duplicate classes and methods,
-    labels, name resolution, config keys, attribute references).
+    ``INT_RANGE``, ``return`` literals fitting the return type). Chains
+    are read from ``hierarchy`` and walked only where a rule needs them;
+    the parser hands the same one to ``smm.vm.check_setup``. The setup
+    rules live in ``smm.vm.check_setup``; the parser keeps only what needs
+    its tokens or would be lost in these tables (syntax, duplicate classes
+    and methods, labels, name resolution, config keys, attribute
+    references).
     """
     from . import actions
 
@@ -477,6 +478,10 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
                         not value_fits(act.value, INT):
                     report(at, f"{label}: action {pc} uses an integer "
                                f"outside the signed 64-bit range")
+                elif isinstance(act, actions.ReturnConst) and \
+                        not value_fits(act.value, sig.return_type):
+                    report(at, f"{label}: action {pc} returns a value that "
+                               f"does not fit return type {sig.return_type}")
                 elif isinstance(act, actions.NewObject) and \
                         act.class_name not in class_table:
                     report(at, f"{label}: action {pc} creates unknown class "

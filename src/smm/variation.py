@@ -13,11 +13,18 @@ only sanctioned way to change the machine's observable behavior.
 A runnables selector reports, for one object, its offered live threads
 and the buffered call and signal events it is willing to handle. Ids for
 the handler threads those events would start are reserved above the
-state's thread counter by ``vm.collect_runnables``, when it lays the
-offers out in ascending object id and each object's offered events in
-queue order, so every pending handler gets a distinct, reproducible id.
-The executor materializes the thread under the reserved id when the entry
-is scheduled.
+state's thread counter, in ascending object id and each object's offered
+events in queue order, so every pending handler gets a distinct,
+reproducible id. The executor materializes the thread under the reserved
+id when the entry is scheduled.
+
+A scheduler picks one entry of all offered. Each bundled one ranks an
+entry by a static order, a key of its priority and last execution time
+that does not depend on the current time (``rr_order``, ``prio_order``),
+and is written as the least entry by that key, ties to the smallest
+(oid, tid). ``vm.run`` uses the key in its place: it keeps the offers in
+a heap ordered by it and never calls the bundled scheduler. Any other
+scheduler is asked with every entry on every step.
 
 The selector contract: what ``sel(s, oid)`` returns depends only on the
 object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
@@ -123,15 +130,38 @@ class ConcRunnables(RunnablesSelector):
         return [e for e in s.es.get(oid, ()) if e.kind in _HANDLER_KINDS]
 
 
+StaticOrder = Callable[[int, int], tuple[int, ...]]
+
+
+def rr_order(prio: int, last_exec: int) -> tuple[int, ...]:
+    """Round-robin's rank of an offer: least recently executed first."""
+    return (last_exec,)
+
+
+def prio_order(prio: int, last_exec: int) -> tuple[int, ...]:
+    """Priority-with-aging's rank of an offer. At any fixed time ``t`` the
+    effective priority ``prio + (t - last_exec)`` is highest exactly where
+    ``last_exec - prio`` is lowest, so the rank needs no ``t``; equal
+    effective priorities go to the longest-waiting offer."""
+    return (last_exec - prio, last_exec)
+
+
+def _least(entries: list[RunnableEntry],
+           order: StaticOrder) -> tuple[int, int]:
+    """The entry first by ``order``, ties to the smallest (oid, tid)."""
+    if not entries:
+        raise ExecError("scheduler invoked with no runnable entries")
+    best = min(entries, key=lambda e: (order(e.prio, e.last_exec), e.oid,
+                                       e.tid))
+    return best.oid, best.tid
+
+
 def schedule_rr(t: int, entries: list[RunnableEntry]) -> tuple[int, int]:
     """Least-recently-executed selection; exact alternation on a stable set.
 
     Ties go to the smallest (oid, tid), so runs are reproducible.
     """
-    if not entries:
-        raise ExecError("scheduler invoked with no runnable entries")
-    best = min(entries, key=lambda e: (e.last_exec, e.oid, e.tid))
-    return best.oid, best.tid
+    return _least(entries, rr_order)
 
 
 def schedule_prio(t: int, entries: list[RunnableEntry]) -> tuple[int, int]:
@@ -142,12 +172,14 @@ def schedule_prio(t: int, entries: list[RunnableEntry]) -> tuple[int, int]:
     bounded time. Ties go to the longest-waiting entry, then to the
     smallest (oid, tid).
     """
-    if not entries:
-        raise ExecError("scheduler invoked with no runnable entries")
-    best = min(entries,
-               key=lambda e: (-(e.prio + (t - e.last_exec)), e.last_exec,
-                              e.oid, e.tid))
-    return best.oid, best.tid
+    return _least(entries, prio_order)
+
+
+# Each bundled scheduler with the static order it picks by. ``vm.run``
+# selects by that order itself, and asks any other scheduler, a wrapped
+# bundled one included, with every entry.
+STATIC_ORDERS: tuple[tuple[Scheduler, StaticOrder], ...] = (
+    (schedule_rr, rr_order), (schedule_prio, prio_order))
 
 
 def dispatch_single(scl: SubclassRel, mm: MethMap, ds: DataStore,

@@ -1,13 +1,17 @@
 """The simulation engine: initial-state construction and the step loop.
 
 A run repeats a two-stage schedule: collect every thread each object is
-willing to run, enriched with the time each thread last executed, let the
-scheduler pick one (object, thread) pair, and perform exactly one atomic
-step on it. Offers are kept per object between steps: the first step asks
-every object's runnables selector, and each later step asks again only
-the objects the previous step touched (the acting object, new objects,
-and those whose event queue it replaced), then lays all offers out in
-object order, reserving ids for the handler threads of offered events.
+willing to run, enriched with the time each thread last executed, pick one
+(object, thread) pair, and perform exactly one atomic step on it. Offers
+are kept per object between steps: the first step asks every object's
+runnables selector, and each later step asks again only the objects the
+previous step touched (the acting object, new objects, and those whose
+event queue it replaced). For a bundled scheduler the pick comes from a
+heap ordered by the scheduler's static order, into which a step pushes
+only the offers it changed; the handler thread of an offered event gets
+its reserved id only once picked. Any other scheduler is handed all
+offers laid out in object order, with ids reserved for the handler
+threads of every offered event.
 
 A step first consumes a pending event when there is one to consume
 (materializing a handler thread for a call or signal, or resuming a
@@ -23,7 +27,8 @@ and setup, two runs produce equal results. All concurrency is model-level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Mapping, Union
 
 from .actions import Action, advance, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
@@ -33,7 +38,9 @@ from .state import (
     take_matching_event, update_thread,
 )
 from .universe import ClassType, Hierarchy, OidVal, OpSig, Problem
-from .variation import Config, RunnableEntry, RunnablesSelector
+from .variation import (
+    STATIC_ORDERS, Config, RunnableEntry, RunnablesSelector, StaticOrder,
+)
 
 StepHook = Callable[[int, int, int, int, Action], None]
 
@@ -95,9 +102,22 @@ class RunResult:
 
 # --- scheduling plumbing --------------------------------------------------------
 
-# Each object's cached offers: the entries of its offered live threads and
-# its offered events, as its runnables selector last reported them.
-Offers = dict[int, tuple[list[RunnableEntry], list[Event]]]
+# Each object's cached offers: the entries of its offered live threads, by
+# tid in the order its selector reported them, and its offered events.
+Offers = dict[int, tuple[dict[int, RunnableEntry], list[Event]]]
+
+
+def _refresh(sel: RunnablesSelector, s: SimState, times: TimesMap,
+             offers: Offers, oid: int
+             ) -> tuple[dict[int, RunnableEntry], list[Event]] | None:
+    """Ask ``oid``'s selector again and store its offers in ``offers``;
+    returns the offers they replace, or None for an object not seen yet.
+    Both selection paths of ``run`` refresh an object through here."""
+    live, events = sel(s, oid)
+    old = offers.get(oid)
+    entries = add_last_exec_info(times, oid, live, old[0] if old else {})
+    offers[oid] = ({entry.tid: entry for entry in entries}, events)
+    return old
 
 
 def collect_runnables(
@@ -117,9 +137,7 @@ def collect_runnables(
     """
     known = len(offers)
     for oid in dirty:
-        live, events = sel(s, oid)
-        kept = offers[oid][0] if oid in offers else ()
-        offers[oid] = (add_last_exec_info(times, oid, live, kept), events)
+        _refresh(sel, s, times, offers, oid)
     if len(offers) != known:  # new objects: keep ascending id order
         ordered = sorted(offers.items())
         offers.clear()
@@ -128,7 +146,7 @@ def collect_runnables(
     reserved: dict[int, Event] = {}
     tid = s.next_tid
     for oid, (live, events) in offers.items():
-        entries += live
+        entries += live.values()
         for event in events:
             entries.append(RunnableEntry(oid, tid, event.msg.payload.prio,
                                          times.get(tid, -1)))
@@ -139,28 +157,167 @@ def collect_runnables(
 
 def add_last_exec_info(
         times: TimesMap, oid: int, live: list[tuple[int, int]],
-        kept: Iterable[RunnableEntry] = ()) -> list[RunnableEntry]:
+        kept: Mapping[int, RunnableEntry] = {}) -> list[RunnableEntry]:
     """Entries for one object's (tid, prio) offers, each with its last
     execution time, in order.
 
-    An entry of ``kept``, the object's previous entries, is reused while it
-    still holds the thread's priority and time; a step changes the time of
-    the thread it ran only, so only that thread and newly offered ones get
-    new entries. A thread materialized during a run records its creation
-    step as its first execution time, so its entry is never missing
-    afterwards. Ids with no recorded time (threads built during setup,
-    reserved handler ids) read as -1: created before the first step, hence
-    least recent.
+    An entry of ``kept``, the object's previous entries by tid, is reused
+    while it still holds the thread's priority and time; a step changes the
+    time of the thread it ran only, so only that thread and newly offered
+    ones get new entries. A thread materialized during a run records its
+    creation step as its first execution time, so its entry is never
+    missing afterwards. Ids with no recorded time (threads built during
+    setup, reserved handler ids) read as -1: created before the first step,
+    hence least recent.
     """
-    old = {entry.tid: entry for entry in kept}
     entries = []
     for tid, prio in live:
         last = times.get(tid, -1)
-        entry = old.get(tid)
+        entry = kept.get(tid)
         if entry is None or entry.last_exec != last or entry.prio != prio:
             entry = RunnableEntry(oid, tid, prio, last)
         entries.append(entry)
     return entries
+
+
+class _Rescan:
+    """Selection by the config's scheduler, asked with every entry.
+
+    Each step lays out all offers with ``collect_runnables``. The run
+    loop uses it for a scheduler with no static order and for a resumed
+    run whose ``times`` already names ids that offered events would take.
+    """
+
+    def __init__(self, cfg: Config, times: TimesMap):
+        self.cfg, self.times, self.offers = cfg, times, {}
+
+    def refresh(self, s: SimState, dirty: Iterable[int]) -> bool:
+        """Take in the ``dirty`` objects' offers; whether any is left."""
+        self.entries, self.reserved = collect_runnables(
+            self.cfg.runnables_sel, s, self.times, self.offers, dirty)
+        return bool(self.entries)
+
+    def choose(self, s: SimState, t: int) -> tuple[int, int, Event | None]:
+        """The scheduler's pick as (oid, tid, event its reserved id stands
+        for, or None)."""
+        oid, tid = self.cfg.scheduler(t, self.entries)
+        return oid, tid, self.reserved.get(tid)
+
+
+class _OfferHeap:
+    """Selection by a static order, from a heap with lazy deletion.
+
+    A live thread's offer is the item ``(key, oid, 0, tid)``, and the
+    offered event at queue position ``q`` of its object's offered events
+    is ``(key, oid, 1, q)``: items order exactly as the entries would by
+    (key, oid, tid), because every live tid is below ``s.next_tid`` and
+    every reserved one at or above it, in queue order. An item holds no
+    entry or event, so no two are ever compared.
+
+    A refresh pushes an item only for an offer its object did not make
+    before with the same key: a new entry from ``add_last_exec_info``, or
+    an event position whose priority changed. So every offer has an item;
+    an item is stale once its offer is gone or has another key, and is
+    dropped when it reaches the top, or when the heap, grown well past
+    the number of offers, is rebuilt. The reserved id of the event picked
+    is computed from per-object counts of offered events, kept in a
+    Fenwick tree (Fenwick 1994), which no other offer needs.
+    """
+
+    def __init__(self, sel: RunnablesSelector, order: StaticOrder,
+                 times: TimesMap):
+        self.sel, self.order, self.times = sel, order, times
+        self.offers: Offers = {}
+        self.heap: list[tuple] = []
+        self.limit = 64  # a longer heap is rebuilt; see _compact
+        self.counts = [0, 0]  # Fenwick tree; index oid + 1, power-of-2 size
+
+    def _count(self, oid: int, delta: int) -> None:
+        """Add ``delta`` to the offered events of ``oid``."""
+        tree = self.counts
+        while oid >= len(tree) - 1:
+            # Doubling keeps every node; the new root holds the old total.
+            n = len(tree) - 1
+            tree += [0] * n
+            tree[2 * n] = tree[n]
+        i = oid + 1
+        while i < len(tree):
+            tree[i] += delta
+            i += i & -i
+
+    def _below(self, oid: int) -> int:
+        """Offered events of all objects with a lower id."""
+        total, tree, i = 0, self.counts, oid
+        while i:
+            total += tree[i]
+            i &= i - 1
+        return total
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the current offers alone, and let it grow
+        to four times their number, plus 64, before the next rebuild."""
+        order = self.order
+        heap = [(order(e.prio, e.last_exec), oid, 0, tid)
+                for oid, (live, _) in self.offers.items()
+                for tid, e in live.items()]
+        heap += [(order(event.msg.payload.prio, -1), oid, 1, q)
+                 for oid, (_, events) in self.offers.items()
+                 for q, event in enumerate(events)]
+        heapify(heap)
+        self.heap = heap
+        self.limit = 4 * len(heap) + 64
+
+    def refresh(self, s: SimState, dirty: Iterable[int]) -> bool:
+        """Take in the ``dirty`` objects' offers; whether any is left."""
+        order, offers, heap, push = self.order, self.offers, self.heap, \
+            heappush
+        for oid in dirty:
+            old = _refresh(self.sel, s, self.times, offers, oid)
+            live, events = offers[oid]
+            kept, queued = old if old is not None else ({}, ())
+            for tid, e in live.items():
+                if kept.get(tid) is not e:
+                    push(heap, (order(e.prio, e.last_exec), oid, 0, tid))
+            if events or queued:
+                n = len(queued)
+                for q, event in enumerate(events):
+                    prio = event.msg.payload.prio
+                    if q >= n or queued[q].msg.payload.prio != prio:
+                        # A reserved id has no recorded time (see ``run``).
+                        push(heap, (order(prio, -1), oid, 1, q))
+                if len(events) != n:
+                    self._count(oid, len(events) - n)
+        if len(heap) > self.limit:
+            self._compact()
+            heap = self.heap
+        while heap:
+            key, oid, reserved, pos = heap[0]
+            live, events = offers[oid]
+            if reserved:
+                if pos < len(events) and \
+                        order(events[pos].msg.payload.prio, -1) == key:
+                    return True
+            else:
+                e = live.get(pos)
+                if e is not None and order(e.prio, e.last_exec) == key:
+                    return True
+            heappop(heap)
+        return False
+
+    def choose(self, s: SimState, t: int) -> tuple[int, int, Event | None]:
+        """The least offer as (oid, tid, event its reserved id stands for,
+        or None).
+
+        A live thread's item goes at once: the step gives the thread a
+        new time or ends it. An event's may stand for the next event at
+        its position afterwards, so it stays until found stale.
+        """
+        _, oid, reserved, pos = self.heap[0]
+        if not reserved:
+            heappop(self.heap)
+            return oid, pos, None
+        return (oid, s.next_tid + self._below(oid) + pos,
+                self.offers[oid][1][pos])
 
 
 def _touched(prev: SimState, s: SimState, oid: int) -> set[int]:
@@ -296,26 +453,39 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     non-terminating models and yields ``StepLimit`` when exhausted. The
     optional ``on_step`` hook observes every step as
     ``(t, oid, tid, pc, action)``.
+
+    ``times`` maps thread ids to the step each last ran at. A thread's
+    time is dropped once it ends, since ids are never reused. A bundled
+    scheduler is not called: its static order picks from a heap (see
+    ``_OfferHeap``), so a pick costs time logarithmic in the offers, not
+    linear. Any other scheduler gets every entry on every step, and so
+    does a bundled one in a run whose ``times`` names ids at or above
+    ``s.next_tid``: offered events would take those ids and read them.
     """
     times = dict(times)
-    offers: Offers = {}
+    order = next((o for f, o in STATIC_ORDERS if f is cfg.scheduler), None)
+    if order is None or any(tid >= s.next_tid for tid in times):
+        offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
+    else:
+        offered = _OfferHeap(cfg.runnables_sel, order, times)
     dirty: Iterable[int] = s.ds  # the first step asks every object
     steps = 0
     while True:
-        entries, reserved = collect_runnables(cfg.runnables_sel, s, times,
-                                              offers, dirty)
-        if not entries:
+        if not offered.refresh(s, dirty):
             waiting = _waiting_threads(s)
             halt: HaltReason = Blocked(waiting) if waiting else AllDone()
             return RunResult(s, t, halt)
         if max_steps is not None and steps >= max_steps:
             return RunResult(s, t, StepLimit())
-        oid, tid = cfg.scheduler(t, entries)
+        oid, tid, event = offered.choose(s, t)
         prev = s
-        s, pc, action = step(s, cfg, oid, tid, reserved.get(tid))
+        s, pc, action = step(s, cfg, oid, tid, event)
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
-        times[tid] = t
+        if tid in s.cs[oid]:
+            times[tid] = t
+        else:
+            times.pop(tid, None)
         t += 1
         steps += 1
         dirty = _touched(prev, s, oid)

@@ -61,7 +61,8 @@ def random_model(rng: random.Random, objects: int | None = None) -> ModelDef:
 
     meth_map: dict[str, dict[OpSig, MethodDef]] = {}
     for sig, params, owner in op_defs:
-        body = _random_body(rng, classes[owner], params, names, sigs)
+        body = _random_body(rng, classes[owner], params, sig.return_type,
+                            names, sigs)
         meth_map.setdefault(owner, {})[sig] = MethodDef(sig, params, body)
 
     nullary_by_class = {}
@@ -95,7 +96,7 @@ def random_model(rng: random.Random, objects: int | None = None) -> ModelDef:
     return ModelDef(classes, scl, meth_map, tuple(setup), config)
 
 
-def _random_body(rng: random.Random, cls: ClassDef, params, class_names,
+def _random_body(rng: random.Random, cls: ClassDef, params, ret, class_names,
                  sigs) -> tuple:
     body = []
     locals_: list[tuple[str, object]] = []
@@ -170,8 +171,12 @@ def _random_body(rng: random.Random, cls: ClassDef, params, class_names,
     if rng.random() < 0.2:
         body.append(Jump(rng.randrange(len(body) + 2)))
 
-    if rng.random() < 0.3 and locals_:
-        body.append(ReturnLocal(rng.choice([n for n, _ in locals_])))
+    # A return literal fits the return type; a returned local is one
+    # declared with it, which still may hold another class's object.
+    fitting = locals_of(ret)
+    if rng.random() < 0.3 and fitting:
+        body.append(ReturnLocal(rng.choice(fitting)))
     else:
-        body.append(ReturnConst(VOID_VAL))
+        body.append(ReturnConst(VOID_VAL if ret == VOID
+                                else _literal_for(rng, ret)))
     return tuple(body)

@@ -35,12 +35,13 @@ def _cfg():
     return make_config(classes, {}, {"Buffer": {}, "Worker": {}})
 
 
-def _setup(locals_=(), params=(), pc=0, caller=None):
-    """A buffer (oid 0) and a worker (oid 1) running thread 0 at ``pc``."""
+def _setup(locals_=(), params=(), pc=0, caller=None, op=WORK_OP):
+    """A buffer (oid 0) and a worker (oid 1) running thread 0 at ``pc`` of
+    its method for ``op``."""
     s = empty_state()
     s, buf = alloc_object(s, buffer_class())
     s, worker = alloc_object(s, _worker_class())
-    frame = Frame(self_oid=worker, meth=MethodDef(WORK_OP, (), WORK_BODY),
+    frame = Frame(self_oid=worker, meth=MethodDef(op, (), WORK_BODY),
                   params=RecordVal(tuple(params)),
                   locals=RecordVal(tuple(locals_)), pc=pc, caller=caller)
     s = update_thread(s, worker, 0, Thread(0, 5, ThreadStatus.READY, frame))
@@ -233,10 +234,19 @@ class TestMessagingActions:
 
     def test_return_local_carries_the_value(self):
         caller = CallerRef(oid=0, tid=3, result_local="out")
-        s, buf, w = _setup(locals_=(("d", IntVal(42)),), caller=caller)
+        s, buf, w = _setup(locals_=(("d", IntVal(42)),), caller=caller,
+                           op=OpSig("work", (), INT))
         s2 = interpret(ReturnLocal("d"), s, w, 0, _cfg())
         (event,) = s2.es[buf]
         assert event.msg.payload.value == IntVal(42)
+
+    def test_return_local_must_fit_the_return_type(self):
+        caller = CallerRef(oid=0, tid=3, result_local="out")
+        s, _, w = _setup(locals_=(("d", IntVal(42)),), caller=caller)
+        with pytest.raises(ExecError) as err:
+            interpret(ReturnLocal("d"), s, w, 0, _cfg())
+        assert str(err.value) == ("'work' returns a value that does not fit "
+                                  "its return type Void")
 
     def test_return_to_nobody_sends_nothing(self):
         s, buf, w = _setup(caller=None)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+import smm.cli
 from smm.cli import (
-    EXIT_BLOCKED, EXIT_OK, EXIT_RUNTIME, EXIT_STEP_LIMIT, EXIT_USAGE,
-    EXIT_VALIDATION, main,
+    EXIT_BLOCKED, EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_STEP_LIMIT,
+    EXIT_USAGE, EXIT_VALIDATION, main,
 )
 
 from conftest import MODELS_DIR
@@ -52,6 +53,24 @@ class TestRunCommand:
         code = main(["run", PRODCONS, "--max-steps", "3"])
         capsys.readouterr()
         assert code == EXIT_STEP_LIMIT
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_ctrl_c_prints_the_trace_so_far(self, capsys, monkeypatch,
+                                             trace):
+        main(["run", PRODCONS, "--trace", "--max-steps", "3"])
+        first_steps = capsys.readouterr().out.splitlines()[:3]
+        run_main = smm.cli.run_main
+
+        def interrupted(cfg, setup, *, max_steps=None, on_step=None):
+            run_main(cfg, setup, max_steps=3, on_step=on_step)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(smm.cli, "run_main", interrupted)
+        code = main(["run", PRODCONS] + (["--trace"] if trace else []))
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERRUPTED == 130
+        assert captured.out.splitlines() == (first_steps if trace else [])
+        assert captured.err == "smm: interrupted\n"
 
     def test_structured_format(self, capsys):
         code = main(["run", PRODCONS, "--format", "structured"])
@@ -322,7 +341,7 @@ setup {
         model.write_text("""
         class A { }
         class B { }
-        op B.f(): Int { return true; }
+        op B.f(): Bool { return true; }
         op A.go(): Void {
           let r: Int = 0;
           let b: B = null;
@@ -336,6 +355,28 @@ setup {
         assert capsys.readouterr().err == (
             "smm: runtime error: type error assigning local 'r' "
             "[oid=0, tid=0]\n")
+
+    def test_a_return_literal_must_fit_the_return_type(self, tmp_path,
+                                                       capsys):
+        model = tmp_path / "return_literal.smm"
+        model.write_text("class B { }\n"
+                         "op B.f(): Int { return true; }\n"
+                         "setup { b: B active f prio 1; }\n")
+        assert main(["run", str(model)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"{model}:2:17: method B.f: action 0 returns a value that does "
+            f"not fit return type Int\n")
+
+    def test_a_returned_local_must_fit_the_return_type(self, tmp_path,
+                                                       capsys):
+        model = tmp_path / "return_local.smm"
+        model.write_text("class B { }\n"
+                         "op B.f(): Int { let x: Bool = true; return x; }\n"
+                         "setup { b: B active f prio 1; }\n")
+        assert main(["run", str(model)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "smm: runtime error: 'f' returns a value that does not fit its "
+            "return type Int [oid=0, tid=0, pc=1]\n")
 
     @pytest.mark.parametrize("action", ["call b.f() -> r",
                                         "send b.f() prio 1"],

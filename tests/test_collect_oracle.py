@@ -1,25 +1,29 @@
-"""Incremental offers, differentially checked against a full rescan.
+"""The engine's selection, differentially checked against a full rescan.
 
 ``oracle_collect`` is the collector as it was before it became one pass:
 every object's selector policy is evaluated afresh, every object's
 reserved-id base is re-summed over all lower-numbered objects, and
 run-to-completion filters the whole queue and keeps the first handler
-event. ``oracle_run`` drives the step loop by hand on it, so it asks every
-object on every step. ``run`` keeps each object's offers between steps and
-re-asks only the objects a step touched.
+event. ``oracle_run`` drives the step loop by hand on it and asks the
+config's scheduler with every entry, so it asks every object on every
+step. ``run`` keeps each object's offers between steps, re-asks only the
+objects a step touched, and, for a bundled scheduler, picks from a heap
+ordered by the scheduler's static order.
 
 Stepping bundled, hand-written and random models under all four configs,
-both must hand the scheduler the same entries and reserve the same ids for
-the same events at every step, run the same ``(t, oid, tid, pc)`` sequence
+both must pick the same thread, reserve the same id for it and consume
+the same event at every step, run the same ``(t, oid, tid, pc)`` sequence
 and end with the same halt reason and structured final state. So must a
 custom medium that also drops events of objects other than the receiver,
-and a run resumed from a mid-run state.
+and a run resumed from a mid-run state. A scheduler with no static order
+must also be handed the same entries and reserved ids.
 Every frame must hold the method its operation dispatches to.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import random
 from typing import NamedTuple
 
@@ -135,15 +139,17 @@ def _check_frames(cfg, s) -> None:
 
 
 class Trace(NamedTuple):
-    """What a run showed: the scheduler's entries at every step, the
-    event (by sequence number) each reserved id stood for at every
-    collection, the ``(t, oid, tid, pc)`` of every step, and how it
-    ended."""
+    """What a run showed: at every step the scheduled ``(oid, tid)`` with
+    the sequence number of the event a reserved ``tid`` stood for (None
+    for a live thread), the ``(t, oid, tid, pc)`` of every step, and how
+    it ended. A run through a scheduler with no static order also shows
+    the scheduler's entries and the event (by sequence number) of each
+    reserved id at every collection; ``offered`` is None otherwise."""
 
-    offered: list
-    reserved: list
+    picks: list
     steps: list
     outcome: tuple
+    offered: list | None = None
 
 
 def _seqs(reserved: dict) -> dict:
@@ -158,18 +164,22 @@ def _ended(result: RunResult) -> tuple:
 def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
                max_steps: int = MAX_STEPS, receivers: set | None = None,
                until: int | None = None):
-    """The step loop by hand, every object's offers collected afresh.
+    """The step loop by hand, every object's offers collected afresh and
+    ``cfg.scheduler`` asked with all of them.
 
     ``receivers`` collects, per step, how many objects had reserved ids.
     With ``until``, stop after that many steps and return the loop's
     ``(times, t, state)`` instead, for a run to resume from.
     """
     times = dict(times or {})
-    offered, reserved_seqs, steps = [], [], []
+    picks, steps, offered = [], [], []
+
+    def ended(outcome):
+        return Trace(picks, steps, outcome, offered)
+
     while True:
         _check_frames(cfg, s)
         offers, reserved = oracle_collect(runnables, s)
-        reserved_seqs.append(_seqs(reserved))
         if receivers is not None:
             receivers.add(len({e.msg.receiver for e in reserved.values()}))
         if until is not None and len(steps) == until:
@@ -179,78 +189,98 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
                             for tid in sorted(s.cs[oid])
                             if s.cs[oid][tid].status is ThreadStatus.WAITING)
             halt = Blocked(waiting) if waiting else AllDone()
-            return Trace(offered, reserved_seqs, steps,
-                         _ended(RunResult(s, t, halt)))
+            return ended(_ended(RunResult(s, t, halt)))
         if len(steps) == max_steps:
-            return Trace(offered, reserved_seqs, steps,
-                         _ended(RunResult(s, t, StepLimit())))
+            return ended(_ended(RunResult(s, t, StepLimit())))
         entries = [RunnableEntry(oid, tid, prio, times.get(tid, -1))
                    for oid, tid, prio in offers]
-        offered.append(entries)
+        offered.append((entries, _seqs(reserved)))
         oid, tid = cfg.scheduler(t, entries)
+        event = reserved.get(tid)
+        picks.append((oid, tid, None if event is None else event.seq))
         try:
-            s, pc, _ = step(s, cfg, oid, tid, reserved.get(tid))
+            s, pc, _ = step(s, cfg, oid, tid, event)
         except ExecError as err:
-            return Trace(offered, reserved_seqs, steps,
-                         ("model-error", str(err)))
+            return ended(("model-error", str(err)))
         steps.append((t, oid, tid, pc))
         times[tid] = t
         t += 1
 
 
-def fast_run(cfg, s, times=None, t: int = 0, *,
-             max_steps: int = MAX_STEPS) -> Trace:
-    """``run``, observed through its step hook, a recording scheduler and
-    a recording ``vm.collect_runnables``."""
-    offered, reserved_seqs, steps = [], [], []
-    collect = smm.vm.collect_runnables
+def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
+             wrap: bool = False, rescan: bool | None = None) -> Trace:
+    """``run``, observed through its step hook and a recording
+    ``vm.step``, which sees the event each pick consumes.
+
+    With ``wrap``, the config's scheduler is wrapped, which leaves it no
+    static order, and the entries and reserved ids the run hands it are
+    recorded as well. ``rescan`` (by default ``wrap``) says which path
+    the run must take: with it, the run collects every entry through
+    ``vm.collect_runnables``; without, it selects from its heap and never
+    calls that.
+    """
+    rescan = wrap if rescan is None else rescan
+    picks, steps, offered = [], [], []
+    collect, step_ = smm.vm.collect_runnables, smm.vm.step
+    collected = []
 
     def collect_runnables(*args):
         entries, reserved = collect(*args)
-        reserved_seqs.append(_seqs(reserved))
+        collected.append(_seqs(reserved))
         return entries, reserved
 
     def scheduler(now, entries):
-        offered.append(list(entries))
+        offered.append((list(entries), collected[-1]))
         return cfg.scheduler(now, entries)
+
+    def recorded_step(state, config, oid, tid, event=None):
+        picks.append((oid, tid, None if event is None else event.seq))
+        return step_(state, config, oid, tid, event)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smm.vm, "collect_runnables", collect_runnables)
+        patch.setattr(smm.vm, "step", recorded_step)
         try:
             result = run(dict(times or {}), t,
-                         dataclasses.replace(cfg, scheduler=scheduler), s,
+                         dataclasses.replace(cfg, scheduler=scheduler)
+                         if wrap else cfg, s,
                          max_steps=max_steps,
                          on_step=lambda now, oid, tid, pc, _action:
                          steps.append((now, oid, tid, pc)))
+            outcome = _ended(result)
         except ExecError as err:
-            return Trace(offered, reserved_seqs, steps,
-                         ("model-error", str(err)))
-    return Trace(offered, reserved_seqs, steps, _ended(result))
+            outcome = ("model-error", str(err))
+    assert bool(collected) == rescan, "the run took the other selection path"
+    return Trace(picks, steps, outcome, offered if wrap else None)
 
 
 def assert_same(fast: Trace, slow: Trace) -> None:
     """Equal traces; on a difference, name the first step it shows at."""
-    for i, (a, b) in enumerate(zip(fast.offered, slow.offered)):
-        assert a == b, f"offers differ at step {i}"
-    for i, (a, b) in enumerate(zip(fast.reserved, slow.reserved)):
-        assert a == b, f"reserved ids differ at step {i}"
+    if fast.offered is not None:
+        for i, (a, b) in enumerate(zip(fast.offered, slow.offered)):
+            assert a[0] == b[0], f"offers differ at step {i}"
+            assert a[1] == b[1], f"reserved ids differ at step {i}"
+        assert len(fast.offered) == len(slow.offered)
+    for i, (a, b) in enumerate(zip(fast.picks, slow.picks)):
+        assert a == b, f"pick {i} differs"
     for i, (a, b) in enumerate(zip(fast.steps, slow.steps)):
         assert a == b, f"step {i} differs"
-    assert len(fast.offered) == len(slow.offered)
-    assert len(fast.reserved) == len(slow.reserved)
+    assert len(fast.picks) == len(slow.picks)
     assert len(fast.steps) == len(slow.steps)
     assert fast.outcome == slow.outcome
 
 
-def _check_model(model, medium=None) -> set:
+def _check_model(model, medium=None, *, wrap: bool = False,
+                 max_steps: int = MAX_STEPS) -> set:
     receivers: set = set()
     for runnables, scheduler in CONFIGS:
         cfg = build_config(model, runnables=runnables, scheduler=scheduler)
         if medium is not None:
             cfg = dataclasses.replace(cfg, medium=medium)
         s = build_initial_state(cfg, model.setup)
-        slow = oracle_run(cfg, runnables, s, receivers=receivers)
-        assert_same(fast_run(cfg, s), slow)
+        slow = oracle_run(cfg, runnables, s, receivers=receivers,
+                          max_steps=max_steps)
+        assert_same(fast_run(cfg, s, wrap=wrap, max_steps=max_steps), slow)
     return receivers
 
 
@@ -270,6 +300,57 @@ def test_fan_in_over_two_hubs_matches_the_oracle():
         == [0, -4]
 
 
+def _spread_model(hubs: int) -> str:
+    """Senders interleaved with ``hubs`` passive hubs in the setup, each
+    sender signalling every hub at its own priority: under ``prio`` the
+    senders outrank the handlers, so events wait at many objects at once,
+    and reserved ids are summed over hubs at scattered ids."""
+    names = [f"h{j}" for j in range(hubs)]
+    body = ["op Sender.go(): Void {\n  let one: Int = 1;\n"]
+    body += [f"  let g{j}: Hub = null;\n  loadattr g{j} {name};\n"
+             for j, name in enumerate(names)]
+    body += [f"  send g{j}.note(one) prio {j * 7 % 5};\n"
+             for j in range(hubs)]
+    body.append("  return void;\n}\n")
+    setup = []
+    for i in range(hubs):
+        setup.append(f"  h{i}: Hub passive;\n")
+        if i % 2 == 0:
+            setup.append(f"  s{i}: Sender active go prio {1000 + i} "
+                         f"links [{', '.join(names)}];\n")
+    return ("class Hub { attr total: Int = 0; }\nclass Sender { }\n"
+            "op Hub.note(n: Int): Void {\n  let d: Int = 0;\n"
+            "  let t: Int = 0;\n  loadparam d n;\n  loadattr t total;\n"
+            "  add t t d;\n  setattr total t;\n  return void;\n}\n"
+            + "".join(body) + "setup {\n" + "".join(setup) + "}\n")
+
+
+def test_events_waiting_at_many_objects_match_the_oracle():
+    # Some step reserved ids on all eleven hubs at once.
+    model = parse_model(_spread_model(11))
+    assert max(_check_model(model, max_steps=1000)) == 11
+    result = run_model(model, max_steps=1000)
+    assert result.halt == AllDone()
+    assert [obj.attrs.get("total").value for obj in result.final.ds.values()
+            if obj.class_name == "Hub"] == [6] * 11
+
+
+def test_a_heap_rebuilt_on_every_step_matches_the_oracle(prodcons_model,
+                                                        monkeypatch):
+    # Stale items rarely pile up enough to make the heap rebuild itself;
+    # rebuilt before every pick, it must pick the same.
+    refresh = smm.vm._OfferHeap.refresh
+
+    def rebuilding(heap, s, dirty):
+        heap.limit = -1
+        return refresh(heap, s, dirty)
+
+    monkeypatch.setattr(smm.vm._OfferHeap, "refresh", rebuilding)
+    _check_model(prodcons_model)
+    _check_model(parse_model(FAN), lossy_reliable)
+    _check_model(parse_model(_spread_model(11)), max_steps=1000)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_random_models_match_the_oracle(seed):
     _check_model(random_model(random.Random(655_000 + seed)))
@@ -282,6 +363,16 @@ def test_generated_models_match_the_oracle(seed, objects):
 
 
 # --- custom strategies and resumed runs ----------------------------------
+
+def test_a_scheduler_with_no_static_order_gets_every_entry(prodcons_model):
+    # A wrapped bundled scheduler is asked with every entry, and sees the
+    # entries and reserved ids the full rescan hands it.
+    _check_model(prodcons_model, wrap=True)
+    assert max(_check_model(parse_model(FAN), wrap=True)) == 2
+    for seed in range(10):
+        _check_model(random_model(random.Random(657_000 + seed)), wrap=True)
+    _check_model(prodcons_model, lossy_reliable, wrap=True)
+
 
 def lossy_reliable(es, event):
     """Delivers ``event`` and drops the oldest event of the lowest-numbered
@@ -319,11 +410,14 @@ def test_a_resumed_run_matches_the_oracle(prodcons_model, until):
             s0 = build_initial_state(cfg, model.setup)
             times, t, s = oracle_run(cfg, runnables, s0, until=until)
             assert times and t == until
+            assert_same(fast_run(cfg, s, times, t),
+                        oracle_run(cfg, runnables, s, times, t))
             # Times recorded for ids not yet handed out are read for the
-            # reserved entries that take those ids.
+            # reserved entries that take those ids, so such a run collects
+            # every entry.
             times.update({s.next_tid + k: t - 3 - k for k in range(4)})
             slow = oracle_run(cfg, runnables, s, times, t)
-            assert_same(fast_run(cfg, s, times, t), slow)
+            assert_same(fast_run(cfg, s, times, t, rescan=True), slow)
 
 
 # --- the cost guard -------------------------------------------------------
@@ -370,3 +464,26 @@ def test_a_step_asks_only_the_objects_it_touched(runnables):
     # rescan would ask all 128 objects on every step.
     assert len(calls) <= len(s.ds) + (len(result.final.ds) - len(s.ds)) \
         + 2 * result.time
+
+
+@pytest.mark.parametrize("runnables,scheduler", [("rtc", "rr"),
+                                                 ("conc", "prio")])
+def test_a_step_pushes_a_bounded_number_of_offers(runnables, scheduler):
+    # 1,024 objects. A step pushes only the offers it changed: the
+    # stepped thread's new entry and the events it sent. Pushing every
+    # offer again would take about 500 pushes per step.
+    model = parse_model(_wide_model(512))
+    cfg = build_config(model, runnables=runnables, scheduler=scheduler)
+    pushes = []
+
+    def counted(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    s = build_initial_state(cfg, model.setup)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smm.vm, "heappush", counted)
+        result = run({}, 0, cfg, s)
+    assert result.halt == AllDone()
+    assert len(result.final.ds) == 1024
+    assert len(pushes) <= len(result.final.ds) + 2 * result.time

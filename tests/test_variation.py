@@ -18,7 +18,9 @@ from smm.actions import ReturnConst
 from smm.cli import main as cli_main
 from smm.frontend import build_config
 from smm.state import CallPayload, make_event, update_thread
-from smm.variation import VARIATION_POINTS, ConcRunnables, RtcRunnables
+from smm.variation import (
+    STATIC_ORDERS, VARIATION_POINTS, ConcRunnables, RtcRunnables,
+)
 
 from conftest import (
     GET_OP, PUT_OP, buffer_class, buffer_config, buffer_tables, get_method,
@@ -220,6 +222,36 @@ class TestPriorityScheduling:
         entries = [E(*e) for e in raw]
         pick = schedule_prio(60, entries)
         assert pick in [(e.oid, e.tid) for e in entries]
+
+
+_ENTRIES = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 4), st.integers(-1, 6)),
+                    min_size=1, max_size=12)
+
+
+class TestStaticOrder:
+    """The run loop picks by a bundled scheduler's static order in place
+    of calling it, so the two must agree, and the order must agree with
+    the schedulers' time-dependent definitions."""
+
+    def test_every_bundled_scheduler_has_one(self):
+        assert [f for f, _ in STATIC_ORDERS] == \
+            list(VARIATION_POINTS["scheduler"].values())
+
+    @given(_ENTRIES, st.integers(-1, 40))
+    def test_a_pick_by_the_order_is_the_schedulers(self, raw, t):
+        # Small ranges, so ties in every key component, and -1 times
+        # (never run), are common.
+        entries = [E(*e) for e in raw]
+        for scheduler, order in STATIC_ORDERS:
+            best = min(entries, key=lambda e: (order(e.prio, e.last_exec),
+                                               e.oid, e.tid))
+            assert scheduler(t, entries) == (best.oid, best.tid)
+        least_recent = min(entries, key=lambda e: (e.last_exec, e.oid, e.tid))
+        aged = min(entries, key=lambda e: (-(e.prio + (t - e.last_exec)),
+                                           e.last_exec, e.oid, e.tid))
+        assert schedule_rr(t, entries) == (least_recent.oid, least_recent.tid)
+        assert schedule_prio(t, entries) == (aged.oid, aged.tid)
 
 
 class TestStrategyPurity:
