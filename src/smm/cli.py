@@ -8,7 +8,8 @@
 Flags override the model file's config block. Exit codes: 0 when the run
 drains completely, 2 when it blocks on unanswerable calls, 3 when the step
 limit cuts it off, 4 for model validation errors, 5 for model-level runtime
-errors, 64 for usage errors, 130 when the run is interrupted (Ctrl-C).
+errors, 64 for usage errors and for an ``--out`` FILE that cannot be
+written, 130 when the run is interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -103,8 +104,13 @@ def main(argv: list[str] | None = None) -> int:
         print(render_trace(records))
     rendering = render_final_state(result, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendering + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendering + "\n")
+        except OSError as err:
+            print(f"smm: cannot write {args.out}: {err.strerror or err}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(rendering)
 

@@ -607,9 +607,24 @@ def parse_model(text: str) -> ModelDef:
         raise ModelError(parser.diags) from None
 
 
+def _universal_newlines(text: str) -> str:
+    """``text`` with line ends read as text mode reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_model(path) -> ModelDef:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    """Parse and validate the model file at ``path``, which must be UTF-8:
+    its first byte that is not is a located ``ModelError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = _universal_newlines(data[:err.start].decode("utf-8"))
+        raise ModelError([Diagnostic(
+            f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})",
+            head.count("\n") + 1, len(head) - head.rfind("\n"))]) from None
+    return parse_model(_universal_newlines(text))
 
 
 # --- printing -------------------------------------------------------------------

@@ -22,9 +22,9 @@ A scheduler picks one entry of all offered. Each bundled one ranks an
 entry by a static order, a key of its priority and last execution time
 that does not depend on the current time (``rr_order``, ``prio_order``),
 and is written as the least entry by that key, ties to the smallest
-(oid, tid). ``vm.run`` uses the key in its place: it keeps the offers in
-a heap ordered by it and never calls the bundled scheduler. Any other
-scheduler is asked with every entry on every step.
+(oid, tid). ``vm.run`` uses the key in its place: it keeps each object's
+least offer by that key in a heap and never calls the bundled scheduler.
+Any other scheduler is asked with every entry on every step.
 
 The selector contract: what ``sel(s, oid)`` returns depends only on the
 object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.

@@ -7,11 +7,12 @@ are kept per object between steps: the first step asks every object's
 runnables selector, and each later step asks again only the objects the
 previous step touched (the acting object, new objects, and those whose
 event queue it replaced). For a bundled scheduler the pick comes from a
-heap ordered by the scheduler's static order, into which a step pushes
-only the offers it changed; the handler thread of an offered event gets
-its reserved id only once picked. Any other scheduler is handed all
-offers laid out in object order, with ids reserved for the handler
-threads of every offered event.
+heap ordered by the scheduler's static order that holds one item per
+object, its least offer, so a step pushes one item per touched object
+that offers anything; the handler thread of an offered event gets its
+reserved id only once picked. Any other scheduler is handed all offers
+laid out in object order, with ids reserved for the handler threads of
+every offered event.
 
 A step first consumes a pending event when there is one to consume
 (materializing a handler thread for a call or signal, or resuming a
@@ -107,19 +108,6 @@ class RunResult:
 Offers = dict[int, tuple[dict[int, RunnableEntry], list[Event]]]
 
 
-def _refresh(sel: RunnablesSelector, s: SimState, times: TimesMap,
-             offers: Offers, oid: int
-             ) -> tuple[dict[int, RunnableEntry], list[Event]] | None:
-    """Ask ``oid``'s selector again and store its offers in ``offers``;
-    returns the offers they replace, or None for an object not seen yet.
-    Both selection paths of ``run`` refresh an object through here."""
-    live, events = sel(s, oid)
-    old = offers.get(oid)
-    entries = add_last_exec_info(times, oid, live, old[0] if old else {})
-    offers[oid] = ({entry.tid: entry for entry in entries}, events)
-    return old
-
-
 def collect_runnables(
         sel: RunnablesSelector, s: SimState, times: TimesMap, offers: Offers,
         dirty: Iterable[int]) -> tuple[list[RunnableEntry], dict[int, Event]]:
@@ -137,7 +125,10 @@ def collect_runnables(
     """
     known = len(offers)
     for oid in dirty:
-        _refresh(sel, s, times, offers, oid)
+        live, events = sel(s, oid)
+        old = offers.get(oid)
+        entries = add_last_exec_info(times, oid, live, old[0] if old else {})
+        offers[oid] = ({entry.tid: entry for entry in entries}, events)
     if len(offers) != known:  # new objects: keep ascending id order
         ordered = sorted(offers.items())
         offers.clear()
@@ -183,9 +174,9 @@ def add_last_exec_info(
 class _Rescan:
     """Selection by the config's scheduler, asked with every entry.
 
-    Each step lays out all offers with ``collect_runnables``. The run
-    loop uses it for a scheduler with no static order and for a resumed
-    run whose ``times`` already names ids that offered events would take.
+    Each step lays out all offers with ``collect_runnables``, whose
+    entries are every offered thread and event, not just each object's
+    least. The run loop uses it for a scheduler with no static order.
     """
 
     def __init__(self, cfg: Config, times: TimesMap):
@@ -205,7 +196,7 @@ class _Rescan:
 
 
 class _OfferHeap:
-    """Selection by a static order, from a heap with lazy deletion.
+    """Selection by a static order, from a heap of each object's least offer.
 
     A live thread's offer is the item ``(key, oid, 0, tid)``, and the
     offered event at queue position ``q`` of its object's offered events
@@ -214,22 +205,23 @@ class _OfferHeap:
     every reserved one at or above it, in queue order. An item holds no
     entry or event, so no two are ever compared.
 
-    A refresh pushes an item only for an offer its object did not make
-    before with the same key: a new entry from ``add_last_exec_info``, or
-    an event position whose priority changed. So every offer has an item;
-    an item is stale once its offer is gone or has another key, and is
-    dropped when it reaches the top, or when the heap, grown well past
-    the number of offers, is rebuilt. The reserved id of the event picked
-    is computed from per-object counts of offered events, kept in a
-    Fenwick tree (Fenwick 1994), which no other offer needs.
+    A refresh asks each dirty object's selector, keeps the least of its
+    offers as ``least[oid]`` and pushes that one item, so the least item
+    over all objects is the least offer. An item counts only while it is
+    its object's least; any other is stale, and is dropped when it reaches
+    the top or when the heap, grown well past the number of objects that
+    offer anything, is rebuilt. The reserved id of the event picked is
+    computed from per-object counts of offered events, kept in a Fenwick
+    tree (Fenwick 1994), which no other offer needs.
     """
 
     def __init__(self, sel: RunnablesSelector, order: StaticOrder,
                  times: TimesMap):
         self.sel, self.order, self.times = sel, order, times
-        self.offers: Offers = {}
+        self.least: dict[int, tuple] = {}
+        self.events: dict[int, list[Event]] = {}
         self.heap: list[tuple] = []
-        self.limit = 64  # a longer heap is rebuilt; see _compact
+        self.limit = 64  # a longer heap is rebuilt from ``least``
         self.counts = [0, 0]  # Fenwick tree; index oid + 1, power-of-2 size
 
     def _count(self, oid: int, delta: int) -> None:
@@ -253,71 +245,45 @@ class _OfferHeap:
             i &= i - 1
         return total
 
-    def _compact(self) -> None:
-        """Rebuild the heap from the current offers alone, and let it grow
-        to four times their number, plus 64, before the next rebuild."""
-        order = self.order
-        heap = [(order(e.prio, e.last_exec), oid, 0, tid)
-                for oid, (live, _) in self.offers.items()
-                for tid, e in live.items()]
-        heap += [(order(event.msg.payload.prio, -1), oid, 1, q)
-                 for oid, (_, events) in self.offers.items()
-                 for q, event in enumerate(events)]
-        heapify(heap)
-        self.heap = heap
-        self.limit = 4 * len(heap) + 64
-
     def refresh(self, s: SimState, dirty: Iterable[int]) -> bool:
         """Take in the ``dirty`` objects' offers; whether any is left."""
-        order, offers, heap, push = self.order, self.offers, self.heap, \
-            heappush
+        order, times, least, heap = self.order, self.times, self.least, \
+            self.heap
         for oid in dirty:
-            old = _refresh(self.sel, s, self.times, offers, oid)
-            live, events = offers[oid]
-            kept, queued = old if old is not None else ({}, ())
-            for tid, e in live.items():
-                if kept.get(tid) is not e:
-                    push(heap, (order(e.prio, e.last_exec), oid, 0, tid))
-            if events or queued:
-                n = len(queued)
-                for q, event in enumerate(events):
-                    prio = event.msg.payload.prio
-                    if q >= n or queued[q].msg.payload.prio != prio:
-                        # A reserved id has no recorded time (see ``run``).
-                        push(heap, (order(prio, -1), oid, 1, q))
-                if len(events) != n:
-                    self._count(oid, len(events) - n)
-        if len(heap) > self.limit:
-            self._compact()
-            heap = self.heap
-        while heap:
-            key, oid, reserved, pos = heap[0]
-            live, events = offers[oid]
-            if reserved:
-                if pos < len(events) and \
-                        order(events[pos].msg.payload.prio, -1) == key:
-                    return True
+            live, events = self.sel(s, oid)
+            items = [(order(prio, times.get(tid, -1)), oid, 0, tid)
+                     for tid, prio in live]
+            # A reserved id has no recorded time (see ``run``).
+            items += [(order(event.msg.payload.prio, -1), oid, 1, q)
+                      for q, event in enumerate(events)]
+            n = len(self.events.get(oid, ()))
+            if len(events) != n:
+                self._count(oid, len(events) - n)
+            self.events[oid] = events
+            if items:
+                least[oid] = item = min(items)
+                heappush(heap, item)
             else:
-                e = live.get(pos)
-                if e is not None and order(e.prio, e.last_exec) == key:
-                    return True
+                least.pop(oid, None)
+        if len(heap) > self.limit:
+            heap = self.heap = list(least.values())
+            heapify(heap)
+            self.limit = 4 * len(heap) + 64
+        while heap:
+            if least.get(heap[0][1]) is heap[0]:
+                return True
             heappop(heap)
         return False
 
     def choose(self, s: SimState, t: int) -> tuple[int, int, Event | None]:
         """The least offer as (oid, tid, event its reserved id stands for,
-        or None).
-
-        A live thread's item goes at once: the step gives the thread a
-        new time or ends it. An event's may stand for the next event at
-        its position afterwards, so it stays until found stale.
-        """
+        or None). Its item stays: the step leaves its object dirty, and
+        the refresh after it replaces the object's least."""
         _, oid, reserved, pos = self.heap[0]
         if not reserved:
-            heappop(self.heap)
             return oid, pos, None
         return (oid, s.next_tid + self._below(oid) + pos,
-                self.offers[oid][1][pos])
+                self.events[oid][pos])
 
 
 def _touched(prev: SimState, s: SimState, oid: int) -> set[int]:
@@ -455,16 +421,20 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     ``(t, oid, tid, pc, action)``.
 
     ``times`` maps thread ids to the step each last ran at. A thread's
-    time is dropped once it ends, since ids are never reused. A bundled
-    scheduler is not called: its static order picks from a heap (see
-    ``_OfferHeap``), so a pick costs time logarithmic in the offers, not
-    linear. Any other scheduler gets every entry on every step, and so
-    does a bundled one in a run whose ``times`` names ids at or above
-    ``s.next_tid``: offered events would take those ids and read them.
+    time is dropped once it ends, since ids are never reused. It must name
+    only ids below ``s.next_tid``, which is all a run records; one that
+    names a later id, which an offered event would take, raises
+    ``ValueError``. A bundled scheduler is not called: its static order
+    picks from a heap of each object's least offer (see ``_OfferHeap``),
+    so a pick costs time logarithmic in the objects, not linear in the
+    offers. Any other scheduler gets every entry on every step.
     """
+    if times and max(times) >= s.next_tid:
+        raise ValueError(f"times names thread id {max(times)}, but ids "
+                         f"from {s.next_tid} on are not handed out yet")
     times = dict(times)
     order = next((o for f, o in STATIC_ORDERS if f is cfg.scheduler), None)
-    if order is None or any(tid >= s.next_tid for tid in times):
+    if order is None:
         offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
     else:
         offered = _OfferHeap(cfg.runnables_sel, order, times)

@@ -91,6 +91,24 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert "attributes:" in target.read_text()
 
+    def test_an_unwritable_out_file_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "result.txt"
+        code = main(["run", PRODCONS, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == \
+            f"smm: cannot write {target}: No such file or directory\n"
+        assert captured.out == ""
+
+    def test_a_model_file_that_is_not_utf8_is_a_validation_error(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.smm"
+        bad.write_bytes(b"class A { }\n\xff\xfe\n")
+        code = main(["run", str(bad)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"{bad}:2:1: byte 0xff is not UTF-8 (invalid start byte)\n"
+
     def test_missing_file_is_a_validation_error(self, capsys):
         code = main(["run", str(MODELS_DIR / "nope.smm")])
         capsys.readouterr()

@@ -7,8 +7,8 @@ run-to-completion filters the whole queue and keeps the first handler
 event. ``oracle_run`` drives the step loop by hand on it and asks the
 config's scheduler with every entry, so it asks every object on every
 step. ``run`` keeps each object's offers between steps, re-asks only the
-objects a step touched, and, for a bundled scheduler, picks from a heap
-ordered by the scheduler's static order.
+objects a step touched, and, for a bundled scheduler, picks from a heap of
+each object's least offer, ordered by the scheduler's static order.
 
 Stepping bundled, hand-written and random models under all four configs,
 both must pick the same thread, reserve the same id for it and consume
@@ -208,18 +208,16 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
 
 
 def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
-             wrap: bool = False, rescan: bool | None = None) -> Trace:
+             wrap: bool = False) -> Trace:
     """``run``, observed through its step hook and a recording
     ``vm.step``, which sees the event each pick consumes.
 
     With ``wrap``, the config's scheduler is wrapped, which leaves it no
     static order, and the entries and reserved ids the run hands it are
-    recorded as well. ``rescan`` (by default ``wrap``) says which path
-    the run must take: with it, the run collects every entry through
-    ``vm.collect_runnables``; without, it selects from its heap and never
-    calls that.
+    recorded as well; the run must then collect every entry through
+    ``vm.collect_runnables``. Without, it must select from its heap and
+    never call that.
     """
-    rescan = wrap if rescan is None else rescan
     picks, steps, offered = [], [], []
     collect, step_ = smm.vm.collect_runnables, smm.vm.step
     collected = []
@@ -250,7 +248,7 @@ def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
             outcome = _ended(result)
         except ExecError as err:
             outcome = ("model-error", str(err))
-    assert bool(collected) == rescan, "the run took the other selection path"
+    assert bool(collected) == wrap, "the run took the other selection path"
     return Trace(picks, steps, outcome, offered if wrap else None)
 
 
@@ -412,12 +410,11 @@ def test_a_resumed_run_matches_the_oracle(prodcons_model, until):
             assert times and t == until
             assert_same(fast_run(cfg, s, times, t),
                         oracle_run(cfg, runnables, s, times, t))
-            # Times recorded for ids not yet handed out are read for the
-            # reserved entries that take those ids, so such a run collects
-            # every entry.
-            times.update({s.next_tid + k: t - 3 - k for k in range(4)})
-            slow = oracle_run(cfg, runnables, s, times, t)
-            assert_same(fast_run(cfg, s, times, t, rescan=True), slow)
+            # No run records a time for an id not yet handed out, which
+            # an offered event would take; a resumed run refuses one.
+            times[s.next_tid] = t - 3
+            with pytest.raises(ValueError, match="not handed out yet"):
+                run(times, t, cfg, s)
 
 
 # --- the cost guard -------------------------------------------------------
@@ -469,9 +466,10 @@ def test_a_step_asks_only_the_objects_it_touched(runnables):
 @pytest.mark.parametrize("runnables,scheduler", [("rtc", "rr"),
                                                  ("conc", "prio")])
 def test_a_step_pushes_a_bounded_number_of_offers(runnables, scheduler):
-    # 1,024 objects. A step pushes only the offers it changed: the
-    # stepped thread's new entry and the events it sent. Pushing every
-    # offer again would take about 500 pushes per step.
+    # 1,024 objects. A step pushes one item, its least offer, per touched
+    # object that offers anything: the acting object and the receiver of
+    # the event it sent. Pushing every offer again would take about 500
+    # pushes per step.
     model = parse_model(_wide_model(512))
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
     pushes = []

@@ -10,7 +10,7 @@ import smm.universe
 from smm import (
     Active, AllDone, AttrDef, ClassDef, INT, IntVal, ModelError,
     OidVal, Passive, RecordVal, RunResult, StoredObject, empty_state,
-    parse_model, print_model, render_final_state, run_model,
+    load_model, parse_model, print_model, render_final_state, run_model,
 )
 from smm.universe import Hierarchy, Problem, validate_model
 from smm.vm import StepLimit
@@ -180,6 +180,30 @@ class TestDiagnostics:
         assert err.value.diagnostics
         for diag in err.value.diagnostics:
             assert diag.line is not None and diag.column is not None
+
+
+class TestLoadModel:
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, prodcons_model):
+        source = print_model(prodcons_model)
+        for end in ("\r\n", "\r"):
+            path = tmp_path / "model.smm"
+            path.write_bytes(source.replace("\n", end).encode())
+            assert load_model(path) == prodcons_model
+
+    @pytest.mark.parametrize("data,line,column,byte", [
+        (b"class A { }\n\xff\xfe\n", 2, 1, "0xff"),
+        (b"class A { }\r\nclass B { }\r\xc3\xa9\xc3(", 3, 2, "0xc3"),
+        (b"class \xe2\x82", 1, 7, "0xe2"),
+    ])
+    def test_a_byte_that_is_not_utf8_is_located(self, tmp_path, data, line,
+                                                column, byte):
+        path = tmp_path / "bad.smm"
+        path.write_bytes(data)
+        with pytest.raises(ModelError) as err:
+            load_model(path)
+        [diag] = err.value.diagnostics
+        assert (diag.line, diag.column) == (line, column)
+        assert diag.message.startswith(f"byte {byte} is not UTF-8 (")
 
 
 HUGE = "9" * 5000
