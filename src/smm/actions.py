@@ -14,7 +14,6 @@ block, and ``Return`` answers the caller (if any) and ends the thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import ExecError
@@ -25,7 +24,7 @@ from .state import (
 )
 from .universe import (
     BoolVal, INT_RANGE, IntVal, NullOid, OidVal, OpSig, TypeRef, Value,
-    same_kind, value_fits,
+    same_kind, value_class, value_fits,
 )
 
 # Each binary operator's name, as the source spells it, and what it
@@ -39,38 +38,38 @@ BIN_OPS: dict[str, Callable[[int, int], Value]] = {
 }
 
 
-@dataclass(frozen=True)
+@value_class
 class NewLocal:
     name: str
     type: TypeRef
     init: Value
 
 
-@dataclass(frozen=True)
+@value_class
 class LocalFromParam:
     local: str
     param: str
 
 
-@dataclass(frozen=True)
+@value_class
 class LocalFromAttr:
     local: str
     attr: str
 
 
-@dataclass(frozen=True)
+@value_class
 class LocalConst:
     local: str
     value: Value
 
 
-@dataclass(frozen=True)
+@value_class
 class SetAttr:
     attr: str
     local: str
 
 
-@dataclass(frozen=True)
+@value_class
 class BinOp:
     op: str  # one of BIN_OPS
     dst: str
@@ -78,24 +77,24 @@ class BinOp:
     rhs: str
 
 
-@dataclass(frozen=True)
+@value_class
 class Jump:
     target: int
 
 
-@dataclass(frozen=True)
+@value_class
 class BranchIfFalse:
     cond: str
     target: int
 
 
-@dataclass(frozen=True)
+@value_class
 class NewObject:
     dst: str
     class_name: str
 
 
-@dataclass(frozen=True)
+@value_class
 class Call:
     target: str
     op: OpSig
@@ -103,7 +102,7 @@ class Call:
     result_local: str
 
 
-@dataclass(frozen=True)
+@value_class
 class SendSignal:
     target: str
     op: OpSig
@@ -111,12 +110,12 @@ class SendSignal:
     prio: int
 
 
-@dataclass(frozen=True)
+@value_class
 class ReturnConst:
     value: Value
 
 
-@dataclass(frozen=True)
+@value_class
 class ReturnLocal:
     name: str
 

@@ -60,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_steps is not None and args.max_steps < 0:
+            parser.error(f"argument --max-steps: {args.max_steps} is negative")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -58,6 +58,7 @@ from .universe import (
     AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy, INT,
     INT_RANGE, IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig,
     SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
+    value_class,
 )
 # perfbench's tracer counts chain walks by rebinding this name here.
 from .universe import super_chain  # noqa: F401
@@ -80,7 +81,7 @@ class ModelDef:
     config: dict[str, str] = field(default_factory=complete_choices)
 
 
-@dataclass(frozen=True)
+@value_class
 class TraceRecord:
     step: int
     oid: int
@@ -103,7 +104,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@value_class
 class _Token:
     kind: str  # "int" | "ident" | "punct" | "arrow" | "eof"
     text: str
@@ -614,9 +615,10 @@ def _universal_newlines(text: str) -> str:
 
 def load_model(path) -> ModelDef:
     """Parse and validate the model file at ``path``, which must be UTF-8:
-    its first byte that is not is a located ``ModelError``."""
+    its first byte that is not is a located ``ModelError``. One leading
+    byte order mark is skipped."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -7,18 +7,20 @@ store holds each object's threads, each running one method activation, and
 the event store holds one FIFO queue of incoming events per object.
 
 Thread ids and event sequence numbers are drawn from monotone counters kept
-inside the state, which is what makes whole runs reproducible values.
+inside the state, which is what makes whole runs reproducible values. Every
+value here is a ``value_class`` (a slotted frozen dataclass), cheap to build
+because a step builds several.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import ExecError, InternalError
 from .universe import (
     ClassDef, MethodDef, NullOid, OidVal, OpSig, RecordVal, Value, same_kind,
+    value_class,
 )
 
 if TYPE_CHECKING:
@@ -27,13 +29,13 @@ if TYPE_CHECKING:
 
 # --- objects and threads -----------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class StoredObject:
     class_name: str
     attrs: RecordVal
 
 
-@dataclass(frozen=True)
+@value_class
 class CallerRef:
     """Where a synchronous call came from and where its result must land."""
 
@@ -42,7 +44,7 @@ class CallerRef:
     result_local: str
 
 
-@dataclass(frozen=True)
+@value_class
 class Frame:
     """One activation: the method it runs, dispatched when it was created."""
 
@@ -59,7 +61,7 @@ class ThreadStatus(enum.Enum):
     WAITING = "waiting"
 
 
-@dataclass(frozen=True)
+@value_class
 class Thread:
     tid: int
     base_prio: int
@@ -69,7 +71,7 @@ class Thread:
 
 # --- messages and events ------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class CallPayload:
     op: OpSig
     args: RecordVal
@@ -77,13 +79,13 @@ class CallPayload:
     prio: int
 
 
-@dataclass(frozen=True)
+@value_class
 class ReturnPayload:
     value: Value
     result_local: str
 
 
-@dataclass(frozen=True)
+@value_class
 class SignalPayload:
     op: OpSig
     args: RecordVal
@@ -93,7 +95,7 @@ class SignalPayload:
 Payload = Union[CallPayload, ReturnPayload, SignalPayload]
 
 
-@dataclass(frozen=True)
+@value_class
 class Message:
     """One unit of inter-object traffic.
 
@@ -121,7 +123,7 @@ _KIND_FOR_PAYLOAD = {
 }
 
 
-@dataclass(frozen=True)
+@value_class
 class Event:
     kind: EventKind
     msg: Message
@@ -147,7 +149,7 @@ def returns_to(tid: int) -> EventPred:
     return lambda e: e.kind is EventKind.RETURN and e.msg.sender_thread == tid
 
 
-@dataclass(frozen=True)
+@value_class
 class SimState:
     ds: DataStore
     cs: ControlStore

@@ -8,7 +8,7 @@ name is a key of the model's class table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from .errors import ModelError
@@ -17,27 +17,54 @@ if TYPE_CHECKING:
     from .actions import Action
 
 
+def value_class(cls):
+    """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that
+    stores each field through its slot's descriptor.
+
+    The ``__init__`` a frozen dataclass generates stores every field
+    through ``object.__setattr__``, which is most of what building a value
+    costs, and a step builds several. This one takes the same parameters
+    with the same plain defaults; ``default_factory`` is not supported. It
+    is compiled as ``<Class.__init__>``, so profiles tell classes apart.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {}, "", ""
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        params += f", {f.name}"
+        if f.default is not MISSING:
+            env[f"_default_{f.name}"] = f.default
+            params += f"=_default_{f.name}"
+        body += f"\n    _set_{f.name}(self, {f.name})"
+    name = f"{cls.__qualname__}.__init__"
+    exec(compile(f"def __init__(self{params}):{body or ' pass'}",
+                 f"<{name}>", "exec"), env)
+    env["__init__"].__qualname__ = name
+    cls.__init__ = env["__init__"]
+    return cls
+
+
 # --- types -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class IntType:
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
+@value_class
 class BoolType:
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
+@value_class
 class VoidType:
     def __str__(self) -> str:
         return "Void"
 
 
-@dataclass(frozen=True)
+@value_class
 class ClassType:
     name: str
 
@@ -59,32 +86,32 @@ VOID = VoidType()
 INT_RANGE = range(-2**63, 2**63)
 
 
-@dataclass(frozen=True)
+@value_class
 class IntVal:
     value: int
 
 
-@dataclass(frozen=True)
+@value_class
 class BoolVal:
     value: bool
 
 
-@dataclass(frozen=True)
+@value_class
 class VoidVal:
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class NullOid:
     """The null object reference: distinct from every allocated id."""
 
 
-@dataclass(frozen=True)
+@value_class
 class OidVal:
     oid: int
 
 
-@dataclass(frozen=True)
+@value_class
 class RecordVal:
     """Ordered record of named values; field order is declaration order."""
 
@@ -117,20 +144,20 @@ NULL_OID = NullOid()
 
 # --- class/operation/method definitions ------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class AttrDef:
     name: str
     type: TypeRef
     init: Value
 
 
-@dataclass(frozen=True)
+@value_class
 class ClassDef:
     name: str
     attributes: tuple[AttrDef, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_class
 class OpSig:
     """Operation signature; identity is the full (name, params, return)."""
 
@@ -143,7 +170,7 @@ class OpSig:
         return f"{self.name}({params}): {self.return_type}"
 
 
-@dataclass(frozen=True)
+@value_class
 class MethodDef:
     implements: OpSig
     params: tuple[tuple[str, TypeRef], ...]

@@ -51,11 +51,11 @@ from .state import (
 )
 from .universe import (
     ClassTable, Hierarchy, MethMap, MethodDef, OpSig, SubclassRel,
-    super_chain,
+    super_chain, value_class,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class RunnableEntry:
     """One schedulable (object, thread) offer, enriched with its last run time."""
 

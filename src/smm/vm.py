@@ -27,7 +27,6 @@ and setup, two runs produce equal results. All concurrency is model-level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Union
 
@@ -38,7 +37,9 @@ from .state import (
     ThreadStatus, alloc_object, add_link_attr, empty_state, returns_to,
     take_matching_event, update_thread,
 )
-from .universe import ClassType, Hierarchy, OidVal, OpSig, Problem
+from .universe import (
+    ClassType, Hierarchy, OidVal, OpSig, Problem, value_class,
+)
 from .variation import (
     STATIC_ORDERS, Config, RunnableEntry, RunnablesSelector, StaticOrder,
 )
@@ -48,13 +49,13 @@ StepHook = Callable[[int, int, int, int, Action], None]
 
 # --- setup -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Active:
     op: OpSig
     prio: int
 
 
-@dataclass(frozen=True)
+@value_class
 class Passive:
     pass
 
@@ -62,7 +63,7 @@ class Passive:
 OKind = Union[Active, Passive]
 
 
-@dataclass(frozen=True)
+@value_class
 class SetupEntry:
     name: str
     class_name: str
@@ -76,17 +77,17 @@ TimesMap = dict[int, int]
 
 # --- results -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class AllDone:
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Blocked:
     waiting: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@value_class
 class StepLimit:
     pass
 
@@ -94,7 +95,7 @@ class StepLimit:
 HaltReason = Union[AllDone, Blocked, StepLimit]
 
 
-@dataclass(frozen=True)
+@value_class
 class RunResult:
     final: SimState
     time: int
@@ -416,8 +417,8 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     Returns once no object offers any thread: with ``AllDone`` when nothing
     is waiting, or ``Blocked`` naming the threads stuck in calls whose
     returns can never arrive. ``max_steps`` bounds the number of steps for
-    non-terminating models and yields ``StepLimit`` when exhausted. The
-    optional ``on_step`` hook observes every step as
+    non-terminating models, must not be negative and yields ``StepLimit``
+    when exhausted. The optional ``on_step`` hook observes every step as
     ``(t, oid, tid, pc, action)``.
 
     ``times`` maps thread ids to the step each last ran at. A thread's
@@ -429,6 +430,8 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     so a pick costs time logarithmic in the objects, not linear in the
     offers. Any other scheduler gets every entry on every step.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps {max_steps} is negative")
     if times and max(times) >= s.next_tid:
         raise ValueError(f"times names thread id {max(times)}, but ids "
                          f"from {s.next_tid} on are not handed out yet")

@@ -54,6 +54,17 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == EXIT_STEP_LIMIT
 
+    def test_a_negative_step_limit_is_a_usage_error(self, capsys):
+        code = main(["run", PRODCONS, "--max-steps", "-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.splitlines()[-1] == \
+            "smm: error: argument --max-steps: -3 is negative"
+        assert captured.out == ""
+        # The limit's least value stops the run before its first step.
+        assert main(["run", PRODCONS, "--max-steps", "0"]) == EXIT_STEP_LIMIT
+        assert "time: 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("trace", [False, True])
     def test_ctrl_c_prints_the_trace_so_far(self, capsys, monkeypatch,
                                              trace):
@@ -108,6 +119,15 @@ class TestRunCommand:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == \
             f"{bad}:2:1: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.smm"
+        source = (MODELS_DIR / "prodcons.smm").read_bytes()
+        path.write_bytes(b"\xef\xbb\xbf" + source)
+        assert main(["run", str(path)]) == EXIT_OK
+        with_mark = capsys.readouterr()
+        assert main(["run", PRODCONS]) == EXIT_OK
+        assert capsys.readouterr() == with_mark
 
     def test_missing_file_is_a_validation_error(self, capsys):
         code = main(["run", str(MODELS_DIR / "nope.smm")])

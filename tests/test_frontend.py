@@ -190,10 +190,22 @@ class TestLoadModel:
             path.write_bytes(source.replace("\n", end).encode())
             assert load_model(path) == prodcons_model
 
+    def test_one_leading_byte_order_mark_is_skipped(self, tmp_path,
+                                                    prodcons_model):
+        path = tmp_path / "model.smm"
+        source = print_model(prodcons_model).encode()
+        path.write_bytes(b"\xef\xbb\xbf" + source)
+        assert load_model(path) == prodcons_model
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + source)
+        with pytest.raises(ModelError, match="unexpected character"):
+            load_model(path)
+
     @pytest.mark.parametrize("data,line,column,byte", [
         (b"class A { }\n\xff\xfe\n", 2, 1, "0xff"),
         (b"class A { }\r\nclass B { }\r\xc3\xa9\xc3(", 3, 2, "0xc3"),
         (b"class \xe2\x82", 1, 7, "0xe2"),
+        # A byte order mark is not a column.
+        (b"\xef\xbb\xbfclass \xff", 1, 7, "0xff"),
     ])
     def test_a_byte_that_is_not_utf8_is_located(self, tmp_path, data, line,
                                                 column, byte):

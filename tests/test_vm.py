@@ -410,6 +410,14 @@ class TestRunLoop:
         assert result.halt == StepLimit()
         assert result.time == 10
 
+    def test_a_negative_step_limit_is_rejected(self, prodcons_model):
+        cfg = buffer_config()
+        with pytest.raises(ValueError, match="max_steps -1 is negative"):
+            run({}, 0, cfg, empty_state(), max_steps=-1)
+        with pytest.raises(ValueError, match="max_steps -3 is negative"):
+            run_model(prodcons_model, max_steps=-3)
+        assert run_model(prodcons_model, max_steps=0).halt == StepLimit()
+
     def test_progress_drains_every_thread(self, prodcons_model):
         from smm import validate_state
         from smm.frontend import build_config
