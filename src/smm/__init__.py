@@ -15,7 +15,7 @@ from .frontend import (
     render_final_state, run_model,
 )
 from .state import (
-    CallerRef, CallPayload, EventKind, Frame, Message, ReturnPayload,
+    CallerRef, CallPayload, EventKind, Message, ReturnPayload,
     StoredObject, Thread, ThreadStatus, alloc_object, empty_state, end_thread,
     enqueue_event, take_matching_event, validate_state, write_attr,
 )

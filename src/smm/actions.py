@@ -1,7 +1,7 @@
 """The action language and its single-step interpreter.
 
 Method bodies are flat lists of actions addressed by a program counter.
-All operands are locals; constants enter a frame through ``LocalConst`` or
+All operands are locals; constants enter a thread through ``LocalConst`` or
 ``NewLocal``. Control flow is a structured pair of ``Jump`` and
 ``BranchIfFalse`` over label-free pc targets.
 
@@ -18,7 +18,7 @@ from typing import Callable, Union
 
 from .errors import ExecError
 from .state import (
-    CallPayload, Frame, Message, RecordVal, ReturnPayload, SignalPayload,
+    CallPayload, Message, RecordVal, ReturnPayload, SignalPayload,
     SimState, Thread, ThreadStatus, alloc_object, end_thread, make_event,
     update_thread, write_attr,
 )
@@ -126,34 +126,34 @@ Action = Union[
 ]
 
 
-def _local(frame, name: str) -> Value:
+def _local(thr, name: str) -> Value:
     try:
-        return frame.locals.get(name)
+        return thr.locals.get(name)
     except KeyError:
         raise ExecError(f"unknown local {name!r}") from None
 
 
-def _int_local(frame, name: str) -> int:
-    v = _local(frame, name)
+def _int_local(thr, name: str) -> int:
+    v = _local(thr, name)
     if not isinstance(v, IntVal):
         raise ExecError(f"local {name!r} is not an integer")
     return v.value
 
 
-def store_local(frame, name: str, v: Value) -> RecordVal:
-    """The frame's locals with ``name``, an existing local, set to ``v``."""
-    if not same_kind(_local(frame, name), v):
+def store_local(thr, name: str, v: Value) -> RecordVal:
+    """The thread's locals with ``name``, an existing local, set to ``v``."""
+    if not same_kind(_local(thr, name), v):
         raise ExecError(f"type error assigning local {name!r}")
-    return frame.locals.set(name, v)
+    return thr.locals.set(name, v)
 
 
-def _arg_record(frame, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
+def _arg_record(thr, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
     if len(arg_names) != len(sig.param_types):
         raise ExecError(f"call to {sig.name!r} with {len(arg_names)} arguments, "
                         f"expected {len(sig.param_types)}")
     fields = []
     for i, name in enumerate(arg_names):
-        v = _local(frame, name)
+        v = _local(thr, name)
         if not value_fits(v, sig.param_types[i], ds, cfg.hierarchy):
             raise ExecError(f"argument {i} of {sig.name!r} does not fit "
                             f"type {sig.param_types[i]}")
@@ -161,8 +161,8 @@ def _arg_record(frame, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
     return RecordVal(tuple(fields))
 
 
-def _target_oid(frame, name: str, s: SimState) -> int:
-    v = _local(frame, name)
+def _target_oid(thr, name: str, s: SimState) -> int:
+    v = _local(thr, name)
     if isinstance(v, NullOid):
         raise ExecError(f"call through null reference {name!r}")
     if not isinstance(v, OidVal):
@@ -172,10 +172,10 @@ def _target_oid(frame, name: str, s: SimState) -> int:
     return v.oid
 
 
-def _jump(frame, target: int) -> int:
-    body = frame.meth.body
+def _jump(thr, target: int) -> int:
+    body = thr.meth.body
     if not 0 <= target < len(body):
-        raise ExecError(f"action {frame.pc} jumps to {target}, outside the "
+        raise ExecError(f"action {thr.pc} jumps to {target}, outside the "
                         f"body of {len(body)} actions")
     return target
 
@@ -186,48 +186,43 @@ def _emit(s: SimState, cfg, msg: Message) -> SimState:
     return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq + 1)
 
 
-def advance(s: SimState, thr: Thread, locals: RecordVal | None = None,
-            pc: int | None = None,
+def advance(s: SimState, oid: int, tid: int, thr: Thread,
+            locals: RecordVal | None = None, pc: int | None = None,
             status: ThreadStatus = ThreadStatus.READY) -> SimState:
-    """``s`` with ``thr`` moved on: at ``pc`` (by default its next action),
-    with ``locals`` (by default its own), in ``status``.
-
-    This is the one writer of a running thread's next frame. The thread is
-    stored under its own id at its frame's object.
-    """
-    f = thr.frame
-    frame = Frame(f.self_oid, f.meth, f.params,
-                  f.locals if locals is None else locals,
-                  f.pc + 1 if pc is None else pc, f.caller)
-    return update_thread(s, f.self_oid, thr.tid,
-                         Thread(thr.tid, thr.base_prio, status, frame))
+    """``s`` with ``thr``, thread ``tid`` of ``oid``, moved on: at ``pc``
+    (by default its next action), with ``locals`` (by default its own), in
+    ``status``. The one writer of a running thread; it builds one value."""
+    return update_thread(s, oid, tid, Thread(
+        thr.base_prio, status, thr.meth, thr.params,
+        thr.locals if locals is None else locals,
+        thr.pc + 1 if pc is None else pc, thr.caller))
 
 
 def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
     """Execute one action of thread ``tid`` of object ``oid``.
 
-    The thread must exist and be ready, with its frame's pc addressing
-    ``action`` in the dispatched method body; ``vm.step`` checks that and
-    adds the (oid, tid, pc) context to any ``ExecError`` raised here.
+    The thread must exist and be ready, with its pc addressing ``action``
+    in the dispatched method body; ``vm.step`` checks that and adds the
+    (oid, tid, pc) context to any ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
     thr = s.thread(oid, tid)
-    frame = thr.frame
 
     if isinstance(action, NewLocal):
-        if frame.locals.has(action.name):
+        if thr.locals.has(action.name):
             raise ExecError(f"local {action.name!r} already exists")
         if not value_fits(action.init, action.type, s.ds, cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
-        return advance(s, thr, frame.locals.set(action.name, action.init))
+        return advance(s, oid, tid, thr,
+                       thr.locals.set(action.name, action.init))
 
     if isinstance(action, LocalFromParam):
         try:
-            v = frame.params.get(action.param)
+            v = thr.params.get(action.param)
         except KeyError:
             raise ExecError(f"unknown parameter {action.param!r}") from None
-        return advance(s, thr, store_local(frame, action.local, v))
+        return advance(s, oid, tid, thr, store_local(thr, action.local, v))
 
     if isinstance(action, LocalFromAttr):
         obj = s.ds[oid]
@@ -236,13 +231,14 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
         except KeyError:
             raise ExecError(f"object {oid} ({obj.class_name}) has no "
                             f"attribute {action.attr!r}") from None
-        return advance(s, thr, store_local(frame, action.local, v))
+        return advance(s, oid, tid, thr, store_local(thr, action.local, v))
 
     if isinstance(action, LocalConst):
-        return advance(s, thr, store_local(frame, action.local, action.value))
+        return advance(s, oid, tid, thr,
+                       store_local(thr, action.local, action.value))
 
     if isinstance(action, SetAttr):
-        v = _local(frame, action.local)
+        v = _local(thr, action.local)
         cls_name = s.ds[oid].class_name
         if cls_name in cfg.class_table:
             for attr in cfg.hierarchy.object_class(cls_name).attributes:
@@ -250,70 +246,71 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
                         v, attr.type, s.ds, cfg.hierarchy):
                     raise ExecError(
                         f"type error writing attribute {action.attr!r}")
-        return advance(write_attr(s, oid, action.attr, v), thr)
+        return advance(write_attr(s, oid, action.attr, v), oid, tid, thr)
 
     if isinstance(action, BinOp):
         compute = BIN_OPS.get(action.op)
         if compute is None:
             raise ExecError(f"unknown operator {action.op!r}")
-        out = compute(_int_local(frame, action.lhs),
-                      _int_local(frame, action.rhs))
+        out = compute(_int_local(thr, action.lhs),
+                      _int_local(thr, action.rhs))
         if isinstance(out, IntVal) and out.value not in INT_RANGE:
             raise ExecError(f"integer overflow in {action.op!r}")
-        return advance(s, thr, store_local(frame, action.dst, out))
+        return advance(s, oid, tid, thr,
+                       store_local(thr, action.dst, out))
 
     if isinstance(action, Jump):
-        return advance(s, thr, pc=_jump(frame, action.target))
+        return advance(s, oid, tid, thr, pc=_jump(thr, action.target))
 
     if isinstance(action, BranchIfFalse):
-        cond = _local(frame, action.cond)
+        cond = _local(thr, action.cond)
         if not isinstance(cond, BoolVal):
             raise ExecError(f"branch condition {action.cond!r} is not a boolean")
         if cond.value:
-            return advance(s, thr)
-        return advance(s, thr, pc=_jump(frame, action.target))
+            return advance(s, oid, tid, thr)
+        return advance(s, oid, tid, thr, pc=_jump(thr, action.target))
 
     if isinstance(action, NewObject):
         if action.class_name not in cfg.class_table:
             raise ExecError(f"unknown class {action.class_name!r}")
         s2, new_oid = alloc_object(s, cfg.hierarchy.object_class(
             action.class_name))
-        return advance(s2, thr, store_local(frame, action.dst, OidVal(new_oid)))
+        return advance(s2, oid, tid, thr,
+                       store_local(thr, action.dst, OidVal(new_oid)))
 
     if isinstance(action, (Call, SendSignal)):
-        dst = _target_oid(frame, action.target, s)
-        args = _arg_record(frame, action.args, action.op, cfg, s.ds)
+        dst = _target_oid(thr, action.target, s)
+        args = _arg_record(thr, action.args, action.op, cfg, s.ds)
         if isinstance(action, Call):
             payload = CallPayload(action.op, args, action.result_local,
                                   thr.base_prio)
-            # The frame now waits at pc+1 for the return value to land in
-            # the result local; the thread is offered again only once it
-            # arrives.
+            # The thread now waits at pc+1 for the return value to land in
+            # the result local; it is offered again only once it arrives.
             status = ThreadStatus.WAITING
         else:
             payload = SignalPayload(action.op, args, action.prio)
             status = ThreadStatus.READY
         s2 = _emit(s, cfg, Message(sender=oid, sender_thread=tid,
                                    receiver=dst, payload=payload))
-        return advance(s2, thr, status=status)
+        return advance(s2, oid, tid, thr, status=status)
 
     if isinstance(action, (ReturnConst, ReturnLocal)):
         if isinstance(action, ReturnLocal):
-            value = _local(frame, action.name)
-            sig = frame.meth.implements
+            value = _local(thr, action.name)
+            sig = thr.meth.implements
             if not value_fits(value, sig.return_type, s.ds, cfg.hierarchy):
                 raise ExecError(f"{sig.name!r} returns a value that does not "
                                 f"fit its return type {sig.return_type}")
         else:
             value = action.value
         s2 = s
-        if frame.caller is not None:
+        if thr.caller is not None:
             s2 = _emit(s, cfg, Message(
                 sender=oid,
                 # Routing slot: the thread to resume at the caller.
-                sender_thread=frame.caller.tid,
-                receiver=frame.caller.oid,
-                payload=ReturnPayload(value, frame.caller.result_local)))
+                sender_thread=thr.caller.tid,
+                receiver=thr.caller.oid,
+                payload=ReturnPayload(value, thr.caller.result_local)))
         return end_thread(s2, oid, tid)
 
     raise ExecError(f"unknown action {action!r}")

@@ -55,7 +55,7 @@ from . import actions as A
 from .errors import Diagnostic, ExecError, ModelError
 from .state import SimState
 from .universe import (
-    AttrDef, BOOL, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy, INT,
+    AttrDef, BASE_TYPES, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy,
     INT_RANGE, IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig,
     SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
     value_class,
@@ -140,8 +140,6 @@ _STMT_KEYWORDS = {
 # The keyword literals and the values they spell.
 _LITERALS = {"true": BoolVal(True), "false": BoolVal(False), "void": VOID_VAL,
              "null": NULL_OID}
-
-_BASE_TYPES = {str(t): t for t in (INT, BOOL, VOID)}
 
 
 class _ParseAbort(Exception):
@@ -242,7 +240,7 @@ class _Parser:
 
     def parse_type(self) -> TypeRef:
         tok = self.ident("a type name")
-        return _BASE_TYPES.get(tok.text) or ClassType(tok.text)
+        return BASE_TYPES.get(tok.text) or ClassType(tok.text)
 
     def integer(self) -> int:
         """The next token, which must be an integer, as its value."""

@@ -3,8 +3,9 @@
 A ``SimState`` is a value: every operation returns a new state and never
 mutates its argument, so a state can be kept, compared, or replayed. The
 data store holds each object's class tag and attribute record, the control
-store holds each object's threads, each running one method activation, and
-the event store holds one FIFO queue of incoming events per object.
+store holds each object's threads, each one method activation kept as
+``cs[oid][tid]`` (the ids live only in those keys), and the event store
+holds one FIFO queue of incoming events per object.
 
 Thread ids and event sequence numbers are drawn from monotone counters kept
 inside the state, which is what makes whole runs reproducible values. Every
@@ -44,18 +45,6 @@ class CallerRef:
     result_local: str
 
 
-@value_class
-class Frame:
-    """One activation: the method it runs, dispatched when it was created."""
-
-    self_oid: int
-    meth: MethodDef
-    params: RecordVal
-    locals: RecordVal
-    pc: int
-    caller: CallerRef | None
-
-
 class ThreadStatus(enum.Enum):
     READY = "ready"
     WAITING = "waiting"
@@ -63,10 +52,17 @@ class ThreadStatus(enum.Enum):
 
 @value_class
 class Thread:
-    tid: int
+    """One method activation, stored as ``s.cs[oid][tid]``: the method it
+    runs, dispatched when the thread was created, its parameters and
+    locals, its program counter, and whom it answers if it was called."""
+
     base_prio: int
     status: ThreadStatus
-    frame: Frame
+    meth: MethodDef
+    params: RecordVal = RecordVal()
+    locals: RecordVal = RecordVal()
+    pc: int = 0
+    caller: CallerRef | None = None
 
 
 # --- messages and events ------------------------------------------------------
@@ -295,17 +291,10 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
         if oid not in s.ds:
             problems.append(f"control store entry {oid} has no object")
         for tid, thr in threads.items():
-            if thr.tid != tid:
-                problems.append(f"thread {tid} of object {oid} carries id {thr.tid}")
             if tid >= s.next_tid:
                 problems.append(f"thread {tid} not covered by the id counter")
-            f = thr.frame
-            if f.self_oid != oid:
-                problems.append(
-                    f"thread {tid}: frame executes object {f.self_oid}, "
-                    f"stored under {oid}")
-            check_refs(f.params, f"thread {tid} params")
-            check_refs(f.locals, f"thread {tid} locals")
+            check_refs(thr.params, f"thread {tid} params")
+            check_refs(thr.locals, f"thread {tid} locals")
 
     for oid, queue in s.es.items():
         if oid not in s.ds:

@@ -8,7 +8,7 @@ name is a key of the model's class table.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from .errors import ModelError
@@ -26,6 +26,10 @@ def value_class(cls):
     costs, and a step builds several. This one takes the same parameters
     with the same plain defaults; ``default_factory`` is not supported. It
     is compiled as ``<Class.__init__>``, so profiles tell classes apart.
+    Assigning or deleting any name raises ``FrozenInstanceError``; the
+    frozen dataclass's own pair names, in ``super()``, the class before its
+    slotted copy, so on Python 3.10 and 3.11 it raised ``TypeError`` for a
+    name that is not a field.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     env, params, body = {}, "", ""
@@ -41,7 +45,16 @@ def value_class(cls):
                  f"<{name}>", "exec"), env)
     env["__init__"].__qualname__ = name
     cls.__init__ = env["__init__"]
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # --- types -----------------------------------------------------------------
@@ -77,6 +90,9 @@ TypeRef = Union[IntType, BoolType, VoidType, ClassType]
 INT = IntType()
 BOOL = BoolType()
 VOID = VoidType()
+# The built-in types by the names the source spells them; no class may
+# take one, since each means its type wherever a type is named.
+BASE_TYPES = {str(t): t for t in (INT, BOOL, VOID)}
 
 
 # --- values ----------------------------------------------------------------
@@ -377,13 +393,14 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
 
     This is the only home of every rule decidable from the three tables:
     the class table and subclass relation of ``hierarchy``, and the method
-    map. A valid model has attribute names unique along each inheritance
-    chain, with type-correct initial values, an acyclic subclass relation
-    over known classes, and method entries of known classes whose
-    signatures, parameters and bodies are internally consistent (unique
-    parameters, non-empty bodies, jump targets in range, known parameters
-    and classes, fitting initial values, ``Int`` literals inside
-    ``INT_RANGE``, ``return`` literals fitting the return type). Chains
+    map. A valid model has no class named like a built-in type, attribute
+    names unique along each inheritance chain, with type-correct initial
+    values, an acyclic subclass relation over known classes, and method
+    entries of known classes whose signatures, parameters and bodies are
+    internally consistent (unique parameters, non-empty bodies, jump
+    targets in range, known parameters and classes, fitting initial
+    values, ``Int`` literals inside ``INT_RANGE``, ``return`` literals
+    fitting the return type). Chains
     are read from ``hierarchy`` and walked only where a rule needs them;
     the parser hands the same one to ``smm.vm.check_setup``. The setup
     rules live in ``smm.vm.check_setup``; the parser keeps only what needs
@@ -403,6 +420,9 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
         return isinstance(t, ClassType) and t.name not in class_table
 
     for name, cls in class_table.items():
+        if name in BASE_TYPES:
+            report(("class", name), f"class {name!r} has the name of a "
+                                    f"built-in type")
         seen: set[str] = set()
         for i, attr in enumerate(cls.attributes):
             where = ("attr", name, i)

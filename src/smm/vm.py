@@ -18,8 +18,8 @@ A step first consumes a pending event when there is one to consume
 (materializing a handler thread for a call or signal, or resuming a
 caller with its return value), then interprets the single action the
 thread's program counter addresses.
-Methods are dispatched only where a frame is created, and the frame keeps
-its method; the config asks its dispatcher once per (class, op).
+Methods are dispatched only where a thread is created, and the thread
+keeps its method; the config asks its dispatcher once per (class, op).
 
 The engine is single-threaded and deterministic: with equal configuration
 and setup, two runs produce equal results. All concurrency is model-level.
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Union
 from .actions import Action, advance, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
-    CallerRef, CallPayload, Event, Frame, RecordVal, SimState, Thread,
+    CallerRef, CallPayload, Event, RecordVal, SimState, Thread,
     ThreadStatus, alloc_object, add_link_attr, empty_state, returns_to,
     take_matching_event, update_thread,
 )
@@ -319,7 +319,7 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
       arguments bound to its parameters. A call records who to answer; a
       signal has no caller to answer.
     - ``tid`` is waiting and its return event is buffered: remove it, bind
-      the value to the frame's result local, mark ready. A result local
+      the value to the thread's result local, mark ready. A result local
       that exists keeps its kind; a missing one is created.
     - otherwise the state is returned unchanged.
     """
@@ -331,13 +331,12 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
         if answer is None:
             return s
         name, value = answer.msg.payload.result_local, answer.msg.payload.value
-        frame = thr.frame
-        if frame.locals.has(name):
-            bound = store_local(frame, name, value)
+        if thr.locals.has(name):
+            bound = store_local(thr, name, value)
         else:
-            bound = frame.locals.set(name, value)
-        return advance(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), thr,
-                       bound, pc=frame.pc)
+            bound = thr.locals.set(name, value)
+        return advance(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), oid,
+                       tid, thr, bound, pc=thr.pc)
 
     taken = None
     if event is not None:
@@ -360,11 +359,9 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                            payload.result_local)
     else:
         caller = None
-    frame = Frame(self_oid=oid, meth=meth, params=params,
-                  locals=RecordVal(), pc=0, caller=caller)
-    thread = Thread(tid, payload.prio, ThreadStatus.READY, frame)
     s2 = SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq)
-    return update_thread(s2, oid, tid, thread)
+    return update_thread(s2, oid, tid, Thread(
+        payload.prio, ThreadStatus.READY, meth, params, caller=caller))
 
 
 def step(s: SimState, cfg: Config, oid: int, tid: int,
@@ -372,8 +369,8 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     """One atomic step: consume an event if due, then interpret one action.
 
     ``event`` is the pending event a reserved ``tid`` stands for, as
-    ``collect_runnables`` reported it. Returns the successor state and the
-    pc and action that ran. This is the one place that attaches the
+    ``collect_runnables`` or the offer heap reported it. Returns the
+    successor state and the pc and action that ran. This is the one place that attaches the
     running (oid, tid, pc) to an ``ExecError``; an error raised while the
     event is consumed names no pc, because no action ran.
     """
@@ -388,11 +385,10 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
             raise InternalError(
                 f"thread {tid} of object {oid} was scheduled but is not "
                 f"ready (selector contract violation)")
-        frame = thr.frame
-        pc, body = frame.pc, frame.meth.body
+        pc, body = thr.pc, thr.meth.body
         if pc >= len(body):
             raise ExecError(f"fell off the end of "
-                            f"{frame.meth.implements.name!r} without a return")
+                            f"{thr.meth.implements.name!r} without a return")
         action = body[pc]
         return interpret(action, s1, oid, tid, cfg), pc, action
     except ExecError as err:
@@ -547,11 +543,9 @@ def build_initial_state(cfg: Config, setup: Setup) -> SimState:
         except ExecError as err:
             raise ModelError(f"setup: {entry.name!r} cannot start "
                              f"{entry.kind.op.name!r}: {err}") from None
-        frame = Frame(self_oid=oid, meth=meth, params=RecordVal(),
-                      locals=RecordVal(), pc=0, caller=None)
-        thread = Thread(s.next_tid, entry.kind.prio, ThreadStatus.READY, frame)
+        thread = Thread(entry.kind.prio, ThreadStatus.READY, meth)
         s = update_thread(SimState(s.ds, s.cs, s.es, s.next_tid + 1,
-                                   s.next_seq), oid, thread.tid, thread)
+                                   s.next_seq), oid, s.next_tid, thread)
     return s
 
 

@@ -26,15 +26,27 @@ def _literal_for(rng: random.Random, t):
     return NULL_OID
 
 
-def random_model(rng: random.Random, objects: int | None = None) -> ModelDef:
+def random_model(rng: random.Random, objects: int | None = None, *,
+                 supers: int = 1) -> ModelDef:
     """A valid model drawn from ``rng``, with ``objects`` setup objects
-    (by default zero to three, also drawn)."""
-    n_classes = rng.randint(1, 4)
+    (by default zero to three, also drawn).
+
+    Each class extends at most ``supers`` earlier classes. Beyond one,
+    there are two to six classes, diamonds among them, and an operation
+    may have a second method in another class, so that dispatch chooses
+    along a chain; with the default, ``rng`` is drawn from as it always
+    was, so a seed gives the same model as before.
+    """
+    n_classes = rng.randint(1, 4) if supers == 1 else rng.randint(2, 6)
     names = [f"C{i}" for i in range(n_classes)]
     scl = {}
     for i, name in enumerate(names[1:], start=1):
-        if rng.random() < 0.4:
-            scl[name] = (names[rng.randrange(i)],)
+        if supers == 1:
+            if rng.random() < 0.4:
+                scl[name] = (names[rng.randrange(i)],)
+        elif rng.random() < 0.7:
+            k = rng.randint(1, min(supers, i))
+            scl[name] = tuple(rng.sample(names[:i], k))
 
     classes = {}
     for name in names:
@@ -58,6 +70,9 @@ def random_model(rng: random.Random, objects: int | None = None) -> ModelDef:
         sig = OpSig(f"op{k}", tuple(t for _, t in params), ret)
         op_defs.append((sig, params, rng.choice(names)))
     sigs = [sig for sig, _, _ in op_defs]
+    if supers > 1:
+        op_defs += [(sig, params, rng.choice(names))
+                    for sig, params, _ in list(op_defs) if rng.random() < 0.5]
 
     meth_map: dict[str, dict[OpSig, MethodDef]] = {}
     for sig, params, owner in op_defs:

@@ -6,7 +6,7 @@ import pytest
 
 from smm import (
     AttrDef, BoolVal, CallerRef, ClassDef, ClassType, EventKind,
-    ExecError, Frame, INT, IntVal, MethodDef, NULL_OID, OidVal, RecordVal,
+    ExecError, INT, IntVal, MethodDef, NULL_OID, OidVal, RecordVal,
     Thread, ThreadStatus, VOID, VOID_VAL, alloc_object, empty_state,
     make_config,
 )
@@ -41,16 +41,16 @@ def _setup(locals_=(), params=(), pc=0, caller=None, op=WORK_OP):
     s = empty_state()
     s, buf = alloc_object(s, buffer_class())
     s, worker = alloc_object(s, _worker_class())
-    frame = Frame(self_oid=worker, meth=MethodDef(op, (), WORK_BODY),
-                  params=RecordVal(tuple(params)),
-                  locals=RecordVal(tuple(locals_)), pc=pc, caller=caller)
-    s = update_thread(s, worker, 0, Thread(0, 5, ThreadStatus.READY, frame))
+    thr = Thread(5, ThreadStatus.READY, MethodDef(op, (), WORK_BODY),
+                 RecordVal(tuple(params)), RecordVal(tuple(locals_)), pc,
+                 caller)
+    s = update_thread(s, worker, 0, thr)
     s = replace(s, next_tid=1)
     return s, buf, worker
 
 
 def _top(s, oid, tid=0):
-    return s.cs[oid][tid].frame
+    return s.cs[oid][tid]
 
 
 class TestDataActions:
@@ -191,7 +191,7 @@ class TestMessagingActions:
         s2 = interpret(Call("b", PUT_OP, ("x",), "r"), s, w, 0, _cfg())
         thr = s2.cs[w][0]
         assert thr.status is ThreadStatus.WAITING
-        assert thr.frame.pc == 1
+        assert thr.pc == 1
         (event,) = s2.es[buf]
         assert event.kind is EventKind.CALL
         assert event.msg.sender == w and event.msg.sender_thread == 0
@@ -215,7 +215,7 @@ class TestMessagingActions:
         s2 = interpret(SendSignal("b", PUT_OP, ("x",), 7), s, w, 0, _cfg())
         thr = s2.cs[w][0]
         assert thr.status is ThreadStatus.READY
-        assert thr.frame.pc == 1
+        assert thr.pc == 1
         (event,) = s2.es[buf]
         assert event.kind is EventKind.SIGNAL
         assert event.msg.payload.prio == 7

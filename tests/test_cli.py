@@ -180,6 +180,16 @@ setup {
         assert err == (f"{model}:12:3: link 'b' of 'w' would store a "
                        f"'Worker' in an attribute of type Buffer\n")
 
+    def test_a_class_named_like_a_built_in_type_is_a_validation_error(
+            self, tmp_path, capsys):
+        model = tmp_path / "m.smm"
+        model.write_text("class Int { attr me: Int = 0; }\n")
+        code = main(["run", str(model)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == (f"{model}:1:7: class 'Int' has the name of a "
+                       f"built-in type\n")
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         crashy = tmp_path / "crashy.smm"
         crashy.write_text("""

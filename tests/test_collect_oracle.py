@@ -17,7 +17,7 @@ and end with the same halt reason and structured final state. So must a
 custom medium that also drops events of objects other than the receiver,
 and a run resumed from a mid-run state. A scheduler with no static order
 must also be handed the same entries and reserved ids.
-Every frame must hold the method its operation dispatches to.
+Every thread must hold the method its operation dispatches to.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def oracle_collect(runnables: str, s):
 def _check_frames(cfg, s) -> None:
     for oid, threads in s.cs.items():
         for thr in threads.values():
-            assert thr.frame.meth is cfg.dispatcher(
+            assert thr.meth is cfg.dispatcher(
                 cfg.subclass_rel, cfg.meth_map, s.ds, oid,
-                thr.frame.meth.implements)
+                thr.meth.implements)
 
 
 class Trace(NamedTuple):
@@ -352,6 +352,14 @@ def test_a_heap_rebuilt_on_every_step_matches_the_oracle(prodcons_model,
 @pytest.mark.parametrize("seed", range(40))
 def test_random_models_match_the_oracle(seed):
     _check_model(random_model(random.Random(655_000 + seed)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multiple_inheritance_models_match_the_oracle(seed):
+    # Every thread's method is checked against a dispatch along chains
+    # through diamonds, where operations may have two methods.
+    _check_model(random_model(random.Random(658_000 + seed), objects=4,
+                              supers=3))
 
 
 @settings(max_examples=30, deadline=None)

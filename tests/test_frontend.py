@@ -268,6 +268,8 @@ LOCATED = [
     ("class A { }\nop A.f(p: Int, p: Int): Void { return void; }",
      [(2, "method A.f: duplicate parameter 'p'")]),
     ("class A { }\n  $", [(2, "unexpected character '$'")]),
+    ("class A { }\nclass Int { attr me: Int = 0; }",
+     [(2, "class 'Int' has the name of a built-in type")]),
     # An integer outside the signed 64-bit range of ``Int``.
     ("class A {\n  attr n: Int = 10000000000000000000;\n}",
      [(2, "integer outside the signed 64-bit range")]),
@@ -495,6 +497,13 @@ class TestRoundTrip:
             text = print_model(model)
             reparsed = parse_model(text)
             assert reparsed == model, f"case {i} failed:\n{text}"
+
+    def test_multiple_inheritance_models_round_trip(self):
+        rng = random.Random(1730)
+        for i in range(40):
+            model = random_model(rng, supers=3)
+            text = print_model(model)
+            assert parse_model(text) == model, f"case {i} failed:\n{text}"
 
     def test_printing_is_idempotent(self, prodcons_model):
         once = print_model(prodcons_model)

@@ -37,10 +37,9 @@ def _outcome(model, runnables, scheduler):
         return "model-error", str(err), None
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_models_run_deterministically(seed):
-    rng = random.Random(987_000 + seed)
-    model = random_model(rng)
+def _check_runs(model):
+    """Each config gives one result twice, and a finished run's state
+    validates."""
     for runnables, scheduler in CONFIGS:
         kind1, detail1, result = _outcome(model, runnables, scheduler)
         kind2, detail2, _ = _outcome(model, runnables, scheduler)
@@ -48,6 +47,16 @@ def test_random_models_run_deterministically(seed):
         if result is not None and not isinstance(result.halt, StepLimit):
             problems = validate_state(result.final, build_config(model))
             assert problems == [], problems
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_models_run_deterministically(seed):
+    _check_runs(random_model(random.Random(987_000 + seed)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_multiple_inheritance_models_run_deterministically(seed):
+    _check_runs(random_model(random.Random(988_000 + seed), supers=3))
 
 
 # Literals at and near the ends of ``Int``'s signed 64-bit range and near

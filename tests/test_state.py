@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smm import (
-    AttrDef, BOOL, INT, CallPayload, ClassDef, EventKind, ExecError, Frame,
+    AttrDef, BOOL, INT, CallPayload, ClassDef, EventKind, ExecError,
     IntVal, InternalError, OidVal, RecordVal, ReturnPayload, BoolVal, Message,
     StoredObject, Thread, ThreadStatus, alloc_object, empty_state,
     enqueue_event, make_config, end_thread, take_matching_event,
@@ -176,21 +176,16 @@ class TestTakeMatchingEvent:
         assert taken == c1
 
 
-def _frame(oid: int, pc: int = 0):
-    return Frame(self_oid=oid, meth=get_method(), params=RecordVal(),
-                 locals=RecordVal(), pc=pc, caller=None)
+def _with_thread(s, oid):
+    """``s`` with thread 0 of ``oid`` at the start of ``get``."""
+    return update_thread(s, oid, 0,
+                         Thread(1, ThreadStatus.READY, get_method()))
 
 
-def _with_thread(s, oid, frame):
-    """``s`` with thread 0 of ``oid`` running ``frame``."""
-    return update_thread(s, oid, 0, Thread(0, 1, ThreadStatus.READY, frame))
-
-
-class TestFrameStack:
-    def test_popping_the_last_frame_removes_the_thread(self):
+class TestEndThread:
+    def test_ending_a_thread_removes_it(self):
         s, oid = _state_with_buffer()
-        f = _frame(oid)
-        s = _with_thread(s, oid, f)
+        s = _with_thread(s, oid)
         s2 = end_thread(s, oid, 0)
         assert 0 not in s2.cs[oid]
 
@@ -203,7 +198,7 @@ class TestFrameStack:
 class TestValidateState:
     def test_fresh_states_validate(self):
         s, oid = _state_with_buffer()
-        s = _with_thread(s, oid, _frame(oid))
+        s = _with_thread(s, oid)
         from dataclasses import replace
         s = replace(s, next_tid=1)
         assert validate_state(s, make_config(*buffer_tables())) == []
@@ -240,16 +235,10 @@ class TestValidateState:
 def _valid_state():
     """A buffer (object 0) running thread 0, with one call queued."""
     s, oid = _state_with_buffer()
-    s = _with_thread(s, oid, _frame(oid))
+    s = _with_thread(s, oid)
     return replace(s, es={oid: (_call_event(0, receiver=oid),)}, next_tid=1,
                    next_seq=1)
 
-
-def _thread(s, thr):
-    return replace(s, cs={0: {0: thr}})
-
-
-_READY = ThreadStatus.READY
 
 # One broken invariant per case: how to break it, and the one problem
 # ``validate_state`` must report.
@@ -268,15 +257,9 @@ BROKEN = {
     "threads-of-no-object": (
         lambda s: replace(s, cs={**s.cs, 5: {}}),
         "control store entry 5 has no object"),
-    "thread-id": (
-        lambda s: _thread(s, Thread(3, 1, _READY, _frame(0))),
-        "thread 0 of object 0 carries id 3"),
     "thread-counter": (
         lambda s: replace(s, next_tid=0),
         "thread 0 not covered by the id counter"),
-    "frame-object": (
-        lambda s: _thread(s, Thread(0, 1, _READY, _frame(1))),
-        "thread 0: frame executes object 1, stored under 0"),
     "queue-of-no-object": (
         lambda s: replace(s, es={**s.es, 7: ()}),
         "event queue for unknown object 7"),

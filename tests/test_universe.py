@@ -161,6 +161,16 @@ class TestValidateModel:
             Problem(("attr", "C", 0), "class 'C': attribute 'n' is already "
                                       "declared by superclass 'B'")]
 
+    @pytest.mark.parametrize("name", ["Int", "Bool", "Void"])
+    def test_a_class_may_not_take_a_built_in_type_name(self, name):
+        # Every ``Int`` in the source means the base type, so such a class
+        # could never be named, and printing one that refers to itself
+        # would not parse back.
+        cls = ClassDef(name, (AttrDef("me", ClassType(name), NULL_OID),))
+        problems = validate_model(Hierarchy({name: cls}, {}), {})
+        assert problems == [Problem(("class", name), f"class {name!r} has "
+                                    f"the name of a built-in type")]
+
     def test_init_value_must_fit_type(self):
         cls = ClassDef("X", (AttrDef("a", INT, BoolVal(True)),))
         problems = validate_model(Hierarchy({"X": cls}, {}), {})

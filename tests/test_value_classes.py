@@ -41,7 +41,7 @@ def _args(cls) -> dict[str, str]:
 def test_the_engine_values_are_found():
     names = {cls.__name__ for cls in VALUE_CLASSES}
     assert Config in FROZEN
-    assert {"IntVal", "RecordVal", "MethodDef", "Frame", "Thread", "Event",
+    assert {"IntVal", "RecordVal", "MethodDef", "Thread", "Event",
             "SimState", "BinOp", "RunnableEntry", "SetupEntry", "RunResult",
             "TraceRecord", "_Token"} <= names
 
@@ -76,6 +76,15 @@ class TestValueClass:
                 setattr(value, name, 0)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, name)
+
+    def test_assigning_a_name_that_is_no_field_raises(self, cls):
+        value = cls(**_args(cls))
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="cannot assign to field 'other'"):
+            value.other = 0
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="cannot delete field 'other'"):
+            del value.other
 
     def test_equal_values_hash_equal(self, cls):
         args = _args(cls)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smm import (
-    ClassDef, Config, ExecError, Frame, IntVal, Message, MethodDef,
+    ClassDef, Config, ExecError, IntVal, Message, MethodDef,
     OpSig, RecordVal, ReturnPayload, RunnableEntry, Thread, ThreadStatus,
     VOID, VOID_VAL, alloc_object, collect_runnables, consume_event,
     deliver_reliable,
@@ -57,9 +57,7 @@ def _buffer_state():
 
 
 def _with_thread(s, oid, tid, status=ThreadStatus.READY, prio=1):
-    frame = Frame(self_oid=oid, meth=get_method(), params=RecordVal(),
-                  locals=RecordVal(), pc=0, caller=None)
-    s = update_thread(s, oid, tid, Thread(tid, prio, status, frame))
+    s = update_thread(s, oid, tid, Thread(prio, status, get_method()))
     return replace(s, next_tid=max(s.next_tid, tid + 1))
 
 

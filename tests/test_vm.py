@@ -10,7 +10,7 @@ import smm.variation
 import smm.vm
 from smm import (
     Active, AllDone, AttrDef, Blocked, CallerRef, CallPayload, ClassDef,
-    ClassType, EventKind, ExecError, Frame, INT, IntVal, InternalError,
+    ClassType, EventKind, ExecError, INT, IntVal, InternalError,
     Message, MethodDef, ModelDef, ModelError, NULL_OID, OidVal, OpSig,
     Passive, RecordVal, SetupEntry, StepLimit, Thread, ThreadStatus, VOID,
     VOID_VAL,
@@ -53,7 +53,7 @@ class TestBuildInitialState:
         prod_thread = s.cs[0][0]
         assert prod_thread.base_prio == 10
         assert prod_thread.status is ThreadStatus.READY
-        assert prod_thread.frame.pc == 0 and prod_thread.frame.caller is None
+        assert prod_thread.pc == 0 and prod_thread.caller is None
         assert s.cs[1][1].base_prio == 1
         assert s.cs[2][2].base_prio == 1
 
@@ -244,11 +244,10 @@ class TestConsumeEvent:
         thr = s2.cs[buf][reserved]
         assert thr.status is ThreadStatus.READY
         assert thr.base_prio == 3
-        frame = thr.frame
-        assert frame.meth == put_method() and frame.pc == 0
+        assert thr.meth == put_method() and thr.pc == 0
         # Message arguments are bound to the dispatched method's parameters.
-        assert frame.params.fields == (("p", IntVal(10)),)
-        assert frame.caller == CallerRef(5, 7, "result")
+        assert thr.params.fields == (("p", IntVal(10)),)
+        assert thr.caller == CallerRef(5, 7, "result")
         assert s2.es[buf] == ()
         assert s2.next_tid == reserved + 1
 
@@ -262,33 +261,29 @@ class TestConsumeEvent:
         reserved = s.next_tid
         s2 = consume_event(s, cfg, buf, reserved, s.es[buf][0])
         thr = s2.cs[buf][reserved]
-        assert thr.frame.caller is None
+        assert thr.caller is None
         assert thr.base_prio == 2
 
     def test_return_event_resumes_the_waiting_caller(self):
         cfg = buffer_config()
         s, buf = self._buffer()
-        frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
-                      locals=RecordVal(), pc=3, caller=None)
         s = update_thread(s, buf, 0,
-                          Thread(0, 1, ThreadStatus.WAITING, frame))
+                          Thread(1, ThreadStatus.WAITING, get_method(), pc=3))
         s = replace(s, next_tid=1)
         msg = Message(9, 0, buf, ReturnPayload(IntVal(-1), "v"))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
         s2 = consume_event(s, cfg, buf, 0)
         thr2 = s2.cs[buf][0]
         assert thr2.status is ThreadStatus.READY
-        assert thr2.frame.locals.get("v") == IntVal(-1)
-        assert thr2.frame.pc == 3
+        assert thr2.locals.get("v") == IntVal(-1)
+        assert thr2.pc == 3
         assert s2.es[buf] == ()
 
     def test_ready_thread_is_left_alone(self):
         cfg = buffer_config()
         s, buf = self._buffer()
-        frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
-                      locals=RecordVal(), pc=0, caller=None)
         s = update_thread(s, buf, 0,
-                          Thread(0, 0, ThreadStatus.READY, frame))
+                          Thread(0, ThreadStatus.READY, get_method()))
         s = replace(s, next_tid=1)
         s = _queued_call(s, buf)
         assert consume_event(s, cfg, buf, 0) == s
@@ -303,7 +298,7 @@ class TestConsumeEvent:
         s = replace(s, es={**s.es, buf: (first, second)}, next_seq=1)
         s2 = consume_event(s, cfg, buf, s.next_tid, second)
         assert s2.es[buf] == (first,)
-        assert s2.cs[buf][s.next_tid].frame.params.fields == (("p", IntVal(2)),)
+        assert s2.cs[buf][s.next_tid].params.fields == (("p", IntVal(2)),)
 
     def test_bogus_pseudo_id_is_internal(self):
         cfg = buffer_config()
@@ -323,8 +318,8 @@ class TestExecStep:
         assert pc == 0
         # One step: the event was consumed and put's first action ran.
         thr = s2.cs[buf][reserved]
-        assert thr.frame.pc == 1
-        assert thr.frame.locals.get("d") == IntVal(0)
+        assert thr.pc == 1
+        assert thr.locals.get("d") == IntVal(0)
 
     def test_fell_off_the_end_reported(self):
         from smm.actions import NewLocal
@@ -335,10 +330,7 @@ class TestExecStep:
         classes = {"Buffer": buffer_class()}
         cfg = make_config(classes, {}, {"Buffer": {sig: meth}})
         s, buf = alloc_object(empty_state(), classes["Buffer"])
-        frame = Frame(self_oid=buf, meth=meth, params=RecordVal(),
-                      locals=RecordVal(), pc=0, caller=None)
-        s = update_thread(s, buf, 0,
-                          Thread(0, 0, ThreadStatus.READY, frame))
+        s = update_thread(s, buf, 0, Thread(0, ThreadStatus.READY, meth))
         s = replace(s, next_tid=1)
         s, _, _ = step(s, cfg, buf, 0)
         with pytest.raises(ExecError, match="fell off the end of 'stub'"):
@@ -346,9 +338,7 @@ class TestExecStep:
 
     def _lone_thread(self, status):
         s, buf = alloc_object(empty_state(), buffer_class())
-        frame = Frame(self_oid=buf, meth=get_method(), params=RecordVal(),
-                      locals=RecordVal(), pc=0, caller=None)
-        s = update_thread(s, buf, 0, Thread(0, 0, status, frame))
+        s = update_thread(s, buf, 0, Thread(0, status, get_method()))
         return replace(s, next_tid=1), buf
 
     def test_waiting_thread_is_an_internal_error(self):
