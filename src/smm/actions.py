@@ -198,16 +198,16 @@ def advance(s: SimState, oid: int, tid: int, thr: Thread,
         thr.pc + 1 if pc is None else pc, thr.caller))
 
 
-def interpret(action: Action, s: SimState, oid: int, tid: int, cfg) -> SimState:
-    """Execute one action of thread ``tid`` of object ``oid``.
+def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
+              cfg) -> SimState:
+    """Execute one action of ``thr``, thread ``tid`` of object ``oid``.
 
-    The thread must exist and be ready, with its pc addressing ``action``
-    in the dispatched method body; ``vm.step`` checks that and adds the
-    (oid, tid, pc) context to any ``ExecError`` raised here.
+    ``thr`` must be that thread as ``s`` holds it, ready, with its pc
+    addressing ``action`` in the dispatched method body; ``vm.step``
+    fetches and checks it, and adds the (oid, tid, pc) context to any
+    ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
-    thr = s.thread(oid, tid)
-
     if isinstance(action, NewLocal):
         if thr.locals.has(action.name):
             raise ExecError(f"local {action.name!r} already exists")

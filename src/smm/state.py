@@ -170,8 +170,14 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
     Attributes start at their declared initial values; the new object gets
     an empty thread map and an empty event queue. The engine passes
     ``Hierarchy.object_class``, whose attributes are the whole chain's.
+    Ids are dense, ``0..n-1``, so the new id is ``len(s.ds)``; a store
+    whose ids are not raises ``InternalError`` rather than losing the
+    object that holds that id.
     """
     oid = len(s.ds)
+    if oid in s.ds:
+        raise InternalError(f"cannot allocate object id {oid}: it is taken, "
+                            f"so the data store's ids are not 0..{oid - 1}")
     attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
     return SimState({**s.ds, oid: StoredObject(cls.name, attrs)},
                     {**s.cs, oid: {}}, {**s.es, oid: ()},
@@ -265,6 +271,8 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
                 check_refs(inner, f"{where}.{n}")
 
     for oid, obj in s.ds.items():
+        if not 0 <= oid < len(s.ds):
+            problems.append(f"object id {oid} is outside 0..{len(s.ds) - 1}")
         check_refs(obj.attrs, f"object {oid}")
         if cfg is not None:
             if obj.class_name not in cfg.class_table:

@@ -31,6 +31,10 @@ object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
 ``base``, ``rtc`` and ``conc`` all keep it, and the engine relies on it to
 skip untouched objects: after a step it asks again only the objects whose
 thread map or queue the step replaced, and keeps the others' offers.
+Under ``deliver_reliable`` those are the acting object, the objects the
+step allocated and the receiver of the event it emitted, known without
+looking at other queues; any other medium may write any queue, so the
+engine then compares every queue after each step.
 
 The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
 returns depends only on the class of object ``oid`` and on ``op``. The

@@ -6,7 +6,12 @@ willing to run, enriched with the time each thread last executed, pick one
 are kept per object between steps: the first step asks every object's
 runnables selector, and each later step asks again only the objects the
 previous step touched (the acting object, new objects, and those whose
-event queue it replaced). For a bundled scheduler the pick comes from a
+event queue it replaced). Under the bundled medium, which writes only the
+receiver's queue, those are the step's footprint: ``step`` reports the
+receiver of the one event it emitted, and new objects are the ids from
+the old object count on, so finding them costs no scan. Under any other
+medium every queue is compared with its predecessor, O(objects) per step
+that changes the event store. For a bundled scheduler the pick comes from a
 heap ordered by the scheduler's static order that holds one item per
 object, its least offer, so a step pushes one item per touched object
 that offers anything; the handler thread of an offered event gets its
@@ -30,7 +35,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Union
 
-from .actions import Action, advance, interpret, store_local
+from .actions import Action, Call, SendSignal, advance, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, Event, RecordVal, SimState, Thread,
@@ -42,6 +47,7 @@ from .universe import (
 )
 from .variation import (
     STATIC_ORDERS, Config, RunnableEntry, RunnablesSelector, StaticOrder,
+    deliver_reliable,
 )
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -288,16 +294,18 @@ class _OfferHeap:
 
 
 def _touched(prev: SimState, s: SimState, oid: int) -> set[int]:
-    """The objects whose offers a step from ``prev`` to ``s`` can change.
+    """The objects whose offers a step from ``prev`` to ``s`` can change,
+    found by comparing every queue: the path for a medium other than
+    ``deliver_reliable``, which may write any queue.
 
     Offers depend only on an object's own thread map and queue. A step
-    changes the thread map of the acting object ``oid`` only, and states
-    share every entry a step leaves alone, so a queue that is not the
-    same object as before is one the step (or the medium) touched.
+    changes the thread map of the acting object ``oid`` only, allocates
+    the dense range of ids from ``len(prev.ds)`` on, and states share
+    every entry a step leaves alone, so a queue that is not the same
+    object as before is one the step (or the medium) touched. The scan
+    costs O(objects) whenever the event store changed.
     """
-    dirty = {oid}
-    if len(s.ds) != len(prev.ds):
-        dirty.update(s.ds.keys() - prev.ds.keys())
+    dirty = {oid, *range(len(prev.ds), len(s.ds))}
     if s.es is not prev.es:
         before = prev.es
         dirty.update(o for o, queue in s.es.items()
@@ -365,14 +373,19 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
 
 
 def step(s: SimState, cfg: Config, oid: int, tid: int,
-         event: Event | None = None) -> tuple[SimState, int, Action]:
+         event: Event | None = None
+         ) -> tuple[SimState, int, Action, int | None]:
     """One atomic step: consume an event if due, then interpret one action.
 
     ``event`` is the pending event a reserved ``tid`` stands for, as
     ``collect_runnables`` or the offer heap reported it. Returns the
-    successor state and the pc and action that ran. This is the one place that attaches the
-    running (oid, tid, pc) to an ``ExecError``; an error raised while the
-    event is consumed names no pc, because no action ran.
+    successor state, the pc and action that ran, and the receiver of the
+    one event the action emitted: the target of a call or signal, the
+    caller of a return that has one, otherwise None. The target is read
+    from the thread after consumption, which may have rebound its local.
+    This is the one place that attaches the running (oid, tid, pc) to an
+    ``ExecError``; an error raised while the event is consumed names no
+    pc, because no action ran.
     """
     pc = None
     try:
@@ -390,9 +403,14 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
             raise ExecError(f"fell off the end of "
                             f"{thr.meth.implements.name!r} without a return")
         action = body[pc]
-        return interpret(action, s1, oid, tid, cfg), pc, action
+        s2 = interpret(action, s1, oid, tid, thr, cfg)
     except ExecError as err:
         raise ExecError(err.message, oid=oid, tid=tid, pc=pc) from None
+    if s2.next_seq == s1.next_seq:  # no event emitted
+        return s2, pc, action, None
+    if isinstance(action, (Call, SendSignal)):
+        return s2, pc, action, thr.locals.get(action.target).oid
+    return s2, pc, action, thr.caller.oid  # a return answering its caller
 
 
 # --- the run loop -------------------------------------------------------------------
@@ -425,6 +443,12 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     picks from a heap of each object's least offer (see ``_OfferHeap``),
     so a pick costs time logarithmic in the objects, not linear in the
     offers. Any other scheduler gets every entry on every step.
+
+    Under ``deliver_reliable`` the objects asked again after a step are
+    its footprint: the acting object, the objects it allocated, and the
+    receiver ``step`` reports, since that medium writes the receiver's
+    queue only. Any other medium, a wrapped ``deliver_reliable`` too,
+    may write any queue, so every queue is compared (``_touched``).
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps {max_steps} is negative")
@@ -437,6 +461,7 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
     else:
         offered = _OfferHeap(cfg.runnables_sel, order, times)
+    footprint = cfg.medium is deliver_reliable
     dirty: Iterable[int] = s.ds  # the first step asks every object
     steps = 0
     while True:
@@ -448,7 +473,7 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
             return RunResult(s, t, StepLimit())
         oid, tid, event = offered.choose(s, t)
         prev = s
-        s, pc, action = step(s, cfg, oid, tid, event)
+        s, pc, action, receiver = step(s, cfg, oid, tid, event)
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
         if tid in s.cs[oid]:
@@ -457,7 +482,12 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
             times.pop(tid, None)
         t += 1
         steps += 1
-        dirty = _touched(prev, s, oid)
+        if footprint:
+            dirty = {oid} if receiver is None else {oid, receiver}
+            if len(s.ds) != len(prev.ds):
+                dirty.update(range(len(prev.ds), len(s.ds)))
+        else:
+            dirty = _touched(prev, s, oid)
 
 
 def check_setup(hierarchy: Hierarchy, setup: Setup) -> list[Problem]:

@@ -14,10 +14,15 @@ Stepping bundled, hand-written and random models under all four configs,
 both must pick the same thread, reserve the same id for it and consume
 the same event at every step, run the same ``(t, oid, tid, pc)`` sequence
 and end with the same halt reason and structured final state. So must a
-custom medium that also drops events of objects other than the receiver,
-and a run resumed from a mid-run state. A scheduler with no static order
-must also be handed the same entries and reserved ids.
+run resumed from a mid-run state. A scheduler with no static order must
+also be handed the same entries and reserved ids.
 Every thread must hold the method its operation dispatches to.
+
+Both ways ``run`` finds the objects a step touched are checked: under
+the bundled medium it takes the footprint ``step`` reports and never
+compares queues, and under any other medium, a wrapped
+``deliver_reliable`` or one that also drops events of objects other than
+the receiver, it compares every queue (``vm._touched``) after each step.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from hypothesis import given, settings, strategies as st
 
 from smm import (
     AllDone, Blocked, EventKind, ExecError, RunnableEntry, RunResult,
-    StepLimit, ThreadStatus, build_config, build_initial_state, parse_model,
-    render_final_state, run, run_model,
+    StepLimit, ThreadStatus, build_config, build_initial_state,
+    deliver_reliable, parse_model, render_final_state, run, run_model,
 )
 import smm.vm
 from smm.vm import step
@@ -199,7 +204,7 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
         event = reserved.get(tid)
         picks.append((oid, tid, None if event is None else event.seq))
         try:
-            s, pc, _ = step(s, cfg, oid, tid, event)
+            s, pc, _, _ = step(s, cfg, oid, tid, event)
         except ExecError as err:
             return ended(("model-error", str(err)))
         steps.append((t, oid, tid, pc))
@@ -216,11 +221,13 @@ def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
     static order, and the entries and reserved ids the run hands it are
     recorded as well; the run must then collect every entry through
     ``vm.collect_runnables``. Without, it must select from its heap and
-    never call that.
+    never call that. Under the bundled medium the run must never compare
+    queues (``vm._touched``); under any other it must after every step.
     """
     picks, steps, offered = [], [], []
-    collect, step_ = smm.vm.collect_runnables, smm.vm.step
-    collected = []
+    collect, step_, touched = (smm.vm.collect_runnables, smm.vm.step,
+                               smm.vm._touched)
+    collected, scans = [], []
 
     def collect_runnables(*args):
         entries, reserved = collect(*args)
@@ -235,9 +242,14 @@ def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
         picks.append((oid, tid, None if event is None else event.seq))
         return step_(state, config, oid, tid, event)
 
+    def counted_touched(*args):
+        scans.append(args[2])
+        return touched(*args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smm.vm, "collect_runnables", collect_runnables)
         patch.setattr(smm.vm, "step", recorded_step)
+        patch.setattr(smm.vm, "_touched", counted_touched)
         try:
             result = run(dict(times or {}), t,
                          dataclasses.replace(cfg, scheduler=scheduler)
@@ -249,6 +261,8 @@ def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
         except ExecError as err:
             outcome = ("model-error", str(err))
     assert bool(collected) == wrap, "the run took the other selection path"
+    assert len(scans) == (0 if cfg.medium is deliver_reliable
+                          else len(steps)), "the run took the other path"
     return Trace(picks, steps, outcome, offered if wrap else None)
 
 
@@ -282,15 +296,32 @@ def _check_model(model, medium=None, *, wrap: bool = False,
     return receivers
 
 
+def wrapped_reliable(es, event):
+    """``deliver_reliable`` by another name: the same queues, but not the
+    bundled medium, so ``run`` compares every queue after a step."""
+    return deliver_reliable(es, event)
+
+
+def _check_both_paths(model, **kwargs) -> set:
+    """``_check_model`` under the bundled medium, whose footprint ``run``
+    takes from ``step``, and under two other media, whose queues it
+    compares: a wrapped ``deliver_reliable`` and ``lossy_reliable``.
+    Returns the bundled medium's receiver counts."""
+    receivers = _check_model(model, **kwargs)
+    for medium in (wrapped_reliable, lossy_reliable):
+        _check_model(model, medium, **kwargs)
+    return receivers
+
+
 def test_bundled_models_match_the_oracle(prodcons_model, deadlock_model):
-    _check_model(prodcons_model)
-    _check_model(deadlock_model)
+    _check_both_paths(prodcons_model)
+    _check_both_paths(deadlock_model)
 
 
 def test_fan_in_over_two_hubs_matches_the_oracle():
     model = parse_model(FAN)
     # Some step reserved ids on both hubs at once.
-    assert max(_check_model(model)) == 2
+    assert max(_check_both_paths(model)) == 2
     # Without interleaved handlers no update is lost: 4 adds and 4 notes
     # on h1, 4 adds and 8 notes on h2.
     result = run_model(model, runnables="rtc")
@@ -326,7 +357,7 @@ def _spread_model(hubs: int) -> str:
 def test_events_waiting_at_many_objects_match_the_oracle():
     # Some step reserved ids on all eleven hubs at once.
     model = parse_model(_spread_model(11))
-    assert max(_check_model(model, max_steps=1000)) == 11
+    assert max(_check_both_paths(model, max_steps=1000)) == 11
     result = run_model(model, max_steps=1000)
     assert result.halt == AllDone()
     assert [obj.attrs.get("total").value for obj in result.final.ds.values()
@@ -351,15 +382,15 @@ def test_a_heap_rebuilt_on_every_step_matches_the_oracle(prodcons_model,
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_models_match_the_oracle(seed):
-    _check_model(random_model(random.Random(655_000 + seed)))
+    _check_both_paths(random_model(random.Random(655_000 + seed)))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_multiple_inheritance_models_match_the_oracle(seed):
     # Every thread's method is checked against a dispatch along chains
     # through diamonds, where operations may have two methods.
-    _check_model(random_model(random.Random(658_000 + seed), objects=4,
-                              supers=3))
+    _check_both_paths(random_model(random.Random(658_000 + seed), objects=4,
+                                   supers=3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -391,10 +422,8 @@ def lossy_reliable(es, event):
     return {**es, event.msg.receiver: es[event.msg.receiver] + (event,)}
 
 
-def test_a_medium_touching_other_queues_matches_the_oracle(prodcons_model):
+def test_a_medium_touching_other_queues_matches_the_oracle():
     model = parse_model(FAN)
-    _check_model(model, medium=lossy_reliable)
-    _check_model(prodcons_model, medium=lossy_reliable)
     for seed in range(20):
         _check_model(random_model(random.Random(656_000 + seed), objects=5),
                      medium=lossy_reliable)
@@ -493,3 +522,68 @@ def test_a_step_pushes_a_bounded_number_of_offers(runnables, scheduler):
     assert result.halt == AllDone()
     assert len(result.final.ds) == 1024
     assert len(pushes) <= len(result.final.ds) + 2 * result.time
+
+
+@pytest.mark.parametrize("medium", [None, wrapped_reliable])
+def test_only_another_medium_compares_every_queue(medium):
+    # The bundled medium writes the receiver's queue only, which ``step``
+    # reports, so ``run`` never compares the 128 queues; any other medium
+    # may write any queue, so every step compares them all.
+    model = parse_model(_wide_model(64))
+    cfg = build_config(model)
+    if medium is not None:
+        cfg = dataclasses.replace(cfg, medium=medium)
+    touched, scans = smm.vm._touched, []
+
+    def counted(*args):
+        scans.append(args[2])
+        return touched(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smm.vm, "_touched", counted)
+        result = run({}, 0, cfg, build_initial_state(cfg, model.setup))
+    assert result.halt == AllDone()
+    assert len(result.final.ds) == 128
+    assert len(scans) == (0 if medium is None else result.time)
+
+
+ALLOC_LOOP = """
+class C { }
+class M { }
+op M.go(): Void {
+  let x: C = null;
+w:
+  new x C;
+  goto w;
+}
+setup { m: M active go prio 1; }
+"""
+
+
+@pytest.mark.parametrize("runnables,scheduler", [("rtc", "rr"),
+                                                 ("conc", "prio")])
+def test_an_allocation_loop_asks_the_acting_and_new_objects(runnables,
+                                                            scheduler):
+    # After the first step, which asks every object, a step asks the
+    # acting object and each object it allocated, once: at most 2,
+    # however many objects there are.
+    model = parse_model(ALLOC_LOOP)
+    cfg = build_config(model, runnables=runnables, scheduler=scheduler)
+    asked: list[list[int]] = [[]]
+
+    def counted(s, oid):
+        asked[-1].append(oid)
+        return cfg.runnables_sel(s, oid)
+
+    s = build_initial_state(cfg, model.setup)
+    result = run({}, 0, dataclasses.replace(cfg, runnables_sel=counted), s,
+                 max_steps=400, on_step=lambda *_: asked.append([]))
+    assert result.halt == StepLimit()
+    assert asked[0] == [0]
+    allocated = len(result.final.ds) - len(s.ds)
+    assert allocated == 200
+    assert max(map(len, asked[1:])) == 2
+    # Every step asks the acting object, and each new object is asked
+    # once, in the step that allocated it.
+    assert sorted(oid for each in asked[1:] for oid in each) == sorted(
+        [0] * result.time + list(range(1, 1 + allocated)))

@@ -13,7 +13,7 @@ from smm import (
     enqueue_event, make_config, end_thread, take_matching_event,
     validate_state, write_attr,
 )
-from smm.state import make_event, update_thread
+from smm.state import SimState, make_event, update_thread
 
 from conftest import PUT_OP, buffer_class, buffer_tables, get_method
 
@@ -65,6 +65,14 @@ class TestAllocObject:
             s, oid = alloc_object(s, buffer_class())
             ids.append(oid)
         assert ids == sorted(set(ids)) == [0, 1, 2, 3, 4]
+
+    def test_an_id_that_is_taken_is_not_overwritten(self):
+        # Ids are 0..n-1, so the new one is n. A store that breaks that
+        # holds an object at n, which allocation must not replace.
+        s = SimState({1: StoredObject("A", RecordVal())}, {1: {}}, {1: ()})
+        assert validate_state(s) == ["object id 1 is outside 0..0"]
+        with pytest.raises(InternalError, match="object id 1"):
+            alloc_object(s, ClassDef("B", ()))
 
 
 class TestAttrAccess:
@@ -254,6 +262,9 @@ BROKEN = {
         lambda s: replace(s, ds={0: StoredObject(
             "Buffer", s.ds[0].attrs.set("extra", IntVal(1)))}),
         "object 0: undeclared attribute 'extra' is not a link"),
+    "object-id-gap": (
+        lambda s: replace(s, ds={1: s.ds[0]}, cs={1: s.cs[0]}, es={1: ()}),
+        "object id 1 is outside 0..0"),
     "threads-of-no-object": (
         lambda s: replace(s, cs={**s.cs, 5: {}}),
         "control store entry 5 has no object"),

@@ -314,7 +314,7 @@ class TestExecStep:
         s, buf = alloc_object(empty_state(), buffer_class())
         s = _queued_call(s, buf, value=10)
         reserved = s.next_tid
-        s2, pc, _ = step(s, cfg, buf, reserved, s.es[buf][0])
+        s2, pc, _, _ = step(s, cfg, buf, reserved, s.es[buf][0])
         assert pc == 0
         # One step: the event was consumed and put's first action ran.
         thr = s2.cs[buf][reserved]
@@ -332,7 +332,7 @@ class TestExecStep:
         s, buf = alloc_object(empty_state(), classes["Buffer"])
         s = update_thread(s, buf, 0, Thread(0, ThreadStatus.READY, meth))
         s = replace(s, next_tid=1)
-        s, _, _ = step(s, cfg, buf, 0)
+        s, _, _, _ = step(s, cfg, buf, 0)
         with pytest.raises(ExecError, match="fell off the end of 'stub'"):
             step(s, cfg, buf, 0)
 
@@ -446,7 +446,7 @@ class TestRunLoop:
             if not entries:
                 break
             oid, tid = cfg.scheduler(t, entries)
-            s, _, _ = step(s, cfg, oid, tid, reserved.get(tid))
+            s, _, _, _ = step(s, cfg, oid, tid, reserved.get(tid))
             problems = validate_state(s, cfg)
             assert problems == [], f"step {t}: {problems}"
             times[tid] = t
