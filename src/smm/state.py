@@ -67,6 +67,12 @@ class Thread:
 
 # --- messages and events ------------------------------------------------------
 
+class EventKind(enum.Enum):
+    CALL = "call"
+    RETURN = "return"
+    SIGNAL = "signal"
+
+
 @value_class
 class CallPayload:
     op: OpSig
@@ -74,11 +80,15 @@ class CallPayload:
     result_local: str
     prio: int
 
+    kind = EventKind.CALL
+
 
 @value_class
 class ReturnPayload:
     value: Value
     result_local: str
+
+    kind = EventKind.RETURN
 
 
 @value_class
@@ -86,6 +96,8 @@ class SignalPayload:
     op: OpSig
     args: RecordVal
     prio: int
+
+    kind = EventKind.SIGNAL
 
 
 Payload = Union[CallPayload, ReturnPayload, SignalPayload]
@@ -106,29 +118,20 @@ class Message:
     payload: Payload
 
 
-class EventKind(enum.Enum):
-    CALL = "call"
-    RETURN = "return"
-    SIGNAL = "signal"
-
-
-_KIND_FOR_PAYLOAD = {
-    CallPayload: EventKind.CALL,
-    ReturnPayload: EventKind.RETURN,
-    SignalPayload: EventKind.SIGNAL,
-}
-
-
 @value_class
 class Event:
-    kind: EventKind
     msg: Message
     seq: int
 
+    @property
+    def kind(self) -> EventKind:
+        """The payload variant's kind; an event stores no copy of it."""
+        return self.msg.payload.kind
+
 
 def make_event(msg: Message, seq: int) -> Event:
-    """Wrap a message as an event; the kind follows the payload variant."""
-    return Event(_KIND_FOR_PAYLOAD[type(msg.payload)], msg, seq)
+    """Wrap a message as an event."""
+    return Event(msg, seq)
 
 
 # --- the composite state ------------------------------------------------------
@@ -142,7 +145,7 @@ EventPred = Callable[[Event], bool]
 def returns_to(tid: int) -> EventPred:
     """The events a waiting thread ``tid`` resumes with: returns routed to
     it (a return's ``sender_thread`` names the thread it resumes)."""
-    return lambda e: e.kind is EventKind.RETURN and e.msg.sender_thread == tid
+    return lambda e: e.msg.sender_thread == tid and e.kind is EventKind.RETURN
 
 
 @value_class
@@ -313,8 +316,6 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
         for e in queue:
             if e.seq >= s.next_seq:
                 problems.append(f"event seq {e.seq} not covered by the counter")
-            if _KIND_FOR_PAYLOAD[type(e.msg.payload)] is not e.kind:
-                problems.append(f"event seq {e.seq} kind disagrees with payload")
             if e.msg.receiver != oid:
                 problems.append(f"event seq {e.seq} queued at {oid} but "
                                 f"addressed to {e.msg.receiver}")

@@ -30,11 +30,17 @@ The selector contract: what ``sel(s, oid)`` returns depends only on the
 object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
 ``base``, ``rtc`` and ``conc`` all keep it, and the engine relies on it to
 skip untouched objects: after a step it asks again only the objects whose
-thread map or queue the step replaced, and keeps the others' offers.
-Under ``deliver_reliable`` those are the acting object, the objects the
-step allocated and the receiver of the event it emitted, known without
-looking at other queues; any other medium may write any queue, so the
-engine then compares every queue after each step.
+thread map or queue the step may have replaced, and keeps the others'
+offers. By the medium contract those are the acting object, the objects
+the step allocated and the receiver of the event it emitted, known
+without looking at any other queue.
+
+The medium contract: the store ``medium(es, e)`` returns may differ from
+``es`` only at ``e.msg.receiver``. It has the same object ids, and every
+other id keeps the very queue object it had. ``deliver_reliable`` keeps
+it, and so does a wrapper that returns its result. The engine relies on
+it for the footprint above; a medium that writes another queue leaves
+that object's offers stale.
 
 The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
 returns depends only on the class of object ``oid`` and on ``op``. The

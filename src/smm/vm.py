@@ -5,13 +5,12 @@ willing to run, enriched with the time each thread last executed, pick one
 (object, thread) pair, and perform exactly one atomic step on it. Offers
 are kept per object between steps: the first step asks every object's
 runnables selector, and each later step asks again only the objects the
-previous step touched (the acting object, new objects, and those whose
-event queue it replaced). Under the bundled medium, which writes only the
-receiver's queue, those are the step's footprint: ``step`` reports the
-receiver of the one event it emitted, and new objects are the ids from
-the old object count on, so finding them costs no scan. Under any other
-medium every queue is compared with its predecessor, O(objects) per step
-that changes the event store. For a bundled scheduler the pick comes from a
+previous step touched: the acting object, the objects it allocated, and
+the receiver of the one event it emitted. A medium writes only its
+event's receiver queue (the medium contract in ``variation``), so that
+is the step's whole footprint: ``step`` reports the receiver, and new
+objects are the ids from the old object count on, so finding them costs
+no scan whatever the medium. For a bundled scheduler the pick comes from a
 heap ordered by the scheduler's static order that holds one item per
 object, its least offer, so a step pushes one item per touched object
 that offers anything; the handler thread of an offered event gets its
@@ -47,7 +46,6 @@ from .universe import (
 )
 from .variation import (
     STATIC_ORDERS, Config, RunnableEntry, RunnablesSelector, StaticOrder,
-    deliver_reliable,
 )
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -293,26 +291,6 @@ class _OfferHeap:
                 self.events[oid][pos])
 
 
-def _touched(prev: SimState, s: SimState, oid: int) -> set[int]:
-    """The objects whose offers a step from ``prev`` to ``s`` can change,
-    found by comparing every queue: the path for a medium other than
-    ``deliver_reliable``, which may write any queue.
-
-    Offers depend only on an object's own thread map and queue. A step
-    changes the thread map of the acting object ``oid`` only, allocates
-    the dense range of ids from ``len(prev.ds)`` on, and states share
-    every entry a step leaves alone, so a queue that is not the same
-    object as before is one the step (or the medium) touched. The scan
-    costs O(objects) whenever the event store changed.
-    """
-    dirty = {oid, *range(len(prev.ds), len(s.ds))}
-    if s.es is not prev.es:
-        before = prev.es
-        dirty.update(o for o, queue in s.es.items()
-                     if before.get(o) is not queue)
-    return dirty
-
-
 # --- the atomic step -------------------------------------------------------------
 
 def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
@@ -444,11 +422,10 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     so a pick costs time logarithmic in the objects, not linear in the
     offers. Any other scheduler gets every entry on every step.
 
-    Under ``deliver_reliable`` the objects asked again after a step are
-    its footprint: the acting object, the objects it allocated, and the
-    receiver ``step`` reports, since that medium writes the receiver's
-    queue only. Any other medium, a wrapped ``deliver_reliable`` too,
-    may write any queue, so every queue is compared (``_touched``).
+    The objects asked again after a step are its footprint: the acting
+    object, the objects it allocated, and the receiver ``step`` reports.
+    That holds for any medium that keeps the medium contract (see
+    ``smm.variation``): it writes only its event's receiver queue.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps {max_steps} is negative")
@@ -461,7 +438,6 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
     else:
         offered = _OfferHeap(cfg.runnables_sel, order, times)
-    footprint = cfg.medium is deliver_reliable
     dirty: Iterable[int] = s.ds  # the first step asks every object
     steps = 0
     while True:
@@ -482,12 +458,9 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
             times.pop(tid, None)
         t += 1
         steps += 1
-        if footprint:
-            dirty = {oid} if receiver is None else {oid, receiver}
-            if len(s.ds) != len(prev.ds):
-                dirty.update(range(len(prev.ds), len(s.ds)))
-        else:
-            dirty = _touched(prev, s, oid)
+        dirty = {oid} if receiver is None else {oid, receiver}
+        if len(s.ds) != len(prev.ds):
+            dirty.update(range(len(prev.ds), len(s.ds)))
 
 
 def check_setup(hierarchy: Hierarchy, setup: Setup) -> list[Problem]:

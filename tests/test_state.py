@@ -13,7 +13,7 @@ from smm import (
     enqueue_event, make_config, end_thread, take_matching_event,
     validate_state, write_attr,
 )
-from smm.state import SimState, make_event, update_thread
+from smm.state import SignalPayload, SimState, make_event, update_thread
 
 from conftest import PUT_OP, buffer_class, buffer_tables, get_method
 
@@ -113,6 +113,24 @@ class TestAttrAccess:
         s, oid = _state_with_buffer()
         s2 = write_attr(s, oid, "data", IntVal(n))
         assert s2.ds[oid].attrs.get("data") == IntVal(n)
+
+
+class TestEventKind:
+    @pytest.mark.parametrize("payload, kind", [
+        (CallPayload(PUT_OP, RecordVal(()), "r", 1), EventKind.CALL),
+        (ReturnPayload(IntVal(0), "v"), EventKind.RETURN),
+        (SignalPayload(PUT_OP, RecordVal(()), 1), EventKind.SIGNAL),
+    ])
+    def test_kind_follows_the_payload(self, payload, kind):
+        assert make_event(Message(0, 0, 0, payload), 0).kind is kind
+
+    def test_an_event_stores_no_kind(self):
+        e = _call_event(0)
+        with pytest.raises(TypeError):
+            replace(e, kind=EventKind.SIGNAL)
+        with pytest.raises(AttributeError):
+            e.kind = EventKind.SIGNAL
+        assert e.kind is EventKind.CALL
 
 
 class TestEnqueueEvent:
@@ -281,10 +299,6 @@ BROKEN = {
     "seq-counter": (
         lambda s: replace(s, next_seq=0),
         "event seq 0 not covered by the counter"),
-    "event-kind": (
-        lambda s: replace(s, es={0: (replace(_call_event(0),
-                                             kind=EventKind.SIGNAL),)}),
-        "event seq 0 kind disagrees with payload"),
 }
 
 
