@@ -140,11 +140,22 @@ def _int_local(thr, name: str) -> int:
     return v.value
 
 
-def store_local(thr, name: str, v: Value) -> RecordVal:
-    """The thread's locals with ``name``, an existing local, set to ``v``."""
-    if not same_kind(_local(thr, name), v):
-        raise ExecError(f"type error assigning local {name!r}")
-    return thr.locals.set(name, v)
+def store_local(thr, name: str, v: Value, *,
+                create: bool = False) -> RecordVal:
+    """The thread's locals with ``name`` set to ``v``, in one scan.
+
+    An existing local keeps its kind. A missing one is an error, or with
+    ``create`` is appended.
+    """
+    fields = thr.locals.fields
+    for i, (n, old) in enumerate(fields):
+        if n == name:
+            if not same_kind(old, v):
+                raise ExecError(f"type error assigning local {name!r}")
+            return RecordVal(fields[:i] + ((name, v),) + fields[i + 1:])
+    if not create:
+        raise ExecError(f"unknown local {name!r}")
+    return RecordVal(fields + ((name, v),))
 
 
 def _arg_record(thr, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
@@ -209,13 +220,15 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
     Unless the action says otherwise, the pc advances by one.
     """
     if isinstance(action, NewLocal):
-        if thr.locals.has(action.name):
-            raise ExecError(f"local {action.name!r} already exists")
+        fields = thr.locals.fields
+        for n, _ in fields:
+            if n == action.name:
+                raise ExecError(f"local {action.name!r} already exists")
         if not value_fits(action.init, action.type, s.ds, cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
         return advance(s, oid, tid, thr,
-                       thr.locals.set(action.name, action.init))
+                       RecordVal(fields + ((action.name, action.init),)))
 
     if isinstance(action, LocalFromParam):
         try:

@@ -157,10 +157,12 @@ class SimState:
     next_seq: int = 0
 
     def threads_of(self, oid: int) -> dict[int, Thread]:
-        return self.cs.get(oid, {})
+        threads = self.cs.get(oid)
+        return {} if threads is None else threads
 
     def thread(self, oid: int, tid: int) -> Thread | None:
-        return self.cs.get(oid, {}).get(tid)
+        threads = self.cs.get(oid)
+        return None if threads is None else threads.get(tid)
 
 
 def empty_state() -> SimState:

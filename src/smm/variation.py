@@ -80,6 +80,7 @@ Medium = Callable[[EventStore, Event], EventStore]
 MethodDispatcher = Callable[[SubclassRel, MethMap, DataStore, int, OpSig], MethodDef]
 
 _HANDLER_KINDS = (EventKind.CALL, EventKind.SIGNAL)
+_READY = ThreadStatus.READY
 
 
 class RunnablesSelector:
@@ -105,10 +106,14 @@ class RunnablesSelector:
     def __call__(self, s: SimState,
                  oid: int) -> tuple[list[tuple[int, int]], list[Event]]:
         """This object's (tid, prio) live-thread offers and offered events."""
-        live = [(tid, thr.base_prio)
-                for tid, thr in sorted(s.threads_of(oid).items())
-                if thr.status is ThreadStatus.READY
-                or any(map(returns_to(tid), s.es.get(oid, ())))]
+        live = []
+        threads = s.cs.get(oid)
+        if threads:
+            queue = s.es.get(oid, ())
+            for tid in sorted(threads) if len(threads) > 1 else threads:
+                thr = threads[tid]
+                if thr.status is _READY or any(map(returns_to(tid), queue)):
+                    live.append((tid, thr.base_prio))
         return live, self.pending_handler_events(s, oid)
 
 
@@ -123,7 +128,7 @@ class RtcRunnables(RunnablesSelector):
     name = "rtc"
 
     def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
-        if not s.threads_of(oid):
+        if not s.cs.get(oid):
             for e in s.es.get(oid, ()):
                 if e.kind in _HANDLER_KINDS:
                     return [e]

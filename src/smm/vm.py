@@ -12,8 +12,9 @@ is the step's whole footprint: ``step`` reports the receiver, and new
 objects are the ids from the old object count on, so finding them costs
 no scan whatever the medium. For a bundled scheduler the pick comes from a
 heap ordered by the scheduler's static order that holds one item per
-object, its least offer, so a step pushes one item per touched object
-that offers anything; the handler thread of an offered event gets its
+object, its least offer, so a step puts one item into the heap per
+touched object that offers anything, the acting object's in place of its
+stale one at the top; the handler thread of an offered event gets its
 reserved id only once picked. Any other scheduler is handed all offers
 laid out in object order, with ids reserved for the handler threads of
 every offered event.
@@ -21,7 +22,7 @@ every offered event.
 A step first consumes a pending event when there is one to consume
 (materializing a handler thread for a call or signal, or resuming a
 caller with its return value), then interprets the single action the
-thread's program counter addresses.
+thread's program counter addresses. A ready thread consumes nothing.
 Methods are dispatched only where a thread is created, and the thread
 keeps its method; the config asks its dispatcher once per (class, op).
 
@@ -31,7 +32,7 @@ and setup, two runs produce equal results. All concurrency is model-level.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Mapping, Union
 
 from .actions import Action, Call, SendSignal, advance, interpret, store_local
@@ -210,14 +211,19 @@ class _OfferHeap:
     every reserved one at or above it, in queue order. An item holds no
     entry or event, so no two are ever compared.
 
-    A refresh asks each dirty object's selector, keeps the least of its
-    offers as ``least[oid]`` and pushes that one item, so the least item
-    over all objects is the least offer. An item counts only while it is
-    its object's least; any other is stale, and is dropped when it reaches
-    the top or when the heap, grown well past the number of objects that
-    offer anything, is rebuilt. The reserved id of the event picked is
-    computed from per-object counts of offered events, kept in a Fenwick
-    tree (Fenwick 1994), which no other offer needs.
+    A refresh asks each dirty object's selector and finds the least of
+    its offers in one pass, building only that item. It keeps it as
+    ``least[oid]`` and puts it into the heap, so the least item over all
+    objects is the least offer. An item counts only while it is its
+    object's least; any other is stale. A stale item at the top that
+    belongs to the object being refreshed (after a pick, the acting
+    object's) is swapped out for the new one; any other is dropped when
+    it reaches the top or when the heap, grown well past the number of
+    objects that offer anything, is rebuilt. The reserved id of the event
+    picked is computed from per-object counts of offered events, kept in
+    a Fenwick tree (Fenwick 1994), which no other offer needs; only an
+    object that offers events, or offered them at its last refresh,
+    touches the counts.
     """
 
     def __init__(self, sel: RunnablesSelector, order: StaticOrder,
@@ -252,24 +258,39 @@ class _OfferHeap:
 
     def refresh(self, s: SimState, dirty: Iterable[int]) -> bool:
         """Take in the ``dirty`` objects' offers; whether any is left."""
-        order, times, least, heap = self.order, self.times, self.least, \
-            self.heap
+        sel, order, least, heap, offered = (
+            self.sel, self.order, self.least, self.heap, self.events)
+        last = self.times.get
         for oid in dirty:
-            live, events = self.sel(s, oid)
-            items = [(order(prio, times.get(tid, -1)), oid, 0, tid)
-                     for tid, prio in live]
-            # A reserved id has no recorded time (see ``run``).
-            items += [(order(event.msg.payload.prio, -1), oid, 1, q)
-                      for q, event in enumerate(events)]
-            n = len(self.events.get(oid, ()))
-            if len(events) != n:
-                self._count(oid, len(events) - n)
-            self.events[oid] = events
-            if items:
-                least[oid] = item = min(items)
-                heappush(heap, item)
-            else:
+            live, events = sel(s, oid)
+            # The least item in one pass, without building the others:
+            # the least key, ties to the smallest tid, then to an event.
+            key = pos = None
+            reserved = 0
+            for tid, prio in live:
+                k = order(prio, last(tid, -1))
+                if key is None or k < key or k == key and tid < pos:
+                    key, pos = k, tid
+            if events:
+                # A reserved id has no recorded time (see ``run``).
+                for q, event in enumerate(events):
+                    k = order(event.msg.payload.prio, -1)
+                    if key is None or k < key:
+                        key, pos, reserved = k, q, 1
+                n = len(offered.get(oid, ()))
+                if len(events) != n:
+                    self._count(oid, len(events) - n)
+                offered[oid] = events
+            elif oid in offered:  # it offered events before
+                self._count(oid, -len(offered.pop(oid)))
+            if key is None:
                 least.pop(oid, None)
+                continue
+            least[oid] = item = (key, oid, reserved, pos)
+            if heap and heap[0][1] == oid:  # its stale least: swap it out
+                heapreplace(heap, item)
+            else:
+                heappush(heap, item)
         if len(heap) > self.limit:
             heap = self.heap = list(least.values())
             heapify(heap)
@@ -282,8 +303,9 @@ class _OfferHeap:
 
     def choose(self, s: SimState, t: int) -> tuple[int, int, Event | None]:
         """The least offer as (oid, tid, event its reserved id stands for,
-        or None). Its item stays: the step leaves its object dirty, and
-        the refresh after it replaces the object's least."""
+        or None). Its item stays at the top: the step leaves its object
+        dirty, and the refresh after it swaps the item out for the
+        object's new least."""
         _, oid, reserved, pos = self.heap[0]
         if not reserved:
             return oid, pos, None
@@ -317,10 +339,7 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
         if answer is None:
             return s
         name, value = answer.msg.payload.result_local, answer.msg.payload.value
-        if thr.locals.has(name):
-            bound = store_local(thr, name, value)
-        else:
-            bound = thr.locals.set(name, value)
+        bound = store_local(thr, name, value, create=True)
         return advance(SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), oid,
                        tid, thr, bound, pc=thr.pc)
 
@@ -356,26 +375,33 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     """One atomic step: consume an event if due, then interpret one action.
 
     ``event`` is the pending event a reserved ``tid`` stands for, as
-    ``collect_runnables`` or the offer heap reported it. Returns the
-    successor state, the pc and action that ran, and the receiver of the
-    one event the action emitted: the target of a call or signal, the
-    caller of a return that has one, otherwise None. The target is read
-    from the thread after consumption, which may have rebound its local.
+    ``collect_runnables`` or the offer heap reported it. A reserved id
+    names no thread yet; otherwise the thread is fetched once, and
+    ``consume_event`` is called only when it is not ready, since for a
+    ready thread it returns the state unchanged. Returns the successor
+    state, the pc and action that ran, and the receiver of the one event
+    the action emitted: the target of a call or signal, the caller of a
+    return that has one, otherwise None. The target is read from the
+    thread after consumption, which may have rebound its local.
     This is the one place that attaches the running (oid, tid, pc) to an
     ``ExecError``; an error raised while the event is consumed names no
     pc, because no action ran.
     """
     pc = None
     try:
-        s1 = consume_event(s, cfg, oid, tid, event)
-        thr = s1.thread(oid, tid)
-        if thr is None:
-            raise InternalError(f"thread {tid} of object {oid} missing after "
-                                f"event consumption")
-        if thr.status is not ThreadStatus.READY:
-            raise InternalError(
-                f"thread {tid} of object {oid} was scheduled but is not "
-                f"ready (selector contract violation)")
+        thr = None if event is not None else s.thread(oid, tid)
+        if thr is None or thr.status is not ThreadStatus.READY:
+            s1 = consume_event(s, cfg, oid, tid, event)
+            thr = s1.thread(oid, tid)
+            if thr is None:
+                raise InternalError(f"thread {tid} of object {oid} missing "
+                                    f"after event consumption")
+            if thr.status is not ThreadStatus.READY:
+                raise InternalError(
+                    f"thread {tid} of object {oid} was scheduled but is not "
+                    f"ready (selector contract violation)")
+        else:
+            s1 = s
         pc, body = thr.pc, thr.meth.body
         if pc >= len(body):
             raise ExecError(f"fell off the end of "
@@ -448,7 +474,7 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         if max_steps is not None and steps >= max_steps:
             return RunResult(s, t, StepLimit())
         oid, tid, event = offered.choose(s, t)
-        prev = s
+        objects = len(s.ds)
         s, pc, action, receiver = step(s, cfg, oid, tid, event)
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
@@ -458,9 +484,11 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
             times.pop(tid, None)
         t += 1
         steps += 1
-        dirty = {oid} if receiver is None else {oid, receiver}
-        if len(s.ds) != len(prev.ds):
-            dirty.update(range(len(prev.ds), len(s.ds)))
+        # The acting object first: its stale least is the heap's top.
+        dirty = (oid,) if receiver is None or receiver == oid \
+            else (oid, receiver)
+        if len(s.ds) != objects:
+            dirty += tuple(range(objects, len(s.ds)))
 
 
 def check_setup(hierarchy: Hierarchy, setup: Setup) -> list[Problem]:

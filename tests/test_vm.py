@@ -349,8 +349,13 @@ class TestExecStep:
 
     def test_missing_thread_is_an_internal_error(self, monkeypatch):
         s, buf = self._lone_thread(ThreadStatus.READY)
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError,
+                           match="neither exists nor names a pending event"):
             step(s, buffer_config(), buf, 7)
+        # An object id that names no object at all fails the same way.
+        with pytest.raises(InternalError,
+                           match="neither exists nor names a pending event"):
+            step(s, buffer_config(), buf + 5, 0)
         # step's own check, should event consumption ever lose the thread.
         monkeypatch.setattr(smm.vm, "consume_event", lambda s, *_: s)
         with pytest.raises(InternalError,
