@@ -803,10 +803,19 @@ def render_final_state(result: RunResult, fmt: str = "text") -> str:
 
 
 def trace_recorder(records: list[TraceRecord]):
-    """A step hook that appends one TraceRecord per executed step."""
+    """A step hook that appends one TraceRecord per executed step.
+
+    A run executes the same few action objects again and again, so each
+    is rendered once per hook. The cache is keyed by ``id`` and holds the
+    action too, and a hit counts only for that very object, so a recycled
+    id can never return another action's text."""
+    rendered: dict[int, tuple[A.Action, str]] = {}
 
     def hook(t: int, oid: int, tid: int, pc: int, action: A.Action):
-        records.append(TraceRecord(t, oid, tid, pc, render_action(action)))
+        hit = rendered.get(id(action))
+        if hit is None or hit[0] is not action:
+            hit = rendered[id(action)] = action, render_action(action)
+        records.append(TraceRecord(t, oid, tid, pc, hit[1]))
 
     return hook
 

@@ -9,6 +9,7 @@ name is a key of the model's class table.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from reprlib import recursive_repr
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from .errors import ModelError
@@ -18,34 +19,74 @@ if TYPE_CHECKING:
 
 
 def value_class(cls):
-    """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that
-    stores each field through its slot's descriptor.
+    """A slotted frozen dataclass whose methods come from one generated
+    source.
 
-    The ``__init__`` a frozen dataclass generates stores every field
-    through ``object.__setattr__``, which is most of what building a value
-    costs, and a step builds several. This one takes the same parameters
-    with the same plain defaults; ``default_factory`` is not supported. It
-    is compiled as ``<Class.__init__>``, so profiles tell classes apart.
+    ``dataclass`` is asked only for what a value keeps: its ``fields``,
+    ``__slots__``, ``__match_args__`` and ``__dataclass_params__``, whose
+    flags read as those of ``dataclass(frozen=True)``. It builds no method.
+    ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` are compiled
+    from one source per class, named ``<Class>`` so that profiles tell
+    classes apart; the class body must not define them.
+
+    ``__init__`` takes the fields with their plain defaults
+    (``default_factory`` is not supported) and stores each through its
+    slot's descriptor: a frozen dataclass's ``__init__`` stores through
+    ``object.__setattr__``, which is most of what building a value costs,
+    and a step builds several. ``__repr__``, ``__eq__`` and ``__hash__``
+    are a frozen dataclass's: every field, compared and hashed as a tuple,
+    and ``__eq__`` only against the same class.
+
     Assigning or deleting any name raises ``FrozenInstanceError``; the
     frozen dataclass's own pair names, in ``super()``, the class before its
     slotted copy, so on Python 3.10 and 3.11 it raised ``TypeError`` for a
-    name that is not a field.
+    name that is not a field. ``__getstate__`` and ``__setstate__`` keep
+    ``copy``, ``deepcopy`` and ``pickle`` working. A class without a
+    docstring gets its name and parameters, as in
+    ``ClassDef(name, attributes=())``; ``dataclass`` would call
+    ``inspect.signature`` to write one.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    env, params, body = {}, "", ""
+    documented = bool(cls.__doc__)
+    if not documented:
+        cls.__doc__ = cls.__name__  # so that dataclass writes none
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    flags = cls.__dataclass_params__
+    flags.init = flags.repr = flags.eq = flags.frozen = True
+    env, params, doc, stores, shown, mine, theirs = {}, "", [], "", [], "", ""
     for f in fields(cls):
-        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        params += f", {f.name}"
-        if f.default is not MISSING:
-            env[f"_default_{f.name}"] = f.default
-            params += f"=_default_{f.name}"
-        body += f"\n    _set_{f.name}(self, {f.name})"
-    name = f"{cls.__qualname__}.__init__"
-    exec(compile(f"def __init__(self{params}):{body or ' pass'}",
-                 f"<{name}>", "exec"), env)
-    env["__init__"].__qualname__ = name
-    cls.__init__ = env["__init__"]
+        n = f.name
+        env[f"_set_{n}"] = cls.__dict__[n].__set__
+        params += f", {n}"
+        if f.default is MISSING:
+            doc.append(n)
+        else:
+            env[f"_default_{n}"] = f.default
+            params += f"=_default_{n}"
+            doc.append(f"{n}={f.default!r}")
+        stores += f"\n    _set_{n}(self, {n})"
+        shown.append(f"{n}={{self.{n}!r}}")
+        mine += f"self.{n},"
+        theirs += f"other.{n},"
+    source = (
+        f"def __init__(self{params}):{stores or ' pass'}\n"
+        f"def __repr__(self):\n"
+        f"    return self.__class__.__qualname__ + f\"({', '.join(shown)})\"\n"
+        f"def __eq__(self, other):\n"
+        f"    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        f"    return NotImplemented\n"
+        f"def __hash__(self):\n"
+        f"    return hash(({mine}))\n")
+    exec(compile(source, f"<{cls.__qualname__}>", "exec"), env)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    cls.__init__, cls.__eq__, cls.__hash__ = (
+        env["__init__"], env["__eq__"], env["__hash__"])
+    cls.__repr__ = recursive_repr()(env["__repr__"])
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__getstate__, cls.__setstate__ = _getstate, _setstate
+    if not documented:
+        cls.__doc__ = f"{cls.__name__}({', '.join(doc)})"
     return cls
 
 
@@ -55,6 +96,15 @@ def _frozen_setattr(self, name, value):
 
 def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _getstate(self):
+    return [getattr(self, f.name) for f in fields(self)]
+
+
+def _setstate(self, state):
+    for f, value in zip(fields(self), state):
+        object.__setattr__(self, f.name, value)
 
 
 # --- types -----------------------------------------------------------------
@@ -132,9 +182,6 @@ class RecordVal:
     """Ordered record of named values; field order is declaration order."""
 
     fields: tuple[tuple[str, "Value"], ...] = ()
-
-    def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.fields)
 
     def get(self, name: str) -> "Value":
         for n, v in self.fields:

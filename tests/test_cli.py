@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from smm.cli import (
     EXIT_USAGE, EXIT_VALIDATION, main,
 )
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, REPO_ROOT
 
 PRODCONS = str(MODELS_DIR / "prodcons.smm")
 DEADLOCK = str(MODELS_DIR / "deadlock.smm")
@@ -101,6 +105,33 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == EXIT_OK
         assert "attributes:" in target.read_text()
+
+    def test_module_entry_point_in_a_fresh_interpreter(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # The command line the benchmark times; a fresh interpreter imports
+        # every value class and renders the trace from nothing cached.
+        def argv(out):
+            return ["run", "models/prodcons.smm", "--trace", "--format",
+                    "structured", "--out", str(out)]
+
+        src = str(Path(smm.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "smm.cli", *argv(tmp_path / "fresh.json")],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=60)
+        monkeypatch.chdir(REPO_ROOT)
+        code = main(argv(tmp_path / "here.json"))
+        here = capsys.readouterr()
+        assert (fresh.returncode, fresh.stderr) == (code, here.err) == \
+            (EXIT_OK, "")
+        assert fresh.stdout == here.out
+        assert fresh.stdout.startswith("[    0] obj=0 tid=0 pc=0 ")
+        assert (tmp_path / "fresh.json").read_text(encoding="utf-8") == \
+            (tmp_path / "here.json").read_text(encoding="utf-8")
+        assert json.loads((tmp_path / "fresh.json").read_text(
+            encoding="utf-8"))["halt"] == "all-done"
 
     def test_an_unwritable_out_file_is_a_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "result.txt"

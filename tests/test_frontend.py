@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import pytest
 
+import smm.actions as A
 import smm.universe
 from smm import (
     Active, AllDone, AttrDef, ClassDef, INT, IntVal, ModelError,
     OidVal, Passive, RecordVal, RunResult, StoredObject, empty_state,
     load_model, parse_model, print_model, render_final_state, run_model,
 )
+from smm.frontend import render_action, trace_recorder
 from smm.universe import Hierarchy, Problem, validate_model
 from smm.vm import StepLimit
 
@@ -624,3 +626,58 @@ class TestRenderFinalState:
         limited = run_model(prodcons_model, max_steps=1)
         doc = json.loads(render_final_state(limited, "structured"))
         assert doc["halt"] == "step-limit"
+
+
+class TestTraceRecorder:
+    """Every line is what ``render_action`` gives for the step's action,
+    however often the recorder meets that action or an equal one."""
+
+    def test_the_same_action_twice(self):
+        records: list = []
+        hook = trace_recorder(records)
+        act = A.Call("b", smm.universe.OpSig("put", (INT,), INT), ("x",),
+                     "r")
+        hook(0, 0, 0, 0, act)
+        hook(1, 1, 2, 3, act)
+        assert [r.action for r in records] == [render_action(act)] * 2
+        assert [(r.step, r.oid, r.tid, r.pc) for r in records] == \
+            [(0, 0, 0, 0), (1, 1, 2, 3)]
+
+    def test_equal_but_distinct_actions(self):
+        records: list = []
+        hook = trace_recorder(records)
+        a, b = A.Jump(4), A.Jump(4)
+        assert a == b and a is not b
+        for t, act in enumerate((a, b, a, A.Jump(5))):
+            hook(t, 0, 0, 0, act)
+        assert [r.action for r in records] == ["goto 4"] * 3 + ["goto 5"]
+
+    def test_actions_dropped_after_their_step(self):
+        # Each action is freed once the hook returns unless the recorder
+        # keeps it, so ids repeat; a line must never show an older text.
+        records: list = []
+        hook = trace_recorder(records)
+        for t in range(200):
+            hook(t, 0, 0, 0, A.BinOp("+", f"d{t}", "x", "y"))
+        assert [r.action for r in records] == \
+            [f"+ d{t} x y" for t in range(200)]
+
+    def test_one_recorder_across_two_models(self, prodcons_model,
+                                            deadlock_model):
+        records: list = []
+        hook = trace_recorder(records)
+        seen: list = []
+
+        def both(t, oid, tid, pc, action):
+            seen.append(action)
+            hook(t, oid, tid, pc, action)
+
+        apart = []
+        for model in (prodcons_model, deadlock_model, prodcons_model):
+            run_model(model, on_step=both)
+            alone: list = []
+            run_model(model, on_step=trace_recorder(alone))
+            apart += alone
+        assert [r.action for r in records] == \
+            [render_action(a) for a in seen]
+        assert records == apart

@@ -7,8 +7,11 @@ slot. Each one must still behave as the plain frozen dataclass it replaces.
 
 from __future__ import annotations
 
+import builtins
+import copy
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
@@ -18,6 +21,10 @@ import smm.state
 import smm.universe
 import smm.variation
 import smm.vm
+from smm.state import SimState
+from smm.universe import (
+    BoolVal, ClassDef, IntVal, NullOid, VoidVal, value_class,
+)
 from smm.variation import Config
 
 MODULES = (smm.universe, smm.state, smm.actions, smm.variation, smm.vm,
@@ -100,3 +107,100 @@ class TestValueClass:
             changed = dataclasses.replace(value, **{name: "new"})
             assert changed == cls(**{**args, name: "new"})
             assert dataclasses.replace(changed, **{name: args[name]}) == value
+
+
+def _twin(cls, decorate):
+    """A fresh class with the same name and fields, built by ``decorate``."""
+    fields = dataclasses.fields(cls)
+    twin = type(cls.__name__, (), {
+        "__annotations__": {f.name: f.type for f in fields},
+        **{f.name: f.default for f in fields
+           if f.default is not dataclasses.MISSING}})
+    twin.__qualname__ = cls.__qualname__
+    return decorate(twin)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__qualname__)
+class TestDataclassMethods:
+    def test_repr_is_the_plain_dataclass_repr(self, cls):
+        plain = _twin(cls, dataclasses.dataclass(frozen=True))
+        args = _args(cls)
+        assert repr(cls(**args)) == repr(plain(**args))
+        assert hash(cls(**args)) == hash(plain(**args))
+
+    def test_another_value_class_with_equal_fields_is_unequal(self, cls):
+        other = _twin(cls, value_class)
+        args = _args(cls)
+        a, b = cls(**args), other(**args)
+        assert other is not cls and repr(a) == repr(b)
+        assert not a == b and a != b
+        assert not b == a and b != a
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_a_clone_is_equal_and_frozen(self, cls, clone):
+        value = cls(**_args(cls))
+        back = clone(value)
+        assert type(back) is cls and back == value
+        for name in _args(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(back, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.other = 0
+
+
+@pytest.mark.parametrize("cls", [c for c in VALUE_CLASSES if _args(c)],
+                         ids=lambda c: c.__qualname__)
+def test_a_value_that_holds_itself_reprs_as_the_dataclass_does(cls):
+    plain = _twin(cls, dataclasses.dataclass(frozen=True))
+    first = dataclasses.fields(cls)[0].name
+    texts = []
+    for c in (cls, plain):
+        box: list = []
+        value = c(**{**_args(cls), first: box})
+        box.append(value)
+        texts.append(repr(value))
+    assert texts[0] == texts[1] and "[...]" in texts[0]
+
+
+def test_equal_fields_of_different_engine_values_are_unequal():
+    assert IntVal(1) != BoolVal(True) and IntVal(1) == IntVal(True)
+    assert VoidVal() != NullOid() and VoidVal() == VoidVal()
+
+
+def test_an_undocumented_class_names_its_parameters():
+    assert IntVal.__doc__ == "IntVal(value)"
+    assert ClassDef.__doc__ == "ClassDef(name, attributes=())"
+    assert SimState.__doc__ == "SimState(ds, cs, es, next_tid=0, next_seq=0)"
+    assert NullOid.__doc__.startswith("The null object reference")
+
+
+def test_decorating_runs_one_code_generation(monkeypatch):
+    calls = {"exec": 0, "compile": 0, "signature": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("exec", "compile"):
+        monkeypatch.setattr(builtins, name, counting(name, getattr(builtins,
+                                                                   name)))
+    monkeypatch.setattr(inspect, "signature",
+                        counting("signature", inspect.signature))
+
+    class Fresh:
+        a: int
+        b: str = "b"
+
+    Fresh = value_class(Fresh)
+    monkeypatch.undo()
+    assert calls == {"exec": 1, "compile": 1, "signature": 0}
+    value = Fresh(1)
+    assert (value.a, value.b) == (1, "b")
+    assert repr(value) == "test_decorating_runs_one_code_generation.<locals>" \
+        ".Fresh(a=1, b='b')"
+    assert value == Fresh(1, "b") and hash(value) == hash(Fresh(a=1))
+    assert Fresh.__doc__ == "Fresh(a, b='b')"
