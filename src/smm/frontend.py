@@ -21,10 +21,18 @@ default strategy choices:
 
 Statements are keyword-led and semicolon-terminated; ``L3:`` labels name
 jump targets (``goto L3``, ``ifnot c goto L3``), and labels compile away
-into plain body indices. ``parse_model`` yields a validated ``ModelDef`` or
-raises ``ModelError`` with located diagnostics; ``print_model`` renders the
+into plain body indices; ``#`` starts a comment that runs to the end of
+its line. ``parse_model`` yields a validated ``ModelDef`` or raises
+``ModelError`` with located diagnostics; ``print_model`` renders the
 canonical source for a ``ModelDef``, and parsing that text reproduces the
 value exactly.
+
+The tokenizer makes one regular-expression match per token, which also
+consumes the whitespace, line ends and comments before it, and yields
+plain ``(kind, text, offset)`` tuples. No token carries its line and
+column: a diagnostic, or a reader of the tokens the parser records for
+model elements, works them out from the offset by bisecting the offsets
+of the line ends, which are found once per parse, on the first ask.
 
 The parser checks only what needs its tokens: syntax, duplicate classes and
 methods (which the tables would swallow), labels, call-site and start
@@ -47,9 +55,11 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 from . import actions as A
 from .errors import Diagnostic, ExecError, ModelError
@@ -92,42 +102,56 @@ class TraceRecord:
 
 # --- tokenizer ----------------------------------------------------------------
 
+# A match is one token and the whitespace, line ends and comments before
+# it. "eof" matches at the end of the text; "bad", a character that starts
+# no token, takes the rest of the text, so the scan ends there.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<arrow>->)
-  | (?P<int>-?[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}()\[\]:;,.=])
-  | (?P<bad>.)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+        (?P<arrow>->)
+      | (?P<int>-?[0-9]+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[{}()\[\]:;,.=])
+      | (?P<eof>\Z)
+      | (?P<bad>(?s:.+))
+    )
 """, re.VERBOSE)
 
-
-@value_class
-class _Token:
-    kind: str  # "int" | "ident" | "punct" | "arrow" | "eof"
-    text: str
-    line: int
-    col: int
+# A token: its kind ("int", "ident", "punct", "arrow" or "eof"), its text
+# and the offset of its first character.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """One scan; no token spans a newline, so columns count from the last."""
-    toks: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ModelError([Diagnostic(f"unexpected character {m.group()!r}",
-                                         line, m.start() - line_start + 1)])
-        elif kind != "ws" and kind != "comment":
-            toks.append(_Token(kind, m.group(), line,
-                               m.start() - line_start + 1))
-    toks.append(_Token("eof", "", line, len(text) - line_start + 1))
+    """The tokens of ``text``, ending in one "eof": one match per token,
+    and no line or column, which ``_line_col`` works out from an offset
+    only when a diagnostic or a reader of ``_Parser.locs`` asks."""
+    toks = [((kind := m.lastgroup), m[kind], m.start(kind))
+            for m in _TOKEN_RE.finditer(text)]
+    # A match that is not empty and ends at the end of the text is
+    # followed by an empty "eof" match there: after the last token, after
+    # "bad", or after an "eof" that took trailing whitespace or comments,
+    # whose second "eof" is dropped.
+    if len(toks) > 1:
+        kind, rest, offset = toks[-2]
+        if kind == "bad":
+            raise ModelError([Diagnostic(f"unexpected character {rest[0]!r}",
+                                         *_line_col(_line_ends(text), offset))])
+        if kind == "eof":
+            toks.pop()
     return toks
+
+
+def _line_ends(text: str) -> list[int]:
+    """The offsets of the line ends in ``text``, in ascending order."""
+    return [m.start() for m in re.finditer("\n", text)]
+
+
+def _line_col(line_ends: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` into a text whose line
+    ends are at ``line_ends``."""
+    line = bisect_left(line_ends, offset)
+    return line + 1, offset - (line_ends[line - 1] if line else -1)
 
 
 # --- parser ---------------------------------------------------------------------
@@ -155,6 +179,7 @@ class _OpFixup:
     op_name: str
     arity: int
     loc: _Token
+    build: Callable  # the action, from its operation
 
 
 @dataclass
@@ -169,6 +194,7 @@ class _RawOp:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.diags: list[Diagnostic] = []
@@ -187,38 +213,44 @@ class _Parser:
     def peek(self) -> _Token:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    @cached_property
+    def line_ends(self) -> list[int]:
+        return _line_ends(self.text)
+
+    def position(self, tok: _Token) -> tuple[int, int]:
+        """The line and column of ``tok``."""
+        return _line_col(self.line_ends, tok[2])
 
     def fail(self, msg: str, tok: _Token | None = None):
         self.note(msg, tok or self.peek())
         raise _ParseAbort
 
     def note(self, msg: str, tok: _Token):
-        self.diags.append(Diagnostic(msg, tok.line, tok.col))
+        self.diags.append(Diagnostic(msg, *self.position(tok)))
 
-    def expect(self, kind: str, text: str | None = None,
-               what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            what = what or repr(text if text is not None else kind)
-            self.fail(f"expected {what}, found {tok.text or 'end of file'!r}")
-        return self.next()
+    def expect(self, kind: str, text: str | None = None) -> _Token:
+        tok = self.toks[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            self.fail(f"expected {text if text is not None else kind!r}, "
+                      f"found {tok[1] or 'end of file'!r}")
+        self.pos += 1
+        return tok
 
     def ident(self, what: str) -> _Token:
-        return self.expect("ident", what=what)
+        tok = self.toks[self.pos]
+        if tok[0] != "ident":
+            self.fail(f"expected {what}, found {tok[1] or 'end of file'!r}")
+        self.pos += 1
+        return tok
 
     def items(self, read, brackets: str = "") -> list:
         """``read()`` for each item of a comma-separated list; inside
         ``brackets`` ("()" or "[]"), when given, the list may be empty."""
         if brackets:
             self.expect("punct", brackets[0])
-        found = [] if brackets and self.peek().text == brackets[1] else [read()]
-        while found and self.peek().text == ",":
-            self.next()
+        found = [] if brackets and self.peek()[1] == brackets[1] else [read()]
+        while found and self.peek()[1] == ",":
+            self.pos += 1
             found.append(read())
         if brackets:
             self.expect("punct", brackets[1])
@@ -229,26 +261,26 @@ class _Parser:
     def parse(self) -> ModelDef:
         sections = {"class": self.parse_class, "op": self.parse_op,
                     "setup": self.parse_setup, "config": self.parse_config}
-        while (tok := self.peek()).kind != "eof":
-            if tok.kind != "ident":
+        while (tok := self.peek())[0] != "eof":
+            if tok[0] != "ident":
                 self.fail("expected 'class', 'op', 'setup' or 'config'")
-            if tok.text not in sections:
+            if tok[1] not in sections:
                 self.fail(f"expected 'class', 'op', 'setup' or 'config', "
-                          f"found {tok.text!r}")
-            sections[tok.text]()
+                          f"found {tok[1]!r}")
+            sections[tok[1]]()
         return self.finish()
 
     def parse_type(self) -> TypeRef:
         tok = self.ident("a type name")
-        return BASE_TYPES.get(tok.text) or ClassType(tok.text)
+        return BASE_TYPES.get(tok[1]) or ClassType(tok[1])
 
     def integer(self) -> int:
         """The next token, which must be an integer, as its value."""
         tok = self.expect("int")
         try:
-            value = int(tok.text)
+            value = int(tok[1])
         except ValueError:  # more digits than ``int`` converts from text
-            self.fail(f"integer of {len(tok.text.lstrip('-'))} digits is "
+            self.fail(f"integer of {len(tok[1].lstrip('-'))} digits is "
                       f"too long", tok)
         if value not in INT_RANGE:
             self.fail("integer outside the signed 64-bit range", tok)
@@ -256,29 +288,29 @@ class _Parser:
 
     def parse_literal(self) -> Value:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok[0] == "int":
             return IntVal(self.integer())
-        if tok.kind == "ident" and tok.text in _LITERALS:
-            self.next()
-            return _LITERALS[tok.text]
-        self.fail(f"expected a literal, found {tok.text or 'end of file'!r}")
+        if tok[0] == "ident" and tok[1] in _LITERALS:
+            self.pos += 1
+            return _LITERALS[tok[1]]
+        self.fail(f"expected a literal, found {tok[1] or 'end of file'!r}")
 
     def parse_class(self):
         self.expect("ident", "class")
         name_tok = self.ident("a class name")
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.classes:
             self.note(f"duplicate class {name!r}", name_tok)
         self.locs[("class", name)] = name_tok
         supers: list[str] = []
-        if self.peek().kind == "ident" and self.peek().text == "extends":
-            self.next()
+        if self.peek()[1] == "extends":
+            self.pos += 1
             for sup_tok in self.items(lambda: self.ident("a superclass name")):
-                supers.append(sup_tok.text)
-                self.locs[("extends", name, sup_tok.text)] = sup_tok
+                supers.append(sup_tok[1])
+                self.locs[("extends", name, sup_tok[1])] = sup_tok
         self.expect("punct", "{")
         attrs: list[AttrDef] = []
-        while self.peek().text != "}":
+        while self.peek()[1] != "}":
             self.expect("ident", "attr")
             attr_tok = self.ident("an attribute name")
             self.expect("punct", ":")
@@ -287,7 +319,7 @@ class _Parser:
             init = self.parse_literal()
             self.expect("punct", ";")
             self.locs[("attr", name, len(attrs))] = attr_tok
-            attrs.append(AttrDef(attr_tok.text, attr_type, init))
+            attrs.append(AttrDef(attr_tok[1], attr_type, init))
         self.expect("punct", "}")
         self.classes[name] = ClassDef(name, tuple(attrs))
         if supers:
@@ -302,126 +334,125 @@ class _Parser:
         def param() -> tuple[str, TypeRef]:
             p_tok = self.ident("a parameter name")
             self.expect("punct", ":")
-            return p_tok.text, self.parse_type()
+            return p_tok[1], self.parse_type()
 
         params = self.items(param, "()")
         self.expect("punct", ":")
-        sig = OpSig(op_tok.text, tuple(t for _, t in params), self.parse_type())
-        where = ("op", cls_tok.text, sig)
+        sig = OpSig(op_tok[1], tuple(t for _, t in params), self.parse_type())
+        where = ("op", cls_tok[1], sig)
         if where in self.locs:
-            self.note(f"duplicate method {cls_tok.text}.{op_tok.text}",
+            self.note(f"duplicate method {cls_tok[1]}.{op_tok[1]}",
                       cls_tok)
         self.locs[where] = cls_tok
-        raw = _RawOp(cls_tok.text, sig, params, [])
+        raw = _RawOp(cls_tok[1], sig, params, [])
         self.parse_body(raw)
         self.raw_ops.append(raw)
 
     def parse_body(self, raw: _RawOp):
         self.expect("punct", "{")
         labels: dict[str, int] = {}
-        pending: list[tuple[int, str, _Token]] = []  # (index, label, loc)
+        # (index, label, loc, the builder of the jump from its target)
+        pending: list[tuple[int, str, _Token, Callable]] = []
 
-        while self.peek().text != "}":
-            tok = self.peek()
-            if tok.kind == "eof":
+        while (tok := self.toks[self.pos])[1] != "}":
+            if tok[0] == "eof":
                 self.fail("unterminated method body")
             # Optional "NAME:" label prefix.
-            if tok.kind == "ident" and tok.text not in _STMT_KEYWORDS and \
-                    self.toks[self.pos + 1].text == ":":
-                self.next()
-                self.next()
-                if tok.text in labels:
-                    self.note(f"duplicate label {tok.text!r}", tok)
-                labels[tok.text] = len(raw.body)
+            if tok[0] == "ident" and tok[1] not in _STMT_KEYWORDS and \
+                    self.toks[self.pos + 1][1] == ":":
+                self.pos += 2
+                if tok[1] in labels:
+                    self.note(f"duplicate label {tok[1]!r}", tok)
+                labels[tok[1]] = len(raw.body)
                 continue
             self.parse_stmt(raw, pending)
 
         self.expect("punct", "}")
-        for index, label, loc in pending:
+        for index, label, loc, build in pending:
             if label not in labels:
                 self.note(f"unknown label {label!r}", loc)
                 continue
-            act = raw.body[index]
-            raw.body[index] = replace(act, target=labels[label])
+            raw.body[index] = build(labels[label])
 
-    def parse_jump_target(self, pending, index: int) -> int:
-        """A label reference or a raw body index; labels resolve later.
+    def parse_jump(self, pending, index: int, build: Callable) -> A.Action:
+        """``build(target)`` for a label reference or a raw body index;
+        labels resolve later, when the jump is built again.
 
         A label's placeholder target is 0, which is always in range, so an
         unknown label is reported once, as unknown, and not also as a jump
         out of the body.
         """
-        if self.peek().kind == "int":
-            return self.integer()
+        if self.peek()[0] == "int":
+            return build(self.integer())
         lbl = self.ident("a label or body index")
-        pending.append((index, lbl.text, lbl))
-        return 0
+        pending.append((index, lbl[1], lbl, build))
+        return build(0)
 
     def parse_stmt(self, raw: _RawOp, pending):
         tok = self.ident("a statement keyword")
-        kw = tok.text
+        kw = tok[1]
         body = raw.body
         index = len(body)
 
         if kw == "let":
-            name = self.ident("a local name").text
+            name = self.ident("a local name")[1]
             self.expect("punct", ":")
             t = self.parse_type()
             self.expect("punct", "=")
             body.append(A.NewLocal(name, t, self.parse_literal()))
         elif kw == "loadparam":
-            local = self.ident("a local name").text
-            param = self.ident("a parameter name").text
+            local = self.ident("a local name")[1]
+            param = self.ident("a parameter name")[1]
             body.append(A.LocalFromParam(local, param))
         elif kw == "loadattr":
-            local = self.ident("a local name").text
-            attr = self.ident("an attribute name").text
+            local = self.ident("a local name")[1]
+            attr = self.ident("an attribute name")[1]
             body.append(A.LocalFromAttr(local, attr))
         elif kw == "set":
-            local = self.ident("a local name").text
+            local = self.ident("a local name")[1]
             body.append(A.LocalConst(local, self.parse_literal()))
         elif kw == "setattr":
-            attr = self.ident("an attribute name").text
-            local = self.ident("a local name").text
+            attr = self.ident("an attribute name")[1]
+            local = self.ident("a local name")[1]
             body.append(A.SetAttr(attr, local))
         elif kw in A.BIN_OPS:
-            dst = self.ident("a destination local").text
-            lhs = self.ident("a left operand local").text
-            rhs = self.ident("a right operand local").text
+            dst = self.ident("a destination local")[1]
+            lhs = self.ident("a left operand local")[1]
+            rhs = self.ident("a right operand local")[1]
             body.append(A.BinOp(kw, dst, lhs, rhs))
         elif kw == "goto":
-            target = self.parse_jump_target(pending, index)
-            body.append(A.Jump(target))
+            body.append(self.parse_jump(pending, index, A.Jump))
         elif kw == "ifnot":
-            cond = self.ident("a condition local").text
+            cond = self.ident("a condition local")[1]
             self.expect("ident", "goto")
-            target = self.parse_jump_target(pending, index)
-            body.append(A.BranchIfFalse(cond, target))
+            body.append(self.parse_jump(pending, index,
+                                        partial(A.BranchIfFalse, cond)))
         elif kw == "new":
-            dst = self.ident("a destination local").text
-            cls = self.ident("a class name").text
+            dst = self.ident("a destination local")[1]
+            cls = self.ident("a class name")[1]
             body.append(A.NewObject(dst, cls))
         elif kw in ("call", "send"):
-            target = self.ident("a target local").text
+            target = self.ident("a target local")[1]
             self.expect("punct", ".")
             op_tok = self.ident("an operation name")
             args = tuple(self.items(
-                lambda: self.ident("an argument local").text, "()"))
+                lambda: self.ident("an argument local")[1], "()"))
             if kw == "call":
                 self.expect("arrow")
-                body.append(A.Call(target, _UNRESOLVED, args,
-                                   self.ident("a result local").text))
+                build = partial(A.Call, target, args=args,
+                                result_local=self.ident("a result local")[1])
             else:
                 self.expect("ident", "prio")
-                body.append(A.SendSignal(target, _UNRESOLVED, args,
-                                         self.integer()))
-            self.fixups.append(_OpFixup(body, index, op_tok.text, len(args),
-                                        op_tok))
+                build = partial(A.SendSignal, target, args=args,
+                                prio=self.integer())
+            body.append(build(_UNRESOLVED))
+            self.fixups.append(_OpFixup(body, index, op_tok[1], len(args),
+                                        op_tok, build))
         elif kw == "return":
             nxt = self.peek()
-            if nxt.kind == "ident" and nxt.text not in _LITERALS:
-                self.next()
-                body.append(A.ReturnLocal(nxt.text))
+            if nxt[0] == "ident" and nxt[1] not in _LITERALS:
+                self.pos += 1
+                body.append(A.ReturnLocal(nxt[1]))
             else:
                 body.append(A.ReturnConst(self.parse_literal()))
         else:
@@ -433,47 +464,47 @@ class _Parser:
     def parse_setup(self):
         self.expect("ident", "setup")
         self.expect("punct", "{")
-        while self.peek().text != "}":
+        while self.peek()[1] != "}":
             name_tok = self.ident("an object name")
             self.expect("punct", ":")
-            cls = self.ident("a class name").text
+            cls = self.ident("a class name")[1]
             kind_tok = self.ident("'passive' or 'active'")
             kind: OKind
-            if kind_tok.text == "passive":
+            if kind_tok[1] == "passive":
                 kind = Passive()
-            elif kind_tok.text == "active":
+            elif kind_tok[1] == "active":
                 op_tok = self.ident("an operation name")
                 self.expect("ident", "prio")
                 kind = Active(_UNRESOLVED, self.integer())
-                self.setup_active.append((len(self.setup), op_tok.text, op_tok))
+                self.setup_active.append((len(self.setup), op_tok[1], op_tok))
             else:
                 self.fail("expected 'passive' or 'active'", kind_tok)
             links: list[str] = []
-            if self.peek().text == "links":
-                self.next()
+            if self.peek()[1] == "links":
+                self.pos += 1
                 links = self.items(
-                    lambda: self.ident("a linked object name").text, "[]")
+                    lambda: self.ident("a linked object name")[1], "[]")
             self.expect("punct", ";")
             self.locs[("setup", len(self.setup))] = name_tok
-            self.setup.append(SetupEntry(name_tok.text, cls, kind, tuple(links)))
+            self.setup.append(SetupEntry(name_tok[1], cls, kind, tuple(links)))
         self.expect("punct", "}")
 
     def parse_config(self):
         self.expect("ident", "config")
         self.expect("punct", "{")
-        while self.peek().text != "}":
+        while self.peek()[1] != "}":
             key_tok = self.ident("a config key")
-            if key_tok.text not in self.config:  # it holds every point
-                self.fail(f"unknown config key {key_tok.text!r}; expected one "
+            if key_tok[1] not in self.config:  # it holds every point
+                self.fail(f"unknown config key {key_tok[1]!r}; expected one "
                           f"of {sorted(self.config)}", key_tok)
             self.expect("punct", ":")
             val_tok = self.ident("a strategy name")
             try:
-                strategy(key_tok.text, val_tok.text)
+                strategy(key_tok[1], val_tok[1])
             except ExecError as err:
                 self.note(err.message, val_tok)
             self.expect("punct", ";")
-            self.config[key_tok.text] = val_tok.text
+            self.config[key_tok[1]] = val_tok[1]
         self.expect("punct", "}")
 
     # resolution and validation
@@ -483,25 +514,23 @@ class _Parser:
         for raw in self.raw_ops:
             sigs_by_name.setdefault(raw.sig.name, []).append(raw.sig)
 
-        def resolve(name: str, arity: int, loc: _Token) -> OpSig | None:
-            found = [sig for sig in sigs_by_name.get(name, [])
-                     if len(sig.param_types) == arity]
-            # The same signature may be implemented by several classes.
-            found = sorted(set(found), key=str)
-            if not found:
-                self.note(f"no operation {name!r} taking {arity} argument(s) "
-                          f"is declared", loc)
-                return None
-            if len(found) > 1:
-                self.note(f"operation {name!r} with {arity} argument(s) is "
-                          f"ambiguous", loc)
-                return None
-            return found[0]
-
+        found: dict[tuple[str, int], list[OpSig]] = {}  # (name, arity)
         for fix in self.fixups:
-            sig = resolve(fix.op_name, fix.arity, fix.loc)
-            if sig is not None:
-                fix.body[fix.index] = replace(fix.body[fix.index], op=sig)
+            name, arity = key = fix.op_name, fix.arity
+            if key not in found:
+                # The same signature may be implemented by several classes.
+                found[key] = sorted({sig for sig in sigs_by_name.get(name, [])
+                                     if len(sig.param_types) == arity},
+                                    key=str)
+            sigs = found[key]
+            if not sigs:
+                self.note(f"no operation {name!r} taking {arity} argument(s) "
+                          f"is declared", fix.loc)
+            elif len(sigs) > 1:
+                self.note(f"operation {name!r} with {arity} argument(s) is "
+                          f"ambiguous", fix.loc)
+            else:
+                fix.body[fix.index] = fix.build(sigs[0])
 
         meth_map: MethMap = {}
         for raw in self.raw_ops:
@@ -586,9 +615,9 @@ class _Parser:
                 self.note(f"start operation {op_name!r} is ambiguous for "
                           f"class {entry.class_name!r}", loc)
                 continue
-            self.setup[index] = replace(entry,
-                                        kind=Active(candidates[0],
-                                                    entry.kind.prio))
+            self.setup[index] = SetupEntry(
+                entry.name, entry.class_name,
+                Active(candidates[0], entry.kind.prio), entry.links)
 
 
 # Placeholder signature for unresolved call/send sites; replaced during
@@ -623,7 +652,7 @@ def load_model(path) -> ModelDef:
         head = _universal_newlines(data[:err.start].decode("utf-8"))
         raise ModelError([Diagnostic(
             f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})",
-            head.count("\n") + 1, len(head) - head.rfind("\n"))]) from None
+            *_line_col(_line_ends(head), len(head)))]) from None
     return parse_model(_universal_newlines(text))
 
 

@@ -209,8 +209,7 @@ def test_parser_diagnostics_match_the_oracle(text):
     expected = []
     for where, message in (oracle_problems(classes, scl)
                            + oracle_attr_refs(classes, scl, meth_map, links)):
-        tok = parser.locs[where]
-        expected.append((tok.line, tok.col, message))
+        expected.append((*parser.position(parser.locs[where]), message))
     expected.sort(key=lambda d: (d[0], d[1]))
     assert got == expected
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smm import ModelError
 from smm.errors import Diagnostic
-from smm.frontend import _tokenize
+from smm.frontend import _line_col, _line_ends, _tokenize
 
 from conftest import MODELS_DIR
 
@@ -54,7 +54,9 @@ def oracle_tokenize(text):
 
 
 def tokenize(text):
-    return [(tok.kind, tok.text, tok.line, tok.col) for tok in _tokenize(text)]
+    line_ends = _line_ends(text)
+    return [(kind, tok_text, *_line_col(line_ends, offset))
+            for kind, tok_text, offset in _tokenize(text)]
 
 
 def outcome(tokenizer, text):

@@ -50,7 +50,7 @@ def test_the_engine_values_are_found():
     assert Config in FROZEN
     assert {"IntVal", "RecordVal", "MethodDef", "Thread", "Event",
             "SimState", "BinOp", "RunnableEntry", "SetupEntry", "RunResult",
-            "TraceRecord", "_Token"} <= names
+            "TraceRecord"} <= names
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__qualname__)
