@@ -72,7 +72,7 @@ from .universe import (
 )
 # perfbench's tracer counts chain walks by rebinding this name here.
 from .universe import super_chain  # noqa: F401
-from .variation import Config, complete_choices, make_config, strategy
+from .variation import Config, complete_choices, config_of, strategy
 from .vm import (
     Active, AllDone, Blocked, OKind, Passive, RunResult, Setup, SetupEntry,
     StepLimit, check_setup, run_main,
@@ -859,11 +859,14 @@ def render_trace(records: list[TraceRecord]) -> str:
 
 def build_config(m: ModelDef, **choices: str | None) -> Config:
     """The model's strategy choices, with the overrides that are not None
-    applied; ``make_config`` rejects a key that is no point, even a None."""
-    overrides = {point: name for point, name in choices.items()
-                 if name is not None or point not in m.config}
-    return make_config(m.classes, m.subclass_rel, m.meth_map,
-                       **{**m.config, **overrides})
+    applied; ``complete_choices`` rejects a key that is no point, even a
+    None."""
+    names = m.config
+    if choices:
+        names = complete_choices(**{**names, **{
+            point: name for point, name in choices.items()
+            if name is not None or point not in names}})
+    return config_of(names, m.classes, m.subclass_rel, m.meth_map)
 
 
 def run_model(m: ModelDef, *, max_steps: int | None = None, on_step=None,

@@ -100,6 +100,13 @@ class RunnablesSelector:
 
     name = "base"
 
+    def __copy__(self):
+        """A shallow copy, made without the pickle protocol that
+        ``copy.copy`` otherwise goes through."""
+        clone = object.__new__(self.__class__)
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
         raise NotImplementedError
 
@@ -236,7 +243,7 @@ def strategy(point: str, name: str):
     return table[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Config:
     """Variation-point selections plus the model's static tables."""
 
@@ -247,6 +254,19 @@ class Config:
     subclass_rel: SubclassRel
     meth_map: MethMap
     class_table: ClassTable
+
+    def __init__(self, dispatcher, runnables_sel, scheduler, medium,
+                 subclass_rel, meth_map, class_table):
+        # The frozen dataclass's own __init__ would store each field
+        # through object.__setattr__; the instance dict takes them as is.
+        d = self.__dict__
+        d["dispatcher"] = dispatcher
+        d["runnables_sel"] = runnables_sel
+        d["scheduler"] = scheduler
+        d["medium"] = medium
+        d["subclass_rel"] = subclass_rel
+        d["meth_map"] = meth_map
+        d["class_table"] = class_table
 
     @cached_property
     def hierarchy(self) -> Hierarchy:
@@ -278,8 +298,9 @@ def complete_choices(**chosen: str | None) -> dict[str, str]:
     """``chosen`` with each variation point it leaves out or None set to
     its default, the first strategy in its table, in table order. A key
     that is no point raises ``TypeError``, as a misspelled keyword does."""
-    for key in sorted(chosen.keys() - VARIATION_POINTS.keys()):
-        raise TypeError(f"unexpected variation point {key!r}")
+    unknown = chosen.keys() - VARIATION_POINTS.keys()
+    if unknown:
+        raise TypeError(f"unexpected variation point {min(unknown)!r}")
     return {point: next(iter(table)) if chosen.get(point) is None
             else chosen[point] for point, table in VARIATION_POINTS.items()}
 
@@ -288,15 +309,22 @@ def make_config(class_table: ClassTable, subclass_rel: SubclassRel,
                 meth_map: MethMap, **choices: str | None) -> Config:
     """Build a Config from strategy names (the CLI/DSL-facing spellings)
     by variation point; see ``complete_choices``."""
-    # In the order of the points, so the first unknown name is reported.
-    picked = {point: strategy(point, name)
-              for point, name in complete_choices(**choices).items()}
-    return Config(
-        runnables_sel=picked["runnables"],
-        scheduler=picked["scheduler"],
-        dispatcher=picked["dispatch"],
-        medium=picked["medium"],
-        subclass_rel=subclass_rel,
-        meth_map=meth_map,
-        class_table=class_table,
-    )
+    return config_of(complete_choices(**choices), class_table, subclass_rel,
+                     meth_map)
+
+
+def config_of(names: dict[str, str], class_table: ClassTable,
+              subclass_rel: SubclassRel, meth_map: MethMap) -> Config:
+    """The Config of the strategies ``names`` names, one for every
+    variation point, as ``complete_choices`` returns them. Of the names
+    that are no strategy, the first in the order of the points raises."""
+    points = VARIATION_POINTS
+    runnables = points["runnables"].get(names["runnables"])
+    scheduler = points["scheduler"].get(names["scheduler"])
+    dispatcher = points["dispatch"].get(names["dispatch"])
+    medium = points["medium"].get(names["medium"])
+    if None in (runnables, scheduler, dispatcher, medium):
+        for point in points:
+            strategy(point, names[point])
+    return Config(dispatcher, runnables, scheduler, medium, subclass_rel,
+                  meth_map, class_table)

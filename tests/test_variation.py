@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -400,6 +401,29 @@ class TestConfigHierarchy:
         assert hierarchy.chain("Special") is None
 
 
+class TestConfigValue:
+    def test_fields_stored_by_position_and_keyword_and_frozen(self):
+        classes, scl, mm = buffer_tables()
+        by_name = make_config(classes, scl, mm)
+        args = [getattr(by_name, f.name) for f in fields(Config)]
+        for cfg in (Config(*args),
+                    Config(**{f.name: getattr(by_name, f.name)
+                              for f in fields(Config)})):
+            assert cfg == by_name
+            assert repr(cfg) == repr(by_name)
+            for f in fields(Config):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(cfg, f.name, None)
+
+    def test_a_copied_selector_shares_no_attribute_with_the_original(self):
+        clone = copy.copy(RTC_SEL)
+        assert type(clone) is RtcRunnables and clone is not RTC_SEL
+        clone.pending_handler_events = lambda s, oid: []
+        assert "pending_handler_events" not in vars(RTC_SEL)
+        s, _ = _buffer_state()
+        assert clone(s, 0) == RTC_SEL(s, 0)
+
+
 class TestMethodMemo:
     NOPE = OpSig("nope", (), VOID)
 
@@ -492,6 +516,26 @@ class TestChoices:
         for name in ("prio", None):
             with pytest.raises(TypeError, match="'schedular'"):
                 call(schedular=name)
+
+    @pytest.mark.parametrize("entry", ["make_config", "build_config"])
+    def test_the_first_unknown_name_in_point_order_raises(
+            self, prodcons_model, entry):
+        call = {
+            "make_config": lambda **kw: make_config(*buffer_tables(), **kw),
+            "build_config": lambda **kw: build_config(prodcons_model, **kw),
+        }[entry]
+        with pytest.raises(ExecError, match=r"^unknown scheduler strategy "
+                           r"'later'; choose from \['prio', 'rr'\]$"):
+            call(medium="lossy", scheduler="later")
+        with pytest.raises(ExecError, match="^unknown medium strategy"):
+            call(medium="lossy", scheduler=None)
+
+    def test_a_model_config_with_an_unknown_name_raises(self, prodcons_model):
+        model = replace(prodcons_model,
+                        config={**prodcons_model.config, "runnables": "eager"})
+        with pytest.raises(ExecError, match="^unknown runnables strategy"):
+            build_config(model)
+        assert build_config(model, runnables="rtc").runnables_sel is RTC_SEL
 
     def test_an_added_strategy_needs_no_other_edit(self, monkeypatch,
                                                    tmp_path, capsys):
