@@ -32,7 +32,11 @@ consumes the whitespace, line ends and comments before it, and yields
 plain ``(kind, text, offset)`` tuples. No token carries its line and
 column: a diagnostic, or a reader of the tokens the parser records for
 model elements, works them out from the offset by bisecting the offsets
-of the line ends, which are found once per parse, on the first ask.
+of the line ends, which are found once per parse, on the first ask. Each
+parsed method is one record holding the token naming it and one token
+per action, indexed by pc; the tokens naming classes, superclasses,
+attributes and setup entries are kept by their ``Problem.where`` keys,
+and ``_Parser.loc`` finds the token for any such key.
 
 The parser checks only what needs its tokens: syntax, duplicate classes and
 methods (which the tables would swallow), labels, call-site and start
@@ -125,7 +129,7 @@ _Token = tuple[str, str, int]
 def _tokenize(text: str) -> list[_Token]:
     """The tokens of ``text``, ending in one "eof": one match per token,
     and no line or column, which ``_line_col`` works out from an offset
-    only when a diagnostic or a reader of ``_Parser.locs`` asks."""
+    only when a diagnostic or a reader of the recorded tokens asks."""
     toks = [((kind := m.lastgroup), m[kind], m.start(kind))
             for m in _TOKEN_RE.finditer(text)]
     # A match that is not empty and ends at the end of the text is
@@ -171,25 +175,16 @@ class _ParseAbort(Exception):
 
 
 @dataclass
-class _OpFixup:
-    """A call/send site whose operation name awaits global resolution."""
-
-    body: list
-    index: int
-    op_name: str
-    arity: int
-    loc: _Token
-    build: Callable  # the action, from its operation
-
-
-@dataclass
 class _RawOp:
-    """A method whose body awaits call-site resolution."""
+    """A method whose body awaits call-site resolution, with the token
+    naming it and the token of each action, indexed by pc."""
 
     class_name: str
     sig: OpSig
     params: list[tuple[str, TypeRef]]
+    tok: _Token
     body: list
+    toks: list[_Token]
 
 
 class _Parser:
@@ -200,10 +195,13 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         self.classes: dict[str, ClassDef] = {}
         self.scl: SubclassRel = {}
-        self.raw_ops: list[_RawOp] = []
-        self.fixups: list[_OpFixup] = []
+        self.ops: dict[tuple[str, OpSig], _RawOp] = {}  # by (class, sig)
+        # Call/send sites awaiting their operation: (body, index, token of
+        # the operation name, arity, the action's builder from its operation).
+        self.sites: list[tuple] = []
         self.setup: list[SetupEntry] = []
-        # Model element (a ``Problem.where`` key) -> the token naming it.
+        # A class, superclass, attribute or setup element (a
+        # ``Problem.where`` key) -> the token naming it; see ``loc``.
         self.locs: dict[tuple, _Token] = {}
         self.setup_active: list[tuple[int, str, _Token]] = []
         self.config = complete_choices()
@@ -220,6 +218,16 @@ class _Parser:
     def position(self, tok: _Token) -> tuple[int, int]:
         """The line and column of ``tok``."""
         return _line_col(self.line_ends, tok[2])
+
+    def loc(self, where: tuple) -> _Token:
+        """The token naming the model element ``where``, a ``Problem.where``
+        key: a method's and an action's are kept in its ``_RawOp``."""
+        match where:
+            case ("op", cls, sig):
+                return self.ops[cls, sig].tok
+            case ("action", cls, sig, pc):
+                return self.ops[cls, sig].toks[pc]
+        return self.locs[where]
 
     def fail(self, msg: str, tok: _Token | None = None):
         self.note(msg, tok or self.peek())
@@ -339,14 +347,13 @@ class _Parser:
         params = self.items(param, "()")
         self.expect("punct", ":")
         sig = OpSig(op_tok[1], tuple(t for _, t in params), self.parse_type())
-        where = ("op", cls_tok[1], sig)
-        if where in self.locs:
+        key = cls_tok[1], sig
+        if key in self.ops:
             self.note(f"duplicate method {cls_tok[1]}.{op_tok[1]}",
                       cls_tok)
-        self.locs[where] = cls_tok
-        raw = _RawOp(cls_tok[1], sig, params, [])
+        raw = _RawOp(cls_tok[1], sig, params, cls_tok, [], [])
         self.parse_body(raw)
-        self.raw_ops.append(raw)
+        self.ops[key] = raw
 
     def parse_body(self, raw: _RawOp):
         self.expect("punct", "{")
@@ -446,8 +453,7 @@ class _Parser:
                 build = partial(A.SendSignal, target, args=args,
                                 prio=self.integer())
             body.append(build(_UNRESOLVED))
-            self.fixups.append(_OpFixup(body, index, op_tok[1], len(args),
-                                        op_tok, build))
+            self.sites.append((body, index, op_tok, len(args), build))
         elif kw == "return":
             nxt = self.peek()
             if nxt[0] == "ident" and nxt[1] not in _LITERALS:
@@ -459,7 +465,7 @@ class _Parser:
             self.fail(f"unknown statement {kw!r}", tok)
 
         self.expect("punct", ";")
-        self.locs[("action", raw.class_name, raw.sig, index)] = tok
+        raw.toks.append(tok)
 
     def parse_setup(self):
         self.expect("ident", "setup")
@@ -511,12 +517,13 @@ class _Parser:
 
     def finish(self) -> ModelDef:
         sigs_by_name: dict[str, list[OpSig]] = {}
-        for raw in self.raw_ops:
+        for raw in self.ops.values():
             sigs_by_name.setdefault(raw.sig.name, []).append(raw.sig)
 
         found: dict[tuple[str, int], list[OpSig]] = {}  # (name, arity)
-        for fix in self.fixups:
-            name, arity = key = fix.op_name, fix.arity
+        for body, index, tok, arity, build in self.sites:
+            name = tok[1]
+            key = name, arity
             if key not in found:
                 # The same signature may be implemented by several classes.
                 found[key] = sorted({sig for sig in sigs_by_name.get(name, [])
@@ -525,23 +532,23 @@ class _Parser:
             sigs = found[key]
             if not sigs:
                 self.note(f"no operation {name!r} taking {arity} argument(s) "
-                          f"is declared", fix.loc)
+                          f"is declared", tok)
             elif len(sigs) > 1:
                 self.note(f"operation {name!r} with {arity} argument(s) is "
-                          f"ambiguous", fix.loc)
+                          f"ambiguous", tok)
             else:
-                fix.body[fix.index] = fix.build(sigs[0])
+                body[index] = build(sigs[0])
 
         meth_map: MethMap = {}
-        for raw in self.raw_ops:
+        for raw in self.ops.values():
             meth_map.setdefault(raw.class_name, {})[raw.sig] = MethodDef(
                 raw.sig, tuple(raw.params), tuple(raw.body))
 
         hierarchy = Hierarchy(self.classes, self.scl)
         for where, message in (validate_model(hierarchy, meth_map)
                                + check_setup(hierarchy, self.setup)):
-            self.note(message, self.locs[where])
-        self._check_attr_refs(meth_map, hierarchy)
+            self.note(message, self.loc(where))
+        self._check_attr_refs(hierarchy)
         self._resolve_start_ops(meth_map, hierarchy)
 
         if self.diags:
@@ -550,7 +557,7 @@ class _Parser:
         return ModelDef(self.classes, self.scl, meth_map, tuple(self.setup),
                         self.config)
 
-    def _check_attr_refs(self, meth_map: MethMap, hierarchy: Hierarchy):
+    def _check_attr_refs(self, hierarchy: Hierarchy):
         """Each attribute an action reads or writes must be one an instance
         running that code may have: in the layout of the class or of a
         subclass, or set up as a link. So a class may touch a name when it
@@ -562,22 +569,23 @@ class _Parser:
         links = {link for entry in self.setup for link in entry.links}
         # A class's own attributes and the links need no walk; an unknown
         # class or one on a cycle is reported already.
-        refs = [(cls_name, sig, pc, act.attr)
-                for cls_name, ops in meth_map.items()
-                if cls_name in self.classes and cls_name not in hierarchy.cycles
-                for sig, meth in ops.items() for pc, act in enumerate(meth.body)
+        refs = [(cls_name, act.attr, tok)
+                for raw in self.ops.values()
+                if (cls_name := raw.class_name) in self.classes
+                and cls_name not in hierarchy.cycles
+                for act, tok in zip(raw.body, raw.toks)
                 if isinstance(act, (A.LocalFromAttr, A.SetAttr))
                 and act.attr not in links
                 and cls_name not in hierarchy.declarers.get(act.attr, ())]
         per_class = Counter(ref[0] for ref in refs)
-        per_name = Counter(ref[3] for ref in refs)
+        per_name = Counter(ref[1] for ref in refs)
 
         def related(classes: Iterable[str]) -> set[str]:
             return hierarchy.above(hierarchy.below(classes))
 
         names: dict[str, set[str]] = {}  # class -> names it may touch
         touching: dict[str, set[str]] = {}  # name -> classes touching it
-        for cls_name, sig, pc, attr in refs:
+        for cls_name, attr, tok in refs:
             if cls_name not in names and attr not in touching:
                 if per_name[attr] >= per_class[cls_name]:
                     touching[attr] = related(hierarchy.declarers.get(attr,
@@ -590,8 +598,7 @@ class _Parser:
             if not (cls_name in touching[attr] if attr in touching
                     else attr in names[cls_name]):
                 self.note(f"unknown attribute {attr!r} for class "
-                          f"{cls_name!r}",
-                          self.locs[("action", cls_name, sig, pc)])
+                          f"{cls_name!r}", tok)
 
     def _resolve_start_ops(self, meth_map: MethMap, hierarchy: Hierarchy):
         for index, op_name, loc in self.setup_active:

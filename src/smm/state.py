@@ -156,10 +156,6 @@ class SimState:
     next_tid: int = 0
     next_seq: int = 0
 
-    def threads_of(self, oid: int) -> dict[int, Thread]:
-        threads = self.cs.get(oid)
-        return {} if threads is None else threads
-
     def thread(self, oid: int, tid: int) -> Thread | None:
         threads = self.cs.get(oid)
         return None if threads is None else threads.get(tid)

@@ -33,7 +33,7 @@ and setup, two runs produce equal results. All concurrency is model-level.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .actions import Action, Call, SendSignal, advance, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
@@ -109,9 +109,9 @@ class RunResult:
 
 # --- scheduling plumbing --------------------------------------------------------
 
-# Each object's cached offers: the entries of its offered live threads, by
-# tid in the order its selector reported them, and its offered events.
-Offers = dict[int, tuple[dict[int, RunnableEntry], list[Event]]]
+# Each object's cached offers: the entries of its offered live threads, in
+# the order its selector reported them, and its offered events.
+Offers = dict[int, tuple[list[RunnableEntry], list[Event]]]
 
 
 def collect_runnables(
@@ -120,10 +120,11 @@ def collect_runnables(
     """Refresh the ``dirty`` objects' offers, then flatten every object's.
 
     Only the ``dirty`` objects' selectors are asked; ``offers`` keeps the
-    others' answers from earlier steps and is updated in place. An entry
-    of an object that is not dirty keeps its last execution time, which
-    stays right because a step records a time only for the thread it ran,
-    and that thread's object is always dirty. Objects come in ascending id
+    others' entry lists and events from earlier steps and is updated in
+    place, a dirty object's list replaced by a new one. An entry of an
+    object that is not dirty keeps its last execution time, which stays
+    right because a step records a time only for the thread it ran, and
+    that thread's object is always dirty. Objects come in ascending id
     order, each with its live threads first. Every offered event gets the
     next id above ``s.next_tid``, in object order and then queue order, and
     is offered at its own priority. Returns the entries for the scheduler
@@ -132,9 +133,7 @@ def collect_runnables(
     known = len(offers)
     for oid in dirty:
         live, events = sel(s, oid)
-        old = offers.get(oid)
-        entries = add_last_exec_info(times, oid, live, old[0] if old else {})
-        offers[oid] = ({entry.tid: entry for entry in entries}, events)
+        offers[oid] = add_last_exec_info(times, oid, live), events
     if len(offers) != known:  # new objects: keep ascending id order
         ordered = sorted(offers.items())
         offers.clear()
@@ -143,7 +142,7 @@ def collect_runnables(
     reserved: dict[int, Event] = {}
     tid = s.next_tid
     for oid, (live, events) in offers.items():
-        entries += live.values()
+        entries += live
         for event in events:
             entries.append(RunnableEntry(oid, tid, event.msg.payload.prio,
                                          times.get(tid, -1)))
@@ -152,29 +151,18 @@ def collect_runnables(
     return entries, reserved
 
 
-def add_last_exec_info(
-        times: TimesMap, oid: int, live: list[tuple[int, int]],
-        kept: Mapping[int, RunnableEntry] = {}) -> list[RunnableEntry]:
-    """Entries for one object's (tid, prio) offers, each with its last
-    execution time, in order.
+def add_last_exec_info(times: TimesMap, oid: int,
+                       live: list[tuple[int, int]]) -> list[RunnableEntry]:
+    """A new entry for each of one object's (tid, prio) offers, with its
+    last execution time, in order: the object's entry list in ``Offers``.
 
-    An entry of ``kept``, the object's previous entries by tid, is reused
-    while it still holds the thread's priority and time; a step changes the
-    time of the thread it ran only, so only that thread and newly offered
-    ones get new entries. A thread materialized during a run records its
-    creation step as its first execution time, so its entry is never
-    missing afterwards. Ids with no recorded time (threads built during
-    setup, reserved handler ids) read as -1: created before the first step,
-    hence least recent.
+    A thread materialized during a run records its creation step as its
+    first execution time, so its entry is never missing afterwards. Ids
+    with no recorded time (threads built during setup, reserved handler
+    ids) read as -1: created before the first step, hence least recent.
     """
-    entries = []
-    for tid, prio in live:
-        last = times.get(tid, -1)
-        entry = kept.get(tid)
-        if entry is None or entry.last_exec != last or entry.prio != prio:
-            entry = RunnableEntry(oid, tid, prio, last)
-        entries.append(entry)
-    return entries
+    return [RunnableEntry(oid, tid, prio, times.get(tid, -1))
+            for tid, prio in live]
 
 
 class _Rescan:

@@ -107,7 +107,7 @@ def _oracle_pending(runnables: str, s, oid: int) -> list:
     pending = [e for e in s.es.get(oid, ())
                if e.kind in (EventKind.CALL, EventKind.SIGNAL)]
     if runnables == "rtc":
-        return [] if s.threads_of(oid) else pending[:1]
+        return [] if s.cs.get(oid, {}) else pending[:1]
     return pending
 
 
@@ -125,7 +125,7 @@ def oracle_collect(runnables: str, s):
 
     offers, reserved = [], {}
     for oid in sorted(s.ds):
-        for tid in sorted(s.threads_of(oid)):
+        for tid in sorted(s.cs.get(oid, {})):
             thr = s.cs[oid][tid]
             if thr.status is ThreadStatus.READY or any(
                     e.kind is EventKind.RETURN and e.msg.sender_thread == tid

@@ -474,6 +474,25 @@ class TestLinearLoading:
         parse_model(_inherited_reads_source(10))
         assert len(built) == 1
 
+    def test_a_long_method_hashes_its_signature_a_few_times(self,
+                                                            monkeypatch):
+        # A location key per action would hash the signature once each.
+        hashed = [0]
+        hash_sig = smm.universe.OpSig.__hash__
+
+        def counting(self):
+            hashed[0] += 1
+            return hash_sig(self)
+
+        monkeypatch.setattr(smm.universe.OpSig, "__hash__", counting)
+        model = parse_model("class A { }\nop A.go(): Void {\n"
+                            + "  let x: Int = 0;\n" * 1999
+                            + "  return void;\n}\n"
+                            "setup { a: A active go prio 1; }\n")
+        assert hashed[0] <= 20
+        [meth] = model.meth_map["A"].values()
+        assert len(meth.body) == 2000
+
     def test_a_10000_deep_chain_loads(self):
         model = parse_model(_chain_source(10_000))
         assert len(model.classes) == 10_000

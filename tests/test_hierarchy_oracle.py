@@ -181,7 +181,7 @@ def tables(parser):
     """The class table, subclass relation and method map the parser
     built."""
     meth_map = {}
-    for raw in parser.raw_ops:
+    for raw in parser.ops.values():
         meth_map.setdefault(raw.class_name, {})[raw.sig] = MethodDef(
             raw.sig, tuple(raw.params), tuple(raw.body))
     return parser.classes, parser.scl, meth_map
@@ -209,7 +209,7 @@ def test_parser_diagnostics_match_the_oracle(text):
     expected = []
     for where, message in (oracle_problems(classes, scl)
                            + oracle_attr_refs(classes, scl, meth_map, links)):
-        expected.append((*parser.position(parser.locs[where]), message))
+        expected.append((*parser.position(parser.loc(where)), message))
     expected.sort(key=lambda d: (d[0], d[1]))
     assert got == expected
 

@@ -36,7 +36,11 @@ def test_every_recorded_location_resolves_as_the_oracle_tokens_do(text):
     index = {tok[2]: i for i, tok in enumerate(parser.toks)}
     expected = oracle_tokenize(text)
     assert parser.locs
-    for tok in parser.locs.values():
+    recorded = [*parser.locs.values()]
+    for raw in parser.ops.values():
+        assert len(raw.toks) == len(raw.body)
+        recorded += [raw.tok, *raw.toks]
+    for tok in recorded:
         kind, tok_text, offset = tok
         assert (kind, tok_text, *parser.position(tok)) == \
             expected[index[offset]]

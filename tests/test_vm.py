@@ -211,14 +211,10 @@ class TestAddLastExecInfo:
             (1, 0, 1, -1), (1, 1, 1, 4), (1, 2, 3, -1)]
 
     def test_unchanged_entries_are_kept(self):
-        kept = add_last_exec_info({0: 3, 1: 4}, 1, [(0, 1), (1, 1), (2, 2)])
         entries = add_last_exec_info({0: 3, 1: 9}, 1,
-                                     [(0, 1), (1, 1), (2, 5), (3, 1)],
-                                     {e.tid: e for e in kept})
+                                     [(0, 1), (1, 1), (2, 5), (3, 1)])
         assert [(e.oid, e.tid, e.prio, e.last_exec) for e in entries] == [
             (1, 0, 1, 3), (1, 1, 1, 9), (1, 2, 5, -1), (1, 3, 1, -1)]
-        assert entries[0] is kept[0]
-        assert all(new is not old for new, old in zip(entries[1:], kept[1:]))
 
 
 def _queued_call(s, buf_oid, *, value=10, sender=5, sender_tid=7, prio=3):
