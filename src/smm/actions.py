@@ -213,10 +213,10 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
               cfg) -> SimState:
     """Execute one action of ``thr``, thread ``tid`` of object ``oid``.
 
-    ``thr`` must be that thread as ``s`` holds it, ready, with its pc
-    addressing ``action`` in the dispatched method body; ``vm.step``
-    fetches and checks it, and adds the (oid, tid, pc) context to any
-    ``ExecError`` raised here.
+    ``thr`` must be that thread, ready, with its pc addressing ``action``
+    in the dispatched method body; ``s`` may hold an older version of it,
+    or none. ``vm.step`` fetches or builds it, and adds the (oid, tid, pc)
+    context to any ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
     if isinstance(action, NewLocal):

@@ -775,7 +775,7 @@ def _render_value(v: Value) -> str:
         return f"XOID {v.oid}"
     if isinstance(v, NullOid):
         return "XNULL"
-    return repr(v)
+    raise ModelError(f"value {v!r} has no output form")
 
 
 def _value_json(v: Value):

@@ -204,16 +204,6 @@ def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
                     s.next_seq)
 
 
-def add_link_attr(s: SimState, oid: int, name: str, target: Value) -> SimState:
-    """Add or overwrite a link attribute (a reference slot set up externally)."""
-    if not isinstance(target, (OidVal, NullOid)):
-        raise ExecError(f"link attribute {name!r} must hold a reference", oid=oid)
-    obj = s.ds[oid]
-    new_obj = StoredObject(obj.class_name, obj.attrs.set(name, target))
-    return SimState({**s.ds, oid: new_obj}, s.cs, s.es, s.next_tid,
-                    s.next_seq)
-
-
 def enqueue_event(es: EventStore, e: Event) -> EventStore:
     """Append an event to its receiver's queue; other queues are untouched."""
     dst = e.msg.receiver
@@ -239,10 +229,14 @@ def take_matching_event(es: EventStore, oid: int,
 
 
 def end_thread(s: SimState, oid: int, tid: int) -> SimState:
-    """``s`` without thread ``tid`` of ``oid``, whose activation returned."""
-    threads = dict(s.cs.get(oid, {}))
-    if threads.pop(tid, None) is None:
-        raise InternalError(f"end of missing thread {tid} of object {oid}")
+    """``s`` without thread ``tid`` of ``oid``, whose activation returned;
+    ``s`` itself when it does not hold the thread, as for a handler that
+    returns at its first action, which is never stored."""
+    threads = s.cs.get(oid)
+    if threads is None or tid not in threads:
+        return s
+    threads = dict(threads)
+    del threads[tid]
     return SimState(s.ds, {**s.cs, oid: threads}, s.es, s.next_tid,
                     s.next_seq)
 

@@ -638,6 +638,16 @@ class TestRenderFinalState:
         assert doc["objects"][0]["attrs"] == [["r", {"kind": "null"}],
                                               ["v", {"kind": "void"}]]
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_value_with_no_output_form_raises_in_both_formats(self, fmt):
+        # A record attribute, which only a hand-built state can hold.
+        record = RecordVal((("x", IntVal(1)),))
+        ds = {0: StoredObject("A", RecordVal((("r", record),)))}
+        result = RunResult(replace(empty_state(), ds=ds), 0, AllDone())
+        with pytest.raises(ModelError) as info:
+            render_final_state(result, fmt)
+        assert str(info.value) == f"value {record!r} has no output form"
+
     def test_blocked_and_limit_names(self, deadlock_model, prodcons_model):
         blocked = run_model(deadlock_model)
         doc = json.loads(render_final_state(blocked, "structured"))

@@ -215,10 +215,12 @@ class TestEndThread:
         s2 = end_thread(s, oid, 0)
         assert 0 not in s2.cs[oid]
 
-    def test_pop_on_missing_thread_is_internal(self):
+    def test_ending_a_thread_the_state_does_not_hold_returns_it_unchanged(
+            self):
+        # A handler whose first action returns was never stored.
         s, oid = _state_with_buffer()
-        with pytest.raises(InternalError):
-            end_thread(s, oid, 42)
+        assert end_thread(s, oid, 42) is s
+        assert end_thread(s, oid + 1, 0) is s
 
 
 class TestValidateState:
@@ -245,8 +247,9 @@ class TestValidateState:
 
     def test_dangling_reference_detected(self):
         s, oid = _state_with_buffer()
-        from smm.state import add_link_attr
-        s = add_link_attr(s, oid, "peer", OidVal(99))
+        obj = s.ds[oid]
+        s = replace(s, ds={oid: replace(obj, attrs=obj.attrs.set(
+            "peer", OidVal(99)))})
         assert any("dangling" in p for p in validate_state(s))
 
     def test_misplaced_event_detected(self):

@@ -7,7 +7,6 @@ import pytest
 
 import smm.universe
 import smm.variation
-import smm.vm
 from smm import (
     Active, AllDone, AttrDef, Blocked, CallerRef, CallPayload, ClassDef,
     ClassType, EventKind, ExecError, INT, IntVal, InternalError,
@@ -236,8 +235,7 @@ class TestConsumeEvent:
         s, buf = self._buffer()
         s = _queued_call(s, buf, sender=5, sender_tid=7)
         reserved = s.next_tid
-        s2 = consume_event(s, cfg, buf, reserved, s.es[buf][0])
-        thr = s2.cs[buf][reserved]
+        s2, thr = consume_event(s, cfg, buf, reserved, s.es[buf][0])
         assert thr.status is ThreadStatus.READY
         assert thr.base_prio == 3
         assert thr.meth == put_method() and thr.pc == 0
@@ -246,6 +244,8 @@ class TestConsumeEvent:
         assert thr.caller == CallerRef(5, 7, "result")
         assert s2.es[buf] == ()
         assert s2.next_tid == reserved + 1
+        # The thread is handed over, not stored: the action writes it.
+        assert s2.cs == s.cs
 
     def test_signal_event_has_no_caller(self):
         from smm.state import SignalPayload
@@ -255,8 +255,7 @@ class TestConsumeEvent:
                       SignalPayload(PUT_OP, RecordVal((("0", IntVal(1)),)), 2))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
         reserved = s.next_tid
-        s2 = consume_event(s, cfg, buf, reserved, s.es[buf][0])
-        thr = s2.cs[buf][reserved]
+        _, thr = consume_event(s, cfg, buf, reserved, s.es[buf][0])
         assert thr.caller is None
         assert thr.base_prio == 2
 
@@ -268,21 +267,24 @@ class TestConsumeEvent:
         s = replace(s, next_tid=1)
         msg = Message(9, 0, buf, ReturnPayload(IntVal(-1), "v"))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
-        s2 = consume_event(s, cfg, buf, 0)
-        thr2 = s2.cs[buf][0]
+        s2, thr2 = consume_event(s, cfg, buf, 0)
         assert thr2.status is ThreadStatus.READY
         assert thr2.locals.get("v") == IntVal(-1)
         assert thr2.pc == 3
         assert s2.es[buf] == ()
+        # The state still holds the waiting version; the action replaces it.
+        assert s2.cs == s.cs
 
-    def test_ready_thread_is_left_alone(self):
+    def test_ready_thread_is_an_internal_error(self):
+        # Only a thread that is not ready is scheduled for consumption.
         cfg = buffer_config()
         s, buf = self._buffer()
         s = update_thread(s, buf, 0,
                           Thread(0, ThreadStatus.READY, get_method()))
         s = replace(s, next_tid=1)
         s = _queued_call(s, buf)
-        assert consume_event(s, cfg, buf, 0) == s
+        with pytest.raises(InternalError, match="scheduled but is not ready"):
+            consume_event(s, cfg, buf, 0)
 
     def test_the_reserved_event_itself_is_taken(self):
         # Two queued calls share a seq (a hand-built state): the one the
@@ -292,9 +294,9 @@ class TestConsumeEvent:
         first = _queued_call(s, buf, value=1).es[buf][0]
         second = _queued_call(s, buf, value=2).es[buf][0]
         s = replace(s, es={**s.es, buf: (first, second)}, next_seq=1)
-        s2 = consume_event(s, cfg, buf, s.next_tid, second)
+        s2, thr = consume_event(s, cfg, buf, s.next_tid, second)
         assert s2.es[buf] == (first,)
-        assert s2.cs[buf][s.next_tid].params.fields == (("p", IntVal(2)),)
+        assert thr.params.fields == (("p", IntVal(2)),)
 
     def test_bogus_pseudo_id_is_internal(self):
         cfg = buffer_config()
@@ -316,6 +318,23 @@ class TestExecStep:
         thr = s2.cs[buf][reserved]
         assert thr.pc == 1
         assert thr.locals.get("d") == IntVal(0)
+
+    def test_a_handler_that_returns_at_once_is_never_stored(self):
+        sig = OpSig("stub", (), VOID)
+        meth = MethodDef(sig, (), (ReturnConst(VOID_VAL),))
+        classes = {"Buffer": buffer_class()}
+        cfg = make_config(classes, {}, {"Buffer": {sig: meth}})
+        s, buf = alloc_object(empty_state(), classes["Buffer"])
+        s, caller = alloc_object(s, classes["Buffer"])
+        msg = Message(caller, 0, buf,
+                      CallPayload(sig, RecordVal(), "r", 1))
+        s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)),
+                    next_tid=1, next_seq=1)
+        s2, pc, _, receiver = step(s, cfg, buf, 1, s.es[buf][0])
+        assert (pc, receiver) == (0, caller)
+        assert s2.cs == s.cs and s2.next_tid == 2
+        assert s2.es[buf] == ()
+        assert s2.es[caller][0].msg.payload == ReturnPayload(VOID_VAL, "r")
 
     def test_fell_off_the_end_reported(self):
         from smm.actions import NewLocal
@@ -343,7 +362,7 @@ class TestExecStep:
         with pytest.raises(InternalError, match="scheduled but is not ready"):
             step(s, buffer_config(), buf, 0)
 
-    def test_missing_thread_is_an_internal_error(self, monkeypatch):
+    def test_missing_thread_is_an_internal_error(self):
         s, buf = self._lone_thread(ThreadStatus.READY)
         with pytest.raises(InternalError,
                            match="neither exists nor names a pending event"):
@@ -352,11 +371,6 @@ class TestExecStep:
         with pytest.raises(InternalError,
                            match="neither exists nor names a pending event"):
             step(s, buffer_config(), buf + 5, 0)
-        # step's own check, should event consumption ever lose the thread.
-        monkeypatch.setattr(smm.vm, "consume_event", lambda s, *_: s)
-        with pytest.raises(InternalError,
-                           match="missing after event consumption"):
-            step(s, buffer_config(), buf, 7)
 
     @pytest.mark.parametrize("target", [-2, 2, 5])
     def test_jump_outside_the_body_fails_at_the_jump(self, target):
