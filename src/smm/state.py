@@ -1,11 +1,12 @@
 """The three-store simulation state and its primitive operations.
 
 A ``SimState`` is a value: every operation returns a new state and never
-mutates its argument, so a state can be kept, compared, or replayed. The
-data store holds each object's class tag and attribute record, the control
-store holds each object's threads, each one method activation kept as
-``cs[oid][tid]`` (the ids live only in those keys), and the event store
-holds one FIFO queue of incoming events per object.
+mutates its argument, but writes in place a store that only a running
+``vm.run`` holds (an ``_Owned`` one: the transient pattern). The data store
+holds each object's class tag and attribute record, the control store holds
+each object's threads, each one method activation kept as ``cs[oid][tid]``
+(the ids live only in those keys), and the event store holds one FIFO queue
+of incoming events per object.
 
 Thread ids and event sequence numbers are drawn from monotone counters kept
 inside the state, which is what makes whole runs reproducible values. Every
@@ -165,6 +166,24 @@ def empty_state() -> SimState:
     return SimState(ds={}, cs={}, es={})
 
 
+class _Owned(dict):  # a store or thread map only a running vm.run holds
+    __slots__ = ()
+
+
+def _with(store: dict, key, value) -> dict:
+    """``store`` with ``key`` set to ``value``, in place if it is owned."""
+    if type(store) is not _Owned:
+        return {**store, key: value}
+    store[key] = value
+    return store
+
+
+def copy_stores(s: SimState, kind: type = _Owned) -> SimState:
+    """``s`` with new stores, thread maps too, of type ``kind``."""
+    cs = kind((oid, kind(threads)) for oid, threads in s.cs.items())
+    return SimState(kind(s.ds), cs, kind(s.es), s.next_tid, s.next_seq)
+
+
 def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
     """Create an object of ``cls``; ids are assigned in allocation order.
 
@@ -180,8 +199,8 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
         raise InternalError(f"cannot allocate object id {oid}: it is taken, "
                             f"so the data store's ids are not 0..{oid - 1}")
     attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
-    return SimState({**s.ds, oid: StoredObject(cls.name, attrs)},
-                    {**s.cs, oid: {}}, {**s.es, oid: ()},
+    return SimState(_with(s.ds, oid, StoredObject(cls.name, attrs)),
+                    _with(s.cs, oid, type(s.cs)()), _with(s.es, oid, ()),
                     s.next_tid, s.next_seq), oid
 
 
@@ -200,7 +219,7 @@ def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
             f"type error writing attribute {name!r} of object {oid}: "
             f"{v!r} does not match the stored kind", oid=oid)
     new_obj = StoredObject(obj.class_name, obj.attrs.set(name, v))
-    return SimState({**s.ds, oid: new_obj}, s.cs, s.es, s.next_tid,
+    return SimState(_with(s.ds, oid, new_obj), s.cs, s.es, s.next_tid,
                     s.next_seq)
 
 
@@ -209,7 +228,7 @@ def enqueue_event(es: EventStore, e: Event) -> EventStore:
     dst = e.msg.receiver
     if dst not in es:
         raise ExecError(f"event delivery to unknown object {dst}", oid=dst)
-    return {**es, dst: es[dst] + (e,)}
+    return _with(es, dst, es[dst] + (e,))
 
 
 def take_matching_event(es: EventStore, oid: int,
@@ -217,14 +236,17 @@ def take_matching_event(es: EventStore, oid: int,
     """Remove and return the oldest event of ``oid`` satisfying ``pred``.
 
     The relative order of the remaining events is preserved; no match is a
-    normal result, not an error.
+    normal result, not an error. ``es`` is never written, even if owned:
+    the traced pass reads it after the call to find the event taken.
     """
     queue = es.get(oid)
     if queue is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
     for i, e in enumerate(queue):
         if pred(e):
-            return {**es, oid: queue[:i] + queue[i + 1:]}, e
+            rest = type(es)(es)
+            rest[oid] = queue[:i] + queue[i + 1:]
+            return rest, e
     return es, None
 
 
@@ -235,16 +257,17 @@ def end_thread(s: SimState, oid: int, tid: int) -> SimState:
     threads = s.cs.get(oid)
     if threads is None or tid not in threads:
         return s
-    threads = dict(threads)
+    threads = threads if type(threads) is _Owned else dict(threads)
     del threads[tid]
-    return SimState(s.ds, {**s.cs, oid: threads}, s.es, s.next_tid,
+    return SimState(s.ds, _with(s.cs, oid, threads), s.es, s.next_tid,
                     s.next_seq)
 
 
 def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
-    if oid not in s.cs:
+    threads = s.cs.get(oid)
+    if threads is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
-    return SimState(s.ds, {**s.cs, oid: {**s.cs[oid], tid: thr}}, s.es,
+    return SimState(s.ds, _with(s.cs, oid, _with(threads, tid, thr)), s.es,
                     s.next_tid, s.next_seq)
 
 

@@ -7,8 +7,8 @@ operation resolves to a method (lookup along the receiver's class, then its
 superclasses depth-first in declaration order), and how events travel
 between objects (reliable in-order delivery).
 
-Every strategy is a pure function of its inputs; swapping strategies is the
-only sanctioned way to change the machine's observable behavior.
+Every strategy is a function of its inputs alone; swapping strategies is
+the only sanctioned way to change the machine's observable behavior.
 
 A runnables selector reports, for one object, its offered live threads
 and the buffered call and signal events it is willing to handle. Ids for
@@ -40,7 +40,9 @@ The medium contract: the store ``medium(es, e)`` returns may differ from
 other id keeps the very queue object it had. ``deliver_reliable`` keeps
 it, and so does a wrapper that returns its result. The engine relies on
 it for the footprint above; a medium that writes another queue leaves
-that object's offers stale.
+that object's offers stale. A medium may return a plain dict. And as
+``vm.run`` writes the stores of the states it hands a strategy in place,
+no strategy may keep a store, or a state, after it returns.
 
 The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
 returns depends only on the class of object ``oid`` and on ``op``. The

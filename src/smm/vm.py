@@ -40,8 +40,8 @@ from .actions import Action, Call, SendSignal, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, ControlStore, DataStore, Event, RecordVal,
-    SimState, StoredObject, Thread, ThreadStatus, returns_to,
-    take_matching_event,
+    SimState, StoredObject, Thread, ThreadStatus, _Owned, copy_stores,
+    returns_to, take_matching_event,
 )
 # perfbench's tracer times thread writes by rebinding this name here; the
 # engine writes a thread only through ``actions.advance``.
@@ -422,7 +422,9 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     returns can never arrive. ``max_steps`` bounds the number of steps for
     non-terminating models, must not be negative and yields ``StepLimit``
     when exhausted. The optional ``on_step`` hook observes every step as
-    ``(t, oid, tid, pc, action)``.
+    ``(t, oid, tid, pc, action)``. The run writes copies of the stores of
+    ``s`` in place (see ``smm.variation`` for what that asks of a
+    strategy); ``s`` and the final state, of plain dicts, stay unwritten.
 
     ``times`` maps thread ids to the step each last ran at. A thread's
     time is dropped once it ends, since ids are never reused. It must name
@@ -449,18 +451,21 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
     else:
         offered = _OfferHeap(cfg.runnables_sel, order, times)
+    s = copy_stores(s)
     dirty: Iterable[int] = s.ds  # the first step asks every object
     steps = 0
     while True:
         if not offered.refresh(s, dirty):
             waiting = _waiting_threads(s)
             halt: HaltReason = Blocked(waiting) if waiting else AllDone()
-            return RunResult(s, t, halt)
+            return RunResult(copy_stores(s, dict), t, halt)
         if max_steps is not None and steps >= max_steps:
-            return RunResult(s, t, StepLimit())
+            return RunResult(copy_stores(s, dict), t, StepLimit())
         oid, tid, event = offered.choose(s, t)
         objects = len(s.ds)
         s, pc, action, receiver = step(s, cfg, oid, tid, event)
+        if type(s.es) is not _Owned:  # a medium returned a plain dict
+            s = SimState(s.ds, s.cs, _Owned(s.es), s.next_tid, s.next_seq)
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
         if tid in s.cs[oid]:

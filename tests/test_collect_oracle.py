@@ -20,9 +20,10 @@ Every thread must hold the method its operation dispatches to.
 
 ``run`` asks again only the objects a step touched, whatever the medium,
 so the differential also runs under a wrapped ``deliver_reliable`` and
-under ``drop_every_third``, a medium that loses events. Every medium is
-held on every call to the medium contract that choice rests on: it
-writes only its event's receiver queue.
+under ``drop_every_third``, a medium that loses events, and once under
+``plain_reliable``, which hands back a plain dict that the run must own
+again. Every medium is held on every call to the medium contract that
+choice rests on: it writes only its event's receiver queue.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from smm import (
     StepLimit, ThreadStatus, build_config, build_initial_state,
     deliver_reliable, parse_model, render_final_state, run, run_model,
 )
+from smm.frontend import render_trace, trace_recorder
 from smm.state import update_thread
 import smm.vm
 from smm.vm import step
@@ -163,7 +165,15 @@ def _seqs(reserved: dict) -> dict:
     return {tid: event.seq for tid, event in reserved.items()}
 
 
+def plain_stores(s) -> bool:
+    """Whether every store of ``s``, each thread map too, is a plain dict:
+    what ``run`` returns and ``step`` on a plain state keeps."""
+    return type(s.ds) is type(s.cs) is type(s.es) is dict and all(
+        type(threads) is dict for threads in s.cs.values())
+
+
 def _ended(result: RunResult) -> tuple:
+    assert plain_stores(result.final)
     return ("result", render_final_state(result, "structured"),
             result.final)
 
@@ -278,12 +288,16 @@ def assert_same(fast: Trace, slow: Trace) -> None:
 def keeping_the_contract(medium):
     """``medium``, checked on every call to keep the medium contract: the
     store it returns has the same ids as the one it was given, and every
-    queue but the event's receiver's is the very object it was."""
+    queue but the event's receiver's is the very object it was. Within a
+    run the medium writes the store in place, so it is compared with a
+    copy taken before the call."""
 
     def checked(es, event):
+        before = dict(es)
         out = medium(es, event)
-        assert out.keys() == es.keys(), "the medium changed the object ids"
-        assert all(out[oid] is queue for oid, queue in es.items()
+        assert out.keys() == before.keys(), \
+            "the medium changed the object ids"
+        assert all(out[oid] is queue for oid, queue in before.items()
                    if oid != event.msg.receiver), \
             "the medium wrote another object's queue"
         return out
@@ -316,6 +330,12 @@ def drop_every_third(es, event):
     delivers the rest: a medium that changes outcomes and still writes
     only the receiver's queue."""
     return es if event.seq % 3 == 0 else deliver_reliable(es, event)
+
+
+def plain_reliable(es, event):
+    """``deliver_reliable``, its result handed back as a plain dict, which
+    a run must take ownership of again."""
+    return dict(deliver_reliable(es, event))
 
 
 def _check_media(model, **kwargs) -> set:
@@ -499,6 +519,34 @@ def test_a_medium_that_drops_events_matches_the_oracle():
     result = run({}, 0, cfg, build_initial_state(cfg, model.setup))
     assert [result.final.ds[h].attrs.get("total").value for h in (4, 5)] \
         != [0, -4]
+
+
+def _outputs(model, runnables: str, scheduler: str, medium) -> tuple:
+    """What ``run`` shows of ``model`` under ``medium``: its halt, time,
+    both final state renderings and trace, or its error and trace."""
+    cfg = dataclasses.replace(
+        build_config(model, runnables=runnables, scheduler=scheduler),
+        medium=medium)
+    records: list = []
+    try:
+        result = run({}, 0, cfg, build_initial_state(cfg, model.setup),
+                     max_steps=MAX_STEPS, on_step=trace_recorder(records))
+    except ExecError as err:
+        return str(err), render_trace(records)
+    return (result.halt, result.time, render_final_state(result, "text"),
+            render_final_state(result, "structured"), render_trace(records))
+
+
+def test_a_medium_that_returns_a_plain_store_changes_nothing(
+        prodcons_model, deadlock_model):
+    # The run takes ownership of the plain store again after such a step.
+    models = [prodcons_model, deadlock_model, parse_model(FAN)] + [
+        random_model(random.Random(659_000 + seed)) for seed in range(10)]
+    for model in models:
+        _check_model(model, plain_reliable)
+        for runnables, scheduler in CONFIGS:
+            assert _outputs(model, runnables, scheduler, plain_reliable) == \
+                _outputs(model, runnables, scheduler, deliver_reliable)
 
 
 def test_the_order_a_selector_reports_live_threads_in_does_not_matter():

@@ -13,7 +13,9 @@ from smm import (
     enqueue_event, make_config, end_thread, take_matching_event,
     validate_state, write_attr,
 )
-from smm.state import SignalPayload, SimState, make_event, update_thread
+from smm.state import (
+    SignalPayload, SimState, _Owned, copy_stores, make_event, update_thread,
+)
 
 from conftest import PUT_OP, buffer_class, buffer_tables, get_method
 
@@ -201,6 +203,18 @@ class TestTakeMatchingEvent:
                                        lambda e: e.kind is EventKind.CALL)
         assert taken == c1
 
+    @pytest.mark.parametrize("kind", [dict, _Owned])
+    def test_the_store_is_never_written_even_when_a_run_owns_it(self, kind):
+        # A tracer reads the argument after the call to find the event
+        # taken, so even a store a run owns is copied, not written.
+        s, oid = _state_with_buffer()
+        queue = (_call_event(0, receiver=oid), _call_event(1, receiver=oid))
+        es = kind({oid: queue})
+        rest, taken = take_matching_event(es, oid, lambda e: True)
+        assert taken is queue[0] and rest[oid] == queue[1:]
+        assert es[oid] is queue
+        assert rest is not es and type(rest) is kind
+
 
 def _with_thread(s, oid):
     """``s`` with thread 0 of ``oid`` at the start of ``get``."""
@@ -221,6 +235,47 @@ class TestEndThread:
         s, oid = _state_with_buffer()
         assert end_thread(s, oid, 42) is s
         assert end_thread(s, oid + 1, 0) is s
+
+
+def _writes(s, oid):
+    """Each primitive that writes a store, applied once in turn from ``s``,
+    as (name, the stores it writes as they were, the stores it returns)."""
+    thr = Thread(1, ThreadStatus.READY, get_method())
+    out = []
+    t, _ = alloc_object(s, buffer_class())
+    out.append(("alloc_object", (s.ds, s.cs, s.es), (t.ds, t.cs, t.es)))
+    s, t = t, write_attr(t, oid, "data", IntVal(7))
+    out.append(("write_attr", (s.ds,), (t.ds,)))
+    es = enqueue_event(t.es, _call_event(0, receiver=oid))
+    out.append(("enqueue_event", (t.es,), (es,)))
+    s, t = t, update_thread(t, oid, 0, thr)
+    out.append(("update_thread", (s.cs, s.cs[oid]), (t.cs, t.cs[oid])))
+    s, t = t, end_thread(t, oid, 0)
+    out.append(("end_thread", (s.cs, s.cs[oid]), (t.cs, t.cs[oid])))
+    return out
+
+
+class TestOwnedStores:
+    def test_a_plain_store_is_never_written(self):
+        s, oid = _state_with_buffer()
+        for name, before, after in _writes(s, oid):
+            for old, new in zip(before, after):
+                assert new is not old and type(new) is dict, name
+        assert s == _state_with_buffer()[0]
+
+    def test_a_store_a_run_owns_is_written_in_place(self):
+        s, oid = _state_with_buffer()
+        for name, before, after in _writes(copy_stores(s), oid):
+            for old, new in zip(before, after):
+                assert new is old and type(new) is _Owned, name
+
+    def test_stores_are_copied_at_every_level(self):
+        s = _with_thread(*_state_with_buffer())
+        owned = copy_stores(s)
+        assert owned == s
+        assert type(owned.cs[0]) is _Owned and owned.cs[0] is not s.cs[0]
+        plain = copy_stores(owned, dict)
+        assert plain == s and type(plain.cs[0]) is dict
 
 
 class TestValidateState:
