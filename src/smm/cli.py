@@ -84,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 
     records: list[TraceRecord] = []
     hook = trace_recorder(records) if args.trace else None
+    failure = None  # (message, exit code) of a run that stopped early
     try:
         result = run_main(cfg, model.setup, max_steps=args.max_steps,
                           on_step=hook)
@@ -92,18 +93,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.file}:{diag}", file=sys.stderr)
         return EXIT_VALIDATION
     except ExecError as err:
-        if args.trace and records:
-            print(render_trace(records))
-        print(f"smm: runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        failure = f"runtime error: {err}", EXIT_RUNTIME
     except KeyboardInterrupt:
-        if args.trace and records:
-            print(render_trace(records))
-        print("smm: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        failure = "interrupted", EXIT_INTERRUPTED
 
-    if args.trace and records:
+    if records:  # the steps taken, also those before a failure
         print(render_trace(records))
+    if failure:
+        print(f"smm: {failure[0]}", file=sys.stderr)
+        return failure[1]
     rendering = render_final_state(result, args.format)
     if args.out:
         try:

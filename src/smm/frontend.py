@@ -25,7 +25,8 @@ into plain body indices; ``#`` starts a comment that runs to the end of
 its line. ``parse_model`` yields a validated ``ModelDef`` or raises
 ``ModelError`` with located diagnostics; ``print_model`` renders the
 canonical source for a ``ModelDef``, and parsing that text reproduces the
-value exactly.
+value exactly. Both read ``_SPELLINGS``, one spelling per action class,
+and both forms of a final state read ``_VALUE_FORMS``, one row per value.
 
 The tokenizer makes one regular-expression match per token, which also
 consumes the whitespace, line ends and comments before it, and yields
@@ -61,13 +62,12 @@ import json
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import actions as A
 from .errors import Diagnostic, ExecError, ModelError
-from .state import SimState
 from .universe import (
     AttrDef, BASE_TYPES, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy,
     INT_RANGE, IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig,
@@ -160,11 +160,6 @@ def _line_col(line_ends: list[int], offset: int) -> tuple[int, int]:
 
 # --- parser ---------------------------------------------------------------------
 
-_STMT_KEYWORDS = {
-    "let", "loadparam", "loadattr", "set", "setattr", "goto", "ifnot", "new",
-    "call", "send", "return", *A.BIN_OPS,
-}
-
 # The keyword literals and the values they spell.
 _LITERALS = {"true": BoolVal(True), "false": BoolVal(False), "void": VOID_VAL,
              "null": NULL_OID}
@@ -196,9 +191,9 @@ class _Parser:
         self.classes: dict[str, ClassDef] = {}
         self.scl: SubclassRel = {}
         self.ops: dict[tuple[str, OpSig], _RawOp] = {}  # by (class, sig)
-        # Call/send sites awaiting their operation: (body, index, token of
-        # the operation name, arity, the action's builder from its operation).
-        self.sites: list[tuple] = []
+        # Call/send sites awaiting their operation: the method, the
+        # action's index and the token of the operation name.
+        self.sites: list[tuple[_RawOp, int, _Token]] = []
         self.setup: list[SetupEntry] = []
         # A class, superclass, attribute or setup element (a
         # ``Problem.where`` key) -> the token naming it; see ``loc``.
@@ -357,115 +352,58 @@ class _Parser:
 
     def parse_body(self, raw: _RawOp):
         self.expect("punct", "{")
+        self.raw, self.label_refs = raw, []
         labels: dict[str, int] = {}
-        # (index, label, loc, the builder of the jump from its target)
-        pending: list[tuple[int, str, _Token, Callable]] = []
 
         while (tok := self.toks[self.pos])[1] != "}":
             if tok[0] == "eof":
                 self.fail("unterminated method body")
             # Optional "NAME:" label prefix.
-            if tok[0] == "ident" and tok[1] not in _STMT_KEYWORDS and \
+            if tok[0] == "ident" and tok[1] not in _READ and \
                     self.toks[self.pos + 1][1] == ":":
                 self.pos += 2
                 if tok[1] in labels:
                     self.note(f"duplicate label {tok[1]!r}", tok)
                 labels[tok[1]] = len(raw.body)
                 continue
-            self.parse_stmt(raw, pending)
+            self.parse_stmt()
 
         self.expect("punct", "}")
-        for index, label, loc, build in pending:
-            if label not in labels:
-                self.note(f"unknown label {label!r}", loc)
+        for index, lbl in self.label_refs:
+            if lbl[1] not in labels:
+                self.note(f"unknown label {lbl[1]!r}", lbl)
                 continue
-            raw.body[index] = build(labels[label])
+            raw.body[index] = replace(raw.body[index], target=labels[lbl[1]])
 
-    def parse_jump(self, pending, index: int, build: Callable) -> A.Action:
-        """``build(target)`` for a label reference or a raw body index;
-        labels resolve later, when the jump is built again.
-
-        A label's placeholder target is 0, which is always in range, so an
-        unknown label is reported once, as unknown, and not also as a jump
-        out of the body.
-        """
-        if self.peek()[0] == "int":
-            return build(self.integer())
-        lbl = self.ident("a label or body index")
-        pending.append((index, lbl[1], lbl, build))
-        return build(0)
-
-    def parse_stmt(self, raw: _RawOp, pending):
+    def parse_stmt(self):
+        """One statement, read by its keyword's reader in ``_READ``."""
         tok = self.ident("a statement keyword")
-        kw = tok[1]
-        body = raw.body
-        index = len(body)
-
-        if kw == "let":
-            name = self.ident("a local name")[1]
-            self.expect("punct", ":")
-            t = self.parse_type()
-            self.expect("punct", "=")
-            body.append(A.NewLocal(name, t, self.parse_literal()))
-        elif kw == "loadparam":
-            local = self.ident("a local name")[1]
-            param = self.ident("a parameter name")[1]
-            body.append(A.LocalFromParam(local, param))
-        elif kw == "loadattr":
-            local = self.ident("a local name")[1]
-            attr = self.ident("an attribute name")[1]
-            body.append(A.LocalFromAttr(local, attr))
-        elif kw == "set":
-            local = self.ident("a local name")[1]
-            body.append(A.LocalConst(local, self.parse_literal()))
-        elif kw == "setattr":
-            attr = self.ident("an attribute name")[1]
-            local = self.ident("a local name")[1]
-            body.append(A.SetAttr(attr, local))
-        elif kw in A.BIN_OPS:
-            dst = self.ident("a destination local")[1]
-            lhs = self.ident("a left operand local")[1]
-            rhs = self.ident("a right operand local")[1]
-            body.append(A.BinOp(kw, dst, lhs, rhs))
-        elif kw == "goto":
-            body.append(self.parse_jump(pending, index, A.Jump))
-        elif kw == "ifnot":
-            cond = self.ident("a condition local")[1]
-            self.expect("ident", "goto")
-            body.append(self.parse_jump(pending, index,
-                                        partial(A.BranchIfFalse, cond)))
-        elif kw == "new":
-            dst = self.ident("a destination local")[1]
-            cls = self.ident("a class name")[1]
-            body.append(A.NewObject(dst, cls))
-        elif kw in ("call", "send"):
-            target = self.ident("a target local")[1]
-            self.expect("punct", ".")
-            op_tok = self.ident("an operation name")
-            args = tuple(self.items(
-                lambda: self.ident("an argument local")[1], "()"))
-            if kw == "call":
-                self.expect("arrow")
-                build = partial(A.Call, target, args=args,
-                                result_local=self.ident("a result local")[1])
-            else:
-                self.expect("ident", "prio")
-                build = partial(A.SendSignal, target, args=args,
-                                prio=self.integer())
-            body.append(build(_UNRESOLVED))
-            self.sites.append((body, index, op_tok, len(args), build))
-        elif kw == "return":
+        readers = _READ.get(tok[1])
+        if readers is None:
+            self.fail(f"unknown statement {tok[1]!r}", tok)
+        read = readers[0]
+        if len(readers) > 1:  # ReturnLocal's, or ReturnConst's for a literal
             nxt = self.peek()
-            if nxt[0] == "ident" and nxt[1] not in _LITERALS:
-                self.pos += 1
-                body.append(A.ReturnLocal(nxt[1]))
-            else:
-                body.append(A.ReturnConst(self.parse_literal()))
-        else:
-            self.fail(f"unknown statement {kw!r}", tok)
-
+            if nxt[0] != "ident" or nxt[1] in _LITERALS:
+                read = readers[1]
+        self.raw.body.append(read(self, tok[1]))
         self.expect("punct", ";")
-        raw.toks.append(tok)
+        self.raw.toks.append(tok)
+
+    def jump_target(self) -> int:
+        """A body index, or a label's placeholder 0, always in range, so an
+        unknown label is reported once; ``parse_body`` resolves it."""
+        if self.peek()[0] == "int":
+            return self.integer()
+        self.label_refs.append((len(self.raw.body),
+                                self.ident("a label or body index")))
+        return 0
+
+    def operation(self) -> OpSig:
+        """A call site's operation, which ``finish`` resolves."""
+        self.sites.append((self.raw, len(self.raw.body),
+                           self.ident("an operation name")))
+        return _UNRESOLVED
 
     def parse_setup(self):
         self.expect("ident", "setup")
@@ -521,8 +459,9 @@ class _Parser:
             sigs_by_name.setdefault(raw.sig.name, []).append(raw.sig)
 
         found: dict[tuple[str, int], list[OpSig]] = {}  # (name, arity)
-        for body, index, tok, arity, build in self.sites:
-            name = tok[1]
+        unresolved: set[tuple] = set()  # the sites as ``Problem.where`` keys
+        for raw, index, tok in self.sites:
+            name, arity = tok[1], len(raw.body[index].args)
             key = name, arity
             if key not in found:
                 # The same signature may be implemented by several classes.
@@ -530,14 +469,16 @@ class _Parser:
                                      if len(sig.param_types) == arity},
                                     key=str)
             sigs = found[key]
+            if len(sigs) == 1:
+                raw.body[index] = replace(raw.body[index], op=sigs[0])
+                continue
             if not sigs:
                 self.note(f"no operation {name!r} taking {arity} argument(s) "
                           f"is declared", tok)
-            elif len(sigs) > 1:
+            else:
                 self.note(f"operation {name!r} with {arity} argument(s) is "
                           f"ambiguous", tok)
-            else:
-                body[index] = build(sigs[0])
+            unresolved.add(("action", raw.class_name, raw.sig, index))
 
         meth_map: MethMap = {}
         for raw in self.ops.values():
@@ -547,7 +488,8 @@ class _Parser:
         hierarchy = Hierarchy(self.classes, self.scl)
         for where, message in (validate_model(hierarchy, meth_map)
                                + check_setup(hierarchy, self.setup)):
-            self.note(message, self.loc(where))
+            if where not in unresolved:  # its placeholder takes no argument
+                self.note(message, self.loc(where))
         self._check_attr_refs(hierarchy)
         self._resolve_start_ops(meth_map, hierarchy)
 
@@ -627,9 +569,85 @@ class _Parser:
                 Active(candidates[0], entry.kind.prio), entry.links)
 
 
-# Placeholder signature for unresolved call/send sites; replaced during
-# resolution and never present in a returned ModelDef.
+# The operation of a call site or a start object until it is resolved.
 _UNRESOLVED = OpSig("<unresolved>", (), VOID)
+
+
+# --- statements -------------------------------------------------------------
+
+# A field's part: an expression that reads it with the parser ``p``, and
+# one that writes it from the field, put for ``{}``, and ``labels``; or,
+# for a field spelled as one name, the name's description in diagnostics.
+_LITERAL = ("p.parse_literal()", "_print_literal({})")
+_TARGET = ("p.jump_target()", "labels.get({}, {}) if labels else {}")
+_OP = ("p.operation()", "{}.name")
+_ARGS = ("tuple(p.items(lambda: p.ident('an argument local')[1], '()'))",
+         "'(' + ', '.join({}) + ')'")
+
+# Each action class's one spelling: a template and the part that fills
+# each ``{}``, one per field in field order. The template's first word is
+# the statement's keyword, but a BinOp's keyword is its first field, one
+# of ``BIN_OPS``; each other word is a token that must stand there.
+_SPELLINGS: dict[type, tuple] = {
+    A.NewLocal: ("let {}: {} = {}", "a local name", ("p.parse_type()", "{}"),
+                 _LITERAL),
+    A.LocalFromParam: ("loadparam {} {}", "a local name", "a parameter name"),
+    A.LocalFromAttr: ("loadattr {} {}", "a local name", "an attribute name"),
+    A.LocalConst: ("set {} {}", "a local name", _LITERAL),
+    A.SetAttr: ("setattr {} {}", "an attribute name", "a local name"),
+    A.BinOp: ("{} {} {} {}", ("keyword", "{}"), "a destination local",
+              "a left operand local", "a right operand local"),
+    A.Jump: ("goto {}", _TARGET),
+    A.BranchIfFalse: ("ifnot {} goto {}", "a condition local", _TARGET),
+    A.NewObject: ("new {} {}", "a destination local", "a class name"),
+    A.Call: ("call {}.{}{} -> {}", "a target local", _OP, _ARGS,
+             "a result local"),
+    A.SendSignal: ("send {}.{}{} prio {}", "a target local", _OP, _ARGS,
+                   ("p.integer()", "{}")),
+    A.ReturnLocal: ("return {}", "a local name"),
+    A.ReturnConst: ("return {}", _LITERAL),
+}
+
+
+def _token(word: str) -> tuple:
+    """``_Parser.expect``'s arguments for the token spelled ``word``."""
+    if word == "->":
+        return ("arrow",)
+    return ("ident" if word.isalpha() else "punct", word)
+
+
+def _compile_spellings():
+    """By keyword, the reader of each statement it starts; by class, the
+    writer. Each is compiled once from the spelling, as ``value_class``
+    compiles methods, so it costs what hand-written code does: ``set``'s
+    writer returns ``f"set {act.local} {_print_literal(act.value)}"``."""
+    read: dict[str, list[Callable]] = {}
+    write: dict[type, Callable] = {}
+    for cls, (template, *parts) in _SPELLINGS.items():
+        parts = [(f"p.ident({part!r})[1]", "{}") if isinstance(part, str)
+                 else part for part in parts]
+        keyword, *between = template.split("{}")
+        names = [f.name for f in fields(cls)]
+        source = ["def read(p, keyword):"]
+        for name, word, (reader, _) in zip(names, ["", *between], parts):
+            if word.strip():
+                source.append(f"    p.expect{_token(word.strip())!r}")
+            source.append(f"    {name} = {reader}")
+        written = keyword + "".join(
+            "{" + writer.replace("{}", f"act.{name}") + "}" + word
+            for name, (_, writer), word in zip(names, parts, between))
+        source += [f"    return A.{cls.__name__}({', '.join(names)})",
+                   "def write(act, labels):", f'    return f"{written}"']
+        code: dict[str, Callable] = {}
+        exec(compile("\n".join(source), f"<{cls.__name__} spelling>", "exec"),
+             globals(), code)
+        for kw in [keyword.strip()] if keyword else A.BIN_OPS:
+            read.setdefault(kw, []).append(code["read"])
+        write[cls] = code["write"]
+    return read, write
+
+
+_READ, _WRITE = _compile_spellings()
 
 
 def parse_model(text: str) -> ModelDef:
@@ -685,39 +703,9 @@ def _print_literal(v: Value) -> str:
 
 def render_action(act: A.Action, labels: dict[int, str] | None = None) -> str:
     """One action in source syntax; jump targets use ``labels`` when given."""
-
-    def target(pc: int) -> str:
-        return labels[pc] if labels and pc in labels else str(pc)
-
-    if isinstance(act, A.NewLocal):
-        return f"let {act.name}: {act.type} = {_print_literal(act.init)}"
-    if isinstance(act, A.LocalFromParam):
-        return f"loadparam {act.local} {act.param}"
-    if isinstance(act, A.LocalFromAttr):
-        return f"loadattr {act.local} {act.attr}"
-    if isinstance(act, A.LocalConst):
-        return f"set {act.local} {_print_literal(act.value)}"
-    if isinstance(act, A.SetAttr):
-        return f"setattr {act.attr} {act.local}"
-    if isinstance(act, A.BinOp):
-        return f"{act.op} {act.dst} {act.lhs} {act.rhs}"
-    if isinstance(act, A.Jump):
-        return f"goto {target(act.target)}"
-    if isinstance(act, A.BranchIfFalse):
-        return f"ifnot {act.cond} goto {target(act.target)}"
-    if isinstance(act, A.NewObject):
-        return f"new {act.dst} {act.class_name}"
-    if isinstance(act, A.Call):
-        return f"call {act.target}.{act.op.name}({', '.join(act.args)}) -> " \
-               f"{act.result_local}"
-    if isinstance(act, A.SendSignal):
-        return f"send {act.target}.{act.op.name}({', '.join(act.args)}) " \
-               f"prio {act.prio}"
-    if isinstance(act, A.ReturnConst):
-        return f"return {_print_literal(act.value)}"
-    if isinstance(act, A.ReturnLocal):
-        return f"return {act.name}"
-    raise ModelError(f"action {act!r} has no source form")
+    if type(act) not in _WRITE:
+        raise ModelError(f"action {act!r} has no source form")
+    return _WRITE[type(act)](act, labels)
 
 
 def print_model(m: ModelDef) -> str:
@@ -764,42 +752,28 @@ def print_model(m: ModelDef) -> str:
 
 # --- rendering results ------------------------------------------------------------
 
-def _render_value(v: Value) -> str:
-    if isinstance(v, IntVal):
-        return f"VInt {_int_value(v, 'output')}"
-    if isinstance(v, BoolVal):
-        return f"VBool {'true' if v.value else 'false'}"
-    if isinstance(v, VoidVal):
-        return "VVoid"
-    if isinstance(v, OidVal):
-        return f"XOID {v.oid}"
-    if isinstance(v, NullOid):
-        return "XNULL"
-    raise ModelError(f"value {v!r} has no output form")
+# Each value class's output forms: the text form's tag, the structured
+# form's kind, and what gives the payload both carry, if any.
+_VALUE_FORMS: dict[type, tuple[str, str, Callable | None]] = {
+    IntVal: ("VInt", "int", lambda v: _int_value(v, "output")),
+    BoolVal: ("VBool", "bool", lambda v: v.value),
+    VoidVal: ("VVoid", "void", None),
+    OidVal: ("XOID", "oid", lambda v: v.oid),
+    NullOid: ("XNULL", "null", None),
+}
+_HALT_NAMES = {AllDone: "all-done", Blocked: "blocked",
+               StepLimit: "step-limit"}
 
 
-def _value_json(v: Value):
-    if isinstance(v, IntVal):
-        return {"kind": "int", "value": _int_value(v, "output")}
-    if isinstance(v, BoolVal):
-        return {"kind": "bool", "value": v.value}
-    if isinstance(v, VoidVal):
-        return {"kind": "void"}
-    if isinstance(v, OidVal):
-        return {"kind": "oid", "value": v.oid}
-    if isinstance(v, NullOid):
-        return {"kind": "null"}
-    raise ModelError(f"value {v!r} has no output form")
-
-
-def _halt_name(result: RunResult) -> str:
-    if isinstance(result.halt, AllDone):
-        return "all-done"
-    if isinstance(result.halt, Blocked):
-        return "blocked"
-    if isinstance(result.halt, StepLimit):
-        return "step-limit"
-    return "unknown"
+def _value_form(v: Value, fmt: str):
+    """``v`` in the text or the structured form, from its output forms."""
+    if type(v) not in _VALUE_FORMS:
+        raise ModelError(f"value {v!r} has no output form")
+    tag, kind, payload = _VALUE_FORMS[type(v)]
+    if fmt == "text":  # the payload as JSON writes it: true, not True
+        return tag if payload is None else f"{tag} {str(payload(v)).lower()}"
+    return {"kind": kind} if payload is None else \
+        {"kind": kind, "value": payload(v)}
 
 
 def render_final_state(result: RunResult, fmt: str = "text") -> str:
@@ -810,12 +784,12 @@ def render_final_state(result: RunResult, fmt: str = "text") -> str:
     structured form is JSON carrying the same data plus the halt reason,
     with stable ordering for byte-for-byte comparison of runs.
     """
-    s: SimState = result.final
+    ds = result.final.ds
     if fmt == "text":
         lines = ["attributes:"]
-        for oid in sorted(s.ds):
-            obj = s.ds[oid]
-            attrs = ",".join(f'("{n}",{_render_value(v)})'
+        for oid in sorted(ds):
+            obj = ds[oid]
+            attrs = ",".join(f'("{n}",{_value_form(v, fmt)})'
                              for n, v in obj.attrs.fields)
             lines.append(f"{obj.class_name}(id {oid}): [{attrs}]")
         lines.append(f"time: {result.time}")
@@ -824,13 +798,13 @@ def render_final_state(result: RunResult, fmt: str = "text") -> str:
         doc = {
             "objects": [
                 {"id": oid,
-                 "class": s.ds[oid].class_name,
-                 "attrs": [[n, _value_json(v)]
-                           for n, v in s.ds[oid].attrs.fields]}
-                for oid in sorted(s.ds)
+                 "class": ds[oid].class_name,
+                 "attrs": [[n, _value_form(v, fmt)]
+                           for n, v in ds[oid].attrs.fields]}
+                for oid in sorted(ds)
             ],
             "time": result.time,
-            "halt": _halt_name(result),
+            "halt": _HALT_NAMES.get(type(result.halt), "unknown"),
             "waiting": [list(w) for w in result.halt.waiting]
             if isinstance(result.halt, Blocked) else [],
         }

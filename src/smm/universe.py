@@ -447,7 +447,8 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     internally consistent (unique parameters, non-empty bodies, jump
     targets in range, known parameters and classes, fitting initial
     values, ``Int`` literals inside ``INT_RANGE``, ``return`` literals
-    fitting the return type). Chains
+    fitting the return type, operators of ``BIN_OPS``, and as many call
+    and signal arguments as the operation takes parameters). Chains
     are read from ``hierarchy`` and walked only where a rule needs them;
     the parser hands the same one to ``smm.vm.check_setup``. The setup
     rules live in ``smm.vm.check_setup``; the parser keeps only what needs
@@ -457,6 +458,7 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     """
     from . import actions
 
+    sends = actions.Call, actions.SendSignal
     class_table, scl = hierarchy.class_table, hierarchy.scl
     problems: list[Problem] = []
 
@@ -584,4 +586,13 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
                         act.param not in names:
                     report(at, f"{label}: action {pc} loads unknown "
                                f"parameter {act.param!r}")
+                elif isinstance(act, actions.BinOp) and \
+                        act.op not in actions.BIN_OPS:
+                    report(at, f"{label}: action {pc} uses unknown operator "
+                               f"{act.op!r}")
+                elif isinstance(act, sends) and \
+                        len(act.args) != len(act.op.param_types):
+                    report(at, f"{label}: action {pc} passes {len(act.args)} "
+                               f"argument(s) to {act.op.name!r}, which takes "
+                               f"{len(act.op.param_types)}")
     return problems
