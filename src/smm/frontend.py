@@ -53,7 +53,9 @@ redeclares one name. Every other rule has one home, ``validate_model``
 for the model and ``smm.vm.check_setup`` for the setup; the parser places
 each of their problems at the token it recorded for the element the
 problem names, and reports everything it found in one pass, in source
-order.
+order. A call site it cannot resolve holds a placeholder operation of its
+own arity, as an unknown label holds the target 0, so the parser notes
+every problem the validators return.
 """
 
 from __future__ import annotations
@@ -400,7 +402,8 @@ class _Parser:
         return 0
 
     def operation(self) -> OpSig:
-        """A call site's operation, which ``finish`` resolves."""
+        """A call site's operation, which ``finish`` resolves, or else
+        replaces with a placeholder of the site's arity."""
         self.sites.append((self.raw, len(self.raw.body),
                            self.ident("an operation name")))
         return _UNRESOLVED
@@ -458,27 +461,24 @@ class _Parser:
         for raw in self.ops.values():
             sigs_by_name.setdefault(raw.sig.name, []).append(raw.sig)
 
-        found: dict[tuple[str, int], list[OpSig]] = {}  # (name, arity)
-        unresolved: set[tuple] = set()  # the sites as ``Problem.where`` keys
+        found: dict[tuple[str, int], set[OpSig]] = {}  # (name, arity)
         for raw, index, tok in self.sites:
             name, arity = tok[1], len(raw.body[index].args)
             key = name, arity
             if key not in found:
                 # The same signature may be implemented by several classes.
-                found[key] = sorted({sig for sig in sigs_by_name.get(name, [])
-                                     if len(sig.param_types) == arity},
-                                    key=str)
+                found[key] = {sig for sig in sigs_by_name.get(name, [])
+                              if len(sig.param_types) == arity}
             sigs = found[key]
             if len(sigs) == 1:
-                raw.body[index] = replace(raw.body[index], op=sigs[0])
-                continue
-            if not sigs:
-                self.note(f"no operation {name!r} taking {arity} argument(s) "
-                          f"is declared", tok)
+                op, = sigs
             else:
                 self.note(f"operation {name!r} with {arity} argument(s) is "
-                          f"ambiguous", tok)
-            unresolved.add(("action", raw.class_name, raw.sig, index))
+                          f"ambiguous" if sigs else f"no operation {name!r} "
+                          f"taking {arity} argument(s) is declared", tok)
+                # Of the site's arity, so validate_model finds nothing here.
+                op = OpSig(name, (VOID,) * arity, VOID)
+            raw.body[index] = replace(raw.body[index], op=op)
 
         meth_map: MethMap = {}
         for raw in self.ops.values():
@@ -488,8 +488,7 @@ class _Parser:
         hierarchy = Hierarchy(self.classes, self.scl)
         for where, message in (validate_model(hierarchy, meth_map)
                                + check_setup(hierarchy, self.setup)):
-            if where not in unresolved:  # its placeholder takes no argument
-                self.note(message, self.loc(where))
+            self.note(message, self.loc(where))
         self._check_attr_refs(hierarchy)
         self._resolve_start_ops(meth_map, hierarchy)
 
@@ -550,23 +549,20 @@ class _Parser:
                 continue
             named = {sig for cls in chain for sig in meth_map.get(cls, {})
                      if sig.name == op_name}
-            candidates = sorted((sig for sig in named if not sig.param_types),
-                                key=str)
-            if not candidates:
-                if named:
-                    self.note(f"start operation {op_name!r} must take no "
-                              f"parameters", loc)
-                else:
-                    self.note(f"class {entry.class_name!r} does not implement "
-                              f"{op_name!r}", loc)
-                continue
-            if len(candidates) > 1:
+            candidates = {sig for sig in named if not sig.param_types}
+            if len(candidates) == 1:
+                self.setup[index] = SetupEntry(
+                    entry.name, entry.class_name,
+                    Active(candidates.pop(), entry.kind.prio), entry.links)
+            elif candidates:
                 self.note(f"start operation {op_name!r} is ambiguous for "
                           f"class {entry.class_name!r}", loc)
-                continue
-            self.setup[index] = SetupEntry(
-                entry.name, entry.class_name,
-                Active(candidates[0], entry.kind.prio), entry.links)
+            elif named:
+                self.note(f"start operation {op_name!r} must take no "
+                          f"parameters", loc)
+            else:
+                self.note(f"class {entry.class_name!r} does not implement "
+                          f"{op_name!r}", loc)
 
 
 # The operation of a call site or a start object until it is resolved.
@@ -724,9 +720,8 @@ def print_model(m: ModelDef) -> str:
             params = ", ".join(f"{n}: {t}" for n, t in meth.params)
             out.append(f"op {cls_name}.{sig.name}({params}): "
                        f"{sig.return_type} {{")
-            targets = sorted({act.target for act in meth.body
-                              if isinstance(act, (A.Jump, A.BranchIfFalse))})
-            labels = {pc: f"L{pc}" for pc in targets}
+            labels = {act.target: f"L{act.target}" for act in meth.body
+                      if isinstance(act, (A.Jump, A.BranchIfFalse))}
             for pc, act in enumerate(meth.body):
                 if pc in labels:
                     out.append(f"{labels[pc]}:")

@@ -386,9 +386,9 @@ def value_fits(v: Value, t: TypeRef, ds=None,
     """Assignment compatibility of a value against a declared type.
 
     A reference of a subclass fits a superclass-typed slot; null fits any
-    class type. When ``ds`` is absent, any non-null reference is accepted
-    for a class type (the store is needed to learn its class). With ``ds``,
-    the class's chain is read from ``hierarchy``; a class it has no chain
+    class type. When ``ds`` is absent, no other reference fits, as no model
+    text can spell one. With ``ds``, a reference's class is learnt from the
+    store and its chain read from ``hierarchy``; a class it has no chain
     for (missing from its table, or on a cycle) counts as its own chain.
     An ``IntVal`` fits ``Int`` only inside ``INT_RANGE``.
     """
@@ -401,8 +401,8 @@ def value_fits(v: Value, t: TypeRef, ds=None,
     if isinstance(t, ClassType):
         if isinstance(v, NullOid):
             return True
-        if isinstance(v, OidVal):
-            if ds is None or v.oid not in ds:
+        if isinstance(v, OidVal) and ds is not None:
+            if v.oid not in ds:
                 return True
             cls = ds[v.oid].class_name
             return t.name in (hierarchy.chain(cls) or (cls,))
@@ -446,15 +446,15 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     entries of known classes whose signatures, parameters and bodies are
     internally consistent (unique parameters, non-empty bodies, jump
     targets in range, known parameters and classes, fitting initial
-    values, ``Int`` literals inside ``INT_RANGE``, ``return`` literals
-    fitting the return type, operators of ``BIN_OPS``, and as many call
-    and signal arguments as the operation takes parameters). Chains
-    are read from ``hierarchy`` and walked only where a rule needs them;
-    the parser hands the same one to ``smm.vm.check_setup``. The setup
-    rules live in ``smm.vm.check_setup``; the parser keeps only what needs
-    its tokens or would be lost in these tables (syntax, duplicate classes
-    and methods, labels, name resolution, config keys, attribute
-    references).
+    values, ``Int`` literals inside ``INT_RANGE``, ``set`` values that are
+    literals, ``return`` literals fitting the return type, operators of
+    ``BIN_OPS``, and as many call and signal arguments as the operation
+    takes parameters). Chains are read from ``hierarchy`` and walked only
+    where a rule needs them; the parser hands the same one to
+    ``smm.vm.check_setup``. The setup rules live in ``smm.vm.check_setup``;
+    the parser keeps only what needs its tokens or would be lost in these
+    tables (syntax, duplicate classes and methods, labels, name resolution,
+    config keys, attribute references).
     """
     from . import actions
 
@@ -574,6 +574,10 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
                         not value_fits(act.value, INT):
                     report(at, f"{label}: action {pc} uses an integer "
                                f"outside the signed 64-bit range")
+                elif isinstance(act, actions.LocalConst) and not isinstance(
+                        act.value, (IntVal, BoolVal, VoidVal, NullOid)):
+                    report(at, f"{label}: action {pc} sets a value that is "
+                               f"not a literal")
                 elif isinstance(act, actions.ReturnConst) and \
                         not value_fits(act.value, sig.return_type):
                     report(at, f"{label}: action {pc} returns a value that "

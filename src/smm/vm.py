@@ -485,14 +485,15 @@ def check_setup(hierarchy: Hierarchy, setup: Setup) -> list[Problem]:
     """The setup rules, checked here and nowhere else.
 
     Object names are unique, classes are known, priorities are not
-    negative, and every link names a setup object. A link into an
-    attribute, declared or inherited, must not replace one of a non-class
-    type, and may fill one of a class type only with an object of that
-    class or a subclass. Both the parser, which reports each problem at
-    its entry, and ``build_initial_state`` call it. Each problem names its
-    entry as ``("setup", index)``. Whether an active entry's start
-    operation dispatches depends on the chosen dispatcher, so
-    ``build_initial_state`` checks that itself.
+    negative, start operations take no parameters (the parser resolves a
+    start operation only among those that take none), and every link
+    names a setup object. A link into an attribute, declared or inherited,
+    must not replace one of a non-class type, and may fill one of a class
+    type only with an object of that class or a subclass. Both the parser,
+    which reports each problem at its entry, and ``build_initial_state``
+    call it. Each problem names its entry as ``("setup", index)``. Whether
+    an active entry's start operation dispatches depends on the chosen
+    dispatcher, so ``build_initial_state`` checks that itself.
     """
     problems: list[Problem] = []
     class_of = {entry.name: entry.class_name for entry in setup}
@@ -526,6 +527,9 @@ def check_setup(hierarchy: Hierarchy, setup: Setup) -> list[Problem]:
         if isinstance(entry.kind, Active) and entry.kind.prio < 0:
             found.append(f"setup object {entry.name!r} has a negative "
                          f"priority")
+        if isinstance(entry.kind, Active) and entry.kind.op.param_types:
+            found.append(f"start operation {entry.kind.op.name!r} of setup "
+                         f"object {entry.name!r} must take no parameters")
         found.extend(f"setup object {entry.name!r} links unknown object "
                      f"{link!r}" for link in entry.links
                      if link not in class_of)

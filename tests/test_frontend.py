@@ -287,6 +287,18 @@ LOCATED = [
     ("class A { }\nop A.f(): Void { return void; }\n"
      f"setup {{ a: A active f prio -{HUGE}; }}",
      [(3, "integer of 5000 digits is too long")]),
+    # The three ways a start operation or a call site fails to resolve.
+    ("class A { }\nop A.f(): Void { return void; }\n"
+     "setup { a: A active g prio 1; }",
+     [(3, "class 'A' does not implement 'g'")]),
+    ("class A { }\nop A.f(p: Int): Void { return void; }\n"
+     "setup { a: A active f prio 1; }",
+     [(3, "start operation 'f' must take no parameters")]),
+    ("class A { }\nclass B { }\nop A.f(p: Int): Void { return void; }\n"
+     "op B.f(p: Int): Int { return 0; }\nop A.go(): Void {\n"
+     "  let t: A = null;\n  let x: Int = 0;\n  send t.f(x) prio 1;\n"
+     "  return void;\n}",
+     [(8, "operation 'f' with 1 argument(s) is ambiguous")]),
 ]
 
 

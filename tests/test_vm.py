@@ -133,6 +133,16 @@ class TestBuildInitialState:
             "duplicate setup object 'x'",
         ]
 
+    def test_a_start_operation_taking_parameters_is_rejected(self):
+        # Its thread would start with the parameters unbound, and the text
+        # form of the setup would not parse back.
+        setup = (SetupEntry("b", "Buffer", Active(PUT_OP, 1)),)
+        with pytest.raises(ModelError) as err:
+            build_initial_state(buffer_config(), setup)
+        assert [d.message for d in err.value.diagnostics] == [
+            "start operation 'put' of setup object 'b' must take no "
+            "parameters"]
+
     def test_undispatchable_start_op_rejected_before_any_step(self):
         cfg = buffer_config()
         setup = (SetupEntry("b", "Buffer", Active(OpSig("ghost", (), VOID), 1),

@@ -1,0 +1,70 @@
+"""Print the size of a checkout of smm: its lines, public names and import
+time.
+
+    python3 tools/size_report.py [CHECKOUT]
+
+CHECKOUT defaults to the checkout holding this script. The three numbers:
+
+- ``lines``: the ``wc -l`` total of ``src/smm/*.py``;
+- ``public names``: ``len(smm.__all__)``;
+- ``import smm.cli``: the median cumulative time of ``smm.cli`` that
+  ``-X importtime`` reports, over 15 fresh interpreters started one after
+  another. Each runs with ``-B`` and with ``PYTHONPYCACHEPREFIX`` set to an
+  empty temporary directory, so that no bytecode cache is read or written.
+  So every run compiles from source both the package and the
+  standard-library modules it imports, and the figure is larger than that
+  of an import that reads the standard library's cache.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUNS = 15
+
+
+def _python(src: Path, code: str, *flags: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports ``smm`` from ``src``
+    and reads and writes no bytecode cache."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONPYCACHEPREFIX": cache}
+        return subprocess.run([sys.executable, "-B", *flags, "-c", code],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+
+
+def import_ms(src: Path) -> float:
+    """The cumulative time of one ``import smm.cli``, in milliseconds."""
+    err = _python(src, "import smm.cli", "-X", "importtime").stderr
+    for line in err.splitlines():
+        # "import time: <self us> | <cumulative us> | <indented name>"
+        _, cumulative, name = line.split("|")
+        if name.strip() == "smm.cli":
+            return int(cumulative) / 1000
+    raise RuntimeError(f"no import time of smm.cli in:\n{err}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent)
+    src = parser.parse_args(argv).checkout.resolve() / "src"
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (src / "smm").glob("*.py"))
+    names = _python(src, "import smm; print(len(smm.__all__))").stdout
+    times = [import_ms(src) for _ in range(RUNS)]
+    print(f"lines: {lines}")
+    print(f"public names: {int(names)}")
+    print(f"import smm.cli: {statistics.median(times):.1f} ms "
+          f"(median of {RUNS}, {min(times):.1f}..{max(times):.1f})")
+
+
+if __name__ == "__main__":
+    main()
