@@ -36,14 +36,14 @@ model elements, works them out from the offset by bisecting the offsets
 of the line ends, which are found once per parse, on the first ask. Each
 parsed method is one record holding the token naming it and one token
 per action, indexed by pc; the tokens naming classes, superclasses,
-attributes and setup entries are kept by their ``Problem.where`` keys,
-and ``_Parser.loc`` finds the token for any such key.
+attributes, call sites' operations and setup entries are kept by their
+``Problem.where`` keys, and ``_Parser.loc`` finds the token for any key.
 
 The parser checks only what needs its tokens: syntax, duplicate classes and
-methods (which the tables would swallow), labels, call-site and start
-operation resolution, config keys, and attribute references (which need
-the setup's links). A load builds one ``universe.Hierarchy``, which walks
-only the chains asked for, and every check reads it: ``validate_model``,
+methods (which the tables would swallow), labels, start operation
+resolution, config keys, and attribute references (which need the setup's
+links). A load builds one ``universe.Hierarchy``, which walks only the
+chains asked for, and every check reads it: ``validate_model``,
 ``smm.vm.check_setup`` and the parser's start-operation and attribute
 reference checks. Attribute references are checked per name, from its
 index of the classes declaring each name, or per class where one class
@@ -53,9 +53,9 @@ redeclares one name. Every other rule has one home, ``validate_model``
 for the model and ``smm.vm.check_setup`` for the setup; the parser places
 each of their problems at the token it recorded for the element the
 problem names, and reports everything it found in one pass, in source
-order. A call site it cannot resolve holds a placeholder operation of its
-own arity, as an unknown label holds the target 0, so the parser notes
-every problem the validators return.
+order. The parser resolves each call site to the one signature of its
+name and arity, else to a placeholder of that arity, as an unknown label
+to the target 0, and ``validate_model`` reports the sites it could not.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ from .errors import Diagnostic, ExecError, ModelError
 from .universe import (
     AttrDef, BASE_TYPES, BoolVal, ClassDef, ClassTable, ClassType, Hierarchy,
     INT_RANGE, IntVal, MethMap, MethodDef, NULL_OID, NullOid, OidVal, OpSig,
-    SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, validate_model,
-    value_class,
+    SubclassRel, TypeRef, VOID, VOID_VAL, Value, VoidVal, declared_ops,
+    validate_model, value_class,
 )
 # perfbench's tracer counts chain walks by rebinding this name here.
 from .universe import super_chain  # noqa: F401
@@ -197,7 +197,7 @@ class _Parser:
         # action's index and the token of the operation name.
         self.sites: list[tuple[_RawOp, int, _Token]] = []
         self.setup: list[SetupEntry] = []
-        # A class, superclass, attribute or setup element (a
+        # A class, superclass, attribute, call site or setup element (a
         # ``Problem.where`` key) -> the token naming it; see ``loc``.
         self.locs: dict[tuple, _Token] = {}
         self.setup_active: list[tuple[int, str, _Token]] = []
@@ -457,28 +457,16 @@ class _Parser:
     # resolution and validation
 
     def finish(self) -> ModelDef:
-        sigs_by_name: dict[str, list[OpSig]] = {}
-        for raw in self.ops.values():
-            sigs_by_name.setdefault(raw.sig.name, []).append(raw.sig)
-
-        found: dict[tuple[str, int], set[OpSig]] = {}  # (name, arity)
+        declared = declared_ops(raw.sig for raw in self.ops.values())
         for raw, index, tok in self.sites:
             name, arity = tok[1], len(raw.body[index].args)
-            key = name, arity
-            if key not in found:
-                # The same signature may be implemented by several classes.
-                found[key] = {sig for sig in sigs_by_name.get(name, [])
-                              if len(sig.param_types) == arity}
-            sigs = found[key]
-            if len(sigs) == 1:
-                op, = sigs
-            else:
-                self.note(f"operation {name!r} with {arity} argument(s) is "
-                          f"ambiguous" if sigs else f"no operation {name!r} "
-                          f"taking {arity} argument(s) is declared", tok)
-                # Of the site's arity, so validate_model finds nothing here.
-                op = OpSig(name, (VOID,) * arity, VOID)
+            sigs = declared(name, arity)
+            # A site without one signature gets one of its own arity, which
+            # validate_model reports at the operation's token.
+            op = (sigs[0] if len(sigs) == 1
+                  else OpSig(name, (VOID,) * arity, VOID))
             raw.body[index] = replace(raw.body[index], op=op)
+            self.locs[("call", raw.class_name, raw.sig, index)] = tok
 
         meth_map: MethMap = {}
         for raw in self.ops.values():

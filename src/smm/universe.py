@@ -9,8 +9,9 @@ name is a key of the model's class table.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import cache
 from reprlib import recursive_repr
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
 
 from .errors import ModelError
 
@@ -249,6 +250,22 @@ ClassTable = dict[str, ClassDef]
 
 # --- operations -------------------------------------------------------------
 
+def declared_ops(sigs: Iterable[OpSig]) -> Callable[[str, int], tuple]:
+    """The distinct signatures among ``sigs`` by name and parameter count,
+    as a call site finds its operation: grouped by name once, by count
+    when asked. Several classes may implement one signature."""
+    by_name: dict[str, list[OpSig]] = {}
+    for sig in sigs:
+        by_name.setdefault(sig.name, []).append(sig)
+
+    @cache
+    def declared(name: str, arity: int) -> tuple[OpSig, ...]:
+        return tuple(dict.fromkeys(sig for sig in by_name.get(name, ())
+                                   if len(sig.param_types) == arity))
+
+    return declared
+
+
 def _linearize(cls: str, scl: SubclassRel) -> tuple[list[str], list[str]]:
     """Walk ``cls`` and its superclasses depth-first over declaration order.
 
@@ -427,8 +444,9 @@ class Problem(NamedTuple):
 
     ``where`` names the element, so that a caller holding source positions
     can locate the problem: ``("class", C)``, ``("extends", C, S)``,
-    ``("attr", C, i)``, ``("op", C, sig)``, ``("action", C, sig, pc)`` or,
-    for the setup rules in ``smm.vm.check_setup``, ``("setup", i)``.
+    ``("attr", C, i)``, ``("op", C, sig)``, ``("action", C, sig, pc)``,
+    ``("call", C, sig, pc)`` for that action's operation or, for the setup
+    rules in ``smm.vm.check_setup``, ``("setup", i)``.
     """
 
     where: tuple
@@ -449,8 +467,10 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     values, ``Int`` literals inside ``INT_RANGE``, ``set`` values that are
     literals, ``return`` literals fitting the return type, operators of
     ``BIN_OPS``, and as many call and signal arguments as the operation
-    takes parameters). Chains are read from ``hierarchy`` and walked only
-    where a rule needs them; the parser hands the same one to
+    takes parameters, the one signature declared with its name and that
+    count, to which the parser resolves it). An action is checked by the
+    rules of its class alone. Chains are read from ``hierarchy`` and walked
+    only where a rule needs them; the parser hands the same one to
     ``smm.vm.check_setup``. The setup rules live in ``smm.vm.check_setup``;
     the parser keeps only what needs its tokens or would be lost in these
     tables (syntax, duplicate classes and methods, labels, name resolution,
@@ -458,7 +478,6 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
     """
     from . import actions
 
-    sends = actions.Call, actions.SendSignal
     class_table, scl = hierarchy.class_table, hierarchy.scl
     problems: list[Problem] = []
 
@@ -467,6 +486,11 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
 
     def unknown(t: TypeRef) -> bool:
         return isinstance(t, ClassType) and t.name not in class_table
+
+    def wide(v: Value) -> str | None:  # such a value fits no type
+        if isinstance(v, IntVal) and v.value not in INT_RANGE:
+            return "uses an integer outside the signed 64-bit range"
+        return None
 
     for name, cls in class_table.items():
         if name in BASE_TYPES:
@@ -527,6 +551,7 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
                                f"is declared by both {first!r} and {c!r}")
                 report(("attr", c, i), message)
 
+    declared = declared_ops(sig for ops in meth_map.values() for sig in ops)
     for cls_name, ops in meth_map.items():
         for sig, meth in ops.items():
             where = ("op", cls_name, sig)
@@ -556,47 +581,60 @@ def validate_model(hierarchy: Hierarchy, meth_map: MethMap) -> list[Problem]:
             if not meth.body:
                 report(where, f"{label}: empty body")
             for pc, act in enumerate(meth.body):
-                at = ("action", cls_name, sig, pc)
-                if isinstance(act, (actions.Jump, actions.BranchIfFalse)) and \
-                        not 0 <= act.target < len(meth.body):
-                    report(at, f"{label}: action {pc} jumps to {act.target}, "
-                               f"outside the body of {len(meth.body)} actions")
-                elif isinstance(act, actions.NewLocal):
-                    if unknown(act.type):
-                        report(at, f"{label}: action {pc} declares unknown "
-                                   f"class type {act.type.name!r}")
-                    elif not value_fits(act.init, act.type):
-                        report(at, f"{label}: action {pc} initial value does "
-                                   f"not fit type {act.type}")
-                elif isinstance(act, (actions.LocalConst,
-                                      actions.ReturnConst)) and \
-                        isinstance(act.value, IntVal) and \
-                        not value_fits(act.value, INT):
-                    report(at, f"{label}: action {pc} uses an integer "
-                               f"outside the signed 64-bit range")
-                elif isinstance(act, actions.LocalConst) and not isinstance(
-                        act.value, (IntVal, BoolVal, VoidVal, NullOid)):
-                    report(at, f"{label}: action {pc} sets a value that is "
-                               f"not a literal")
-                elif isinstance(act, actions.ReturnConst) and \
-                        not value_fits(act.value, sig.return_type):
-                    report(at, f"{label}: action {pc} returns a value that "
-                               f"does not fit return type {sig.return_type}")
-                elif isinstance(act, actions.NewObject) and \
-                        act.class_name not in class_table:
-                    report(at, f"{label}: action {pc} creates unknown class "
-                               f"{act.class_name!r}")
-                elif isinstance(act, actions.LocalFromParam) and \
-                        act.param not in names:
-                    report(at, f"{label}: action {pc} loads unknown "
-                               f"parameter {act.param!r}")
-                elif isinstance(act, actions.BinOp) and \
-                        act.op not in actions.BIN_OPS:
-                    report(at, f"{label}: action {pc} uses unknown operator "
-                               f"{act.op!r}")
-                elif isinstance(act, sends) and \
-                        len(act.args) != len(act.op.param_types):
-                    report(at, f"{label}: action {pc} passes {len(act.args)} "
-                               f"argument(s) to {act.op.name!r}, which takes "
-                               f"{len(act.op.param_types)}")
+                # Its class's block finds one problem at most: the action's
+                # or, at its ("call", ...) key, its call site's.
+                at, found = "action", None
+                match act:
+                    case actions.Jump() | actions.BranchIfFalse():
+                        if not 0 <= act.target < len(meth.body):
+                            found = (f"jumps to {act.target}, outside the "
+                                     f"body of {len(meth.body)} actions")
+                    case actions.NewLocal():
+                        if unknown(act.type):
+                            found = (f"declares unknown class type "
+                                     f"{act.type.name!r}")
+                        elif not value_fits(act.init, act.type):
+                            found = (f"initial value does not fit type "
+                                     f"{act.type}")
+                    case actions.LocalConst():
+                        if isinstance(act.value, (IntVal, BoolVal, VoidVal,
+                                                  NullOid)):
+                            found = wide(act.value)
+                        else:
+                            found = "sets a value that is not a literal"
+                    case actions.ReturnConst():
+                        if not value_fits(act.value, sig.return_type):
+                            found = wide(act.value) or (
+                                f"returns a value that does not fit return "
+                                f"type {sig.return_type}")
+                    case actions.NewObject():
+                        if act.class_name not in class_table:
+                            found = (f"creates unknown class "
+                                     f"{act.class_name!r}")
+                    case actions.LocalFromParam():
+                        if act.param not in names:
+                            found = f"loads unknown parameter {act.param!r}"
+                    case actions.BinOp():
+                        if act.op not in actions.BIN_OPS:
+                            found = f"uses unknown operator {act.op!r}"
+                    case actions.Call() | actions.SendSignal():
+                        op, n = act.op, len(act.args)
+                        sigs = declared(op.name, n)
+                        if n != len(op.param_types):
+                            found = (f"passes {n} argument(s) to {op.name!r}, "
+                                     f"which takes {len(op.param_types)}")
+                        elif len(sigs) > 1:
+                            at, found = "call", (f"operation {op.name!r} with "
+                                                 f"{n} argument(s) is ambiguous")
+                        elif not sigs:
+                            at, found = "call", (f"no operation {op.name!r} "
+                                                 f"taking {n} argument(s) is "
+                                                 f"declared")
+                        elif op not in sigs:
+                            at, found = "call", (f"operation {op.name!r} with "
+                                                 f"{n} argument(s) is declared "
+                                                 f"as {sigs[0]}, not {op}")
+                if found:
+                    report((at, cls_name, sig, pc), found if at == "call"
+                           else f"{label}: action {pc} {found}")
     return problems

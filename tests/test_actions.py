@@ -8,7 +8,7 @@ from smm import (
     AttrDef, BoolVal, CallerRef, ClassDef, ClassType, EventKind,
     ExecError, INT, IntVal, MethodDef, NULL_OID, OidVal, RecordVal,
     Thread, ThreadStatus, VOID, VOID_VAL, alloc_object, empty_state,
-    make_config,
+    make_config, parse_model, run_model,
 )
 from smm.actions import (
     BinOp, BranchIfFalse, Call, Jump, LocalConst, LocalFromAttr,
@@ -138,6 +138,23 @@ class TestDataActions:
         s, _, w = _setup()
         with pytest.raises(ExecError):
             _interpret(LocalConst("ghost", IntVal(0)), s, w)
+
+    def test_reading_an_unknown_local_stops_a_parsed_model(self):
+        # The parser checks no local names, so the branch reads one that
+        # was never declared.
+        model = parse_model("class A { }\nop A.go(): Void {\nL0:\n"
+                            "  ifnot c goto L0;\n  return void;\n}\n"
+                            "setup { a: A active go prio 1; }")
+        with pytest.raises(ExecError) as err:
+            run_model(model)
+        assert err.value.message == "unknown local 'c'"
+
+    def test_loading_an_unknown_parameter_is_an_error(self):
+        s, _, w = _setup(locals_=(("d", IntVal(0)),),
+                         params=(("p", IntVal(10)),))
+        with pytest.raises(ExecError) as err:
+            _interpret(LocalFromParam("d", "ghost"), s, w)
+        assert err.value.message == "unknown parameter 'ghost'"
 
 
 class TestControlActions:

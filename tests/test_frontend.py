@@ -344,6 +344,30 @@ class TestCycleDiagnostics:
         assert [str(d) for d in err.value.diagnostics] == expected
 
 
+# Sources whose whole ModelError text is pinned.
+PINNED = [
+    # A section keyword is expected at the top level.
+    ("123", ["1:1: expected 'class', 'op', 'setup' or 'config'"]),
+    ("foo { }",
+     ["1:1: expected 'class', 'op', 'setup' or 'config', found 'foo'"]),
+    ("class A { }\nsetup { a: A bogus; }",
+     ["2:14: expected 'passive' or 'active'"]),
+    # Only the body a duplicate method keeps is checked for call sites,
+    # as it is for every other rule: the discarded one calls ``g``.
+    ("class A { }\nop A.f(): Void {\n  let x: A = null;\n"
+     "  let r: Void = void;\n  call x.g() -> r;\n  return void;\n}\n"
+     "op A.f(): Void {\n  return void;\n}",
+     ["8:4: duplicate method A.f"]),
+]
+
+
+@pytest.mark.parametrize("source, expected", PINNED)
+def test_the_whole_diagnostic_text_is_pinned(source, expected):
+    with pytest.raises(ModelError) as err:
+        parse_model(source)
+    assert [str(d) for d in err.value.diagnostics] == expected
+
+
 class TestSetupLinks:
     # Worker inherits ``b: Buffer``; the setup links a Worker into it.
     WRONG_CLASS = ("class Buffer { }\nclass Base { attr b: Buffer = null; }\n"

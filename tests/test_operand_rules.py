@@ -2,7 +2,8 @@
 
 A model built in Python is held to the parser's rules: a ``BinOp`` names
 an operator of ``BIN_OPS``, a ``Call`` or ``SendSignal`` passes as many
-arguments as its operation takes parameters, and each value where the text
+arguments as its operation takes parameters and names the one signature
+declared with its name and parameter count, and each value where the text
 needs a literal is one a literal spells. Such a model would print as text
 that does not parse back, or not print at all. ``run_model`` does not
 validate, so the interpreter keeps its own checks of operators and
@@ -11,18 +12,24 @@ argument counts.
 
 from __future__ import annotations
 
+import random
+from dataclasses import fields, replace
+
 import pytest
 
 from smm import (
-    Active, AttrDef, ClassDef, ClassType, ExecError, INT, IntVal, MethodDef,
-    ModelError, NULL_OID, OidVal, OpSig, RecordVal, SetupEntry, VOID,
-    VOID_VAL, parse_model, print_model, run_model, validate_model,
+    Active, AllDone, AttrDef, BOOL, BoolVal, ClassDef, ClassType, ExecError,
+    INT, IntVal, MethodDef, ModelError, NULL_OID, OidVal, OpSig, RecordVal,
+    SetupEntry, VOID, VOID_VAL, parse_model, print_model, run_model,
+    validate_model,
 )
 from smm.actions import (
     BinOp, Call, LocalConst, NewLocal, NewObject, ReturnConst, SendSignal,
 )
 from smm.frontend import ModelDef
 from smm.universe import Hierarchy, Problem
+
+from modelgen import random_model
 
 GO = OpSig("go", (), VOID)
 F = OpSig("f", (INT,), VOID)
@@ -123,3 +130,118 @@ def test_a_reference_is_no_initial_value_or_returned_literal():
         Problem(("action", "X", get, 0), "method X.get: action 0 returns a "
                                          "value that does not fit return "
                                          "type X")]
+
+
+F_VOID, F_INT = OpSig("f", (), VOID), OpSig("f", (), INT)
+
+
+def _caller(op: OpSig, declared) -> ModelDef:
+    """A class ``A`` whose start operation ``go`` calls ``op`` on a new
+    ``A`` at pc 3, with a method for each (class, signature) of
+    ``declared``."""
+    go = MethodDef(GO, (), (
+        NewLocal("t", ClassType("A"), NULL_OID),
+        NewObject("t", "A"),
+        NewLocal("r", VOID, VOID_VAL),
+        Call("t", op, (), "r"),
+        ReturnConst(VOID_VAL),
+    ))
+    classes, meth_map = {"A": ClassDef("A", ())}, {"A": {GO: go}}
+    for cls, sig in declared:
+        classes.setdefault(cls, ClassDef(cls, ()))
+        value = VOID_VAL if sig.return_type == VOID else IntVal(0)
+        meth_map.setdefault(cls, {})[sig] = MethodDef(
+            sig, (), (ReturnConst(value),))
+    return ModelDef(classes, {}, meth_map,
+                    (SetupEntry("a", "A", Active(GO, 1)),))
+
+
+@pytest.mark.parametrize("op, declared, message, reads_as, run", [
+    (F_VOID, (), "no operation 'f' taking 0 argument(s) is declared", None,
+     "no class of 'A' implements f(): Void"),
+    (F_VOID, (("A", F_VOID), ("B", F_INT)),
+     "operation 'f' with 0 argument(s) is ambiguous", None, None),
+    (F_INT, (("A", F_VOID),), "operation 'f' with 0 argument(s) is declared "
+                              "as f(): Void, not f(): Int", F_VOID,
+     "no class of 'A' implements f(): Int"),
+], ids=["undeclared", "ambiguous", "other-return-type"])
+def test_a_call_names_the_one_signature_of_its_name_and_arity(
+        op, declared, message, reads_as, run):
+    model = _caller(op, declared)
+    assert _problems(model) == [Problem(("call", "A", GO, 3), message)]
+    # The text names the operation by name alone: the parser reads it as
+    # the one signature declared, or rejects it in the same words.
+    text = print_model(model)
+    if reads_as is None:
+        with pytest.raises(ModelError) as err:
+            parse_model(text)
+        assert [d.message for d in err.value.diagnostics] == [message]
+    else:
+        assert parse_model(text) == _caller(reads_as, declared) != model
+    if run is None:
+        assert isinstance(run_model(model).halt, AllDone)
+    else:
+        with pytest.raises(ExecError) as err:
+            run_model(model)
+        assert err.value.message == run
+
+
+@pytest.mark.parametrize("action", [
+    BinOp("div", "a", "a", "a"),
+    BinOp("add", "a", "a", "a"),
+    Call("t", F, ("a", "a"), "r"),
+    SendSignal("t", F, ("a",), 1),
+    LocalConst("a", OidVal(4)),
+    NewLocal("o", ClassType("X"), OidVal(5)),
+], ids=lambda action: type(action).__name__)
+def test_an_instance_of_a_subclass_is_checked_as_its_action_class(action):
+    base = type(action)
+    derived = type(f"Derived{base.__name__}", (base,), {})
+    built = derived(*(getattr(action, f.name) for f in fields(base)))
+    assert _problems(_model(built)) == _problems(_model(action))
+
+
+def _call_sites(model: ModelDef) -> list[tuple[str, OpSig, int]]:
+    return [(cls, sig, pc) for cls, ops in model.meth_map.items()
+            for sig, meth in ops.items()
+            for pc, act in enumerate(meth.body)
+            if isinstance(act, (Call, SendSignal))]
+
+
+def _swapped(model: ModelDef, rng: random.Random, way: str) -> ModelDef:
+    """``model`` with the operation of one call site drawn from ``rng``
+    swapped for another signature, drawn the ``way`` named."""
+    cls, sig, pc = rng.choice(_call_sites(model))
+    meth = model.meth_map[cls][sig]
+    op = meth.body[pc].op
+    other = rng.choice([t for t in (INT, BOOL, VOID) if t != op.return_type])
+    meth_map = {c: dict(ops) for c, ops in model.meth_map.items()}
+    if way == "undeclared-name":
+        new = OpSig(f"{op.name}_x", op.param_types, op.return_type)
+    else:
+        new = OpSig(op.name, op.param_types, other)
+    if way == "another-class":
+        owner = rng.choice(sorted(model.classes))
+        value = {INT: IntVal(0), BOOL: BoolVal(False), VOID: VOID_VAL}[other]
+        params = tuple((f"p{i}", t) for i, t in enumerate(new.param_types))
+        meth_map.setdefault(owner, {})[new] = MethodDef(
+            new, params, (ReturnConst(value),))
+    body = list(meth.body)
+    body[pc] = replace(body[pc], op=new)
+    meth_map[cls][sig] = replace(meth, body=tuple(body))
+    return replace(model, meth_map=meth_map)
+
+
+@pytest.mark.parametrize("way", ["another-class", "other-return-type",
+                                 "undeclared-name"])
+@pytest.mark.parametrize("supers", [1, 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_built_model_that_validates_prints_as_itself(seed, supers, way):
+    rng = random.Random(275_000 + seed)
+    model = random_model(rng, supers=supers)
+    while not _call_sites(model):
+        model = random_model(rng, supers=supers)
+    model = _swapped(model, rng, way)
+    if validate_model(Hierarchy(model.classes, model.subclass_rel),
+                      model.meth_map) == []:
+        assert parse_model(print_model(model)) == model

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import smm.universe
 from smm import (
-    AttrDef, BoolVal, ClassDef, ClassType, INT, IntVal, MethodDef,
+    AttrDef, BOOL, BoolVal, ClassDef, ClassType, INT, IntVal, MethodDef,
     ModelError, NULL_OID, OidVal, OpSig, RecordVal, StoredObject, VOID,
     VOID_VAL, super_chain, validate_model,
 )
@@ -180,6 +180,25 @@ class TestValidateModel:
         cls = ClassDef("X", ())
         problems = validate_model(Hierarchy({"X": cls}, {"X": ("Ghost",)}), {})
         assert any("unknown class" in p.message for p in problems)
+
+    def test_subclass_relation_of_an_unknown_class(self):
+        problems = validate_model(
+            Hierarchy({"X": ClassDef("X", ())}, {"Ghost": ("X",)}), {})
+        assert problems == [Problem(("class", "Ghost"), "subclass relation "
+                                    "names unknown class 'Ghost'")]
+
+    @pytest.mark.parametrize("params, message", [
+        ((), "parameter count does not match signature"),
+        ((("p", BOOL),), "parameter 'p' type Bool does not match signature "
+                         "type Int"),
+    ], ids=["count", "type"])
+    def test_parameters_must_match_the_signature(self, params, message):
+        sig = OpSig("f", (INT,), VOID)
+        meth = MethodDef(sig, params, (ReturnConst(VOID_VAL),))
+        problems = validate_model(Hierarchy({"X": ClassDef("X", ())}, {}),
+                                  {"X": {sig: meth}})
+        assert problems == [Problem(("op", "X", sig),
+                                    f"method X.f: {message}")]
 
     def test_method_signature_mismatch(self):
         sig_a = OpSig("f", (), VOID)

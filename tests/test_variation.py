@@ -295,6 +295,14 @@ class TestDispatch:
         with pytest.raises(ExecError):
             dispatch_single(scl, mm, s.ds, oid, OpSig("ghost", (), VOID))
 
+    def test_dispatch_on_an_unknown_object(self):
+        classes, scl, mm = buffer_tables()
+        s, oid = _buffer_state()
+        with pytest.raises(ExecError) as err:
+            dispatch_single(scl, mm, s.ds, oid + 1, PUT_OP)
+        assert str(err.value) == (f"dispatch on unknown object {oid + 1} "
+                                  f"[oid={oid + 1}]")
+
     # X extends C, D: lookup searches X, then C, then D.
     TWO_SUPERCLASSES = """
     class C { }

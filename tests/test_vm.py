@@ -308,6 +308,18 @@ class TestConsumeEvent:
         assert s2.es[buf] == (first,)
         assert thr.params.fields == (("p", IntVal(2)),)
 
+    def test_a_method_taking_other_parameters_is_an_error(self):
+        # Only a dispatcher that answers with another operation's method
+        # can get a handler whose parameters do not match the message.
+        cfg = replace(buffer_config(runnables="conc"),
+                      dispatcher=lambda scl, mm, ds, oid, op: get_method())
+        s, buf = self._buffer()
+        s = _queued_call(s, buf)
+        with pytest.raises(ExecError) as err:
+            consume_event(s, cfg, buf, s.next_tid, s.es[buf][0])
+        assert str(err.value) == (f"'put' was sent 1 argument(s) but its "
+                                  f"method takes 0 [oid={buf}]")
+
     def test_bogus_pseudo_id_is_internal(self):
         cfg = buffer_config()
         s, buf = self._buffer()
