@@ -686,10 +686,15 @@ def _print_literal(v: Value) -> str:
 
 
 def render_action(act: A.Action, labels: dict[int, str] | None = None) -> str:
-    """One action in source syntax; jump targets use ``labels`` when given."""
-    if type(act) not in _WRITE:
-        raise ModelError(f"action {act!r} has no source form")
-    return _WRITE[type(act)](act, labels)
+    """One action in source syntax; jump targets use ``labels`` when given.
+    An instance of a subclass of an action class is written as that class,
+    along its type's method resolution order, as ``validate_model`` judges
+    it by that class."""
+    for cls in type(act).__mro__:
+        write = _WRITE.get(cls)
+        if write is not None:
+            return write(act, labels)
+    raise ModelError(f"action {act!r} has no source form")
 
 
 def print_model(m: ModelDef) -> str:

@@ -18,22 +18,33 @@ events in queue order, so every pending handler gets a distinct,
 reproducible id. The executor materializes the thread under the reserved
 id when the entry is scheduled.
 
+Which live threads an object offers is one rule for every selector,
+``is_live``: a thread is offered when it is ready, or waiting with its
+return buffered. A strategy varies only ``pending_handler_events``.
+
 A scheduler picks one entry of all offered. Each bundled one ranks an
 entry by a static order, a key of its priority and last execution time
 that does not depend on the current time (``rr_order``, ``prio_order``),
 and is written as the least entry by that key, ties to the smallest
-(oid, tid). ``vm.run`` uses the key in its place: it keeps each object's
-least offer by that key in a heap and never calls the bundled scheduler.
-Any other scheduler is asked with every entry on every step.
+(oid, tid). ``vm.run`` uses the key in its place: it keeps each offered
+thread, and each object's least offered event, by that key in a heap and
+never calls the bundled scheduler. There it applies ``is_live`` itself
+and asks the selector only for ``pending_handler_events``, so it requires
+a ``RunnablesSelector`` that does not override ``__call__``. Any other
+scheduler is asked with every entry on every step, and its selector is
+called.
 
-The selector contract: what ``sel(s, oid)`` returns depends only on the
+The selector contract: what ``sel(s, oid)`` and
+``sel.pending_handler_events(s, oid)`` return depend only on the
 object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
 ``base``, ``rtc`` and ``conc`` all keep it, and the engine relies on it to
 skip untouched objects: after a step it asks again only the objects whose
 thread map or queue the step may have replaced, and keeps the others'
 offers. By the medium contract those are the acting object, the objects
 the step allocated and the receiver of the event it emitted, known
-without looking at any other queue.
+without looking at any other queue. Of their threads only the acting
+one can change status, so the heap re-applies ``is_live`` to the acting
+thread and to the waiting threads of the objects whose queue changed.
 
 The medium contract: the store ``medium(es, e)`` returns may differ from
 ``es`` only at ``e.msg.receiver``. It has the same object ids, and every
@@ -58,7 +69,7 @@ from typing import Callable
 
 from .errors import ExecError
 from .state import (
-    DataStore, Event, EventKind, EventStore, SimState, ThreadStatus,
+    DataStore, Event, EventKind, EventStore, SimState, Thread, ThreadStatus,
     enqueue_event, returns_to,
 )
 from .universe import (
@@ -85,18 +96,26 @@ _HANDLER_KINDS = (EventKind.CALL, EventKind.SIGNAL)
 _READY = ThreadStatus.READY
 
 
+def is_live(thr: Thread, tid: int, queue: tuple[Event, ...]) -> bool:
+    """Whether thread ``tid``, with its object's ``queue``, is offered:
+    it is ready, or waiting with its return buffered. Every selector
+    offers its live threads by this rule, whatever else the object is
+    doing, so a synchronous call can always complete."""
+    return thr.status is _READY or any(map(returns_to(tid), queue))
+
+
 class RunnablesSelector:
     """Base selector: offers live threads plus pending event handlers.
 
     Subclasses decide which buffered events are offered via
-    ``pending_handler_events``. Ready threads are always offered; a waiting
-    thread is offered as soon as its return event is buffered, whatever
-    else the object is doing, so a synchronous call can always complete.
+    ``pending_handler_events``; the live threads are those ``is_live``
+    admits, for every subclass alike.
 
     The class is the strategy type ``Config.runnables_sel`` holds. It
-    stays a class, not a plain function, because wrappers of the strategy
-    (the traced pass in ``perfbench/tracing.py``) rely on its ``name``,
-    on ``pending_handler_events(s, oid)`` as a separate method and on
+    stays a class, not a plain function, because ``vm.run`` asks a
+    bundled scheduler's selector only for ``pending_handler_events(s,
+    oid)``, and because wrappers of the strategy (the traced pass in
+    ``perfbench/tracing.py``) rely on its ``name``, on that method and on
     ``__call__(s, oid)``.
     """
 
@@ -121,7 +140,7 @@ class RunnablesSelector:
             queue = s.es.get(oid, ())
             for tid in sorted(threads) if len(threads) > 1 else threads:
                 thr = threads[tid]
-                if thr.status is _READY or any(map(returns_to(tid), queue)):
+                if is_live(thr, tid, queue):
                     live.append((tid, thr.base_prio))
         return live, self.pending_handler_events(s, oid)
 

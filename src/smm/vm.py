@@ -3,21 +3,21 @@
 A run repeats a two-stage schedule: collect every thread each object is
 willing to run, enriched with the time each thread last executed, pick one
 (object, thread) pair, and perform exactly one atomic step on it. Offers
-are kept per object between steps: the first step asks every object's
-runnables selector, and each later step asks again only the objects the
-previous step touched: the acting object, the objects it allocated, and
-the receiver of the one event it emitted. A medium writes only its
-event's receiver queue (the medium contract in ``variation``), so that
-is the step's whole footprint: ``step`` reports the receiver, and new
-objects are the ids from the old object count on, so finding them costs
-no scan whatever the medium. For a bundled scheduler the pick comes from a
-heap ordered by the scheduler's static order that holds one item per
-object, its least offer, so a step puts one item into the heap per
-touched object that offers anything, the acting object's in place of its
-stale one at the top; the handler thread of an offered event gets its
-reserved id only once picked. Any other scheduler is handed all offers
-laid out in object order, with ids reserved for the handler threads of
-every offered event.
+are kept between steps: the first step asks every object, and each later
+step asks again only the objects the previous step touched: the acting
+object, the objects it allocated, and the receiver of the one event it
+emitted. A medium writes only its event's receiver queue (the medium
+contract in ``variation``), so that is the step's whole footprint:
+``step`` reports the receiver, and new objects are the ids from the old
+object count on, so finding them costs no scan whatever the medium. For a
+bundled scheduler the pick comes from a heap ordered by the scheduler's
+static order that holds one item per offered thread and one per object
+for its least offered event. A step re-applies the live-thread rule only
+to the thread that acted and to the waiting threads of the objects whose
+queue it changed, so an object's other threads cost it nothing; the
+handler thread of an offered event gets its reserved id only once picked.
+Any other scheduler is handed all offers laid out in object order, with
+ids reserved for the handler threads of every offered event.
 
 A step first consumes a pending event when there is one to consume
 (building a handler thread for a call or signal, or resuming a caller
@@ -51,6 +51,7 @@ from .universe import (
 )
 from .variation import (
     STATIC_ORDERS, Config, RunnableEntry, RunnablesSelector, StaticOrder,
+    is_live,
 )
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -193,39 +194,57 @@ class _Rescan:
         return oid, tid, self.reserved.get(tid)
 
 
+_WAITING = ThreadStatus.WAITING
+
+
 class _OfferHeap:
-    """Selection by a static order, from a heap of each object's least offer.
+    """Selection by a static order, from a heap of every offered thread and
+    each object's least offered event.
 
-    A live thread's offer is the item ``(key, oid, 0, tid)``, and the
-    offered event at queue position ``q`` of its object's offered events
-    is ``(key, oid, 1, q)``: items order exactly as the entries would by
+    An offered live thread is the item ``(key, oid, 0, tid)``, and the
+    least of an object's offered events, at position ``q`` of them, is
+    ``(key, oid, 1, q)``: items order exactly as the entries would by
     (key, oid, tid), because every live tid is below ``s.next_tid`` and
-    every reserved one at or above it, in queue order. An item holds no
-    entry or event, so no two are ever compared.
+    every reserved one at or above it, in queue order, and an object's
+    other events rank after its least. An item holds no entry or event,
+    so no two are ever compared.
 
-    A refresh asks each dirty object's selector and finds the least of
-    its offers in one pass, building only that item. It keeps it as
-    ``least[oid]`` and puts it into the heap, so the least item over all
-    objects is the least offer. An item counts only while it is its
-    object's least; any other is stale. A stale item at the top that
-    belongs to the object being refreshed (after a pick, the acting
-    object's) is swapped out for the new one; any other is dropped when
-    it reaches the top or when the heap, grown well past the number of
-    objects that offer anything, is rebuilt. The reserved id of the event
-    picked is computed from per-object counts of offered events, kept in
-    a Fenwick tree (Fenwick 1994), which no other offer needs; only an
-    object that offers events, or offered them at its last refresh,
-    touches the counts.
+    An item counts only while it is current, ``threads[tid]`` for a thread
+    and ``least[oid]`` for an event; any other is stale. The picked item
+    stays at the top until the refresh after its step, where the acting
+    thread's new item, if it is offered, takes its place; other new items
+    are pushed. A stale item is dropped when it reaches the top or when
+    the heap, grown well past the number of current items, is rebuilt.
+
+    The first refresh of a run applies ``is_live`` to every thread and
+    asks every object for its ``pending_handler_events``. A later one
+    takes in the footprint of the step it follows, and only that: a step
+    changes the status of its acting thread alone, and the key of no
+    other thread, so ``is_live`` is applied again to the acting thread
+    and to the waiting threads, kept in ``waiting[oid]``, of each object
+    whose queue the step may have changed: the acting object when its
+    queue is not the one it had at the pick, and the receiver. Each
+    object ``dirty`` names is asked for its events again.
+
+    The reserved id of the event picked is computed from per-object counts
+    of offered events, kept in a Fenwick tree (Fenwick 1994), which no
+    other offer needs; only an object that offers events, or offered them
+    at its last refresh, touches the counts.
     """
 
     def __init__(self, sel: RunnablesSelector, order: StaticOrder,
                  times: TimesMap):
-        self.sel, self.order, self.times = sel, order, times
-        self.least: dict[int, tuple] = {}
+        self.pending, self.order, self.last = (
+            sel.pending_handler_events, order, times.get)
+        self.threads: dict[int, tuple] = {}  # current item by offered tid
+        self.least: dict[int, tuple] = {}  # current event item by object
+        self.waiting: dict[int, set[int]] = {}  # waiting tids by object
         self.events: dict[int, list[Event]] = {}
         self.heap: list[tuple] = []
-        self.limit = 64  # a longer heap is rebuilt from ``least``
+        self.limit = 64  # a longer heap is rebuilt from the current items
         self.counts = [0, 0]  # Fenwick tree; index oid + 1, power-of-2 size
+        # The last pick: its item, its tid and its object's queue then.
+        self.picked: tuple | None = None
 
     def _count(self, oid: int, delta: int) -> None:
         """Add ``delta`` to the offered events of ``oid``."""
@@ -248,61 +267,107 @@ class _OfferHeap:
             i &= i - 1
         return total
 
+    def _live(self, oid: int, threads: dict[int, Thread], tids: Iterable[int],
+              queue: tuple[Event, ...]) -> None:
+        """Apply ``is_live`` to the threads ``tids`` of ``oid``, which did
+        not act: a live one with no current item gets one, and any other
+        loses its item."""
+        current, order, last, heap = (
+            self.threads, self.order, self.last, self.heap)
+        for tid in tids:
+            thr = threads[tid]
+            if is_live(thr, tid, queue):
+                if tid not in current:
+                    current[tid] = item = (
+                        order(thr.base_prio, last(tid, -1)), oid, 0, tid)
+                    heappush(heap, item)
+            else:
+                current.pop(tid, None)
+
     def refresh(self, s: SimState, dirty: Iterable[int]) -> bool:
-        """Take in the ``dirty`` objects' offers; whether any is left."""
-        sel, order, least, heap, offered = (
-            self.sel, self.order, self.least, self.heap, self.events)
-        last = self.times.get
+        """Take in the offers of a step's footprint, ``dirty`` naming the
+        objects it touched, the acting object first; whether any offer is
+        left."""
+        cs, es, waiting, current, least, order, heap, pending, offered = (
+            s.cs, s.es, self.waiting, self.threads, self.least, self.order,
+            self.heap, self.pending, self.events)
+        if self.picked is None:  # the first refresh: every thread
+            for oid in dirty:
+                threads = cs.get(oid)
+                if threads:
+                    tids = {tid for tid, thr in threads.items()
+                            if thr.status is _WAITING}
+                    if tids:
+                        waiting[oid] = tids
+                    self._live(oid, threads, threads, es.get(oid, ()))
+        else:
+            item, tid, before = self.picked
+            oid = item[1]
+            if item[2]:
+                del least[oid]
+            else:
+                del current[tid]
+            # The acting thread: its status, and its time, may be new.
+            queue = es[oid]
+            thr = cs[oid].get(tid)  # None once it ended
+            if thr is not None and thr.status is _WAITING:
+                waiting.setdefault(oid, set()).add(tid)
+            elif oid in waiting:
+                waiting[oid].discard(tid)
+            if thr is not None and is_live(thr, tid, queue):
+                current[tid] = item = (
+                    order(thr.base_prio, self.last(tid, -1)), oid, 0, tid)
+                # In place of the picked item, at the top since the pick.
+                heapreplace(heap, item)
+            # The waiting threads of each object whose queue changed.
+            for other in dirty:
+                tids = waiting.get(other)
+                if tids and (other != oid or queue is not before):
+                    self._live(other, cs[other], tids, es[other])
         for oid in dirty:
-            live, events = sel(s, oid)
-            # The least item in one pass, without building the others:
-            # the least key, ties to the smallest tid, then to an event.
-            key = pos = None
-            reserved = 0
-            for tid, prio in live:
-                k = order(prio, last(tid, -1))
-                if key is None or k < key or k == key and tid < pos:
-                    key, pos = k, tid
+            events = pending(s, oid)
             if events:
-                # A reserved id has no recorded time (see ``run``).
+                # The least event; a reserved id has no recorded time (see
+                # ``run``).
+                key = None
                 for q, event in enumerate(events):
                     k = order(event.msg.payload.prio, -1)
                     if key is None or k < key:
-                        key, pos, reserved = k, q, 1
+                        key, pos = k, q
                 n = len(offered.get(oid, ()))
                 if len(events) != n:
                     self._count(oid, len(events) - n)
                 offered[oid] = events
+                item = (key, oid, 1, pos)
+                if least.get(oid) != item:
+                    least[oid] = item
+                    heappush(heap, item)
             elif oid in offered:  # it offered events before
                 self._count(oid, -len(offered.pop(oid)))
-            if key is None:
                 least.pop(oid, None)
-                continue
-            least[oid] = item = (key, oid, reserved, pos)
-            if heap and heap[0][1] == oid:  # its stale least: swap it out
-                heapreplace(heap, item)
-            else:
-                heappush(heap, item)
         if len(heap) > self.limit:
-            heap = self.heap = list(least.values())
+            heap = self.heap = [*current.values(), *least.values()]
             heapify(heap)
             self.limit = 4 * len(heap) + 64
         while heap:
-            if least.get(heap[0][1]) is heap[0]:
+            top = heap[0]
+            if (least.get(top[1]) if top[2] else current.get(top[3])) is top:
                 return True
             heappop(heap)
         return False
 
     def choose(self, s: SimState, t: int) -> tuple[int, int, Event | None]:
         """The least offer as (oid, tid, event its reserved id stands for,
-        or None). Its item stays at the top: the step leaves its object
-        dirty, and the refresh after it swaps the item out for the
-        object's new least."""
-        _, oid, reserved, pos = self.heap[0]
+        or None). Its item stays at the top: the refresh after the step
+        withdraws it and offers the acting thread afresh."""
+        item = self.heap[0]
+        _, oid, reserved, pos = item
         if not reserved:
+            self.picked = item, pos, s.es[oid]
             return oid, pos, None
-        return (oid, s.next_tid + self._below(oid) + pos,
-                self.events[oid][pos])
+        tid = s.next_tid + self._below(oid) + pos
+        self.picked = item, tid, s.es[oid]
+        return oid, tid, self.events[oid][pos]
 
 
 # --- the atomic step -------------------------------------------------------------
@@ -431,14 +496,22 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     only ids below ``s.next_tid``, which is all a run records; one that
     names a later id, which an offered event would take, raises
     ``ValueError``. A bundled scheduler is not called: its static order
-    picks from a heap of each object's least offer (see ``_OfferHeap``),
-    so a pick costs time logarithmic in the objects, not linear in the
-    offers. Any other scheduler gets every entry on every step.
+    picks from a heap of every offered thread and each object's least
+    offered event (see ``_OfferHeap``), so a pick costs time logarithmic
+    in the offers, not linear. The heap applies ``variation.is_live``
+    itself and asks the selector only for ``pending_handler_events``, so
+    with a bundled scheduler the selector must be a ``RunnablesSelector``
+    that does not override ``__call__``; any other raises ``TypeError``.
+    Any other scheduler gets every entry on every step, from the selector
+    called on each object asked.
 
     The objects asked again after a step are its footprint: the acting
     object, the objects it allocated, and the receiver ``step`` reports.
     That holds for any medium that keeps the medium contract (see
-    ``smm.variation``): it writes only its event's receiver queue.
+    ``smm.variation``): it writes only its event's receiver queue. Of
+    their threads, the heap re-applies the live rule only to the acting
+    thread and to the waiting threads of the acting object, when it
+    consumed an event, and of the receiver.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps {max_steps} is negative")
@@ -447,10 +520,17 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
                          f"from {s.next_tid} on are not handed out yet")
     times = dict(times)
     order = next((o for f, o in STATIC_ORDERS if f is cfg.scheduler), None)
+    sel = cfg.runnables_sel
     if order is None:
         offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
+    elif isinstance(sel, RunnablesSelector) and \
+            type(sel).__call__ is RunnablesSelector.__call__:
+        offered = _OfferHeap(sel, order, times)
     else:
-        offered = _OfferHeap(cfg.runnables_sel, order, times)
+        raise TypeError(
+            f"a bundled scheduler needs a RunnablesSelector that does not "
+            f"override __call__, as run applies the live-thread rule "
+            f"itself; got {sel!r}")
     s = copy_stores(s)
     dirty: Iterable[int] = s.ds  # the first step asks every object
     steps = 0

@@ -24,6 +24,15 @@ under ``drop_every_third``, a medium that loses events, and once under
 ``plain_reliable``, which hands back a plain dict that the run must own
 again. Every medium is held on every call to the medium contract that
 choice rests on: it writes only its event's receiver queue.
+
+Of the threads of those objects, ``run`` applies the live-thread rule
+again only to the one that acted and to the waiting threads of an object
+whose queue changed. ``drop_oldest_return`` and ``reverse_queue`` keep
+the medium contract but rewrite the receiver's whole queue, so the event
+delivered does not name every thread whose liveness it changed; they run
+over the bundled, fan-in and generated models, and over ``OUT_OF_ORDER``,
+where returns reach one object's waiting threads in another order than
+their calls went out.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from smm import (
     deliver_reliable, parse_model, render_final_state, run, run_model,
 )
 from smm.frontend import render_trace, trace_recorder
-from smm.state import update_thread
 import smm.vm
 from smm.vm import step
 
@@ -319,6 +327,19 @@ def _check_model(model, medium=None, *, wrap: bool = False,
     return receivers
 
 
+def observed(sel, seen):
+    """A selector of ``sel``'s class that calls ``seen(s, oid)`` on every
+    ``pending_handler_events`` ask. ``run`` asks an object for its events
+    whenever it takes in the object's offers, whatever the scheduler."""
+
+    class Observed(type(sel)):
+        def pending_handler_events(self, s, oid):
+            seen(s, oid)
+            return super().pending_handler_events(s, oid)
+
+    return Observed()
+
+
 def wrapped_reliable(es, event):
     """``deliver_reliable`` by another name: the same queues, but not the
     bundled medium itself."""
@@ -549,24 +570,174 @@ def test_a_medium_that_returns_a_plain_store_changes_nothing(
                 _outputs(model, runnables, scheduler, deliver_reliable)
 
 
-def test_the_order_a_selector_reports_live_threads_in_does_not_matter():
+# --- waiting threads, and media that rewrite the receiver's queue --------
+
+def drop_oldest_return(es, event):
+    """Delivers ``event`` and drops the oldest other return its receiver
+    had queued: the medium contract holds, but a thread whose return was
+    buffered at the receiver is live no more, and the event delivered is
+    not the one that changed that."""
+    out = deliver_reliable(es, event)
+    queue = out[event.msg.receiver]
+    for i, e in enumerate(queue):
+        if e.kind is EventKind.RETURN and e is not event:
+            out[event.msg.receiver] = queue[:i] + queue[i + 1:]
+            break
+    return out
+
+
+def reverse_queue(es, event):
+    """Delivers ``event`` and reverses its receiver's queue: the medium
+    contract holds, but the event delivered is not the receiver's last
+    one whenever it had others queued."""
+    out = deliver_reliable(es, event)
+    out[event.msg.receiver] = out[event.msg.receiver][::-1]
+    return out
+
+
+# One desk object takes four requests at once under conc, and each of its
+# handler threads waits on a call to one worker that spins as long as the
+# request says, so the returns come back in another order than the calls
+# went out, to threads of one object that are all waiting.
+OUT_OF_ORDER = """
+class Worker { }
+class Desk { attr done: Int = 0; }
+class Client { }
+
+op Worker.spin(k: Int): Int {
+  let n: Int = 0;
+  loadparam n k;
+  let one: Int = 1;
+  let z: Int = 0;
+  let c: Bool = false;
+loop:
+  sub n n one;
+  eq c n z;
+  ifnot c goto loop;
+  loadparam n k;
+  return n;
+}
+
+op Desk.ask(k: Int): Void {
+  let w: Worker = null;
+  loadattr w w;
+  let d: Int = 0;
+  loadparam d k;
+  call w.spin(d) -> r;
+  let t: Int = 0;
+  loadattr t done;
+  add t t r;
+  setattr done t;
+  return void;
+}
+
+op Client.go(): Void {
+  let d: Desk = null;
+  loadattr d desk;
+  let a: Int = 9;
+  let b: Int = 5;
+  let c: Int = 2;
+  send d.ask(a) prio 1;
+  send d.ask(b) prio 1;
+  send d.ask(c) prio 1;
+  send d.ask(b) prio 1;
+  return void;
+}
+
+setup {
+  client: Client active go prio 3 links [desk];
+  desk: Desk passive links [w];
+  w: Worker passive;
+}
+"""
+
+
+def test_returns_that_arrive_out_of_order_match_the_oracle():
+    model = parse_model(OUT_OF_ORDER)
+    for medium in (None, wrapped_reliable, drop_every_third,
+                   drop_oldest_return, reverse_queue):
+        _check_model(model, medium)
+    # Under conc the desk holds all four handler threads waiting at once,
+    # and the returns resume them in another order than their calls went
+    # out.
+    step_, waiting, resumed = smm.vm.step, [], []
+
+    def recorded(s, cfg, oid, tid, event=None):
+        waiting.append(sum(thr.status is ThreadStatus.WAITING
+                           for thr in s.cs[1].values()))
+        if oid == 1 and s.thread(1, tid) is not None and \
+                s.thread(1, tid).status is ThreadStatus.WAITING:
+            resumed.append(tid)
+        return step_(s, cfg, oid, tid, event)
+
+    for scheduler in ("rr", "prio"):
+        waiting.clear()
+        resumed.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smm.vm, "step", recorded)
+            result = run_model(model, runnables="conc", scheduler=scheduler)
+        assert result.halt == AllDone()
+        assert max(waiting) == 4
+        assert len(resumed) == 4 and resumed != sorted(resumed)
+
+
+@pytest.mark.parametrize("medium", [drop_oldest_return, reverse_queue])
+def test_media_that_rewrite_the_receivers_queue_match_the_oracle(
+        prodcons_model, deadlock_model, medium):
+    # A step re-applies the live-thread rule to every waiting thread of
+    # the receiver, not only to the one the event delivered names.
+    for model in (prodcons_model, deadlock_model, parse_model(FAN),
+                  parse_model(OUT_OF_ORDER)):
+        _check_model(model, medium)
+    for seed in range(20):
+        _check_model(random_model(random.Random(661_000 + seed)), medium)
+    for seed in range(10):
+        _check_model(random_model(random.Random(662_000 + seed), objects=4,
+                                  supers=3), medium)
+
+
+def test_the_order_a_thread_map_holds_its_threads_in_does_not_matter():
     # A second setup thread in sender 0 has no recorded time, like the
     # first, so the two tie under either static order. The tie goes to
     # the smaller tid, as the oracle's sorted rescan has it, even when the
-    # selector reports the larger first.
+    # thread map holds the larger first.
     model = parse_model(FAN)
     for runnables, scheduler in CONFIGS:
         cfg = build_config(model, runnables=runnables, scheduler=scheduler)
         s = build_initial_state(cfg, model.setup)
-        s = dataclasses.replace(update_thread(s, 0, s.next_tid, s.cs[0][0]),
-                                next_tid=s.next_tid + 1)
+        thread = s.cs[0][0]
+        s = dataclasses.replace(
+            s, cs={**s.cs, 0: {s.next_tid: thread, 0: thread}},
+            next_tid=s.next_tid + 1)
+        assert list(s.cs[0]) == [s.next_tid - 1, 0]
+        for wrap in (False, True):
+            assert_same(fast_run(cfg, s, wrap=wrap),
+                        oracle_run(cfg, runnables, s))
 
-        def reversing(state, oid):
-            live, events = cfg.runnables_sel(state, oid)
+
+def test_a_bundled_scheduler_needs_a_selector_with_the_base_call(
+        prodcons_model):
+    # The heap applies the live-thread rule itself, so it refuses a
+    # selector whose own __call__ it would ignore; a scheduler with no
+    # static order calls the selector and takes any.
+    cfg = build_config(prodcons_model)
+    s = build_initial_state(cfg, prodcons_model.setup)
+
+    class Reversing(type(cfg.runnables_sel)):
+        def __call__(self, state, oid):
+            live, events = super().__call__(state, oid)
             return live[::-1], events
 
-        backwards = dataclasses.replace(cfg, runnables_sel=reversing)
-        assert_same(fast_run(backwards, s), oracle_run(cfg, runnables, s))
+    def plain(state, oid):
+        return cfg.runnables_sel(state, oid)
+
+    for sel in (Reversing(), plain):
+        with pytest.raises(TypeError, match="does not override __call__"):
+            run({}, 0, dataclasses.replace(cfg, runnables_sel=sel), s)
+        wrapped = dataclasses.replace(
+            cfg, runnables_sel=sel,
+            scheduler=lambda t, entries: cfg.scheduler(t, entries))
+        assert run({}, 0, wrapped, s) == run({}, 0, cfg, s)
 
 
 @pytest.mark.parametrize("until", [1, 7, 25, 60])
@@ -621,11 +792,7 @@ def test_a_step_asks_only_the_objects_it_touched(runnables, medium):
     if medium is not None:
         cfg = dataclasses.replace(cfg, medium=medium)
     calls = []
-
-    def counted(s, oid):
-        calls.append(oid)
-        return cfg.runnables_sel(s, oid)
-
+    counted = observed(cfg.runnables_sel, lambda _s, oid: calls.append(oid))
     s = build_initial_state(cfg, model.setup)
     result = run({}, 0, dataclasses.replace(cfg, runnables_sel=counted), s)
     assert result.halt == AllDone()
@@ -692,11 +859,8 @@ def test_an_allocation_loop_asks_the_acting_and_new_objects(runnables,
     model = parse_model(ALLOC_LOOP)
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
     asked: list[list[int]] = [[]]
-
-    def counted(s, oid):
-        asked[-1].append(oid)
-        return cfg.runnables_sel(s, oid)
-
+    counted = observed(cfg.runnables_sel,
+                       lambda _s, oid: asked[-1].append(oid))
     s = build_initial_state(cfg, model.setup)
     result = run({}, 0, dataclasses.replace(cfg, runnables_sel=counted), s,
                  max_steps=400, on_step=lambda *_: asked.append([]))
@@ -709,3 +873,71 @@ def test_an_allocation_loop_asks_the_acting_and_new_objects(runnables,
     # once, in the step that allocated it.
     assert sorted(oid for each in asked[1:] for oid in each) == sorted(
         [0] * result.time + list(range(1, 1 + allocated)))
+
+
+def _hub_model(senders: int, signals: int) -> str:
+    """``senders`` senders, each sending ``signals`` signals to one
+    passive hub, set up last, in straight-line code; a handler takes two
+    steps. The senders outrank the signals under ``prio``, so under
+    ``conc``/``prio`` every signal is sent, and then every one becomes a
+    live handler thread before any handler takes its second step: the hub
+    holds ``senders * signals`` live threads at once."""
+    sends = "  send h.note(one) prio 0;\n" * signals
+    setup = "".join(f"  s{i}: Sender active go prio 5000 links [hub];\n"
+                    for i in range(senders))
+    return ("class Hub { }\nclass Sender { }\n"
+            "op Hub.note(x: Int): Void {\n  let d: Int = 0;\n"
+            "  return void;\n}\n"
+            "op Sender.go(): Void {\n  let h: Hub = null;\n"
+            "  loadattr h hub;\n  let one: Int = 1;\n" + sends
+            + "  return void;\n}\n"
+            "setup {\n" + setup + "  hub: Hub passive;\n}\n")
+
+
+HUB_SIZES = pytest.mark.parametrize("signals", [2, 64],
+                                    ids=["8-threads", "256-threads"])
+
+
+@HUB_SIZES
+def test_a_busy_hub_matches_the_oracle(signals):
+    _check_model(parse_model(_hub_model(4, signals)), max_steps=10**6)
+
+
+@HUB_SIZES
+def test_a_step_costs_the_same_whatever_the_threads_of_its_object(
+        signals, monkeypatch):
+    # The hub holds 8 live threads at once in one model and 256 in the
+    # other. A step applies the live-thread rule to its acting thread
+    # (and to waiting threads where a queue changed; here none wait) and
+    # asks at most the acting object and one receiver for their events,
+    # so the per-step work is the same at both sizes. A selector asked
+    # for every thread of each touched object, as before, did work in
+    # proportion to the hub's threads on every step the hub took.
+    model = parse_model(_hub_model(4, signals))
+    cfg = build_config(model, runnables="conc", scheduler="prio")
+    hub = len(model.setup) - 1
+    work: list[list[str]] = [[]]  # per refresh: "live" or "ask" per call
+    live, step_, threads = smm.vm.is_live, smm.vm.step, []
+
+    def counted(thr, tid, queue):
+        work[-1].append("live")
+        return live(thr, tid, queue)
+
+    def recorded(s, config, oid, tid, event=None):
+        out = step_(s, config, oid, tid, event)
+        threads.append(len(out[0].cs[hub]))
+        return out
+
+    monkeypatch.setattr(smm.vm, "is_live", counted)
+    monkeypatch.setattr(smm.vm, "step", recorded)
+    sel = observed(cfg.runnables_sel, lambda _s, _oid: work[-1].append("ask"))
+    s = build_initial_state(cfg, model.setup)
+    result = run({}, 0, dataclasses.replace(cfg, runnables_sel=sel), s,
+                 on_step=lambda *_: work.append([]))
+    assert result.halt == AllDone()
+    assert max(threads) == 4 * signals
+    # The first refresh: every object asked, every sender's thread tried.
+    assert sorted(work[0]) == ["ask"] * len(s.ds) + ["live"] * 4
+    assert len(work) == result.time + 1
+    assert max(each.count("live") for each in work[1:]) == 1
+    assert max(each.count("ask") for each in work[1:]) == 2

@@ -201,6 +201,25 @@ def test_an_instance_of_a_subclass_is_checked_as_its_action_class(action):
     assert _problems(_model(built)) == _problems(_model(action))
 
 
+@pytest.mark.parametrize("action", [
+    BinOp("add", "a", "a", "a"),
+    Call("t", F, ("a",), "r"),
+    SendSignal("t", F, ("a",), 1),
+    LocalConst("a", IntVal(4)),
+    NewLocal("o", ClassType("X"), NULL_OID),
+], ids=lambda action: type(action).__name__)
+def test_an_instance_of_a_subclass_prints_as_its_action_class(action):
+    # validate_model accepts it by its action class, so print_model writes
+    # it as that class too: the text is the base action's.
+    base = type(action)
+    derived = type(f"Derived{base.__name__}", (base,), {})
+    built = derived(*(getattr(action, f.name) for f in fields(base)))
+    assert _problems(_model(built)) == []
+    text = print_model(_model(built))
+    assert text == print_model(_model(action))
+    assert parse_model(text) == _model(action)
+
+
 def _call_sites(model: ModelDef) -> list[tuple[str, OpSig, int]]:
     return [(cls, sig, pc) for cls, ops in model.meth_map.items()
             for sig, meth in ops.items()

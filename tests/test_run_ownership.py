@@ -27,7 +27,8 @@ import smm.vm
 
 from modelgen import random_model
 from test_collect_oracle import (
-    ALLOC_LOOP, CONFIGS, FAN, _wide_model, plain_reliable, plain_stores,
+    ALLOC_LOOP, CONFIGS, FAN, _wide_model, observed, plain_reliable,
+    plain_stores,
 )
 
 
@@ -95,8 +96,9 @@ def test_a_result_is_a_value_a_further_run_leaves_alone(prodcons_model,
 def _identities(model_text: str, runnables: str, scheduler: str,
                 max_steps: int | None, monkeypatch):
     """Run the model with a selector that records the identities of the
-    three stores it is handed, per step: the first list is the first
-    refresh's, each later one the refresh after a step. Also returns, per
+    three stores each ``pending_handler_events`` ask is handed, per step:
+    the first list is the first refresh's, each later one the refresh
+    after a step, which always asks the acting object. Also returns, per
     step, whether it consumed an event."""
     model = parse_model(model_text)
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
@@ -104,10 +106,8 @@ def _identities(model_text: str, runnables: str, scheduler: str,
     consumed: list[bool] = []
     consuming = [False]
 
-    def recording(s, oid):
-        seen[-1].append((id(s.ds), id(s.cs), id(s.es)))
-        return cfg.runnables_sel(s, oid)
-
+    recording = observed(cfg.runnables_sel, lambda s, _oid: seen[-1].append(
+        (id(s.ds), id(s.cs), id(s.es))))
     consume = smm.vm.consume_event
 
     def counted(*args):
