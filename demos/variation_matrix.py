@@ -1,4 +1,6 @@
-"""Run the producer/consumer model under all four scheduling variants.
+"""Run the producer/consumer model under every runnables strategy and
+scheduler, as ``VARIATION_POINTS`` lists them: four combinations today,
+and a strategy added to either table shows up with no other edit.
 
 The model is racy on purpose: get() reads the buffer slot and only then
 invalidates it, so two get handlers interleaved inside the buffer can fetch
@@ -11,6 +13,7 @@ Usage: python demos/variation_matrix.py
 from pathlib import Path
 
 from smm import IntVal, load_model, render_final_state, run_model
+from smm.variation import VARIATION_POINTS
 
 MODEL = Path(__file__).resolve().parent.parent / "models" / "prodcons.smm"
 
@@ -24,8 +27,8 @@ def consistent(result) -> bool:
 def main() -> None:
     model = load_model(MODEL)
     results = {}
-    for runnables in ("rtc", "conc"):
-        for scheduler in ("rr", "prio"):
+    for runnables in VARIATION_POINTS["runnables"]:
+        for scheduler in VARIATION_POINTS["scheduler"]:
             results[(runnables, scheduler)] = run_model(
                 model, runnables=runnables, scheduler=scheduler)
 

@@ -172,12 +172,13 @@ def _arg_record(thr, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
     return RecordVal(tuple(fields))
 
 
-def _target_oid(thr, name: str, s: SimState) -> int:
-    v = _local(thr, name)
+def _target_oid(thr, action: Call | SendSignal, s: SimState) -> int:
+    v = _local(thr, action.target)
     if isinstance(v, NullOid):
-        raise ExecError(f"call through null reference {name!r}")
+        verb = "call" if isinstance(action, Call) else "send"
+        raise ExecError(f"{verb} through null reference {action.target!r}")
     if not isinstance(v, OidVal):
-        raise ExecError(f"local {name!r} is not an object reference")
+        raise ExecError(f"local {action.target!r} is not an object reference")
     if v.oid not in s.ds:
         raise ExecError(f"dangling reference to object {v.oid}")
     return v.oid
@@ -292,7 +293,7 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
                        store_local(thr, action.dst, OidVal(new_oid)))
 
     if isinstance(action, (Call, SendSignal)):
-        dst = _target_oid(thr, action.target, s)
+        dst = _target_oid(thr, action, s)
         args = _arg_record(thr, action.args, action.op, cfg, s.ds)
         if isinstance(action, Call):
             payload = CallPayload(action.op, args, action.result_local,

@@ -22,17 +22,18 @@ Which live threads an object offers is one rule for every selector,
 ``is_live``: a thread is offered when it is ready, or waiting with its
 return buffered. A strategy varies only ``pending_handler_events``.
 
-A scheduler picks one entry of all offered. Each bundled one ranks an
-entry by a static order, a key of its priority and last execution time
-that does not depend on the current time (``rr_order``, ``prio_order``),
-and is written as the least entry by that key, ties to the smallest
-(oid, tid). ``vm.run`` uses the key in its place: it keeps each offered
-thread, and each object's least offered event, by that key in a heap and
-never calls the bundled scheduler. There it applies ``is_live`` itself
-and asks the selector only for ``pending_handler_events``, so it requires
-a ``RunnablesSelector`` that does not override ``__call__``. Any other
-scheduler is asked with every entry on every step, and its selector is
-called.
+A scheduler picks one entry of all offered. A ``Least`` scheduler, as
+both bundled ones are, carries a static order, a key of an entry's
+priority and last execution time that does not depend on the current
+time (``rr_order``, ``prio_order``), and picks the least entry by that
+key, ties to the smallest (oid, tid). ``vm.run`` uses the key in its
+place: it keeps each offered thread, and each object's least offered
+event, by that key in a heap and never calls the scheduler. There it
+applies ``is_live`` itself and asks the selector only for
+``pending_handler_events``, so it requires a ``RunnablesSelector`` that
+does not override ``__call__``. Any other scheduler, a function or a
+wrapped ``Least``, is asked with every entry on every step, and its
+selector is called.
 
 The selector contract: what ``sel(s, oid)`` and
 ``sel.pending_handler_events(s, oid)`` return depend only on the
@@ -113,7 +114,7 @@ class RunnablesSelector:
 
     The class is the strategy type ``Config.runnables_sel`` holds. It
     stays a class, not a plain function, because ``vm.run`` asks a
-    bundled scheduler's selector only for ``pending_handler_events(s,
+    ``Least`` scheduler's selector only for ``pending_handler_events(s,
     oid)``, and because wrappers of the strategy (the traced pass in
     ``perfbench/tracing.py``) rely on its ``name``, on that method and on
     ``__call__(s, oid)``.
@@ -177,52 +178,45 @@ StaticOrder = Callable[[int, int], tuple[int, ...]]
 
 
 def rr_order(prio: int, last_exec: int) -> tuple[int, ...]:
-    """Round-robin's rank of an offer: least recently executed first."""
+    """Round-robin's rank of an offer: least recently executed first, so a
+    stable set alternates exactly. Of ``n`` offers that stay the same on
+    every step, each waits at most ``n - 1`` steps for its next run."""
     return (last_exec,)
 
 
 def prio_order(prio: int, last_exec: int) -> tuple[int, ...]:
-    """Priority-with-aging's rank of an offer. At any fixed time ``t`` the
-    effective priority ``prio + (t - last_exec)`` is highest exactly where
-    ``last_exec - prio`` is lowest, so the rank needs no ``t``; equal
-    effective priorities go to the longest-waiting offer."""
+    """Priority-with-aging's rank of an offer: highest effective priority
+    first, where the effective priority is the base priority plus the
+    steps since the offer last executed, ties to the longest-waiting one.
+
+    At any fixed time ``t`` the effective priority ``prio + (t -
+    last_exec)`` is highest exactly where ``last_exec - prio`` is lowest,
+    so the rank needs no ``t``. Of ``n`` offers that stay the same on
+    every step, with highest priority ``P``, an offer of priority ``p``
+    waits at most ``n - 1`` steps for its next run if ``p == P``, and at
+    most ``n - 2 + (P - p)`` if ``p < P``."""
     return (last_exec - prio, last_exec)
 
 
-def _least(entries: list[RunnableEntry],
-           order: StaticOrder) -> tuple[int, int]:
-    """The entry first by ``order``, ties to the smallest (oid, tid)."""
-    if not entries:
-        raise ExecError("scheduler invoked with no runnable entries")
-    best = min(entries, key=lambda e: (order(e.prio, e.last_exec), e.oid,
-                                       e.tid))
-    return best.oid, best.tid
+@value_class
+class Least:
+    """A scheduler that picks the entry first by a static ``order``, ties
+    to the smallest (oid, tid). ``vm.run`` picks by ``order`` itself and
+    never calls it."""
+
+    order: StaticOrder
+
+    def __call__(self, t: int,
+                 entries: list[RunnableEntry]) -> tuple[int, int]:
+        if not entries:
+            raise ExecError("scheduler invoked with no runnable entries")
+        best = min(entries, key=lambda e: (self.order(e.prio, e.last_exec),
+                                           e.oid, e.tid))
+        return best.oid, best.tid
 
 
-def schedule_rr(t: int, entries: list[RunnableEntry]) -> tuple[int, int]:
-    """Least-recently-executed selection; exact alternation on a stable set.
-
-    Ties go to the smallest (oid, tid), so runs are reproducible.
-    """
-    return _least(entries, rr_order)
-
-
-def schedule_prio(t: int, entries: list[RunnableEntry]) -> tuple[int, int]:
-    """Highest effective priority, where waiting time counts as priority.
-
-    The effective priority is the base priority plus the steps since the
-    entry last executed (aging), so a runnable entry can starve only for a
-    bounded time. Ties go to the longest-waiting entry, then to the
-    smallest (oid, tid).
-    """
-    return _least(entries, prio_order)
-
-
-# Each bundled scheduler with the static order it picks by. ``vm.run``
-# selects by that order itself, and asks any other scheduler, a wrapped
-# bundled one included, with every entry.
-STATIC_ORDERS: tuple[tuple[Scheduler, StaticOrder], ...] = (
-    (schedule_rr, rr_order), (schedule_prio, prio_order))
+schedule_rr = Least(rr_order)
+schedule_prio = Least(prio_order)
 
 
 def dispatch_single(scl: SubclassRel, mm: MethMap, ds: DataStore,

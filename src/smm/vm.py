@@ -10,7 +10,7 @@ emitted. A medium writes only its event's receiver queue (the medium
 contract in ``variation``), so that is the step's whole footprint:
 ``step`` reports the receiver, and new objects are the ids from the old
 object count on, so finding them costs no scan whatever the medium. For a
-bundled scheduler the pick comes from a heap ordered by the scheduler's
+``Least`` scheduler the pick comes from a heap ordered by the scheduler's
 static order that holds one item per offered thread and one per object
 for its least offered event. A step re-applies the live-thread rule only
 to the thread that acted and to the waiting threads of the objects whose
@@ -50,8 +50,7 @@ from .universe import (
     ClassType, Hierarchy, OidVal, OpSig, Problem, value_class,
 )
 from .variation import (
-    STATIC_ORDERS, Config, RunnableEntry, RunnablesSelector, StaticOrder,
-    is_live,
+    Config, Least, RunnableEntry, RunnablesSelector, StaticOrder, is_live,
 )
 
 StepHook = Callable[[int, int, int, int, Action], None]
@@ -175,7 +174,7 @@ class _Rescan:
 
     Each step lays out all offers with ``collect_runnables``, whose
     entries are every offered thread and event, not just each object's
-    least. The run loop uses it for a scheduler with no static order.
+    least. The run loop uses it for a scheduler that is not a ``Least``.
     """
 
     def __init__(self, cfg: Config, times: TimesMap):
@@ -495,12 +494,12 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     time is dropped once it ends, since ids are never reused. It must name
     only ids below ``s.next_tid``, which is all a run records; one that
     names a later id, which an offered event would take, raises
-    ``ValueError``. A bundled scheduler is not called: its static order
+    ``ValueError``. A ``Least`` scheduler is not called: its static order
     picks from a heap of every offered thread and each object's least
     offered event (see ``_OfferHeap``), so a pick costs time logarithmic
     in the offers, not linear. The heap applies ``variation.is_live``
     itself and asks the selector only for ``pending_handler_events``, so
-    with a bundled scheduler the selector must be a ``RunnablesSelector``
+    with a ``Least`` scheduler the selector must be a ``RunnablesSelector``
     that does not override ``__call__``; any other raises ``TypeError``.
     Any other scheduler gets every entry on every step, from the selector
     called on each object asked.
@@ -519,16 +518,15 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         raise ValueError(f"times names thread id {max(times)}, but ids "
                          f"from {s.next_tid} on are not handed out yet")
     times = dict(times)
-    order = next((o for f, o in STATIC_ORDERS if f is cfg.scheduler), None)
     sel = cfg.runnables_sel
-    if order is None:
+    if not isinstance(cfg.scheduler, Least):
         offered: _Rescan | _OfferHeap = _Rescan(cfg, times)
     elif isinstance(sel, RunnablesSelector) and \
             type(sel).__call__ is RunnablesSelector.__call__:
-        offered = _OfferHeap(sel, order, times)
+        offered = _OfferHeap(sel, cfg.scheduler.order, times)
     else:
         raise TypeError(
-            f"a bundled scheduler needs a RunnablesSelector that does not "
+            f"a Least scheduler needs a RunnablesSelector that does not "
             f"override __call__, as run applies the live-thread rule "
             f"itself; got {sel!r}")
     s = copy_stores(s)

@@ -505,6 +505,8 @@ setup {
     @pytest.mark.parametrize("body, message", [
         ("let t: A = null; call t.go() -> r; return void;",
          "call through null reference 't' [oid=1, tid=1, pc=2]"),
+        ("let t: A = null; send t.go() prio 1; return void;",
+         "send through null reference 't' [oid=1, tid=1, pc=2]"),
         ("set i true; return void;",
          "type error assigning local 'i' [oid=1, tid=1, pc=1]"),
         ("let b: Bool = true; add i i b; return void;",
@@ -522,7 +524,7 @@ setup {
          "argument 0 of 'put' does not fit type Int [oid=1, tid=1, pc=4]"),
         ("call i.go() -> r; return void;",
          "local 'i' is not an object reference [oid=1, tid=1, pc=1]"),
-    ], ids=["null-target", "local-type", "int-operand", "bool-condition",
+    ], ids=["null-target", "null-send-target", "local-type", "int-operand", "bool-condition",
             "attr-type", "duplicate-let", "fell-off-the-end", "argument-type",
             "int-target"])
     def test_runtime_error_line(self, tmp_path, capsys, body, message):

@@ -51,6 +51,7 @@ from smm import (
     deliver_reliable, parse_model, render_final_state, run, run_model,
 )
 from smm.frontend import render_trace, trace_recorder
+from smm.variation import VARIATION_POINTS, Least
 import smm.vm
 from smm.vm import step
 
@@ -526,6 +527,37 @@ def test_a_scheduler_with_no_static_order_gets_every_entry(prodcons_model):
     for seed in range(10):
         _check_model(random_model(random.Random(657_000 + seed)), wrap=True)
     _check_model(prodcons_model, drop_every_third, wrap=True)
+
+
+def test_a_least_added_in_one_table_edit_runs_on_the_heap(
+        monkeypatch, prodcons_model, deadlock_model):
+    # A new static-order scheduler needs only its table entry: run picks by
+    # its order and never calls it, with the outcome of the same scheduler
+    # wrapped in a function, which run asks with every entry, and of the
+    # oracle.
+    monkeypatch.setitem(VARIATION_POINTS["scheduler"], "urgent",
+                        Least(lambda prio, last_exec: (-prio, last_exec)))
+    calls = []
+    call = Least.__call__
+
+    def counted(self, t, entries):
+        calls.append(t)
+        return call(self, t, entries)
+
+    monkeypatch.setattr(Least, "__call__", counted)
+    for model in (prodcons_model, deadlock_model):
+        for runnables in ("rtc", "conc"):
+            cfg = build_config(model, runnables=runnables,
+                               scheduler="urgent")
+            s = build_initial_state(cfg, model.setup)
+            del calls[:]
+            fast = fast_run(cfg, s)
+            assert calls == []
+            wrapped = fast_run(cfg, s, wrap=True)
+            assert calls
+            slow = oracle_run(cfg, runnables, s)
+            assert_same(fast, slow)
+            assert_same(wrapped, slow)
 
 
 def test_a_medium_that_drops_events_matches_the_oracle():

@@ -7,6 +7,7 @@ import runpy
 import pytest
 
 import smm
+from smm.variation import VARIATION_POINTS, Least
 
 from conftest import REPO_ROOT
 
@@ -18,6 +19,18 @@ def test_demo_runs_and_prints(name, capsys):
     runpy.run_path(str(REPO_ROOT / "demos" / f"{name}.py"),
                    run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_the_matrix_runs_a_strategy_added_in_one_table_edit(monkeypatch,
+                                                           capsys):
+    # Round-robin, equal last runs going to the higher priority.
+    monkeypatch.setitem(VARIATION_POINTS["scheduler"], "eager",
+                        Least(lambda prio, last_exec: (last_exec, -prio)))
+    runpy.run_path(str(REPO_ROOT / "demos" / "variation_matrix.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    for runnables in ("rtc", "conc"):
+        assert f"--- runnables={runnables} scheduler=eager ---" in out
 
 
 def _demo_imports() -> set[str]:

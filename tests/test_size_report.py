@@ -1,5 +1,5 @@
-"""``tools/size_report.py`` reports this checkout's lines, public names and
-import time."""
+"""``tools/size_report.py`` reports this checkout's lines, code lines,
+public names and import time."""
 
 from __future__ import annotations
 
@@ -18,10 +18,43 @@ _spec.loader.exec_module(size_report)
 def test_the_report_counts_this_checkout(capsys, monkeypatch):
     monkeypatch.setattr(size_report, "RUNS", 1)
     size_report.main([str(ROOT)])
-    lines, names, import_line = capsys.readouterr().out.splitlines()
-    wc = sum(len(path.read_text().splitlines())
-             for path in (ROOT / "src" / "smm").glob("*.py"))
+    lines, code, names, import_line = capsys.readouterr().out.splitlines()
+    paths = list((ROOT / "src" / "smm").glob("*.py"))
+    wc = sum(len(path.read_text().splitlines()) for path in paths)
     assert lines == f"lines: {wc}"
+    counted = sum(size_report.code_lines(path.read_text()) for path in paths)
+    assert code == f"code lines: {counted}"
+    assert 0 < counted < wc
     assert names == f"public names: {len(smm.__all__)}"
     assert import_line.startswith("import smm.cli: ")
     assert float(import_line.split()[2]) > 0
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    source = (
+        '"""A module docstring,\n'
+        'on two lines."""\n'
+        '\n'
+        '# a comment\n'
+        'import os  # code with a comment\n'
+        '\n'
+        '\n'
+        'class A:\n'
+        '    """A class docstring."""\n'
+        '\n'
+        '    def f(self):\n'
+        '        """A method docstring."""\n'
+        '        # an indented comment\n'
+        '        text = """not a docstring,\n'
+        'so every line counts"""\n'
+        '        return text\n'
+        '\n'
+        '\n'
+        'def g(): """A docstring on the line of its def."""\n'
+        '\n'
+        '\n'
+        '"""A string after the module docstring is code."""\n'
+    )
+    # import, class, def f, the two lines of text, return, def g and the
+    # last string.
+    assert size_report.code_lines(source) == 8

@@ -20,7 +20,7 @@ from smm.cli import main as cli_main
 from smm.frontend import build_config
 from smm.state import CallPayload, make_event, update_thread
 from smm.variation import (
-    STATIC_ORDERS, VARIATION_POINTS, ConcRunnables, RtcRunnables,
+    VARIATION_POINTS, ConcRunnables, Least, RtcRunnables,
 )
 
 from conftest import (
@@ -229,20 +229,21 @@ _ENTRIES = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
 
 
 class TestStaticOrder:
-    """The run loop picks by a bundled scheduler's static order in place
+    """The run loop picks by a ``Least`` scheduler's static order in place
     of calling it, so the two must agree, and the order must agree with
     the schedulers' time-dependent definitions."""
 
     def test_every_bundled_scheduler_has_one(self):
-        assert [f for f, _ in STATIC_ORDERS] == \
-            list(VARIATION_POINTS["scheduler"].values())
+        assert all(isinstance(f, Least)
+                   for f in VARIATION_POINTS["scheduler"].values())
 
     @given(_ENTRIES, st.integers(-1, 40))
     def test_a_pick_by_the_order_is_the_schedulers(self, raw, t):
         # Small ranges, so ties in every key component, and -1 times
         # (never run), are common.
         entries = [E(*e) for e in raw]
-        for scheduler, order in STATIC_ORDERS:
+        for scheduler in VARIATION_POINTS["scheduler"].values():
+            order = scheduler.order
             best = min(entries, key=lambda e: (order(e.prio, e.last_exec),
                                                e.oid, e.tid))
             assert scheduler(t, entries) == (best.oid, best.tid)
@@ -251,6 +252,59 @@ class TestStaticOrder:
                                            e.last_exec, e.oid, e.tid))
         assert schedule_rr(t, entries) == (least_recent.oid, least_recent.tid)
         assert schedule_prio(t, entries) == (aged.oid, aged.tid)
+
+
+# The longest an offer of priority ``p`` waits for its next run among ``n``
+# offers that stay the same on every step, the highest priority ``top``.
+STARVATION_BOUNDS = {
+    "rr": lambda n, top, p: n - 1,
+    "prio": lambda n, top, p: n - 1 if p == top else n - 2 + top - p,
+}
+
+
+def _longest_waits(scheduler, offers, steps: int = 150) -> list[int]:
+    """Drive ``scheduler`` over the fixed ``offers``, (prio, last_exec)
+    pairs with last runs before time 7, each offered on every step from
+    time 7 on; each offer's longest run of steps without being picked."""
+    last = [last_exec for _, last_exec in offers]
+    waits = [0] * len(offers)
+    longest = [0] * len(offers)
+    for t in range(7, 7 + steps):
+        picked, _ = scheduler(t, [E(i, i, prio, last[i])
+                                  for i, (prio, _) in enumerate(offers)])
+        last[picked] = t
+        for i in range(len(offers)):
+            waits[i] = 0 if i == picked else waits[i] + 1
+            longest[i] = max(longest[i], waits[i])
+    return longest
+
+
+@pytest.mark.parametrize("name", sorted(STARVATION_BOUNDS))
+class TestStarvationBound:
+    """What ``rr_order`` and ``prio_order`` state: no offer of a fixed set
+    waits longer than its bound, and the bound is reached."""
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(-1, 6)),
+                    min_size=1, max_size=7))
+    def test_no_offer_waits_longer_than_the_bound(self, name, offers):
+        bound = STARVATION_BOUNDS[name]
+        top = max(prio for prio, _ in offers)
+        waits = _longest_waits(VARIATION_POINTS["scheduler"][name], offers)
+        for (prio, _), wait in zip(offers, waits):
+            assert wait <= bound(len(offers), top, prio)
+
+    def test_the_bound_is_reached(self, name):
+        # All last ran just before the first step, and the last offer
+        # loses every tie by id. Ahead of it, n - 2 offers of its priority
+        # and one of priority ``top``, which under aging runs top - p
+        # times before the last offer has aged past it.
+        bound = STARVATION_BOUNDS[name]
+        for n in range(1, 8):
+            for top in range(10):
+                offers = [(0, 6)] * (n - 2) + [(top, 6), (0, 6)][-n:]
+                longest = _longest_waits(VARIATION_POINTS["scheduler"][name],
+                                         offers)
+                assert longest[-1] == bound(n, max(p for p, _ in offers), 0)
 
 
 class TestStrategyPurity:

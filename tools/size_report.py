@@ -1,11 +1,14 @@
-"""Print the size of a checkout of smm: its lines, public names and import
-time.
+"""Print the size of a checkout of smm: its lines, code lines, public names
+and import time.
 
     python3 tools/size_report.py [CHECKOUT]
 
-CHECKOUT defaults to the checkout holding this script. The three numbers:
+CHECKOUT defaults to the checkout holding this script. The four numbers:
 
 - ``lines``: the ``wc -l`` total of ``src/smm/*.py``;
+- ``code lines``: the lines of ``src/smm/*.py`` that hold code, so not
+  blank, not only a comment and not part of a docstring, which is what
+  deleting a comment or a docstring leaves unchanged;
 - ``public names``: ``len(smm.__all__)``;
 - ``import smm.cli``: the median cumulative time of ``smm.cli`` that
   ``-X importtime`` reports, over 15 fresh interpreters started one after
@@ -19,14 +22,22 @@ CHECKOUT defaults to the checkout holding this script. The three numbers:
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 RUNS = 15
+
+# Tokens that hold no code: a line of only these is blank or a comment.
+_NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _python(src: Path, code: str, *flags: str) -> subprocess.CompletedProcess:
@@ -38,6 +49,21 @@ def _python(src: Path, code: str, *flags: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, "-B", *flags, "-c", code],
                               env=env, capture_output=True, text=True,
                               check=True)
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token of code other than a
+    docstring, which is the string token a module, class or function body
+    starts with. A string token spanning lines counts on each of them."""
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, _DOCUMENTED)
+                  and ast.get_docstring(node, clean=False) is not None}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NO_CODE and tok.start not in docstrings:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def import_ms(src: Path) -> float:
@@ -56,11 +82,13 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("checkout", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     src = parser.parse_args(argv).checkout.resolve() / "src"
-    lines = sum(path.read_bytes().count(b"\n")
-                for path in (src / "smm").glob("*.py"))
+    paths = sorted((src / "smm").glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    code = sum(code_lines(path.read_text()) for path in paths)
     names = _python(src, "import smm; print(len(smm.__all__))").stdout
     times = [import_ms(src) for _ in range(RUNS)]
     print(f"lines: {lines}")
+    print(f"code lines: {code}")
     print(f"public names: {int(names)}")
     print(f"import smm.cli: {statistics.median(times):.1f} ms "
           f"(median of {RUNS}, {min(times):.1f}..{max(times):.1f})")
