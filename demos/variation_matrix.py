@@ -6,16 +6,19 @@ The model is racy on purpose: get() reads the buffer slot and only then
 invalidates it, so two get handlers interleaved inside the buffer can fetch
 the same value. Whether that interleaving can happen at all is decided by
 the runnables strategy, and how expensive the run is by the scheduler.
+Each run gets a step budget: a scheduler that never ages a waiting offer
+can starve the consumers for ever, and its rows say "no verdict".
 
 Usage: python demos/variation_matrix.py
 """
 
 from pathlib import Path
 
-from smm import IntVal, load_model, render_final_state, run_model
+from smm import IntVal, StepLimit, load_model, render_final_state, run_model
 from smm.variation import VARIATION_POINTS
 
 MODEL = Path(__file__).resolve().parent.parent / "models" / "prodcons.smm"
+MAX_STEPS = 10_000  # the bundled configs finish in under 200
 
 
 def consistent(result) -> bool:
@@ -30,18 +33,28 @@ def main() -> None:
     for runnables in VARIATION_POINTS["runnables"]:
         for scheduler in VARIATION_POINTS["scheduler"]:
             results[(runnables, scheduler)] = run_model(
-                model, runnables=runnables, scheduler=scheduler)
+                model, runnables=runnables, scheduler=scheduler,
+                max_steps=MAX_STEPS)
 
     for (runnables, scheduler), result in results.items():
         print(f"--- runnables={runnables} scheduler={scheduler} ---")
         print(render_final_state(result))
-        verdict = "consistent" if consistent(result) else "RACE: lost update"
+        if result.halt == StepLimit():
+            verdict = f"no verdict within {MAX_STEPS} steps"
+        elif consistent(result):
+            verdict = "consistent"
+        else:
+            verdict = "RACE: lost update"
         print(f"outcome: {verdict}")
         print()
 
     print("step counts:")
+    wide = [max(map(len, VARIATION_POINTS[point]))
+            for point in ("runnables", "scheduler")]
     for key, result in sorted(results.items(), key=lambda kv: kv[1].time):
-        print(f"  {key[0]:>4} + {key[1]:<4} {result.time:>5} steps")
+        late = ", no verdict" if result.halt == StepLimit() else ""
+        print(f"  {key[0]:>{wide[0]}} + {key[1]:<{wide[1]}} "
+              f"{result.time:>5} steps{late}")
     fast = results[("rtc", "prio")].time
     slow = results[("conc", "rr")].time
     print(f"\nrtc+prio runs in {fast / slow:.0%} of the conc+rr step count:")

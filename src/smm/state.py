@@ -1,12 +1,15 @@
 """The three-store simulation state and its primitive operations.
 
-A ``SimState`` is a value: every operation returns a new state and never
-mutates its argument, but writes in place a store that only a running
-``vm.run`` holds (an ``_Owned`` one: the transient pattern). The data store
-holds each object's class tag and attribute record, the control store holds
-each object's threads, each one method activation kept as ``cs[oid][tid]``
-(the ids live only in those keys), and the event store holds one FIFO queue
-of incoming events per object.
+A ``SimState`` is a value: on plain stores every operation returns a new
+state and never mutates its argument. A store that only a running ``vm.run``
+holds (an ``_Owned`` one: the transient pattern) is written in place, and an
+operation that moves no counter then returns the very state it was given:
+inside a run a new state is built only where ``next_tid`` or ``next_seq``
+moves or the event store is replaced. The data store holds each object's
+class tag and attribute record, the control store holds each object's
+threads, each one method activation kept as ``cs[oid][tid]`` (the ids live
+only in those keys), and the event store holds one FIFO queue of incoming
+events per object.
 
 Thread ids and event sequence numbers are drawn from monotone counters kept
 inside the state, which is what makes whole runs reproducible values. Every
@@ -199,9 +202,12 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
         raise InternalError(f"cannot allocate object id {oid}: it is taken, "
                             f"so the data store's ids are not 0..{oid - 1}")
     attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
-    return SimState(_with(s.ds, oid, StoredObject(cls.name, attrs)),
-                    _with(s.cs, oid, type(s.cs)()), _with(s.es, oid, ()),
-                    s.next_tid, s.next_seq), oid
+    ds = _with(s.ds, oid, StoredObject(cls.name, attrs))
+    cs = _with(s.cs, oid, type(s.cs)())
+    es = _with(s.es, oid, ())
+    if ds is s.ds and cs is s.cs and es is s.es:  # all three owned
+        return s, oid
+    return SimState(ds, cs, es, s.next_tid, s.next_seq), oid
 
 
 def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
@@ -219,7 +225,10 @@ def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
             f"type error writing attribute {name!r} of object {oid}: "
             f"{v!r} does not match the stored kind", oid=oid)
     new_obj = StoredObject(obj.class_name, obj.attrs.set(name, v))
-    return SimState(_with(s.ds, oid, new_obj), s.cs, s.es, s.next_tid,
+    if type(s.ds) is _Owned:
+        s.ds[oid] = new_obj
+        return s
+    return SimState({**s.ds, oid: new_obj}, s.cs, s.es, s.next_tid,
                     s.next_seq)
 
 
@@ -257,7 +266,10 @@ def end_thread(s: SimState, oid: int, tid: int) -> SimState:
     threads = s.cs.get(oid)
     if threads is None or tid not in threads:
         return s
-    threads = threads if type(threads) is _Owned else dict(threads)
+    if type(threads) is _Owned:
+        del threads[tid]
+        return s
+    threads = dict(threads)
     del threads[tid]
     return SimState(s.ds, _with(s.cs, oid, threads), s.es, s.next_tid,
                     s.next_seq)
@@ -267,7 +279,10 @@ def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
     threads = s.cs.get(oid)
     if threads is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
-    return SimState(s.ds, _with(s.cs, oid, _with(threads, tid, thr)), s.es,
+    if type(threads) is _Owned:  # ``s.cs[oid]`` already holds it
+        threads[tid] = thr
+        return s
+    return SimState(s.ds, _with(s.cs, oid, {**threads, tid: thr}), s.es,
                     s.next_tid, s.next_seq)
 
 

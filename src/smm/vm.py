@@ -441,7 +441,10 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     state, the pc and action that ran, and the receiver of the one event
     the action emitted: the target of a call or signal, the caller of a
     return that has one, otherwise None. The target is read from the
-    thread after consumption, which may have rebound its local.
+    thread after consumption, which may have rebound its local. On owned
+    stores, inside ``run``, the successor may be ``s`` itself, written in
+    place: a step builds a new state only where it moves a counter or
+    consumes an event. On plain stores ``s`` is never written.
     This is the one place that attaches the running (oid, tid, pc) to an
     ``ExecError``; an error raised while the event is consumed names no
     pc, because no action ran.

@@ -33,6 +33,20 @@ def test_the_matrix_runs_a_strategy_added_in_one_table_edit(monkeypatch,
         assert f"--- runnables={runnables} scheduler=eager ---" in out
 
 
+def test_the_matrix_ends_under_a_scheduler_that_never_ages(monkeypatch,
+                                                           capsys):
+    # Highest priority first, the older last run only on equal priorities:
+    # under rtc the consumers' waiting offers are passed over for ever.
+    monkeypatch.setitem(VARIATION_POINTS["scheduler"], "starving",
+                        Least(lambda prio, last_exec: (-prio, last_exec)))
+    demo = runpy.run_path(str(REPO_ROOT / "demos" / "variation_matrix.py"),
+                          run_name="__main__")
+    out = capsys.readouterr().out
+    budget = demo["MAX_STEPS"]
+    assert f"outcome: no verdict within {budget} steps" in out
+    assert f"   rtc + starving {budget} steps, no verdict" in out
+
+
 def _demo_imports() -> set[str]:
     names = set()
     for name in DEMOS:

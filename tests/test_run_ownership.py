@@ -24,6 +24,7 @@ from smm import (
     parse_model, run,
 )
 import smm.vm
+from smm.state import SimState
 
 from modelgen import random_model
 from test_collect_oracle import (
@@ -148,3 +149,37 @@ def test_a_run_copies_no_data_or_control_store(runnables, scheduler,
     assert all(len({ids[2] for ids in each}) == 1 for each in seen)
     copied = [k for k in range(result.time) if es[k + 1] != es[k]]
     assert all(consumed[k] for k in copied)
+
+
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
+@pytest.mark.parametrize("model_name", ["fan", "alloc-loop", "prodcons"])
+def test_a_step_builds_a_state_only_where_a_counter_moves(
+        runnables, scheduler, model_name, prodcons_model, monkeypatch):
+    # A count, not a timing: inside a run only an emitted event (next_seq)
+    # or a consumed one (a new event store, and next_tid for a handler)
+    # builds a SimState. Writes of attributes and threads, allocations and
+    # ends hand back the state they were given. The constant is the copy
+    # of the stores on entry and the plain copy at the halt.
+    model = {"fan": parse_model(FAN), "alloc-loop": parse_model(ALLOC_LOOP),
+             "prodcons": prodcons_model}[model_name]
+    cfg = build_config(model, runnables=runnables, scheduler=scheduler)
+    s = build_initial_state(cfg, model.setup)
+    built = [0]
+    consumed = [0]
+    init, consume = SimState.__init__, smm.vm.consume_event
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted(*args):
+        consumed[0] += 1
+        return consume(*args)
+
+    monkeypatch.setattr(SimState, "__init__", counting_init)
+    monkeypatch.setattr(smm.vm, "consume_event", counted)
+    result = run({}, 0, cfg, s, max_steps=400)
+    monkeypatch.undo()
+    emitted = result.final.next_seq - s.next_seq
+    assert result.time > 0 and emitted + consumed[0] < result.time
+    assert built[0] <= emitted + consumed[0] + 2

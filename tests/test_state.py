@@ -255,7 +255,34 @@ def _writes(s, oid):
     return out
 
 
+def _counterless_writes(oid):
+    """The primitives that move no counter, each as (name, a call of it on
+    a state holding thread 0 of ``oid``)."""
+    thr = Thread(1, ThreadStatus.READY, get_method())
+    return [
+        ("alloc_object", lambda s: alloc_object(s, buffer_class())[0]),
+        ("write_attr", lambda s: write_attr(s, oid, "data", IntVal(7))),
+        ("update_thread", lambda s: update_thread(s, oid, 0, thr)),
+        ("end_thread", lambda s: end_thread(s, oid, 0)),
+    ]
+
+
 class TestOwnedStores:
+    def test_an_owned_write_hands_back_the_state_it_was_given(self):
+        s, oid = _state_with_buffer()
+        for name, write in _counterless_writes(oid):
+            owned = copy_stores(_with_thread(s, oid))
+            assert write(owned) is owned, name
+            assert owned == write(_with_thread(s, oid)), name
+
+    def test_a_plain_write_builds_a_new_state(self):
+        s, oid = _state_with_buffer()
+        held = _with_thread(s, oid)
+        for name, write in _counterless_writes(oid):
+            assert write(held) is not held, name
+            assert held == _with_thread(*_state_with_buffer()), name
+        assert s == _state_with_buffer()[0]
+
     def test_a_plain_store_is_never_written(self):
         s, oid = _state_with_buffer()
         for name, before, after in _writes(s, oid):
