@@ -19,8 +19,8 @@ from typing import Callable, Union
 from .errors import ExecError
 from .state import (
     CallPayload, Message, RecordVal, ReturnPayload, SignalPayload,
-    SimState, Thread, ThreadStatus, alloc_object, end_thread, make_event,
-    update_thread, write_attr,
+    SimState, Thread, ThreadStatus, _Owned, alloc_object, end_thread,
+    make_event, update_thread, write_attr,
 )
 from .universe import (
     BoolVal, INT_RANGE, IntVal, NullOid, OidVal, OpSig, TypeRef, Value,
@@ -198,16 +198,37 @@ def _emit(s: SimState, cfg, msg: Message) -> SimState:
     return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq + 1)
 
 
+# The slot descriptors ``advance`` writes a thread a run owns through, as
+# ``value_class``'s ``__init__`` stores a field.
+_set_status, _set_locals, _set_pc = (
+    Thread.__dict__[name].__set__ for name in ("status", "locals", "pc"))
+
+
 def advance(s: SimState, oid: int, tid: int, thr: Thread,
             locals: RecordVal | None = None, pc: int | None = None,
             status: ThreadStatus = ThreadStatus.READY) -> SimState:
     """``s`` with ``thr``, thread ``tid`` of ``oid``, moved on: at ``pc``
     (by default its next action), with ``locals`` (by default its own), in
-    ``status``. The one writer of a running thread; it builds one value."""
-    return update_thread(s, oid, tid, Thread(
-        thr.base_prio, status, thr.meth, thr.params,
-        thr.locals if locals is None else locals,
-        thr.pc + 1 if pc is None else pc, thr.caller))
+    ``status``. The one writer of a running thread.
+
+    On a plain thread map it builds one new thread and writes neither
+    ``s`` nor ``thr``. On a thread map a run owns, whose threads the run
+    owns too, it writes ``thr`` in place and builds nothing; it stores
+    ``thr`` only when the map does not hold it yet, as for a handler or
+    resumed thread fresh from ``vm.consume_event``."""
+    threads = s.cs.get(oid)
+    if type(threads) is not _Owned:
+        return update_thread(s, oid, tid, Thread(
+            thr.base_prio, status, thr.meth, thr.params,
+            thr.locals if locals is None else locals,
+            thr.pc + 1 if pc is None else pc, thr.caller))
+    _set_pc(thr, thr.pc + 1 if pc is None else pc)
+    if locals is not None:
+        _set_locals(thr, locals)
+    _set_status(thr, status)
+    if threads.get(tid) is thr:
+        return s
+    return update_thread(s, oid, tid, thr)
 
 
 def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
@@ -216,8 +237,10 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
 
     ``thr`` must be that thread, ready, with its pc addressing ``action``
     in the dispatched method body; ``s`` may hold an older version of it,
-    or none. ``vm.step`` fetches or builds it, and adds the (oid, tid, pc)
-    context to any ``ExecError`` raised here.
+    or none. On stores a run owns, ``s`` holds that very thread or none,
+    and the action writes ``thr`` in place (see ``advance``). ``vm.step``
+    fetches or builds it, and adds the (oid, tid, pc) context to any
+    ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
     if isinstance(action, NewLocal):

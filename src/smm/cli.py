@@ -9,12 +9,14 @@ Flags override the model file's config block. Exit codes: 0 when the run
 drains completely, 2 when it blocks on unanswerable calls, 3 when the step
 limit cuts it off, 4 for model validation errors, 5 for model-level runtime
 errors, 64 for usage errors and for an ``--out`` FILE that cannot be
-written, 130 when the run is interrupted (Ctrl-C).
+written, 130 when the run is interrupted (Ctrl-C), 141 when standard output
+is a pipe whose reader has gone (as in ``smm run ... --trace | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ExecError, ModelError
@@ -32,6 +34,7 @@ EXIT_VALIDATION = 4
 EXIT_RUNTIME = 5
 EXIT_USAGE = 64
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as shells report a writer it killed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +60,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader of standard output went away. Send what is still
+        # buffered to the null device, so that the flush at exit fails no
+        # more, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,11 +5,15 @@ state and never mutates its argument. A store that only a running ``vm.run``
 holds (an ``_Owned`` one: the transient pattern) is written in place, and an
 operation that moves no counter then returns the very state it was given:
 inside a run a new state is built only where ``next_tid`` or ``next_seq``
-moves or the event store is replaced. The data store holds each object's
-class tag and attribute record, the control store holds each object's
-threads, each one method activation kept as ``cs[oid][tid]`` (the ids live
-only in those keys), and the event store holds one FIFO queue of incoming
-events per object.
+moves or the event store is replaced. The threads of an owned thread map
+belong to the run too, and ``actions.advance`` writes the running one in
+place, so a step builds a ``Thread`` only where it consumes an event; a
+strategy must not keep a thread it was handed.
+
+The data store holds each object's class tag and attribute record, the
+control store holds each object's threads, each one method activation
+kept as ``cs[oid][tid]`` (the ids live only in those keys), and the event
+store holds one FIFO queue of incoming events per object.
 
 Thread ids and event sequence numbers are drawn from monotone counters kept
 inside the state, which is what makes whole runs reproducible values. Every
@@ -58,7 +62,12 @@ class ThreadStatus(enum.Enum):
 class Thread:
     """One method activation, stored as ``s.cs[oid][tid]``: the method it
     runs, dispatched when the thread was created, its parameters and
-    locals, its program counter, and whom it answers if it was called."""
+    locals, its program counter, and whom it answers if it was called.
+
+    A value outside a run. Inside one, the threads of the run's own thread
+    maps are copies that ``actions.advance`` writes in place, its
+    ``status``, ``locals`` and ``pc``, through their slot descriptors; no
+    other code writes a thread."""
 
     base_prio: int
     status: ThreadStatus
@@ -182,8 +191,14 @@ def _with(store: dict, key, value) -> dict:
 
 
 def copy_stores(s: SimState, kind: type = _Owned) -> SimState:
-    """``s`` with new stores, thread maps too, of type ``kind``."""
+    """``s`` with new stores, thread maps too, of type ``kind``. Owned
+    stores also get a copy of each thread, which the run then owns."""
     cs = kind((oid, kind(threads)) for oid, threads in s.cs.items())
+    if kind is _Owned:  # ``actions.advance`` writes these in place
+        for threads in cs.values():
+            for tid, t in threads.items():
+                threads[tid] = Thread(t.base_prio, t.status, t.meth,
+                                      t.params, t.locals, t.pc, t.caller)
     return SimState(kind(s.ds), cs, kind(s.es), s.next_tid, s.next_seq)
 
 

@@ -43,8 +43,9 @@ from .state import (
     SimState, StoredObject, Thread, ThreadStatus, _Owned, copy_stores,
     returns_to, take_matching_event,
 )
-# perfbench's tracer times thread writes by rebinding this name here; the
-# engine writes a thread only through ``actions.advance``.
+# perfbench's tracer times thread stores by rebinding this name here; the
+# engine stores a thread only through ``actions.advance``, and inside a run
+# only a thread the map does not hold yet.
 from .state import update_thread  # noqa: F401
 from .universe import (
     ClassType, Hierarchy, OidVal, OpSig, Problem, value_class,
@@ -444,7 +445,9 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     thread after consumption, which may have rebound its local. On owned
     stores, inside ``run``, the successor may be ``s`` itself, written in
     place: a step builds a new state only where it moves a counter or
-    consumes an event. On plain stores ``s`` is never written.
+    consumes an event. The running thread is written in place there too,
+    so a step builds a thread only where it consumes an event. On plain
+    stores neither ``s`` nor any of its threads is ever written.
     This is the one place that attaches the running (oid, tid, pc) to an
     ``ExecError``; an error raised while the event is consumed names no
     pc, because no action ran.
@@ -490,8 +493,9 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     non-terminating models, must not be negative and yields ``StepLimit``
     when exhausted. The optional ``on_step`` hook observes every step as
     ``(t, oid, tid, pc, action)``. The run writes copies of the stores of
-    ``s`` in place (see ``smm.variation`` for what that asks of a
-    strategy); ``s`` and the final state, of plain dicts, stay unwritten.
+    ``s``, and of its threads, in place (see ``smm.variation`` for what
+    that asks of a strategy); ``s``, the final state, of plain dicts, and
+    their threads stay unwritten.
 
     ``times`` maps thread ids to the step each last ran at. A thread's
     time is dropped once it ends, since ids are never reused. It must name

@@ -10,14 +10,21 @@ import pytest
 
 import smm.cli
 from smm.cli import (
-    EXIT_BLOCKED, EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_STEP_LIMIT,
-    EXIT_USAGE, EXIT_VALIDATION, main,
+    EXIT_BLOCKED, EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME,
+    EXIT_STEP_LIMIT, EXIT_USAGE, EXIT_VALIDATION, main,
 )
 
 from conftest import MODELS_DIR, REPO_ROOT
 
 PRODCONS = str(MODELS_DIR / "prodcons.smm")
 DEADLOCK = str(MODELS_DIR / "deadlock.smm")
+
+
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this ``smm``."""
+    src = str(Path(smm.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 class TestRunCommand:
@@ -114,12 +121,9 @@ class TestRunCommand:
             return ["run", "models/prodcons.smm", "--trace", "--format",
                     "structured", "--out", str(out)]
 
-        src = str(Path(smm.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         fresh = subprocess.run(
             [sys.executable, "-m", "smm.cli", *argv(tmp_path / "fresh.json")],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            cwd=REPO_ROOT, env=_fresh_env(), capture_output=True, text=True,
             timeout=60)
         monkeypatch.chdir(REPO_ROOT)
         code = main(argv(tmp_path / "here.json"))
@@ -132,6 +136,23 @@ class TestRunCommand:
             (tmp_path / "here.json").read_text(encoding="utf-8")
         assert json.loads((tmp_path / "fresh.json").read_text(
             encoding="utf-8"))["halt"] == "all-done"
+
+    @pytest.mark.parametrize("flags", [["--trace"], []],
+                             ids=["trace", "final-state"])
+    def test_a_closed_pipe_ends_the_run_quietly(self, flags):
+        # The read end is closed before the run starts, so every write to
+        # stdout fails: the trace's print, or the flush of the final state
+        # that fits in the buffer. No reader is raced.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "smm.cli", "run", PRODCONS, *flags],
+                cwd=REPO_ROOT, env=_fresh_env(), stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
 
     def test_an_unwritable_out_file_is_a_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "result.txt"

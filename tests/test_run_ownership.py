@@ -1,14 +1,16 @@
 """``run`` owns its stores: it writes them in place and stays a value outside.
 
-On entry ``run`` copies the stores of the state it is given, and each
-thread map, into stores it owns, which the ``state`` primitives write in
-place; at exit it hands back plain dicts. The pure path, ``step`` on plain
-states, is the oracle (``test_collect_oracle`` compares the two over the
-bundled and generated models). Here: the state a run was given is never
-written, its result is a value that a further run leaves alone, and the
-data and control stores keep one identity for a whole run, so a step
+On entry ``run`` copies the stores of the state it is given, each thread
+map and each thread, into stores it owns, which the ``state`` primitives
+and ``actions.advance`` write in place; at exit it hands back plain dicts.
+The pure path, ``step`` on plain states, is the oracle
+(``test_collect_oracle`` compares the two over the bundled and generated
+models). Here: the state a run was given, and each of its threads, is
+never written, its result is a value that a further run leaves alone, and
+the data and control stores keep one identity for a whole run, so a step
 copies neither. The event store is copied only where an event is
-consumed, because ``take_matching_event`` never writes its argument.
+consumed, because ``take_matching_event`` never writes its argument, and
+a thread is built only there too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from smm import (
     parse_model, run,
 )
 import smm.vm
-from smm.state import SimState
+from smm.state import SimState, Thread
 
 from modelgen import random_model
 from test_collect_oracle import (
@@ -151,22 +153,19 @@ def test_a_run_copies_no_data_or_control_store(runnables, scheduler,
     assert all(consumed[k] for k in copied)
 
 
-@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
-@pytest.mark.parametrize("model_name", ["fan", "alloc-loop", "prodcons"])
-def test_a_step_builds_a_state_only_where_a_counter_moves(
-        runnables, scheduler, model_name, prodcons_model, monkeypatch):
-    # A count, not a timing: inside a run only an emitted event (next_seq)
-    # or a consumed one (a new event store, and next_tid for a handler)
-    # builds a SimState. Writes of attributes and threads, allocations and
-    # ends hand back the state they were given. The constant is the copy
-    # of the stores on entry and the plain copy at the halt.
+def _counted_run(cls: type, model_name: str, runnables: str,
+                 scheduler: str, prodcons_model, monkeypatch):
+    """One ``run(max_steps=400)`` of the named model, counting the calls of
+    ``cls.__init__`` and of ``consume_event`` it makes. Returns the state
+    it was given, its result, the instances built and the events
+    consumed."""
     model = {"fan": parse_model(FAN), "alloc-loop": parse_model(ALLOC_LOOP),
              "prodcons": prodcons_model}[model_name]
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
     s = build_initial_state(cfg, model.setup)
     built = [0]
     consumed = [0]
-    init, consume = SimState.__init__, smm.vm.consume_event
+    init, consume = cls.__init__, smm.vm.consume_event
 
     def counting_init(self, *args, **kwargs):
         built[0] += 1
@@ -176,10 +175,116 @@ def test_a_step_builds_a_state_only_where_a_counter_moves(
         consumed[0] += 1
         return consume(*args)
 
-    monkeypatch.setattr(SimState, "__init__", counting_init)
+    monkeypatch.setattr(cls, "__init__", counting_init)
     monkeypatch.setattr(smm.vm, "consume_event", counted)
     result = run({}, 0, cfg, s, max_steps=400)
     monkeypatch.undo()
+    return s, result, built[0], consumed[0]
+
+
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
+@pytest.mark.parametrize("model_name", ["fan", "alloc-loop", "prodcons"])
+def test_a_step_builds_a_state_only_where_a_counter_moves(
+        runnables, scheduler, model_name, prodcons_model, monkeypatch):
+    # A count, not a timing: inside a run only an emitted event (next_seq)
+    # or a consumed one (a new event store, and next_tid for a handler)
+    # builds a SimState. Writes of attributes and threads, allocations and
+    # ends hand back the state they were given. The constant is the copy
+    # of the stores on entry and the plain copy at the halt.
+    s, result, built, consumed = _counted_run(
+        SimState, model_name, runnables, scheduler, prodcons_model,
+        monkeypatch)
     emitted = result.final.next_seq - s.next_seq
-    assert result.time > 0 and emitted + consumed[0] < result.time
-    assert built[0] <= emitted + consumed[0] + 2
+    assert result.time > 0 and emitted + consumed < result.time
+    assert built <= emitted + consumed + 2
+
+
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
+@pytest.mark.parametrize("model_name", ["fan", "alloc-loop", "prodcons"])
+def test_a_step_builds_a_thread_only_where_it_consumes_an_event(
+        runnables, scheduler, model_name, prodcons_model, monkeypatch):
+    # A count, not a timing: inside a run a Thread is built only by the
+    # copy of each thread on entry and by a consumed event (a handler, or
+    # a resumed caller). An action writes the running thread in place.
+    s, result, built, consumed = _counted_run(
+        Thread, model_name, runnables, scheduler, prodcons_model,
+        monkeypatch)
+    entry = sum(len(threads) for threads in s.cs.values())
+    assert result.time > entry + consumed
+    assert built <= entry + consumed
+
+
+# --- threads -------------------------------------------------------------
+
+# Each of two objects runs three actions, then calls through null.
+NULL_CALL = """
+class W { }
+op W.go(): Void {
+  let x: Int = 1;
+  let y: Int = 2;
+  let t: W = null;
+  call t.go() -> x;
+  return void;
+}
+setup { a: W active go prio 1; b: W active go prio 2; }
+"""
+
+
+def _threads(s) -> list[tuple[Thread, tuple]]:
+    """Each thread of ``s`` with its fields as they are now."""
+    return [(thr, tuple(getattr(thr, f.name)
+                        for f in dataclasses.fields(thr)))
+            for threads in s.cs.values() for thr in threads.values()]
+
+
+def _assert_kept(s, threads: list[tuple[Thread, tuple]]) -> None:
+    """``s`` holds the very threads ``_threads`` found, each unwritten."""
+    assert _threads(s) and len(_threads(s)) == len(threads)
+    for (thr, fields), (now, now_fields) in zip(threads, _threads(s)):
+        assert now is thr
+        assert all(a is b for a, b in zip(fields, now_fields)), thr
+
+
+def test_a_run_writes_no_thread_of_the_state_it_was_given(prodcons_model,
+                                                          deadlock_model):
+    for model in (prodcons_model, deadlock_model, parse_model(FAN)):
+        for runnables, scheduler in CONFIGS:
+            cfg = build_config(model, runnables=runnables,
+                               scheduler=scheduler)
+            s = build_initial_state(cfg, model.setup)
+            threads = _threads(s)
+            result = run({}, 0, cfg, s, max_steps=200)
+            assert result.time > 0
+            _assert_kept(s, threads)
+
+
+@pytest.mark.parametrize("until", [1, 9, 40])
+def test_a_resumed_run_writes_no_thread_of_the_result_it_resumed(
+        prodcons_model, until):
+    # Also the threads the first run wrote, which its result holds.
+    for runnables, scheduler in CONFIGS:
+        cfg = build_config(prodcons_model, runnables=runnables,
+                           scheduler=scheduler)
+        s = build_initial_state(cfg, prodcons_model.setup)
+        given = _threads(s)
+        part = run({}, 0, cfg, s, max_steps=until)
+        assert part.halt == StepLimit()
+        held = _threads(part.final)
+        for _ in range(2):  # and again from the same result
+            rest = run({}, part.time, cfg, part.final, max_steps=200)
+            assert rest.time > part.time
+            _assert_kept(part.final, held)
+        _assert_kept(s, given)
+
+
+def test_a_run_that_fails_writes_no_thread_of_the_state_it_was_given():
+    model = parse_model(NULL_CALL)
+    for runnables, scheduler in CONFIGS:
+        cfg = build_config(model, runnables=runnables, scheduler=scheduler)
+        s = build_initial_state(cfg, model.setup)
+        threads = _threads(s)
+        steps: list = []
+        with pytest.raises(ExecError, match="call through null"):
+            run({}, 0, cfg, s, on_step=lambda *args: steps.append(args))
+        assert len(steps) >= 3
+        _assert_kept(s, threads)
