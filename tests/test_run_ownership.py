@@ -239,10 +239,11 @@ def _threads(s) -> list[tuple[Thread, tuple]]:
 
 def _assert_kept(s, threads: list[tuple[Thread, tuple]]) -> None:
     """``s`` holds the very threads ``_threads`` found, each unwritten."""
-    assert _threads(s) and len(_threads(s)) == len(threads)
-    for (thr, fields), (now, now_fields) in zip(threads, _threads(s)):
-        assert now is thr
-        assert all(a is b for a, b in zip(fields, now_fields)), thr
+    now = _threads(s)
+    assert threads and len(now) == len(threads)
+    for (thr, fields), (thr_now, fields_now) in zip(threads, now):
+        assert thr_now is thr
+        assert all(a is b for a, b in zip(fields, fields_now)), thr
 
 
 def test_a_run_writes_no_thread_of_the_state_it_was_given(prodcons_model,
