@@ -19,8 +19,9 @@ from typing import Callable, Union
 from .errors import ExecError
 from .state import (
     CallPayload, Message, RecordVal, ReturnPayload, SignalPayload,
-    SimState, Thread, ThreadStatus, _Owned, alloc_object, end_thread,
-    make_event, update_thread, write_attr,
+    SimState, Thread, ThreadStatus, _Owned, _set_locals, _set_pc,
+    _set_status, alloc_object, end_thread, make_event, update_thread,
+    write_attr,
 )
 from .universe import (
     BoolVal, INT_RANGE, IntVal, NullOid, OidVal, OpSig, TypeRef, Value,
@@ -127,8 +128,9 @@ Action = Union[
 
 
 def _local(thr, name: str) -> Value:
+    locals = thr.locals
     try:
-        return thr.locals.get(name)
+        return locals[name] if type(locals) is dict else locals.get(name)
     except KeyError:
         raise ExecError(f"unknown local {name!r}") from None
 
@@ -141,13 +143,24 @@ def _int_local(thr, name: str) -> int:
 
 
 def store_local(thr, name: str, v: Value, *,
-                create: bool = False) -> RecordVal:
-    """The thread's locals with ``name`` set to ``v``, in one scan.
+                create: bool = False) -> RecordVal | None:
+    """The thread's locals with ``name`` set to ``v``, in one scan, as a
+    new record; or ``None`` where they are a dict, of a thread a run owns,
+    and written in place.
 
     An existing local keeps its kind. A missing one is an error, or with
     ``create`` is appended.
     """
-    fields = thr.locals.fields
+    locals = thr.locals
+    if type(locals) is dict:
+        if name in locals:
+            if not same_kind(locals[name], v):
+                raise ExecError(f"type error assigning local {name!r}")
+        elif not create:
+            raise ExecError(f"unknown local {name!r}")
+        locals[name] = v
+        return None
+    fields = locals.fields
     for i, (n, old) in enumerate(fields):
         if n == name:
             if not same_kind(old, v):
@@ -198,12 +211,6 @@ def _emit(s: SimState, cfg, msg: Message) -> SimState:
     return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq + 1)
 
 
-# The slot descriptors ``advance`` writes a thread a run owns through, as
-# ``value_class``'s ``__init__`` stores a field.
-_set_status, _set_locals, _set_pc = (
-    Thread.__dict__[name].__set__ for name in ("status", "locals", "pc"))
-
-
 def advance(s: SimState, oid: int, tid: int, thr: Thread,
             locals: RecordVal | None = None, pc: int | None = None,
             status: ThreadStatus = ThreadStatus.READY) -> SimState:
@@ -214,8 +221,10 @@ def advance(s: SimState, oid: int, tid: int, thr: Thread,
     On a plain thread map it builds one new thread and writes neither
     ``s`` nor ``thr``. On a thread map a run owns, whose threads the run
     owns too, it writes ``thr`` in place and builds nothing; it stores
-    ``thr`` only when the map does not hold it yet, as for a handler or
-    resumed thread fresh from ``vm.consume_event``."""
+    ``thr`` only when the map does not hold it yet, as for a handler
+    fresh from ``vm.consume_event``. Such a thread's ``locals`` is a dict,
+    which ``store_local`` and ``NewLocal`` write in place, so they pass
+    no ``locals``."""
     threads = s.cs.get(oid)
     if type(threads) is not _Owned:
         return update_thread(s, oid, tid, Thread(
@@ -238,21 +247,25 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
     ``thr`` must be that thread, ready, with its pc addressing ``action``
     in the dispatched method body; ``s`` may hold an older version of it,
     or none. On stores a run owns, ``s`` holds that very thread or none,
-    and the action writes ``thr`` in place (see ``advance``). ``vm.step``
-    fetches or builds it, and adds the (oid, tid, pc) context to any
-    ``ExecError`` raised here.
+    and the action writes ``thr`` in place, its dict locals too (see
+    ``advance``). ``vm.step`` fetches or builds it, and adds the (oid,
+    tid, pc) context to any ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
     if isinstance(action, NewLocal):
-        fields = thr.locals.fields
-        for n, _ in fields:
-            if n == action.name:
-                raise ExecError(f"local {action.name!r} already exists")
+        locals = thr.locals
+        owned = type(locals) is dict  # a thread a run owns: in place
+        if action.name in (locals if owned else
+                           (n for n, _ in locals.fields)):
+            raise ExecError(f"local {action.name!r} already exists")
         if not value_fits(action.init, action.type, s.ds, cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
-        return advance(s, oid, tid, thr,
-                       RecordVal(fields + ((action.name, action.init),)))
+        if owned:
+            locals[action.name] = action.init
+            return advance(s, oid, tid, thr)
+        return advance(s, oid, tid, thr, RecordVal(
+            locals.fields + ((action.name, action.init),)))
 
     if isinstance(action, LocalFromParam):
         try:

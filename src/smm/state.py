@@ -7,8 +7,12 @@ operation that moves no counter then returns the very state it was given:
 inside a run a new state is built only where ``next_tid`` or ``next_seq``
 moves or the event store is replaced. The threads of an owned thread map
 belong to the run too, and ``actions.advance`` writes the running one in
-place, so a step builds a ``Thread`` only where it consumes an event; a
-strategy must not keep a thread it was handed.
+place, so a step builds a ``Thread`` only where it starts a handler. Such
+a thread's ``locals`` is a plain dict, name to value, that the actions
+write in place, so a local write builds no record either; ``copy_stores``
+turns it back into a ``RecordVal`` when the run ends, so every state
+outside a run holds records. A strategy must not keep a thread it was
+handed, nor its locals.
 
 The data store holds each object's class tag and attribute record, the
 control store holds each object's threads, each one method activation
@@ -64,16 +68,20 @@ class Thread:
     runs, dispatched when the thread was created, its parameters and
     locals, its program counter, and whom it answers if it was called.
 
-    A value outside a run. Inside one, the threads of the run's own thread
-    maps are copies that ``actions.advance`` writes in place, its
-    ``status``, ``locals`` and ``pc``, through their slot descriptors; no
-    other code writes a thread."""
+    A value outside a run, its ``locals`` a record. Inside one, the
+    threads of the run's own thread maps are copies that the run writes
+    in place: ``actions.advance`` their ``status``, ``locals`` and ``pc``,
+    through their slot descriptors, and ``vm.consume_event`` a resumed
+    caller's ``status``. Their ``locals`` is a plain dict, name to value
+    in declaration order, that the actions and ``consume_event`` write in
+    place; ``copy_stores`` writes it back as a record at the end of the
+    run. No other code writes a thread."""
 
     base_prio: int
     status: ThreadStatus
     meth: MethodDef
     params: RecordVal = RecordVal()
-    locals: RecordVal = RecordVal()
+    locals: RecordVal | dict[str, Value] = RecordVal()
     pc: int = 0
     caller: CallerRef | None = None
 
@@ -190,15 +198,29 @@ def _with(store: dict, key, value) -> dict:
     return store
 
 
+# The slot descriptors a thread a run owns is written through, as
+# ``value_class``'s ``__init__`` stores a field.
+_set_status, _set_locals, _set_pc = (
+    Thread.__dict__[name].__set__ for name in ("status", "locals", "pc"))
+
+
 def copy_stores(s: SimState, kind: type = _Owned) -> SimState:
     """``s`` with new stores, thread maps too, of type ``kind``. Owned
-    stores also get a copy of each thread, which the run then owns."""
+    stores also get a copy of each thread, which the run then owns, its
+    locals a dict. Plain ones take the threads as they are, and turn the
+    dict locals of each back into a record, in place."""
     cs = kind((oid, kind(threads)) for oid, threads in s.cs.items())
     if kind is _Owned:  # ``actions.advance`` writes these in place
         for threads in cs.values():
             for tid, t in threads.items():
                 threads[tid] = Thread(t.base_prio, t.status, t.meth,
-                                      t.params, t.locals, t.pc, t.caller)
+                                      t.params, dict(t.locals.fields), t.pc,
+                                      t.caller)
+    else:
+        for threads in cs.values():
+            for t in threads.values():
+                if type(t.locals) is dict:
+                    _set_locals(t, RecordVal(tuple(t.locals.items())))
     return SimState(kind(s.ds), cs, kind(s.es), s.next_tid, s.next_seq)
 
 
@@ -314,9 +336,10 @@ def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:
     def check_refs(v: Value, where: str) -> None:
         if isinstance(v, OidVal) and v.oid not in s.ds:
             problems.append(f"{where}: dangling reference to {v.oid}")
-        if isinstance(v, RecordVal):
-            for n, inner in v.fields:
-                check_refs(inner, f"{where}.{n}")
+        fields = v.fields if isinstance(v, RecordVal) else \
+            v.items() if isinstance(v, dict) else ()  # a run's locals
+        for n, inner in fields:
+            check_refs(inner, f"{where}.{n}")
 
     for oid, obj in s.ds.items():
         if not 0 <= oid < len(s.ds):

@@ -427,16 +427,16 @@ def value_fits(v: Value, t: TypeRef, ds=None,
     return False
 
 
+_REFS = (OidVal, NullOid)
+
+
 def same_kind(a: Value, b: Value) -> bool:
     """Whether two values belong to the same storage kind.
 
     Null and non-null references count as one kind; used when no declared
     type is available (locals, link attributes).
     """
-    ref = (OidVal, NullOid)
-    if isinstance(a, ref) and isinstance(b, ref):
-        return True
-    return type(a) is type(b)
+    return type(a) is type(b) or isinstance(a, _REFS) and isinstance(b, _REFS)
 
 
 class Problem(NamedTuple):

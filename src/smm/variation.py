@@ -56,7 +56,10 @@ that object's offers stale. A medium may return a plain dict. And as
 ``vm.run`` writes the stores of the states it hands a strategy in place,
 and the threads in them, and a step there may hand back the very state it
 was given, no strategy may keep a store, a state, or a thread after it
-returns, nor tell states apart by identity.
+returns, nor tell states apart by identity. Inside a run a thread's
+``locals`` is a plain dict, name to value, that the run writes in place,
+not a record; a strategy must not keep it either. Every ``RunResult``
+holds records again.
 
 The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
 returns depends only on the class of object ``oid`` and on ``op``. The

@@ -40,8 +40,8 @@ from .actions import Action, Call, SendSignal, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, ControlStore, DataStore, Event, RecordVal,
-    SimState, StoredObject, Thread, ThreadStatus, _Owned, copy_stores,
-    returns_to, take_matching_event,
+    SimState, StoredObject, Thread, ThreadStatus, _Owned, _set_status,
+    copy_stores, returns_to, take_matching_event,
 )
 # perfbench's tracer times thread stores by rebinding this name here; the
 # engine stores a thread only through ``actions.advance``, and inside a run
@@ -376,17 +376,21 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                   event: Event | None = None) -> tuple[SimState, Thread]:
     """Consume the event that makes thread ``tid`` of ``oid`` ready.
 
-    Returns the state without that event, and the ready thread, which the
-    state does not store: the action that runs next writes it. Two cases:
+    Returns the state without that event, and the ready thread: the
+    action that runs next writes it. Two cases:
     - ``tid`` is waiting and its return event is buffered: remove it and
       bind the value to the thread's result local. A result local that
-      exists keeps its kind; a missing one is created.
+      exists keeps its kind; a missing one is created. On plain stores
+      the ready thread is a new one, which the state does not store; a
+      thread a run owns is bound and set ready in place, and handed back.
     - ``tid`` is a reserved handler id and ``event`` the pending call or
       signal it stands for: remove that very event object from the queue
       (not one merely equal to it) and build the thread under that id,
       whose ``next_tid`` it passes, running the dispatched method with
       the message arguments bound to its parameters. A call records who
-      to answer; a signal has no caller to answer.
+      to answer; a signal has no caller to answer. On stores a run owns
+      its locals start as an empty dict, as every thread the run owns
+      holds them.
     Anything else, a ready thread among them, raises ``InternalError``.
     """
     thr = s.thread(oid, tid)
@@ -399,9 +403,12 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
         payload = answer.msg.payload
         bound = store_local(thr, payload.result_local, payload.value,
                             create=True)
-        return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), Thread(
-            thr.base_prio, ThreadStatus.READY, thr.meth, thr.params, bound,
-            thr.pc, thr.caller)
+        if bound is None:  # a thread the run owns, bound in place
+            _set_status(thr, ThreadStatus.READY)
+        else:
+            thr = Thread(thr.base_prio, ThreadStatus.READY, thr.meth,
+                         thr.params, bound, thr.pc, thr.caller)
+        return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), thr
 
     taken = None
     if event is not None:
@@ -424,8 +431,10 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                            payload.result_local)
     else:
         caller = None
+    # Every thread a run owns keeps its locals as a dict.
+    locals = {} if type(s.cs.get(oid)) is _Owned else RecordVal()
     return (SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq),
-            Thread(payload.prio, ThreadStatus.READY, meth, params,
+            Thread(payload.prio, ThreadStatus.READY, meth, params, locals,
                    caller=caller))
 
 
@@ -446,8 +455,9 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     stores, inside ``run``, the successor may be ``s`` itself, written in
     place: a step builds a new state only where it moves a counter or
     consumes an event. The running thread is written in place there too,
-    so a step builds a thread only where it consumes an event. On plain
-    stores neither ``s`` nor any of its threads is ever written.
+    its dict locals as well, so a step builds a thread only where it
+    starts a handler, and a local write builds no record. On plain stores
+    neither ``s`` nor any of its threads is ever written.
     This is the one place that attaches the running (oid, tid, pc) to an
     ``ExecError``; an error raised while the event is consumed names no
     pc, because no action ran.
@@ -493,9 +503,10 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     non-terminating models, must not be negative and yields ``StepLimit``
     when exhausted. The optional ``on_step`` hook observes every step as
     ``(t, oid, tid, pc, action)``. The run writes copies of the stores of
-    ``s``, and of its threads, in place (see ``smm.variation`` for what
-    that asks of a strategy); ``s``, the final state, of plain dicts, and
-    their threads stay unwritten.
+    ``s``, and of its threads, in place, each copied thread's locals a
+    dict (see ``smm.variation`` for what that asks of a strategy); ``s``,
+    the final state, of plain dicts with records for locals, and their
+    threads stay unwritten.
 
     ``times`` maps thread ids to the step each last ran at. A thread's
     time is dropped once it ends, since ids are never reused. It must name

@@ -27,7 +27,7 @@ def _literal_for(rng: random.Random, t):
 
 
 def random_model(rng: random.Random, objects: int | None = None, *,
-                 supers: int = 1) -> ModelDef:
+                 supers: int = 1, linked: bool = False) -> ModelDef:
     """A valid model drawn from ``rng``, with ``objects`` setup objects
     (by default zero to three, also drawn).
 
@@ -36,6 +36,16 @@ def random_model(rng: random.Random, objects: int | None = None, *,
     may have a second method in another class, so that dispatch chooses
     along a chain; with the default, ``rng`` is drawn from as it always
     was, so a seed gives the same model as before.
+
+    With ``linked``, events are delivered: every setup object links every
+    setup object, itself too, and a call or signal goes to one of them
+    whose class implements the operation, read from its link into a
+    local of its own just before. Every body ends with one more such
+    send, the first operation takes no parameters, every setup object
+    that can start one is active, and an attribute is read into or
+    written from only a local of its type. The setup objects' classes are
+    then drawn before the method bodies, which name them. Without it,
+    ``rng`` is drawn from as it always was.
     """
     n_classes = rng.randint(1, 4) if supers == 1 else rng.randint(2, 6)
     names = [f"C{i}" for i in range(n_classes)]
@@ -65,7 +75,8 @@ def random_model(rng: random.Random, objects: int | None = None, *,
     op_defs = []
     for k in range(n_ops):
         params = tuple((f"p{i}", rng.choice(_SCALARS))
-                       for i in range(rng.randint(0, 2)))
+                       for i in range(0 if linked and k == 0
+                                      else rng.randint(0, 2)))
         ret = rng.choice((INT, BOOL, VOID))
         sig = OpSig(f"op{k}", tuple(t for _, t in params), ret)
         op_defs.append((sig, params, rng.choice(names)))
@@ -74,10 +85,23 @@ def random_model(rng: random.Random, objects: int | None = None, *,
         op_defs += [(sig, params, rng.choice(names))
                     for sig, params, _ in list(op_defs) if rng.random() < 0.5]
 
+    entry_classes = receivers = None
+    if linked:
+        if objects is None:
+            objects = rng.randint(0, 3)
+        entry_classes = [rng.choice(names) for _ in range(objects)]
+        # The setup objects each operation dispatches on, with their class.
+        chains = [super_chain(cls, scl) for cls in entry_classes]
+        receivers = {sig: [(f"o{i}", entry_classes[i], chain)
+                           for i, chain in enumerate(chains)
+                           if any(owner in chain for s, _, owner in op_defs
+                                  if s == sig)]
+                     for sig in sigs}
+
     meth_map: dict[str, dict[OpSig, MethodDef]] = {}
     for sig, params, owner in op_defs:
         body = _random_body(rng, classes[owner], params, sig.return_type,
-                            names, sigs)
+                            names, sigs, receivers)
         meth_map.setdefault(owner, {})[sig] = MethodDef(sig, params, body)
 
     nullary_by_class = {}
@@ -91,18 +115,19 @@ def random_model(rng: random.Random, objects: int | None = None, *,
     if objects is None:
         objects = rng.randint(0, 3)
     entry_names = [f"o{i}" for i in range(objects)]
-    for ename in entry_names:
-        cls = rng.choice(names)
+    for i, ename in enumerate(entry_names):
+        cls = rng.choice(names) if entry_classes is None else \
+            entry_classes[i]
         ops = nullary_by_class[cls]
-        if ops and rng.random() < 0.6:
+        if ops and (linked or rng.random() < 0.6):
             # Resolve to the one signature of that name (names are unique).
             op_name = rng.choice(ops)
             sig = next(s for s in sigs if s.name == op_name)
             kind = Active(sig, rng.randint(0, 10))
         else:
             kind = Passive()
-        links = tuple(n for n in entry_names
-                      if n != ename and rng.random() < 0.3)
+        links = tuple(entry_names) if linked else tuple(
+            n for n in entry_names if n != ename and rng.random() < 0.3)
         setup.append(SetupEntry(ename, cls, kind, links))
 
     config = {"runnables": rng.choice(("rtc", "conc")),
@@ -112,7 +137,10 @@ def random_model(rng: random.Random, objects: int | None = None, *,
 
 
 def _random_body(rng: random.Random, cls: ClassDef, params, ret, class_names,
-                 sigs) -> tuple:
+                 sigs, receivers=None) -> tuple:
+    """A method body; with ``receivers`` (see ``random_model``'s
+    ``linked``), each call or signal goes to a linked setup object that
+    its operation dispatches on, if one does."""
     body = []
     locals_: list[tuple[str, object]] = []
 
@@ -129,6 +157,53 @@ def _random_body(rng: random.Random, cls: ClassDef, params, ret, class_names,
     def locals_of(kind):
         return [n for n, t in locals_ if t == kind]
 
+    def locals_for(attr):
+        """The locals an attribute is read into or written from: any, or
+        with ``receivers`` those declared with its type."""
+        return [n for n, t in locals_ if receivers is None or t == attr.type]
+
+    link_locals: set[str] = set()  # declared for ``receivers``
+
+    def send(refs):
+        """A call or signal through one of ``refs``, or with
+        ``receivers`` through a link, if its arguments can be found."""
+        if receivers is None:
+            sig = rng.choice(sigs)
+        else:
+            call = rng.random() < 0.5
+            # The links that dispatch each operation the locals can pass.
+            # A call never goes to an object that may run this very body:
+            # under rtc it would wait for itself.
+            fit = {sig: pool for sig in sigs
+                   if all(locals_of(pt) for pt in sig.param_types)
+                   and (pool := [(link, link_cls)
+                                 for link, link_cls, chain in receivers[sig]
+                                 if not (call and cls.name in chain)])}
+            if not fit:
+                return
+            sig = rng.choice(list(fit))
+        args = []
+        for pt in sig.param_types:
+            pool = locals_of(pt)
+            if not pool:
+                return
+            args.append(rng.choice(pool))
+        if receivers is None:
+            call = rng.random() < 0.5
+            target = rng.choice(refs)
+        else:
+            link, link_cls = rng.choice(fit[sig])
+            target = f"{link}ref"
+            if target not in link_locals:
+                link_locals.add(target)
+                body.append(NewLocal(target, ClassType(link_cls), NULL_OID))
+            body.append(LocalFromAttr(target, link))
+        if call:
+            body.append(Call(target, sig, tuple(args), "r"))
+        else:
+            body.append(SendSignal(target, sig, tuple(args),
+                                   rng.randint(0, 5)))
+
     for _ in range(rng.randint(1, 3)):
         fresh_local()
 
@@ -144,11 +219,14 @@ def _random_body(rng: random.Random, cls: ClassDef, params, ret, class_names,
                 body.append(LocalFromParam(rng.choice(targets), pname))
         elif choice < 0.3 and cls.attributes:
             attr = rng.choice(cls.attributes)
-            body.append(LocalFromAttr(rng.choice([n for n, _ in locals_]),
-                                      attr.name))
+            pool = locals_for(attr)
+            if pool:
+                body.append(LocalFromAttr(rng.choice(pool), attr.name))
         elif choice < 0.45 and cls.attributes:
             attr = rng.choice(cls.attributes)
-            body.append(SetAttr(attr.name, rng.choice([n for n, _ in locals_])))
+            pool = locals_for(attr)
+            if pool:
+                body.append(SetAttr(attr.name, rng.choice(pool)))
         elif choice < 0.6 and len(ints) >= 2 and (ints or bools):
             op = rng.choice(("add", "sub", "mul", "eq", "lt"))
             dst_pool = bools if op in ("eq", "lt") else ints
@@ -160,24 +238,12 @@ def _random_body(rng: random.Random, cls: ClassDef, params, ret, class_names,
             body.append(LocalConst(name, _literal_for(rng, t)))
         elif choice < 0.8 and refs:
             body.append(NewObject(rng.choice(refs), rng.choice(class_names)))
-        elif choice < 0.9 and refs and sigs:
-            sig = rng.choice(sigs)
-            args = []
-            ok = True
-            for pt in sig.param_types:
-                pool = locals_of(pt)
-                if not pool:
-                    ok = False
-                    break
-                args.append(rng.choice(pool))
-            if ok:
-                if rng.random() < 0.5:
-                    body.append(Call(rng.choice(refs), sig, tuple(args), "r"))
-                else:
-                    body.append(SendSignal(rng.choice(refs), sig, tuple(args),
-                                           rng.randint(0, 5)))
+        elif choice < 0.9 and (refs or receivers is not None) and sigs:
+            send(refs)
         else:
             fresh_local()
+    if receivers is not None:
+        send([])
 
     bools = locals_of(BOOL)
     if bools and rng.random() < 0.4:

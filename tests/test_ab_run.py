@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,26 @@ def test_a_checkout_without_smm_is_refused(tmp_path):
                    "smoke")
     assert proc.returncode != 0
     assert "ab_run:" in proc.stderr
+
+
+def test_a_checkout_whose_traces_differ_is_refused(tmp_path):
+    # Round-robin turned around, most recently executed first: the final
+    # states may still agree, the traces under rr do not, and no pair is
+    # timed.
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    variation = tmp_path / "src" / "smm" / "variation.py"
+    text = variation.read_text()
+    assert text.count("return (last_exec,)") == 1
+    variation.write_text(text.replace("return (last_exec,)",
+                                      "return (-last_exec,)"))
+    proc = _ab_run(str(ROOT), str(tmp_path), "--pairs", "1", "--size",
+                   "smoke")
+    assert proc.returncode == 1 and proc.stdout == ""
+    refusals = proc.stderr.splitlines()
+    # Every workload under both rr configurations, and nothing under prio.
+    assert len(refusals) == 2 * len(WORKLOADS)
+    for line in refusals:
+        assert re.fullmatch(rf"ab_run: ({'|'.join(WORKLOADS)}) (rtc|conc)/rr: "
+                            r"the (final state and the trace differ|trace "
+                            r"differs)", line), line

@@ -522,6 +522,43 @@ def test_generated_models_match_the_oracle(rng, objects):
     _check_model(model)
 
 
+def _linked_model(seed: int):
+    """A generated model whose setup objects send to each other."""
+    return random_model(random.Random(662_000 + seed), objects=4, linked=True)
+
+
+def test_most_linked_models_consume_an_event():
+    # Models drawn without links almost never deliver an event, which
+    # leaves the event path out of every oracle over generated models.
+    consume, consumed = smm.vm.consume_event, []
+
+    def counted(*args):
+        consumed.append(seed)
+        return consume(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smm.vm, "consume_event", counted)
+        for seed in range(200):
+            try:
+                run_model(_linked_model(seed), max_steps=MAX_STEPS)
+            except ExecError:
+                pass
+    assert len(set(consumed)) >= 100
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_linked_random_models_match_the_oracle(seed):
+    _check_media(_linked_model(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False), objects=st.integers(1, 8))
+def test_generated_linked_models_match_the_oracle(rng, objects):
+    model = random_model(rng, objects=objects, linked=True)
+    note(print_model(model))
+    _check_model(model)
+
+
 # --- custom strategies and resumed runs ----------------------------------
 
 def test_a_scheduler_with_no_static_order_gets_every_entry(prodcons_model):

@@ -562,6 +562,13 @@ class TestRoundTrip:
             text = print_model(model)
             assert parse_model(text) == model, f"case {i} failed:\n{text}"
 
+    def test_linked_models_round_trip(self):
+        rng = random.Random(1731)
+        for i in range(40):
+            model = random_model(rng, objects=4, linked=True)
+            text = print_model(model)
+            assert parse_model(text) == model, f"case {i} failed:\n{text}"
+
     def test_printing_is_idempotent(self, prodcons_model):
         once = print_model(prodcons_model)
         twice = print_model(parse_model(once))

@@ -10,7 +10,8 @@ never written, its result is a value that a further run leaves alone, and
 the data and control stores keep one identity for a whole run, so a step
 copies neither. The event store is copied only where an event is
 consumed, because ``take_matching_event`` never writes its argument, and
-a thread is built only there too.
+a thread is built only there too. A thread's locals are a dict the run
+writes in place, so a local write builds no record.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ from smm import (
     parse_model, run,
 )
 import smm.vm
-from smm.state import SimState, Thread
+from smm.actions import (
+    BinOp, Call, LocalConst, LocalFromAttr, LocalFromParam, NewLocal,
+    NewObject, SendSignal, SetAttr,
+)
+from smm.state import RecordVal, SimState, Thread
 
 from modelgen import random_model
 from test_collect_oracle import (
@@ -154,11 +159,11 @@ def test_a_run_copies_no_data_or_control_store(runnables, scheduler,
 
 
 def _counted_run(cls: type, model_name: str, runnables: str,
-                 scheduler: str, prodcons_model, monkeypatch):
+                 scheduler: str, prodcons_model, monkeypatch, on_step=None):
     """One ``run(max_steps=400)`` of the named model, counting the calls of
-    ``cls.__init__`` and of ``consume_event`` it makes. Returns the state
-    it was given, its result, the instances built and the events
-    consumed."""
+    ``cls.__init__`` and of ``consume_event`` it makes, ``on_step``
+    observing its steps. Returns the state it was given, its result, the
+    instances built and the events consumed."""
     model = {"fan": parse_model(FAN), "alloc-loop": parse_model(ALLOC_LOOP),
              "prodcons": prodcons_model}[model_name]
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
@@ -177,7 +182,7 @@ def _counted_run(cls: type, model_name: str, runnables: str,
 
     monkeypatch.setattr(cls, "__init__", counting_init)
     monkeypatch.setattr(smm.vm, "consume_event", counted)
-    result = run({}, 0, cfg, s, max_steps=400)
+    result = run({}, 0, cfg, s, max_steps=400, on_step=on_step)
     monkeypatch.undo()
     return s, result, built[0], consumed[0]
 
@@ -212,6 +217,30 @@ def test_a_step_builds_a_thread_only_where_it_consumes_an_event(
     entry = sum(len(threads) for threads in s.cs.values())
     assert result.time > entry + consumed
     assert built <= entry + consumed
+
+
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
+@pytest.mark.parametrize("model_name", ["fan", "alloc-loop", "prodcons"])
+def test_a_local_write_builds_no_record(runnables, scheduler, model_name,
+                                        prodcons_model, monkeypatch):
+    # A count, not a timing: inside a run a thread's locals are a dict the
+    # run writes in place, so a RecordVal is built only for the arguments
+    # of an emitted call or signal, the parameters of a consumed event's
+    # handler, an attribute write, a new object's attributes, and each
+    # thread's locals at the halt.
+    actions: list = []
+    s, result, built, consumed = _counted_run(
+        RecordVal, model_name, runnables, scheduler, prodcons_model,
+        monkeypatch, on_step=lambda *step: actions.append(step[-1]))
+    sent = sum(isinstance(a, (Call, SendSignal)) for a in actions)
+    attrs = sum(isinstance(a, SetAttr) for a in actions)
+    objects = len(result.final.ds) - len(s.ds)
+    halted = sum(len(threads) for threads in result.final.cs.values())
+    writes = sum(isinstance(a, (NewLocal, LocalFromParam, LocalFromAttr,
+                                LocalConst, BinOp, NewObject))
+                 for a in actions)
+    assert result.time > 0 and writes > 0
+    assert built <= sent + consumed + attrs + objects + halted
 
 
 # --- threads -------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -267,13 +268,36 @@ def _counterless_writes(oid):
     ]
 
 
+def _holds(owned, s) -> bool:
+    """Whether ``owned``, a state a run owns, holds what the plain ``s``
+    does: the stores and counters are equal, and so is each thread, field
+    by field, except that a thread the run copied keeps its locals as a
+    dict, equal to the fields of the record ``s`` holds."""
+    if (owned.ds, owned.es, owned.next_tid, owned.next_seq) != (
+            s.ds, s.es, s.next_tid, s.next_seq) \
+            or owned.cs.keys() != s.cs.keys():
+        return False
+    for oid, threads in s.cs.items():
+        if owned.cs[oid].keys() != threads.keys():
+            return False
+        for tid, thr in threads.items():
+            mine = owned.cs[oid][tid]
+            for f in dataclasses.fields(Thread):
+                a, b = getattr(mine, f.name), getattr(thr, f.name)
+                if f.name == "locals" and type(a) is dict:
+                    b = dict(b.fields)
+                if a != b:
+                    return False
+    return True
+
+
 class TestOwnedStores:
     def test_an_owned_write_hands_back_the_state_it_was_given(self):
         s, oid = _state_with_buffer()
         for name, write in _counterless_writes(oid):
             owned = copy_stores(_with_thread(s, oid))
             assert write(owned) is owned, name
-            assert owned == write(_with_thread(s, oid)), name
+            assert _holds(owned, write(_with_thread(s, oid))), name
 
     def test_a_plain_write_builds_a_new_state(self):
         s, oid = _state_with_buffer()
@@ -299,10 +323,26 @@ class TestOwnedStores:
     def test_stores_are_copied_at_every_level(self):
         s = _with_thread(*_state_with_buffer())
         owned = copy_stores(s)
-        assert owned == s
+        assert _holds(owned, s)
         assert type(owned.cs[0]) is _Owned and owned.cs[0] is not s.cs[0]
         plain = copy_stores(owned, dict)
         assert plain == s and type(plain.cs[0]) is dict
+
+    def test_a_run_keeps_a_threads_locals_as_a_dict_it_hands_back_as_a_record(
+            self):
+        s, oid = _state_with_buffer()
+        record = RecordVal((("a", IntVal(1)), ("b", OidVal(oid))))
+        s = update_thread(s, oid, 0, Thread(1, ThreadStatus.READY,
+                                            get_method(), locals=record))
+        owned = copy_stores(s)
+        thr = owned.cs[oid][0]
+        assert thr.locals == {"a": IntVal(1), "b": OidVal(oid)}
+        thr.locals["a"] = IntVal(2)
+        assert s.cs[oid][0].locals is record
+        plain = copy_stores(owned, dict)
+        # The same thread, its locals a record again, in their order.
+        assert plain.cs[oid][0] is thr
+        assert thr.locals == record.set("a", IntVal(2))
 
 
 class TestValidateState:
@@ -333,6 +373,18 @@ class TestValidateState:
         s = replace(s, ds={oid: replace(obj, attrs=obj.attrs.set(
             "peer", OidVal(99)))})
         assert any("dangling" in p for p in validate_state(s))
+
+    def test_a_dangling_local_of_a_thread_a_run_owns_is_detected(self):
+        # Inside a run a thread's locals are a dict; it is checked as the
+        # record it stands for is.
+        s, oid = _state_with_buffer()
+        thr = Thread(1, ThreadStatus.READY, get_method(),
+                     locals=RecordVal((("peer", OidVal(99)),)))
+        s = replace(update_thread(s, oid, 0, thr), next_tid=1)
+        owned = copy_stores(s)
+        assert type(owned.cs[oid][0].locals) is dict
+        problems = ["thread 0 locals.peer: dangling reference to 99"]
+        assert validate_state(owned) == validate_state(s) == problems
 
     def test_misplaced_event_detected(self):
         s, oid = _state_with_buffer()

@@ -10,7 +10,7 @@ from smm import (
     VOID_VAL, super_chain, validate_model,
 )
 from smm.actions import Jump, LocalConst, NewLocal, ReturnConst
-from smm.universe import Hierarchy, Problem, same_kind, value_fits
+from smm.universe import Hierarchy, NullOid, Problem, same_kind, value_fits
 
 from conftest import buffer_tables
 
@@ -347,6 +347,20 @@ class TestValueCompat:
         assert same_kind(NULL_OID, OidVal(1))
         assert same_kind(IntVal(1), IntVal(2))
         assert not same_kind(IntVal(1), BoolVal(True))
+
+    def test_same_kind_agrees_with_its_first_definition_on_every_pair(self):
+        def first(a, b):  # the definition before the exact-type shortcut
+            ref = (OidVal, NullOid)
+            if isinstance(a, ref) and isinstance(b, ref):
+                return True
+            return type(a) is type(b)
+
+        kinds = (IntVal(0), BoolVal(False), VOID_VAL, NULL_OID, OidVal(3),
+                 RecordVal(), RecordVal((("x", IntVal(1)),)))
+        table = {(a, b): same_kind(a, b) for a in kinds for b in kinds}
+        assert table == {(a, b): first(a, b) for a in kinds for b in kinds}
+        # Each scalar with itself, the four reference pairs, the records.
+        assert sum(table.values()) == 3 + 4 + 4
 
     def test_new_local_validation_sees_unknown_class(self):
         sig = OpSig("f", (), VOID)

@@ -9,14 +9,18 @@ run puts its side's modules back into ``sys.modules`` for the imports
 that its calls make. Each
 workload (default: all of them) is built by ``perfbench/workloads.py`` of
 the checkout holding this script, for ``--seed`` (default 7), under its
-own configuration. A pair times one ``vm.run`` of the parsed model in each
-checkout, with the cyclic collector run before each, and the side that
-runs first alternates from pair to pair, so that a drift in the host's
-speed falls on both sides alike. The structured final states of the two
-sides must be equal on every pair; the script exits with status 1 when
-they are not. Per workload it prints each side's median steps/s with its
-quartiles, the median of the per-pair ratios CHANGE/PARENT and the pairs
-CHANGE won:
+own configuration. Before any timing, each workload runs once in each
+checkout under every configuration of ``CONFIGS`` in that module, its
+steps recorded by ``frontend.trace_recorder``; when the structured final
+state or the rendered trace of any run differs between the two sides,
+the script names it and exits with status 1 without timing. A pair times
+one ``vm.run`` of the parsed model in each checkout, with the cyclic
+collector run before each, and the side that runs first alternates from
+pair to pair, so that a drift in the host's speed falls on both sides
+alike. The structured final states of the two sides must be equal on
+every pair; the script exits with status 1 when they are not. Per
+workload it prints each side's median steps/s with its quartiles, the
+median of the per-pair ratios CHANGE/PARENT and the pairs CHANGE won:
 
     fanin-conc (conc/prio), seed 7, 17656 steps, 10 pairs
       PARENT  81234.5 steps/s, quartiles 80012.3 .. 82001.0
@@ -80,21 +84,60 @@ def load_smm(checkout: Path) -> dict:
     return _smm_modules()
 
 
-def timed_run(modules: dict, text: str) -> tuple[float, int, str]:
-    """One ``vm.run`` of the model ``text`` by the ``smm`` of ``modules``,
-    which are put in ``sys.modules`` for the imports its calls make:
-    (seconds, steps, structured final state)."""
+def _prepared(modules: dict, text: str, **choices: str):
+    """The model ``text`` parsed by the ``smm`` of ``modules``, which are
+    put in ``sys.modules`` for the imports its calls make, with strategies
+    ``choices``: (its frontend and vm modules, config, initial state)."""
     _clear()
     sys.modules.update(modules)
     fe, vm = modules["smm.frontend"], modules["smm.vm"]
     model = fe.parse_model(text)
-    cfg = fe.build_config(model)
-    s0 = vm.build_initial_state(cfg, model.setup)
+    cfg = fe.build_config(model, **choices)
+    return fe, vm, cfg, vm.build_initial_state(cfg, model.setup)
+
+
+def timed_run(modules: dict, text: str) -> tuple[float, int, str]:
+    """One ``vm.run`` of the model ``text`` by the ``smm`` of ``modules``:
+    (seconds, steps, structured final state)."""
+    fe, vm, cfg, s0 = _prepared(modules, text)
     gc.collect()
     t0 = time.perf_counter()
     result = vm.run({}, 0, cfg, s0)
     seconds = time.perf_counter() - t0
     return seconds, result.time, fe.render_final_state(result, "structured")
+
+
+def traced_run(modules: dict, text: str, runnables: str,
+               scheduler: str) -> tuple[str, str]:
+    """One ``vm.run`` of the model ``text`` under the configuration
+    ``runnables``/``scheduler`` by the ``smm`` of ``modules``, every step
+    recorded: (structured final state, rendered trace)."""
+    fe, vm, cfg, s0 = _prepared(modules, text, runnables=runnables,
+                                scheduler=scheduler)
+    records: list = []
+    result = vm.run({}, 0, cfg, s0, on_step=fe.trace_recorder(records))
+    return (fe.render_final_state(result, "structured"),
+            fe.render_trace(records))
+
+
+def _differences(sides: dict, workloads, names, seed: int,
+                 size: str) -> list[str]:
+    """Each workload run under each configuration whose final state or
+    trace differs between the two sides, as ``name runnables/scheduler:
+    what differs``."""
+    found = []
+    for name in names:
+        text = workloads.WORKLOADS[name].generate(seed, size).text
+        for runnables, scheduler in workloads.CONFIGS:
+            parent, change = (traced_run(sides[side], text, runnables,
+                                         scheduler) for side in sides)
+            what = [label for label, a, b in zip(
+                ("final state", "trace"), parent, change) if a != b]
+            if what:
+                verb = "differs" if len(what) == 1 else "differ"
+                found.append(f"{name} {runnables}/{scheduler}: the "
+                             f"{' and the '.join(what)} {verb}")
+    return found
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -123,8 +166,14 @@ def main(argv: list[str] | None = None) -> int:
                         action="append")
     args = parser.parse_args(argv)
     sides = {"PARENT": load_smm(args.parent), "CHANGE": load_smm(args.change)}
+    names = args.workload or list(workloads.WORKLOADS)
+    differences = _differences(sides, workloads, names, args.seed, args.size)
+    for line in differences:
+        print(f"ab_run: {line}", file=sys.stderr)
+    if differences:
+        return 1
     status = 0
-    for name in args.workload or workloads.WORKLOADS:
+    for name in names:
         wl = workloads.WORKLOADS[name]
         gen = wl.generate(args.seed, args.size)
         rates: dict[str, list[float]] = {side: [] for side in sides}
