@@ -19,8 +19,8 @@ from typing import Callable, Union
 from .errors import ExecError
 from .state import (
     CallPayload, Message, RecordVal, ReturnPayload, SignalPayload,
-    SimState, Thread, ThreadStatus, _Owned, _set_locals, _set_pc,
-    _set_status, alloc_object, end_thread, make_event, update_thread,
+    SimState, Thread, ThreadStatus, _Owned, _set_pc, _set_status,
+    alloc_object, end_thread, make_event, settle_thread, update_thread,
     write_attr,
 )
 from .universe import (
@@ -128,9 +128,8 @@ Action = Union[
 
 
 def _local(thr, name: str) -> Value:
-    locals = thr.locals
     try:
-        return locals[name] if type(locals) is dict else locals.get(name)
+        return thr.locals[name]
     except KeyError:
         raise ExecError(f"unknown local {name!r}") from None
 
@@ -142,33 +141,19 @@ def _int_local(thr, name: str) -> int:
     return v.value
 
 
-def store_local(thr, name: str, v: Value, *,
-                create: bool = False) -> RecordVal | None:
-    """The thread's locals with ``name`` set to ``v``, in one scan, as a
-    new record; or ``None`` where they are a dict, of a thread a run owns,
-    and written in place.
+def store_local(thr, name: str, v: Value, *, create: bool = False) -> None:
+    """Set the thread's local ``name`` to ``v``, in place.
 
     An existing local keeps its kind. A missing one is an error, or with
     ``create`` is appended.
     """
     locals = thr.locals
-    if type(locals) is dict:
-        if name in locals:
-            if not same_kind(locals[name], v):
-                raise ExecError(f"type error assigning local {name!r}")
-        elif not create:
-            raise ExecError(f"unknown local {name!r}")
-        locals[name] = v
-        return None
-    fields = locals.fields
-    for i, (n, old) in enumerate(fields):
-        if n == name:
-            if not same_kind(old, v):
-                raise ExecError(f"type error assigning local {name!r}")
-            return RecordVal(fields[:i] + ((name, v),) + fields[i + 1:])
-    if not create:
+    if name in locals:
+        if not same_kind(locals[name], v):
+            raise ExecError(f"type error assigning local {name!r}")
+    elif not create:
         raise ExecError(f"unknown local {name!r}")
-    return RecordVal(fields + ((name, v),))
+    locals[name] = v
 
 
 def _arg_record(thr, arg_names, sig: OpSig, cfg, ds) -> RecordVal:
@@ -212,29 +197,19 @@ def _emit(s: SimState, cfg, msg: Message) -> SimState:
 
 
 def advance(s: SimState, oid: int, tid: int, thr: Thread,
-            locals: RecordVal | None = None, pc: int | None = None,
+            pc: int | None = None,
             status: ThreadStatus = ThreadStatus.READY) -> SimState:
-    """``s`` with ``thr``, thread ``tid`` of ``oid``, moved on: at ``pc``
-    (by default its next action), with ``locals`` (by default its own), in
-    ``status``. The one writer of a running thread.
+    """``s`` with ``thr``, thread ``tid`` of ``oid``, moved on in place: at
+    ``pc`` (by default its next action), in ``status``.
 
-    On a plain thread map it builds one new thread and writes neither
-    ``s`` nor ``thr``. On a thread map a run owns, whose threads the run
-    owns too, it writes ``thr`` in place and builds nothing; it stores
-    ``thr`` only when the map does not hold it yet, as for a handler
-    fresh from ``vm.consume_event``. Such a thread's ``locals`` is a dict,
-    which ``store_local`` and ``NewLocal`` write in place, so they pass
-    no ``locals``."""
+    A plain thread map gets ``thr`` settled; a map a run owns stores it
+    only when it does not hold it yet, as for a handler fresh from
+    ``vm.consume_event``."""
+    _set_pc(thr, thr.pc + 1 if pc is None else pc)
+    _set_status(thr, status)
     threads = s.cs.get(oid)
     if type(threads) is not _Owned:
-        return update_thread(s, oid, tid, Thread(
-            thr.base_prio, status, thr.meth, thr.params,
-            thr.locals if locals is None else locals,
-            thr.pc + 1 if pc is None else pc, thr.caller))
-    _set_pc(thr, thr.pc + 1 if pc is None else pc)
-    if locals is not None:
-        _set_locals(thr, locals)
-    _set_status(thr, status)
+        return update_thread(s, oid, tid, settle_thread(thr))
     if threads.get(tid) is thr:
         return s
     return update_thread(s, oid, tid, thr)
@@ -245,34 +220,29 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
     """Execute one action of ``thr``, thread ``tid`` of object ``oid``.
 
     ``thr`` must be that thread, ready, with its pc addressing ``action``
-    in the dispatched method body; ``s`` may hold an older version of it,
-    or none. On stores a run owns, ``s`` holds that very thread or none,
-    and the action writes ``thr`` in place, its dict locals too (see
-    ``advance``). ``vm.step`` fetches or builds it, and adds the (oid,
-    tid, pc) context to any ``ExecError`` raised here.
+    in the dispatched method body, and owned by the step (see
+    ``state.own_thread``): the action writes it in place, its dict locals
+    too. ``s`` may hold an older version of it, or none; a map a run owns
+    holds that very thread or none. ``vm.step`` fetches or builds it, and
+    adds the (oid, tid, pc) context to any ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
     """
     if isinstance(action, NewLocal):
-        locals = thr.locals
-        owned = type(locals) is dict  # a thread a run owns: in place
-        if action.name in (locals if owned else
-                           (n for n, _ in locals.fields)):
+        if action.name in thr.locals:
             raise ExecError(f"local {action.name!r} already exists")
         if not value_fits(action.init, action.type, s.ds, cfg.hierarchy):
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
-        if owned:
-            locals[action.name] = action.init
-            return advance(s, oid, tid, thr)
-        return advance(s, oid, tid, thr, RecordVal(
-            locals.fields + ((action.name, action.init),)))
+        thr.locals[action.name] = action.init
+        return advance(s, oid, tid, thr)
 
     if isinstance(action, LocalFromParam):
         try:
             v = thr.params.get(action.param)
         except KeyError:
             raise ExecError(f"unknown parameter {action.param!r}") from None
-        return advance(s, oid, tid, thr, store_local(thr, action.local, v))
+        store_local(thr, action.local, v)
+        return advance(s, oid, tid, thr)
 
     if isinstance(action, LocalFromAttr):
         obj = s.ds[oid]
@@ -281,11 +251,12 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
         except KeyError:
             raise ExecError(f"object {oid} ({obj.class_name}) has no "
                             f"attribute {action.attr!r}") from None
-        return advance(s, oid, tid, thr, store_local(thr, action.local, v))
+        store_local(thr, action.local, v)
+        return advance(s, oid, tid, thr)
 
     if isinstance(action, LocalConst):
-        return advance(s, oid, tid, thr,
-                       store_local(thr, action.local, action.value))
+        store_local(thr, action.local, action.value)
+        return advance(s, oid, tid, thr)
 
     if isinstance(action, SetAttr):
         v = _local(thr, action.local)
@@ -306,8 +277,8 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
                       _int_local(thr, action.rhs))
         if isinstance(out, IntVal) and out.value not in INT_RANGE:
             raise ExecError(f"integer overflow in {action.op!r}")
-        return advance(s, oid, tid, thr,
-                       store_local(thr, action.dst, out))
+        store_local(thr, action.dst, out)
+        return advance(s, oid, tid, thr)
 
     if isinstance(action, Jump):
         return advance(s, oid, tid, thr, pc=_jump(thr, action.target))
@@ -325,8 +296,8 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
             raise ExecError(f"unknown class {action.class_name!r}")
         s2, new_oid = alloc_object(s, cfg.hierarchy.object_class(
             action.class_name))
-        return advance(s2, oid, tid, thr,
-                       store_local(thr, action.dst, OidVal(new_oid)))
+        store_local(thr, action.dst, OidVal(new_oid))
+        return advance(s2, oid, tid, thr)
 
     if isinstance(action, (Call, SendSignal)):
         dst = _target_oid(thr, action, s)

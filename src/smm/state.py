@@ -1,18 +1,17 @@
 """The three-store simulation state and its primitive operations.
 
-A ``SimState`` is a value: on plain stores every operation returns a new
-state and never mutates its argument. A store that only a running ``vm.run``
-holds (an ``_Owned`` one: the transient pattern) is written in place, and an
-operation that moves no counter then returns the very state it was given:
-inside a run a new state is built only where ``next_tid`` or ``next_seq``
-moves or the event store is replaced. The threads of an owned thread map
-belong to the run too, and ``actions.advance`` writes the running one in
-place, so a step builds a ``Thread`` only where it starts a handler. Such
-a thread's ``locals`` is a plain dict, name to value, that the actions
-write in place, so a local write builds no record either; ``copy_stores``
-turns it back into a ``RecordVal`` when the run ends, so every state
-outside a run holds records. A strategy must not keep a thread it was
-handed, nor its locals.
+A ``SimState`` is a value: every operation returns a new state and never
+mutates its argument, except on the stores only a running ``vm.run``
+holds (``_Owned`` ones: the transient pattern). Those are written in
+place, and an operation that moves no counter then returns the very
+state it was given.
+
+An action runs on a thread its step owns, a copy from ``own_thread``
+whose ``locals`` is a plain dict, name to value, that the step writes in
+place; ``settle_thread`` turns it back into a value with a record for
+locals. A run owns its threads from entry to halt, a step on a plain
+state only its running one, so every state outside a run or a step holds
+records. A strategy must not keep a thread it was handed, nor its locals.
 
 The data store holds each object's class tag and attribute record, the
 control store holds each object's threads, each one method activation
@@ -68,14 +67,11 @@ class Thread:
     runs, dispatched when the thread was created, its parameters and
     locals, its program counter, and whom it answers if it was called.
 
-    A value outside a run, its ``locals`` a record. Inside one, the
-    threads of the run's own thread maps are copies that the run writes
-    in place: ``actions.advance`` their ``status``, ``locals`` and ``pc``,
-    through their slot descriptors, and ``vm.consume_event`` a resumed
-    caller's ``status``. Their ``locals`` is a plain dict, name to value
-    in declaration order, that the actions and ``consume_event`` write in
-    place; ``copy_stores`` writes it back as a record at the end of the
-    run. No other code writes a thread."""
+    A value, its ``locals`` a record, except while a step or a run owns
+    it (see ``own_thread``): then its ``locals`` is a plain dict, name to
+    value in declaration order, and the step writes it, its ``pc`` and its
+    ``status`` in place, through the slot descriptors. No other code
+    writes a thread."""
 
     base_prio: int
     status: ThreadStatus
@@ -198,29 +194,32 @@ def _with(store: dict, key, value) -> dict:
     return store
 
 
-# The slot descriptors a thread a run owns is written through, as
+# The slot descriptors an owned thread is written through, as
 # ``value_class``'s ``__init__`` stores a field.
 _set_status, _set_locals, _set_pc = (
     Thread.__dict__[name].__set__ for name in ("status", "locals", "pc"))
 
 
+def own_thread(t: Thread) -> Thread:
+    """A copy of ``t`` that its taker owns and writes in place, its
+    locals a dict."""
+    return Thread(t.base_prio, t.status, t.meth, t.params,
+                  dict(t.locals.fields), t.pc, t.caller)
+
+
+def settle_thread(t: Thread) -> Thread:
+    """``t``, an owned thread, as a value again: its locals turned back
+    into a record, in place."""
+    _set_locals(t, RecordVal(tuple(t.locals.items())))
+    return t
+
+
 def copy_stores(s: SimState, kind: type = _Owned) -> SimState:
-    """``s`` with new stores, thread maps too, of type ``kind``. Owned
-    stores also get a copy of each thread, which the run then owns, its
-    locals a dict. Plain ones take the threads as they are, and turn the
-    dict locals of each back into a record, in place."""
-    cs = kind((oid, kind(threads)) for oid, threads in s.cs.items())
-    if kind is _Owned:  # ``actions.advance`` writes these in place
-        for threads in cs.values():
-            for tid, t in threads.items():
-                threads[tid] = Thread(t.base_prio, t.status, t.meth,
-                                      t.params, dict(t.locals.fields), t.pc,
-                                      t.caller)
-    else:
-        for threads in cs.values():
-            for t in threads.values():
-                if type(t.locals) is dict:
-                    _set_locals(t, RecordVal(tuple(t.locals.items())))
+    """``s`` with new stores, thread maps too, of type ``kind``: owned ones
+    hold an owned copy of each thread, plain ones each thread settled."""
+    take = own_thread if kind is _Owned else settle_thread
+    cs = kind((oid, kind((tid, take(t)) for tid, t in threads.items()))
+              for oid, threads in s.cs.items())
     return SimState(kind(s.ds), cs, kind(s.es), s.next_tid, s.next_seq)
 
 

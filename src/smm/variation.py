@@ -54,12 +54,12 @@ it, and so does a wrapper that returns its result. The engine relies on
 it for the footprint above; a medium that writes another queue leaves
 that object's offers stale. A medium may return a plain dict. And as
 ``vm.run`` writes the stores of the states it hands a strategy in place,
-and the threads in them, and a step there may hand back the very state it
-was given, no strategy may keep a store, a state, or a thread after it
-returns, nor tell states apart by identity. Inside a run a thread's
-``locals`` is a plain dict, name to value, that the run writes in place,
-not a record; a strategy must not keep it either. Every ``RunResult``
-holds records again.
+and a step there may hand back the very state it was given, no strategy
+may keep a store or a state after it returns, nor tell states apart by
+identity. Their threads are the run's own, each one's ``locals`` a plain
+dict the steps write in place (see ``smm.state``), so a strategy must not
+keep a thread or its locals either. Every state outside a run holds
+records.
 
 The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
 returns depends only on the class of object ``oid`` and on ``op``. The

@@ -41,7 +41,7 @@ from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, ControlStore, DataStore, Event, RecordVal,
     SimState, StoredObject, Thread, ThreadStatus, _Owned, _set_status,
-    copy_stores, returns_to, take_matching_event,
+    copy_stores, own_thread, returns_to, take_matching_event,
 )
 # perfbench's tracer times thread stores by rebinding this name here; the
 # engine stores a thread only through ``actions.advance``, and inside a run
@@ -376,21 +376,18 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                   event: Event | None = None) -> tuple[SimState, Thread]:
     """Consume the event that makes thread ``tid`` of ``oid`` ready.
 
-    Returns the state without that event, and the ready thread: the
-    action that runs next writes it. Two cases:
+    Returns the state without that event, and the ready thread, owned by
+    the step, which the action that runs next writes. Two cases:
     - ``tid`` is waiting and its return event is buffered: remove it and
-      bind the value to the thread's result local. A result local that
-      exists keeps its kind; a missing one is created. On plain stores
-      the ready thread is a new one, which the state does not store; a
-      thread a run owns is bound and set ready in place, and handed back.
+      bind the value to the thread's result local, in place, on the step's
+      own copy of a thread from a plain map. A result local that exists
+      keeps its kind; a missing one is created.
     - ``tid`` is a reserved handler id and ``event`` the pending call or
       signal it stands for: remove that very event object from the queue
       (not one merely equal to it) and build the thread under that id,
       whose ``next_tid`` it passes, running the dispatched method with
-      the message arguments bound to its parameters. A call records who
-      to answer; a signal has no caller to answer. On stores a run owns
-      its locals start as an empty dict, as every thread the run owns
-      holds them.
+      the message arguments bound to its parameters and no locals yet. A
+      call records who to answer; a signal has no caller to answer.
     Anything else, a ready thread among them, raises ``InternalError``.
     """
     thr = s.thread(oid, tid)
@@ -400,14 +397,11 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
             raise InternalError(
                 f"thread {tid} of object {oid} was scheduled but is not "
                 f"ready (selector contract violation)")
+        if type(s.cs[oid]) is not _Owned:
+            thr = own_thread(thr)
         payload = answer.msg.payload
-        bound = store_local(thr, payload.result_local, payload.value,
-                            create=True)
-        if bound is None:  # a thread the run owns, bound in place
-            _set_status(thr, ThreadStatus.READY)
-        else:
-            thr = Thread(thr.base_prio, ThreadStatus.READY, thr.meth,
-                         thr.params, bound, thr.pc, thr.caller)
+        store_local(thr, payload.result_local, payload.value, create=True)
+        _set_status(thr, ThreadStatus.READY)
         return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), thr
 
     taken = None
@@ -431,10 +425,8 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                            payload.result_local)
     else:
         caller = None
-    # Every thread a run owns keeps its locals as a dict.
-    locals = {} if type(s.cs.get(oid)) is _Owned else RecordVal()
     return (SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq),
-            Thread(payload.prio, ThreadStatus.READY, meth, params, locals,
+            Thread(payload.prio, ThreadStatus.READY, meth, params, {},
                    caller=caller))
 
 
@@ -447,17 +439,16 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     ``collect_runnables`` or the offer heap reported it. A reserved id
     names no thread yet; otherwise the thread is fetched once, and
     ``consume_event`` is called only when it is not ready. The action gets
-    the ready thread in hand and writes it once. Returns the successor
-    state, the pc and action that ran, and the receiver of the one event
-    the action emitted: the target of a call or signal, the caller of a
+    the ready thread, owned by the step, and writes it in place, its dict
+    locals too: a thread from a plain map is copied first, so a plain
+    ``s`` and its threads are never written. Returns the successor state,
+    the pc and action that ran, and the receiver of the one event the
+    action emitted: the target of a call or signal, the caller of a
     return that has one, otherwise None. The target is read from the
-    thread after consumption, which may have rebound its local. On owned
-    stores, inside ``run``, the successor may be ``s`` itself, written in
-    place: a step builds a new state only where it moves a counter or
-    consumes an event. The running thread is written in place there too,
-    its dict locals as well, so a step builds a thread only where it
-    starts a handler, and a local write builds no record. On plain stores
-    neither ``s`` nor any of its threads is ever written.
+    thread after consumption, which may have rebound its local. Inside
+    ``run``, whose stores and threads are its own, the successor may be
+    ``s`` itself: a step builds a new state only where it moves a counter
+    or consumes an event, and a thread only where it starts a handler.
     This is the one place that attaches the running (oid, tid, pc) to an
     ``ExecError``; an error raised while the event is consumed names no
     pc, because no action ran.
@@ -467,6 +458,8 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
         thr = None if event is not None else s.thread(oid, tid)
         if thr is None or thr.status is not ThreadStatus.READY:
             s, thr = consume_event(s, cfg, oid, tid, event)
+        elif type(s.cs[oid]) is not _Owned:
+            thr = own_thread(thr)
         pc, body = thr.pc, thr.meth.body
         if pc >= len(body):
             raise ExecError(f"fell off the end of "

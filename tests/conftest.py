@@ -15,6 +15,9 @@ from smm.actions import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
 
+# The four runnables x scheduler configs every differential test runs.
+CONFIGS = [("rtc", "rr"), ("rtc", "prio"), ("conc", "rr"), ("conc", "prio")]
+
 PUT_OP = OpSig("put", (INT,), VOID)
 GET_OP = OpSig("get", (), INT)
 

@@ -15,7 +15,7 @@ from smm.actions import (
     LocalFromParam, NewLocal, NewObject, ReturnConst, ReturnLocal, SendSignal,
     SetAttr, interpret,
 )
-from smm.state import update_thread
+from smm.state import own_thread, update_thread
 from smm.universe import OpSig
 
 from conftest import PUT_OP, buffer_class
@@ -50,9 +50,9 @@ def _setup(locals_=(), params=(), pc=0, caller=None, op=WORK_OP):
 
 
 def _interpret(action, s, oid):
-    """``interpret`` on thread 0 of ``oid``, handed the thread as
-    ``vm.step`` hands it."""
-    return interpret(action, s, oid, 0, s.thread(oid, 0), _cfg())
+    """``interpret`` on thread 0 of ``oid``, handed an owned copy of the
+    thread as ``vm.step`` hands it."""
+    return interpret(action, s, oid, 0, own_thread(s.thread(oid, 0)), _cfg())
 
 
 def _top(s, oid, tid=0):

@@ -56,10 +56,10 @@ from smm.variation import VARIATION_POINTS, Least
 import smm.vm
 from smm.vm import step
 
+from conftest import CONFIGS
 from modelgen import random_model
 from test_protocols import SELF_CALL
 
-CONFIGS = [("rtc", "rr"), ("rtc", "prio"), ("conc", "rr"), ("conc", "prio")]
 MAX_STEPS = 150
 
 # Four senders signal and call two hubs. Under prio the senders outrank
@@ -878,8 +878,7 @@ def test_a_step_asks_only_the_objects_it_touched(runnables, medium):
         + 2 * result.time
 
 
-@pytest.mark.parametrize("runnables,scheduler", [("rtc", "rr"),
-                                                 ("conc", "prio")])
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
 def test_a_step_pushes_a_bounded_number_of_offers(runnables, scheduler):
     # 1,024 objects. A step puts one item, its least offer, into the heap
     # per touched object that offers anything: the acting object, whose
@@ -923,8 +922,7 @@ setup { m: M active go prio 1; }
 """
 
 
-@pytest.mark.parametrize("runnables,scheduler", [("rtc", "rr"),
-                                                 ("conc", "prio")])
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
 def test_an_allocation_loop_asks_the_acting_and_new_objects(runnables,
                                                             scheduler):
     # After the first step, which asks every object, a step asks the

@@ -21,9 +21,8 @@ from smm.actions import LocalConst, NewLocal, ReturnConst
 from smm.universe import Hierarchy, validate_model
 from smm.vm import StepLimit
 
+from conftest import CONFIGS
 from modelgen import random_model
-
-CONFIGS = [("rtc", "rr"), ("rtc", "prio"), ("conc", "rr"), ("conc", "prio")]
 
 
 def _outcome(model, runnables, scheduler):

@@ -27,12 +27,12 @@ from smm import (
 )
 from smm.frontend import render_trace, trace_recorder
 
+from conftest import CONFIGS
 from modelgen import random_model
 from test_frontend import MALFORMED
 
 GOLDEN = Path(__file__).with_name("golden.json")
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
-CONFIGS = [("rtc", "rr"), ("rtc", "prio"), ("conc", "rr"), ("conc", "prio")]
 MAX_STEPS = 2000
 SEEDS = range(300)
 

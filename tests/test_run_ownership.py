@@ -11,7 +11,9 @@ the data and control stores keep one identity for a whole run, so a step
 copies neither. The event store is copied only where an event is
 consumed, because ``take_matching_event`` never writes its argument, and
 a thread is built only there too. A thread's locals are a dict the run
-writes in place, so a local write builds no record.
+writes in place, so a local write builds no record. ``step`` on a plain
+state runs its action on its own copy of the thread, so it writes neither
+the state nor any of its threads either.
 """
 
 from __future__ import annotations
@@ -24,19 +26,20 @@ import pytest
 
 from smm import (
     AllDone, ExecError, StepLimit, build_config, build_initial_state,
-    parse_model, run,
+    collect_runnables, parse_model, run,
 )
 import smm.vm
 from smm.actions import (
     BinOp, Call, LocalConst, LocalFromAttr, LocalFromParam, NewLocal,
-    NewObject, SendSignal, SetAttr,
+    NewObject, ReturnConst, SendSignal, SetAttr,
 )
-from smm.state import RecordVal, SimState, Thread
+from smm.state import RecordVal, SimState, Thread, ThreadStatus
+from smm.vm import step
 
+from conftest import CONFIGS
 from modelgen import random_model
 from test_collect_oracle import (
-    ALLOC_LOOP, CONFIGS, FAN, _wide_model, observed, plain_reliable,
-    plain_stores,
+    ALLOC_LOOP, FAN, _wide_model, observed, plain_reliable, plain_stores,
 )
 
 
@@ -134,8 +137,7 @@ def _identities(model_text: str, runnables: str, scheduler: str,
     return result, seen, consumed
 
 
-@pytest.mark.parametrize("runnables,scheduler", [("rtc", "rr"),
-                                                 ("conc", "prio")])
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
 @pytest.mark.parametrize("model_text,max_steps,halt", [
     (_wide_model(1024), None, AllDone()),
     (ALLOC_LOOP, 4000, StepLimit()),
@@ -318,3 +320,59 @@ def test_a_run_that_fails_writes_no_thread_of_the_state_it_was_given():
             run({}, 0, cfg, s, on_step=lambda *args: steps.append(args))
         assert len(steps) >= 3
         _assert_kept(s, threads)
+
+
+# A handler that returns at its first action, for a call and a signal.
+PING = """
+class Hub { }
+class Caller { }
+op Hub.ping(): Void {
+  return void;
+}
+op Caller.go(): Void {
+  let h: Hub = null;
+  loadattr h hub;
+  call h.ping() -> r;
+  send h.ping() prio 1;
+  return void;
+}
+setup { c: Caller active go prio 1 links [hub]; hub: Hub passive; }
+"""
+
+
+def test_a_step_on_a_plain_state_writes_neither_it_nor_its_threads(
+        prodcons_model):
+    # ``step`` outside a run, one at a time, each pick made afresh from
+    # every object's offers: the state handed in stays as it was, each of
+    # its threads unwritten, and the successor holds records for locals.
+    seen = set()
+    for model in (prodcons_model, parse_model(FAN), parse_model(PING)):
+        for runnables, scheduler in CONFIGS:
+            cfg = build_config(model, runnables=runnables,
+                               scheduler=scheduler)
+            s, times = build_initial_state(cfg, model.setup), {}
+            for t in range(300):
+                entries, reserved = collect_runnables(
+                    cfg.runnables_sel, s, times, {}, s.ds)
+                if not entries:
+                    break
+                oid, tid = cfg.scheduler(t, entries)
+                event = reserved.get(tid)
+                thr = s.thread(oid, tid)
+                snapshot, threads = copy.deepcopy(s), _threads(s)
+                s2, _pc, action, _ = step(s, cfg, oid, tid, event)
+                assert s == snapshot and plain_stores(s2)
+                if threads:
+                    _assert_kept(s, threads)
+                assert all(type(after.locals) is RecordVal
+                           for after, _ in _threads(s2))
+                if event is not None:
+                    seen.add("handler")
+                    if isinstance(action, ReturnConst):
+                        seen.add("handler returns at once")
+                elif thr.status is ThreadStatus.WAITING:
+                    seen.add("resumed caller")
+                times[tid] = t
+                s = s2
+            assert not entries, "the model did not finish"
+    assert seen == {"handler", "handler returns at once", "resumed caller"}

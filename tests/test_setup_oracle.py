@@ -33,8 +33,9 @@ from smm.state import (
 )
 from smm.vm import build_initial_state, check_setup, run_main
 
+from conftest import CONFIGS
 from modelgen import random_model
-from test_golden import CONFIGS, SEEDS
+from test_golden import SEEDS
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
