@@ -202,31 +202,32 @@ def advance(s: SimState, oid: int, tid: int, thr: Thread,
     """``s`` with ``thr``, thread ``tid`` of ``oid``, moved on in place: at
     ``pc`` (by default its next action), in ``status``.
 
-    A plain thread map gets ``thr`` settled; a map a run owns stores it
-    only when it does not hold it yet, as for a handler fresh from
-    ``vm.consume_event``."""
+    A map a run owns holds ``thr`` already, so ``s`` itself is returned; a
+    plain thread map gets ``thr`` settled and stored."""
     _set_pc(thr, thr.pc + 1 if pc is None else pc)
     _set_status(thr, status)
-    threads = s.cs.get(oid)
-    if type(threads) is not _Owned:
-        return update_thread(s, oid, tid, settle_thread(thr))
-    if threads.get(tid) is thr:
+    if type(s.cs.get(oid)) is _Owned:
         return s
-    return update_thread(s, oid, tid, thr)
+    return update_thread(s, oid, tid, settle_thread(thr))
 
 
 def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
-              cfg) -> SimState:
+              cfg) -> tuple[SimState, int | None]:
     """Execute one action of ``thr``, thread ``tid`` of object ``oid``.
 
     ``thr`` must be that thread, ready, with its pc addressing ``action``
     in the dispatched method body, and owned by the step (see
     ``state.own_thread``): the action writes it in place, its dict locals
-    too. ``s`` may hold an older version of it, or none; a map a run owns
-    holds that very thread or none. ``vm.step`` fetches or builds it, and
+    too. A plain ``s`` may hold an older version of it, or none; a map a
+    run owns holds that very thread. ``vm.step`` fetches or builds it, and
     adds the (oid, tid, pc) context to any ``ExecError`` raised here.
     Unless the action says otherwise, the pc advances by one.
+
+    Returns the successor state and the receiver of the one event the
+    action emitted: the target of a call or signal, the caller of a
+    return that answers one, otherwise None.
     """
+    pc = None  # the next action
     if isinstance(action, NewLocal):
         if action.name in thr.locals:
             raise ExecError(f"local {action.name!r} already exists")
@@ -234,17 +235,15 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
             raise ExecError(f"initial value for {action.name!r} does not fit "
                             f"type {action.type}")
         thr.locals[action.name] = action.init
-        return advance(s, oid, tid, thr)
 
-    if isinstance(action, LocalFromParam):
+    elif isinstance(action, LocalFromParam):
         try:
             v = thr.params.get(action.param)
         except KeyError:
             raise ExecError(f"unknown parameter {action.param!r}") from None
         store_local(thr, action.local, v)
-        return advance(s, oid, tid, thr)
 
-    if isinstance(action, LocalFromAttr):
+    elif isinstance(action, LocalFromAttr):
         obj = s.ds[oid]
         try:
             v = obj.attrs.get(action.attr)
@@ -252,13 +251,11 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
             raise ExecError(f"object {oid} ({obj.class_name}) has no "
                             f"attribute {action.attr!r}") from None
         store_local(thr, action.local, v)
-        return advance(s, oid, tid, thr)
 
-    if isinstance(action, LocalConst):
+    elif isinstance(action, LocalConst):
         store_local(thr, action.local, action.value)
-        return advance(s, oid, tid, thr)
 
-    if isinstance(action, SetAttr):
+    elif isinstance(action, SetAttr):
         v = _local(thr, action.local)
         cls_name = s.ds[oid].class_name
         if cls_name in cfg.class_table:
@@ -267,9 +264,9 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
                         v, attr.type, s.ds, cfg.hierarchy):
                     raise ExecError(
                         f"type error writing attribute {action.attr!r}")
-        return advance(write_attr(s, oid, action.attr, v), oid, tid, thr)
+        s = write_attr(s, oid, action.attr, v)
 
-    if isinstance(action, BinOp):
+    elif isinstance(action, BinOp):
         compute = BIN_OPS.get(action.op)
         if compute is None:
             raise ExecError(f"unknown operator {action.op!r}")
@@ -278,28 +275,25 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
         if isinstance(out, IntVal) and out.value not in INT_RANGE:
             raise ExecError(f"integer overflow in {action.op!r}")
         store_local(thr, action.dst, out)
-        return advance(s, oid, tid, thr)
 
-    if isinstance(action, Jump):
-        return advance(s, oid, tid, thr, pc=_jump(thr, action.target))
+    elif isinstance(action, Jump):
+        pc = _jump(thr, action.target)
 
-    if isinstance(action, BranchIfFalse):
+    elif isinstance(action, BranchIfFalse):
         cond = _local(thr, action.cond)
         if not isinstance(cond, BoolVal):
             raise ExecError(f"branch condition {action.cond!r} is not a boolean")
-        if cond.value:
-            return advance(s, oid, tid, thr)
-        return advance(s, oid, tid, thr, pc=_jump(thr, action.target))
+        if not cond.value:
+            pc = _jump(thr, action.target)
 
-    if isinstance(action, NewObject):
+    elif isinstance(action, NewObject):
         if action.class_name not in cfg.class_table:
             raise ExecError(f"unknown class {action.class_name!r}")
-        s2, new_oid = alloc_object(s, cfg.hierarchy.object_class(
+        s, new_oid = alloc_object(s, cfg.hierarchy.object_class(
             action.class_name))
         store_local(thr, action.dst, OidVal(new_oid))
-        return advance(s2, oid, tid, thr)
 
-    if isinstance(action, (Call, SendSignal)):
+    elif isinstance(action, (Call, SendSignal)):
         dst = _target_oid(thr, action, s)
         args = _arg_record(thr, action.args, action.op, cfg, s.ds)
         if isinstance(action, Call):
@@ -313,9 +307,9 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
             status = ThreadStatus.READY
         s2 = _emit(s, cfg, Message(sender=oid, sender_thread=tid,
                                    receiver=dst, payload=payload))
-        return advance(s2, oid, tid, thr, status=status)
+        return advance(s2, oid, tid, thr, status=status), dst
 
-    if isinstance(action, (ReturnConst, ReturnLocal)):
+    elif isinstance(action, (ReturnConst, ReturnLocal)):
         if isinstance(action, ReturnLocal):
             value = _local(thr, action.name)
             sig = thr.meth.implements
@@ -324,14 +318,17 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
                                 f"fit its return type {sig.return_type}")
         else:
             value = action.value
-        s2 = s
-        if thr.caller is not None:
-            s2 = _emit(s, cfg, Message(
-                sender=oid,
-                # Routing slot: the thread to resume at the caller.
-                sender_thread=thr.caller.tid,
-                receiver=thr.caller.oid,
-                payload=ReturnPayload(value, thr.caller.result_local)))
-        return end_thread(s2, oid, tid)
+        caller = thr.caller
+        if caller is None:
+            return end_thread(s, oid, tid), None
+        s2 = _emit(s, cfg, Message(
+            sender=oid,
+            # Routing slot: the thread to resume at the caller.
+            sender_thread=caller.tid,
+            receiver=caller.oid,
+            payload=ReturnPayload(value, caller.result_local)))
+        return end_thread(s2, oid, tid), caller.oid
 
-    raise ExecError(f"unknown action {action!r}")
+    else:
+        raise ExecError(f"unknown action {action!r}")
+    return advance(s, oid, tid, thr, pc), None

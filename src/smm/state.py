@@ -297,8 +297,9 @@ def take_matching_event(es: EventStore, oid: int,
 
 def end_thread(s: SimState, oid: int, tid: int) -> SimState:
     """``s`` without thread ``tid`` of ``oid``, whose activation returned;
-    ``s`` itself when it does not hold the thread, as for a handler that
-    returns at its first action, which is never stored."""
+    ``s`` itself when it does not hold the thread, as for a handler on a
+    plain thread map that returns at its first action, which is never
+    stored."""
     threads = s.cs.get(oid)
     if threads is None or tid not in threads:
         return s

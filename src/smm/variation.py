@@ -28,24 +28,25 @@ priority and last execution time that does not depend on the current
 time (``rr_order``, ``prio_order``), and picks the least entry by that
 key, ties to the smallest (oid, tid). ``vm.run`` uses the key in its
 place: it keeps each offered thread, and each object's least offered
-event, by that key in a heap and never calls the scheduler. There it
-applies ``is_live`` itself and asks the selector only for
-``pending_handler_events``, so it requires a ``RunnablesSelector`` that
-does not override ``__call__``. Any other scheduler, a function or a
-wrapped ``Least``, is asked with every entry on every step, and its
-selector is called.
+event, by that key in a heap, applies ``is_live`` itself, and calls
+neither the scheduler nor the selector, only its ``pending_handler_events``.
+Any other scheduler, a function or a wrapped ``Least``, is asked with
+every entry on every step, and its selector is called.
 
-The selector contract: what ``sel(s, oid)`` and
-``sel.pending_handler_events(s, oid)`` return depend only on the
-object's own thread map ``s.cs[oid]`` and its own queue ``s.es[oid]``.
-``base``, ``rtc`` and ``conc`` all keep it, and the engine relies on it to
-skip untouched objects: after a step it asks again only the objects whose
-thread map or queue the step may have replaced, and keeps the others'
-offers. By the medium contract those are the acting object, the objects
-the step allocated and the receiver of the event it emitted, known
-without looking at any other queue. Of their threads only the acting
-one can change status, so the heap re-applies ``is_live`` to the acting
-thread and to the waiting threads of the objects whose queue changed.
+The selector contract is a signature: ``pending_handler_events(oid,
+threads, queue)`` is handed one object's thread map ``s.cs.get(oid)`` and
+queue ``s.es.get(oid, ())``, and no state; ``sel(s, oid)`` passes it those
+two. A selector that replaces ``__call__`` still gets the state and must
+read only that object's thread map and queue; ``vm.run`` takes it only
+with a scheduler that is not a ``Least``. The engine relies on the
+contract to skip untouched objects: after a step it asks again only the
+objects whose thread map or queue the step may have replaced, and keeps
+the others' offers. By the medium contract those are the acting object,
+the objects the step allocated and the receiver of the event it emitted,
+known without looking at any other queue. Of their threads only the
+acting one can change status, so the heap re-applies ``is_live`` to the
+acting thread and to the waiting threads of the objects whose queue
+changed.
 
 The medium contract: the store ``medium(es, e)`` returns may differ from
 ``es`` only at ``e.msg.receiver``. It has the same object ids, and every
@@ -118,11 +119,10 @@ class RunnablesSelector:
     admits, for every subclass alike.
 
     The class is the strategy type ``Config.runnables_sel`` holds. It
-    stays a class, not a plain function, because ``vm.run`` asks a
-    ``Least`` scheduler's selector only for ``pending_handler_events(s,
-    oid)``, and because wrappers of the strategy (the traced pass in
-    ``perfbench/tracing.py``) rely on its ``name``, on that method and on
-    ``__call__(s, oid)``.
+    stays a class, not a plain function, because ``vm.run`` may ask it
+    only for ``pending_handler_events``, and wrappers of the strategy (the
+    traced pass in ``perfbench/tracing.py``) rely on its ``name``, on that
+    method and on ``__call__(s, oid)``.
     """
 
     name = "base"
@@ -134,7 +134,10 @@ class RunnablesSelector:
         clone.__dict__.update(self.__dict__)
         return clone
 
-    def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
+    def pending_handler_events(self, oid: int, threads: dict | None,
+                               queue: tuple[Event, ...]) -> list[Event]:
+        """Which events of its ``queue`` object ``oid`` offers, given its
+        thread map ``threads`` (None if it has none)."""
         raise NotImplementedError
 
     def __call__(self, s: SimState,
@@ -142,13 +145,13 @@ class RunnablesSelector:
         """This object's (tid, prio) live-thread offers and offered events."""
         live = []
         threads = s.cs.get(oid)
+        queue = s.es.get(oid, ())
         if threads:
-            queue = s.es.get(oid, ())
             for tid in sorted(threads) if len(threads) > 1 else threads:
                 thr = threads[tid]
                 if is_live(thr, tid, queue):
                     live.append((tid, thr.base_prio))
-        return live, self.pending_handler_events(s, oid)
+        return live, self.pending_handler_events(oid, threads, queue)
 
 
 class RtcRunnables(RunnablesSelector):
@@ -161,9 +164,9 @@ class RtcRunnables(RunnablesSelector):
 
     name = "rtc"
 
-    def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
-        if not s.cs.get(oid):
-            for e in s.es.get(oid, ()):
+    def pending_handler_events(self, oid, threads, queue) -> list[Event]:
+        if not threads:
+            for e in queue:
                 if e.kind in _HANDLER_KINDS:
                     return [e]
         return []
@@ -175,8 +178,8 @@ class ConcRunnables(RunnablesSelector):
 
     name = "conc"
 
-    def pending_handler_events(self, s: SimState, oid: int) -> list[Event]:
-        return [e for e in s.es.get(oid, ()) if e.kind in _HANDLER_KINDS]
+    def pending_handler_events(self, oid, threads, queue) -> list[Event]:
+        return [e for e in queue if e.kind in _HANDLER_KINDS]
 
 
 StaticOrder = Callable[[int, int], tuple[int, ...]]

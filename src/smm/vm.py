@@ -36,17 +36,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Union
 
-from .actions import Action, Call, SendSignal, interpret, store_local
+from .actions import Action, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, ControlStore, DataStore, Event, RecordVal,
     SimState, StoredObject, Thread, ThreadStatus, _Owned, _set_status,
-    copy_stores, own_thread, returns_to, take_matching_event,
+    copy_stores, own_thread, returns_to, take_matching_event, update_thread,
 )
-# perfbench's tracer times thread stores by rebinding this name here; the
-# engine stores a thread only through ``actions.advance``, and inside a run
-# only a thread the map does not hold yet.
-from .state import update_thread  # noqa: F401
 from .universe import (
     ClassType, Hierarchy, OidVal, OpSig, Problem, value_class,
 )
@@ -325,7 +321,7 @@ class _OfferHeap:
                 if tids and (other != oid or queue is not before):
                     self._live(other, cs[other], tids, es[other])
         for oid in dirty:
-            events = pending(s, oid)
+            events = pending(oid, cs.get(oid), es.get(oid, ()))
             if events:
                 # The least event; a reserved id has no recorded time (see
                 # ``run``).
@@ -387,7 +383,9 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
       (not one merely equal to it) and build the thread under that id,
       whose ``next_tid`` it passes, running the dispatched method with
       the message arguments bound to its parameters and no locals yet. A
-      call records who to answer; a signal has no caller to answer.
+      call records who to answer; a signal has no caller to answer. A
+      thread map a run owns stores the new thread here; a plain one is
+      left as it is, and the action settles and stores the thread.
     Anything else, a ready thread among them, raises ``InternalError``.
     """
     thr = s.thread(oid, tid)
@@ -425,9 +423,12 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                            payload.result_local)
     else:
         caller = None
-    return (SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq),
-            Thread(payload.prio, ThreadStatus.READY, meth, params, {},
-                   caller=caller))
+    thr = Thread(payload.prio, ThreadStatus.READY, meth, params, {},
+                 caller=caller)
+    s = SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq)
+    if type(s.cs.get(oid)) is _Owned:
+        s = update_thread(s, oid, tid, thr)
+    return s, thr
 
 
 def step(s: SimState, cfg: Config, oid: int, tid: int,
@@ -442,13 +443,11 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     the ready thread, owned by the step, and writes it in place, its dict
     locals too: a thread from a plain map is copied first, so a plain
     ``s`` and its threads are never written. Returns the successor state,
-    the pc and action that ran, and the receiver of the one event the
-    action emitted: the target of a call or signal, the caller of a
-    return that has one, otherwise None. The target is read from the
-    thread after consumption, which may have rebound its local. Inside
-    ``run``, whose stores and threads are its own, the successor may be
-    ``s`` itself: a step builds a new state only where it moves a counter
-    or consumes an event, and a thread only where it starts a handler.
+    the pc and action that ran, and the receiver ``interpret`` names.
+    Inside ``run``, whose stores and threads are its own, the successor
+    may be ``s`` itself: a step builds a new state only where it moves a
+    counter or consumes an event, and a thread only where it starts a
+    handler.
     This is the one place that attaches the running (oid, tid, pc) to an
     ``ExecError``; an error raised while the event is consumed names no
     pc, because no action ran.
@@ -465,14 +464,10 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
             raise ExecError(f"fell off the end of "
                             f"{thr.meth.implements.name!r} without a return")
         action = body[pc]
-        s2 = interpret(action, s, oid, tid, thr, cfg)
+        s, receiver = interpret(action, s, oid, tid, thr, cfg)
     except ExecError as err:
         raise ExecError(err.message, oid=oid, tid=tid, pc=pc) from None
-    if s2.next_seq == s.next_seq:  # no event emitted
-        return s2, pc, action, None
-    if isinstance(action, (Call, SendSignal)):
-        return s2, pc, action, thr.locals.get(action.target).oid
-    return s2, pc, action, thr.caller.oid  # a return answering its caller
+    return s, pc, action, receiver
 
 
 # --- the run loop -------------------------------------------------------------------

@@ -15,7 +15,10 @@ from smm.actions import (
     LocalFromParam, NewLocal, NewObject, ReturnConst, ReturnLocal, SendSignal,
     SetAttr, interpret,
 )
-from smm.state import own_thread, update_thread
+from smm.state import (
+    Message, ReturnPayload, make_event, own_thread, update_thread,
+)
+from smm.vm import step
 from smm.universe import OpSig
 
 from conftest import PUT_OP, buffer_class
@@ -50,9 +53,10 @@ def _setup(locals_=(), params=(), pc=0, caller=None, op=WORK_OP):
 
 
 def _interpret(action, s, oid):
-    """``interpret`` on thread 0 of ``oid``, handed an owned copy of the
-    thread as ``vm.step`` hands it."""
-    return interpret(action, s, oid, 0, own_thread(s.thread(oid, 0)), _cfg())
+    """The state ``interpret`` hands back on thread 0 of ``oid``, handed an
+    owned copy of the thread as ``vm.step`` hands it."""
+    return interpret(action, s, oid, 0, own_thread(s.thread(oid, 0)),
+                     _cfg())[0]
 
 
 def _top(s, oid, tid=0):
@@ -293,3 +297,55 @@ class TestIsolation:
         assert {o: t for o, t in s2.cs.items() if o != w} == other_threads_before
         assert s2.ds == s.ds
         assert len(s2.es[buf]) == len(s.es[buf]) + 1
+
+
+def _receiver(action, s, oid):
+    """The receiver ``interpret`` names for ``action`` on thread 0."""
+    return interpret(action, s, oid, 0, own_thread(s.thread(oid, 0)),
+                     _cfg())[1]
+
+
+class TestReceiver:
+    """``interpret`` names the receiver of the one event an action emits,
+    and ``vm.step`` reports it as it is."""
+
+    def test_a_call_or_signal_names_its_target(self):
+        s, buf, w = _setup(locals_=(("b", OidVal(0)), ("x", IntVal(1))))
+        assert _receiver(Call("b", PUT_OP, ("x",), "r"), s, w) == buf
+        assert _receiver(SendSignal("b", PUT_OP, ("x",), 7), s, w) == buf
+
+    def test_a_return_names_its_caller_if_it_has_one(self):
+        s, buf, w = _setup(caller=CallerRef(oid=0, tid=9, result_local="v"))
+        assert _receiver(ReturnConst(VOID_VAL), s, w) == buf
+        s, _, w = _setup(caller=None)
+        assert _receiver(ReturnConst(VOID_VAL), s, w) is None
+
+    @pytest.mark.parametrize("action", [
+        NewLocal("n", INT, IntVal(0)), LocalFromParam("i", "p"),
+        LocalFromAttr("i", "count"), LocalConst("i", IntVal(3)),
+        SetAttr("count", "i"), BinOp("add", "i", "i", "i"), Jump(2),
+        BranchIfFalse("c", 2), BranchIfFalse("t", 2), NewObject("o", "Buffer"),
+    ], ids=lambda action: type(action).__name__)
+    def test_an_action_that_emits_nothing_names_no_receiver(self, action):
+        s, _, w = _setup(locals_=(("i", IntVal(1)), ("c", BoolVal(False)),
+                                  ("t", BoolVal(True)), ("o", NULL_OID)),
+                         params=(("p", IntVal(4)),))
+        assert _receiver(action, s, w) is None
+
+    def test_a_resumed_caller_sends_to_the_object_just_bound(self):
+        # The return binds ``b`` to the first buffer, which ``b`` did not
+        # name when the call went out; the signal after it goes there.
+        s, buf, w = _setup(locals_=(("b", OidVal(2)), ("x", IntVal(1))))
+        s, other = alloc_object(s, buffer_class())
+        body = (Call("b", PUT_OP, ("x",), "b"),
+                SendSignal("b", PUT_OP, ("x",), 1), ReturnConst(VOID_VAL))
+        thr = replace(_top(s, w), status=ThreadStatus.WAITING, pc=1,
+                      meth=MethodDef(WORK_OP, (), body))
+        answer = make_event(Message(other, 0, w, ReturnPayload(
+            OidVal(buf), "b")), 0)
+        s = replace(update_thread(s, w, 0, thr), es={**s.es, w: (answer,)},
+                    next_seq=1)
+        s2, pc, action, receiver = step(s, _cfg(), w, 0)
+        assert (pc, action, receiver) == (1, body[1], buf)
+        assert [e.kind for e in s2.es[buf]] == [EventKind.SIGNAL]
+        assert s2.es[other] == ()

@@ -330,14 +330,14 @@ def _check_model(model, medium=None, *, wrap: bool = False,
 
 
 def observed(sel, seen):
-    """A selector of ``sel``'s class that calls ``seen(s, oid)`` on every
+    """A selector of ``sel``'s class that calls ``seen(oid)`` on every
     ``pending_handler_events`` ask. ``run`` asks an object for its events
     whenever it takes in the object's offers, whatever the scheduler."""
 
     class Observed(type(sel)):
-        def pending_handler_events(self, s, oid):
-            seen(s, oid)
-            return super().pending_handler_events(s, oid)
+        def pending_handler_events(self, oid, threads, queue):
+            seen(oid)
+            return super().pending_handler_events(oid, threads, queue)
 
     return Observed()
 
@@ -814,6 +814,44 @@ def test_a_bundled_scheduler_needs_a_selector_with_the_base_call(
         assert run({}, 0, wrapped, s) == run({}, 0, cfg, s)
 
 
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
+@pytest.mark.parametrize("rescan", [False, True], ids=["heap", "rescan"])
+def test_a_selector_is_handed_its_objects_thread_map_and_queue(
+        runnables, scheduler, rescan, prodcons_model, monkeypatch):
+    # A selector sees no state: each ask is handed the very thread map and
+    # queue the state holds for that object, on the heap of a Least and
+    # on the rescan of a function scheduler alike. A run writes its stores
+    # in place, so each ask is checked against the state of its refresh
+    # while it is made.
+    asks, states = [], []
+
+    class Handed(type(VARIATION_POINTS["runnables"][runnables])):
+        def pending_handler_events(self, oid, threads, queue):
+            s = states[-1]
+            asks.append((threads is s.cs.get(oid), bool(threads),
+                         queue is s.es.get(oid, ()), bool(queue)))
+            return super().pending_handler_events(oid, threads, queue)
+
+    for cls in (smm.vm._OfferHeap, smm.vm._Rescan):
+        def recorded(self, s, dirty, refresh=cls.refresh):
+            states.append(s)
+            return refresh(self, s, dirty)
+
+        monkeypatch.setattr(cls, "refresh", recorded)
+    for model in (parse_model(FAN), prodcons_model):
+        cfg = build_config(model, runnables=runnables, scheduler=scheduler)
+        s = build_initial_state(cfg, model.setup)
+        handed = dataclasses.replace(cfg, runnables_sel=Handed())
+        if rescan:
+            handed = dataclasses.replace(
+                handed, scheduler=lambda t, entries: cfg.scheduler(t, entries))
+        del asks[:]
+        assert run({}, 0, handed, s) == run({}, 0, cfg, s)
+        same_threads, threads, same_queue, queue = zip(*asks)
+        assert all(same_threads) and all(same_queue)
+        assert any(threads) and any(queue)
+
+
 @pytest.mark.parametrize("until", [1, 7, 25, 60])
 def test_a_resumed_run_matches_the_oracle(prodcons_model, until):
     for model in (parse_model(FAN), prodcons_model):
@@ -866,7 +904,7 @@ def test_a_step_asks_only_the_objects_it_touched(runnables, medium):
     if medium is not None:
         cfg = dataclasses.replace(cfg, medium=medium)
     calls = []
-    counted = observed(cfg.runnables_sel, lambda _s, oid: calls.append(oid))
+    counted = observed(cfg.runnables_sel, lambda oid: calls.append(oid))
     s = build_initial_state(cfg, model.setup)
     result = run({}, 0, dataclasses.replace(cfg, runnables_sel=counted), s)
     assert result.halt == AllDone()
@@ -932,7 +970,7 @@ def test_an_allocation_loop_asks_the_acting_and_new_objects(runnables,
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
     asked: list[list[int]] = [[]]
     counted = observed(cfg.runnables_sel,
-                       lambda _s, oid: asked[-1].append(oid))
+                       lambda oid: asked[-1].append(oid))
     s = build_initial_state(cfg, model.setup)
     result = run({}, 0, dataclasses.replace(cfg, runnables_sel=counted), s,
                  max_steps=400, on_step=lambda *_: asked.append([]))
@@ -1002,7 +1040,7 @@ def test_a_step_costs_the_same_whatever_the_threads_of_its_object(
 
     monkeypatch.setattr(smm.vm, "is_live", counted)
     monkeypatch.setattr(smm.vm, "step", recorded)
-    sel = observed(cfg.runnables_sel, lambda _s, _oid: work[-1].append("ask"))
+    sel = observed(cfg.runnables_sel, lambda _oid: work[-1].append("ask"))
     s = build_initial_state(cfg, model.setup)
     result = run({}, 0, dataclasses.replace(cfg, runnables_sel=sel), s,
                  on_step=lambda *_: work.append([]))

@@ -33,13 +33,13 @@ from smm.actions import (
     BinOp, Call, LocalConst, LocalFromAttr, LocalFromParam, NewLocal,
     NewObject, ReturnConst, SendSignal, SetAttr,
 )
-from smm.state import RecordVal, SimState, Thread, ThreadStatus
+from smm.state import RecordVal, SimState, Thread, ThreadStatus, _Owned
 from smm.vm import step
 
 from conftest import CONFIGS
 from modelgen import random_model
 from test_collect_oracle import (
-    ALLOC_LOOP, FAN, _wide_model, observed, plain_reliable, plain_stores,
+    ALLOC_LOOP, FAN, _wide_model, plain_reliable, plain_stores,
 )
 
 
@@ -106,20 +106,21 @@ def test_a_result_is_a_value_a_further_run_leaves_alone(prodcons_model,
 
 def _identities(model_text: str, runnables: str, scheduler: str,
                 max_steps: int | None, monkeypatch):
-    """Run the model with a selector that records the identities of the
-    three stores each ``pending_handler_events`` ask is handed, per step:
-    the first list is the first refresh's, each later one the refresh
-    after a step, which always asks the acting object. Also returns, per
-    step, whether it consumed an event."""
+    """Run the model, recording the identities of the three stores of the
+    state each ``_OfferHeap.refresh`` is handed, per step: the first list
+    is the first refresh's, each later one the refresh after a step. The
+    selector is handed only what the heap reads from those stores. Also
+    returns, per step, whether it consumed an event."""
     model = parse_model(model_text)
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
     seen: list[list[tuple[int, int, int]]] = [[]]
     consumed: list[bool] = []
     consuming = [False]
+    refresh, consume = smm.vm._OfferHeap.refresh, smm.vm.consume_event
 
-    recording = observed(cfg.runnables_sel, lambda s, _oid: seen[-1].append(
-        (id(s.ds), id(s.cs), id(s.es))))
-    consume = smm.vm.consume_event
+    def recorded(self, s, dirty):
+        seen[-1].append((id(s.ds), id(s.cs), id(s.es)))
+        return refresh(self, s, dirty)
 
     def counted(*args):
         consuming[0] = True
@@ -130,10 +131,10 @@ def _identities(model_text: str, runnables: str, scheduler: str,
         consuming[0] = False
         seen.append([])
 
+    monkeypatch.setattr(smm.vm._OfferHeap, "refresh", recorded)
     monkeypatch.setattr(smm.vm, "consume_event", counted)
-    result = run({}, 0, dataclasses.replace(cfg, runnables_sel=recording),
-                 build_initial_state(cfg, model.setup), max_steps=max_steps,
-                 on_step=stepped)
+    result = run({}, 0, cfg, build_initial_state(cfg, model.setup),
+                 max_steps=max_steps, on_step=stepped)
     return result, seen, consumed
 
 
@@ -243,6 +244,29 @@ def test_a_local_write_builds_no_record(runnables, scheduler, model_name,
                  for a in actions)
     assert result.time > 0 and writes > 0
     assert built <= sent + consumed + attrs + objects + halted
+
+
+@pytest.mark.parametrize("runnables,scheduler", CONFIGS)
+@pytest.mark.parametrize("model_name", ["fan", "alloc-loop", "prodcons"])
+def test_an_action_in_a_run_finds_its_thread_stored(
+        runnables, scheduler, model_name, prodcons_model, monkeypatch):
+    # Inside a run the thread map holds the running thread before its
+    # action runs, a handler included: ``consume_event`` stores a handler
+    # where it builds it, so no action stores a thread.
+    model = {"fan": parse_model(FAN), "alloc-loop": parse_model(ALLOC_LOOP),
+             "prodcons": prodcons_model}[model_name]
+    cfg = build_config(model, runnables=runnables, scheduler=scheduler)
+    interpret, handed = smm.vm.interpret, []
+
+    def checked(action, s, oid, tid, thr, config):
+        threads = s.cs[oid]
+        handed.append(type(threads) is _Owned and threads.get(tid) is thr)
+        return interpret(action, s, oid, tid, thr, config)
+
+    monkeypatch.setattr(smm.vm, "interpret", checked)
+    result = run({}, 0, cfg, build_initial_state(cfg, model.setup),
+                 max_steps=400)
+    assert len(handed) == result.time > 0 and all(handed)
 
 
 # --- threads -------------------------------------------------------------

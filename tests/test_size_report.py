@@ -1,5 +1,5 @@
 """``tools/size_report.py`` reports this checkout's lines, code lines,
-public names and import time."""
+public names, import time and largest compile peak."""
 
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ _spec.loader.exec_module(size_report)
 def test_the_report_counts_this_checkout(capsys, monkeypatch):
     monkeypatch.setattr(size_report, "RUNS", 1)
     size_report.main([str(ROOT)])
-    lines, code, names, import_line = capsys.readouterr().out.splitlines()
+    lines, code, names, import_line, peak_line = \
+        capsys.readouterr().out.splitlines()
     paths = list((ROOT / "src" / "smm").glob("*.py"))
     wc = sum(len(path.read_text().splitlines()) for path in paths)
     assert lines == f"lines: {wc}"
@@ -28,6 +29,11 @@ def test_the_report_counts_this_checkout(capsys, monkeypatch):
     assert names == f"public names: {len(smm.__all__)}"
     assert import_line.startswith("import smm.cli: ")
     assert float(import_line.split()[2]) > 0
+    label, peak, unit, module = peak_line.rsplit(" ", 3)
+    assert label == "largest compile peak:" and unit == "MB"
+    assert float(peak) > 0
+    assert module[0] == "(" and module[-1] == ")"
+    assert module[1:-1] in {path.name for path in paths}
 
 
 def test_code_lines_leave_out_blanks_comments_and_docstrings():

@@ -480,7 +480,7 @@ class TestConfigValue:
     def test_a_copied_selector_shares_no_attribute_with_the_original(self):
         clone = copy.copy(RTC_SEL)
         assert type(clone) is RtcRunnables and clone is not RTC_SEL
-        clone.pending_handler_events = lambda s, oid: []
+        clone.pending_handler_events = lambda oid, threads, queue: []
         assert "pending_handler_events" not in vars(RTC_SEL)
         s, _ = _buffer_state()
         assert clone(s, 0) == RTC_SEL(s, 0)

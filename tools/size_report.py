@@ -1,9 +1,9 @@
-"""Print the size of a checkout of smm: its lines, code lines, public names
-and import time.
+"""Print the size of a checkout of smm: its lines, code lines, public names,
+import time and largest compile peak.
 
     python3 tools/size_report.py [CHECKOUT]
 
-CHECKOUT defaults to the checkout holding this script. The four numbers:
+CHECKOUT defaults to the checkout holding this script. The five numbers:
 
 - ``lines``: the ``wc -l`` total of ``src/smm/*.py``;
 - ``code lines``: the lines of ``src/smm/*.py`` that hold code, so not
@@ -16,7 +16,13 @@ CHECKOUT defaults to the checkout holding this script. The four numbers:
   empty temporary directory, so that no bytecode cache is read or written.
   So every run compiles from source both the package and the
   standard-library modules it imports, and the figure is larger than that
-  of an import that reads the standard library's cache.
+  of an import that reads the standard library's cache;
+- ``largest compile peak``: of the ``src/smm/*.py`` modules, compiled one
+  after another in name order, the one whose ``compile()`` raises the
+  memory ``tracemalloc`` traces the most above what it traced before, with
+  that rise in MB (10**6 bytes). An import that reads no bytecode cache
+  compiles every module, so this figure moves the benchmark's peak RSS
+  when a module grows past a step in the compiler's memory.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 RUNS = 15
@@ -77,6 +84,27 @@ def import_ms(src: Path) -> float:
     raise RuntimeError(f"no import time of smm.cli in:\n{err}")
 
 
+def compile_peaks(paths: list[Path]) -> dict[str, float]:
+    """Each module's compile peak, in MB above what was traced before it,
+    by file name."""
+    traced = tracemalloc.is_tracing()
+    if not traced:
+        tracemalloc.start()
+    peaks = {}
+    try:
+        for path in paths:
+            source = path.read_text()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            compile(source, str(path), "exec")
+            peaks[path.name] = (tracemalloc.get_traced_memory()[1]
+                                - before) / 1e6
+    finally:
+        if not traced:
+            tracemalloc.stop()
+    return peaks
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path,
@@ -87,11 +115,14 @@ def main(argv: list[str] | None = None) -> None:
     code = sum(code_lines(path.read_text()) for path in paths)
     names = _python(src, "import smm; print(len(smm.__all__))").stdout
     times = [import_ms(src) for _ in range(RUNS)]
+    peaks = compile_peaks(paths)
+    largest = max(peaks, key=peaks.get)
     print(f"lines: {lines}")
     print(f"code lines: {code}")
     print(f"public names: {int(names)}")
     print(f"import smm.cli: {statistics.median(times):.1f} ms "
           f"(median of {RUNS}, {min(times):.1f}..{max(times):.1f})")
+    print(f"largest compile peak: {peaks[largest]:.2f} MB ({largest})")
 
 
 if __name__ == "__main__":
