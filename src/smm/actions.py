@@ -5,8 +5,9 @@ All operands are locals; constants enter a thread through ``LocalConst`` or
 ``NewLocal``. Control flow is a structured pair of ``Jump`` and
 ``BranchIfFalse`` over label-free pc targets.
 
-``interpret`` executes exactly one action of one thread and returns the
-successor state. Inter-object effects travel exclusively as events handed
+``interpret`` executes exactly one action of one thread, writing the
+stores of the state it is given in place, and returns the successor
+state. Inter-object effects travel exclusively as events handed
 to the configured medium: a synchronous ``Call`` parks the sender until the
 matching return event is consumed, an asynchronous ``SendSignal`` does not
 block, and ``Return`` answers the caller (if any) and ends the thread.
@@ -19,10 +20,11 @@ from typing import Callable, Union
 from .errors import ExecError
 from .state import (
     CallPayload, Message, RecordVal, ReturnPayload, SignalPayload,
-    SimState, Thread, ThreadStatus, _Owned, _set_pc, _set_status,
-    alloc_object, end_thread, make_event, settle_thread, update_thread,
-    write_attr,
+    SimState, Thread, ThreadStatus, _set_pc, _set_status, alloc_object,
+    end_thread, make_event, write_attr,
 )
+# Called nowhere here: kept for the traced pass in perfbench to rebind.
+from .state import update_thread  # noqa: F401
 from .universe import (
     BoolVal, INT_RANGE, IntVal, NullOid, OidVal, OpSig, TypeRef, Value,
     same_kind, value_class, value_fits,
@@ -196,36 +198,23 @@ def _emit(s: SimState, cfg, msg: Message) -> SimState:
     return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq + 1)
 
 
-def advance(s: SimState, oid: int, tid: int, thr: Thread,
-            pc: int | None = None,
-            status: ThreadStatus = ThreadStatus.READY) -> SimState:
-    """``s`` with ``thr``, thread ``tid`` of ``oid``, moved on in place: at
-    ``pc`` (by default its next action), in ``status``.
-
-    A map a run owns holds ``thr`` already, so ``s`` itself is returned; a
-    plain thread map gets ``thr`` settled and stored."""
-    _set_pc(thr, thr.pc + 1 if pc is None else pc)
-    _set_status(thr, status)
-    if type(s.cs.get(oid)) is _Owned:
-        return s
-    return update_thread(s, oid, tid, settle_thread(thr))
-
-
 def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
               cfg) -> tuple[SimState, int | None]:
     """Execute one action of ``thr``, thread ``tid`` of object ``oid``.
 
-    ``thr`` must be that thread, ready, with its pc addressing ``action``
-    in the dispatched method body, and owned by the step (see
-    ``state.own_thread``): the action writes it in place, its dict locals
-    too. A plain ``s`` may hold an older version of it, or none; a map a
-    run owns holds that very thread. ``vm.step`` fetches or builds it, and
-    adds the (oid, tid, pc) context to any ``ExecError`` raised here.
-    Unless the action says otherwise, the pc advances by one.
+    ``thr`` must be that thread as ``s`` holds it, ready, with its pc
+    addressing ``action`` in the dispatched method body, and its locals a
+    dict (see ``state.copy_stores``). The action writes ``thr`` and the
+    stores of ``s`` in place, so the caller owns both: ``vm.step`` copies
+    a state first, and ``vm.run`` owns its copy. ``vm.step`` fetches or
+    builds the thread, and adds the (oid, tid, pc) context to any
+    ``ExecError`` raised here. Unless the action says otherwise, the pc
+    advances by one.
 
-    Returns the successor state and the receiver of the one event the
-    action emitted: the target of a call or signal, the caller of a
-    return that answers one, otherwise None.
+    Returns the successor state, which is ``s`` unless the action emitted
+    an event, and the receiver of the one event the action emitted: the
+    target of a call or signal, the caller of a return that answers one,
+    otherwise None.
     """
     pc = None  # the next action
     if isinstance(action, NewLocal):
@@ -305,9 +294,11 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
         else:
             payload = SignalPayload(action.op, args, action.prio)
             status = ThreadStatus.READY
-        s2 = _emit(s, cfg, Message(sender=oid, sender_thread=tid,
-                                   receiver=dst, payload=payload))
-        return advance(s2, oid, tid, thr, status=status), dst
+        s = _emit(s, cfg, Message(sender=oid, sender_thread=tid,
+                                  receiver=dst, payload=payload))
+        _set_pc(thr, thr.pc + 1)
+        _set_status(thr, status)
+        return s, dst
 
     elif isinstance(action, (ReturnConst, ReturnLocal)):
         if isinstance(action, ReturnLocal):
@@ -331,4 +322,5 @@ def interpret(action: Action, s: SimState, oid: int, tid: int, thr: Thread,
 
     else:
         raise ExecError(f"unknown action {action!r}")
-    return advance(s, oid, tid, thr, pc), None
+    _set_pc(thr, thr.pc + 1 if pc is None else pc)
+    return s, None

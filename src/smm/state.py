@@ -1,17 +1,19 @@
 """The three-store simulation state and its primitive operations.
 
-A ``SimState`` is a value: every operation returns a new state and never
-mutates its argument, except on the stores only a running ``vm.run``
-holds (``_Owned`` ones: the transient pattern). Those are written in
-place, and an operation that moves no counter then returns the very
-state it was given.
+A ``SimState``'s stores are working memory: every operation but
+``take_matching_event`` writes the plain dicts of the state it is given
+in place and returns that state, or a new ``SimState`` over the same
+stores where it moves a counter. Value semantics live at the boundaries
+only. ``vm.run`` copies the stores it is
+given on entry (``copy_stores``) and settles them at the halt
+(``settle_stores``); the public ``vm.step`` does the same around its one
+step, so a state outside a run or a step is never written by them. A
+caller of a primitive owns the state it passes.
 
-An action runs on a thread its step owns, a copy from ``own_thread``
-whose ``locals`` is a plain dict, name to value, that the step writes in
-place; ``settle_thread`` turns it back into a value with a record for
-locals. A run owns its threads from entry to halt, a step on a plain
-state only its running one, so every state outside a run or a step holds
-records. A strategy must not keep a thread it was handed, nor its locals.
+Inside a run or a step a thread's ``locals`` is a plain dict, name to
+value, that the actions write in place; ``settle_stores`` turns it back
+into a record, so every state a run or a step hands back holds records. A
+strategy must not keep a thread it was handed, nor its locals.
 
 The data store holds each object's class tag and attribute record, the
 control store holds each object's threads, each one method activation
@@ -68,7 +70,7 @@ class Thread:
     locals, its program counter, and whom it answers if it was called.
 
     A value, its ``locals`` a record, except while a step or a run owns
-    it (see ``own_thread``): then its ``locals`` is a plain dict, name to
+    it (see ``copy_stores``): then its ``locals`` is a plain dict, name to
     value in declaration order, and the step writes it, its ``pc`` and its
     ``status`` in place, through the slot descriptors. No other code
     writes a thread."""
@@ -182,49 +184,36 @@ def empty_state() -> SimState:
     return SimState(ds={}, cs={}, es={})
 
 
-class _Owned(dict):  # a store or thread map only a running vm.run holds
-    __slots__ = ()
-
-
-def _with(store: dict, key, value) -> dict:
-    """``store`` with ``key`` set to ``value``, in place if it is owned."""
-    if type(store) is not _Owned:
-        return {**store, key: value}
-    store[key] = value
-    return store
-
-
-# The slot descriptors an owned thread is written through, as
-# ``value_class``'s ``__init__`` stores a field.
+# The slot descriptors a thread is written through inside a run or a
+# step, as ``value_class``'s ``__init__`` stores a field.
 _set_status, _set_locals, _set_pc = (
     Thread.__dict__[name].__set__ for name in ("status", "locals", "pc"))
 
 
-def own_thread(t: Thread) -> Thread:
-    """A copy of ``t`` that its taker owns and writes in place, its
-    locals a dict."""
-    return Thread(t.base_prio, t.status, t.meth, t.params,
-                  dict(t.locals.fields), t.pc, t.caller)
+def copy_stores(s: SimState) -> SimState:
+    """``s`` with new stores and thread maps, and a copy of each thread
+    whose locals are a dict: the working memory a run or a step writes
+    in place."""
+    cs = {oid: {tid: Thread(t.base_prio, t.status, t.meth, t.params,
+                            dict(t.locals.fields), t.pc, t.caller)
+                for tid, t in threads.items()}
+          for oid, threads in s.cs.items()}
+    return SimState(dict(s.ds), cs, dict(s.es), s.next_tid, s.next_seq)
 
 
-def settle_thread(t: Thread) -> Thread:
-    """``t``, an owned thread, as a value again: its locals turned back
-    into a record, in place."""
-    _set_locals(t, RecordVal(tuple(t.locals.items())))
-    return t
-
-
-def copy_stores(s: SimState, kind: type = _Owned) -> SimState:
-    """``s`` with new stores, thread maps too, of type ``kind``: owned ones
-    hold an owned copy of each thread, plain ones each thread settled."""
-    take = own_thread if kind is _Owned else settle_thread
-    cs = kind((oid, kind((tid, take(t)) for tid, t in threads.items()))
-              for oid, threads in s.cs.items())
-    return SimState(kind(s.ds), cs, kind(s.es), s.next_tid, s.next_seq)
+def settle_stores(s: SimState) -> SimState:
+    """``s``, a state from ``copy_stores`` that a run or a step wrote, as
+    a value again: each thread's locals turned back into a record, in
+    place."""
+    for threads in s.cs.values():
+        for t in threads.values():
+            _set_locals(t, RecordVal(tuple(t.locals.items())))
+    return s
 
 
 def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
-    """Create an object of ``cls``; ids are assigned in allocation order.
+    """Create an object of ``cls`` in the stores of ``s``; ids are
+    assigned in allocation order.
 
     Attributes start at their declared initial values; the new object gets
     an empty thread map and an empty event queue. The engine passes
@@ -238,16 +227,15 @@ def alloc_object(s: SimState, cls: ClassDef) -> tuple[SimState, int]:
         raise InternalError(f"cannot allocate object id {oid}: it is taken, "
                             f"so the data store's ids are not 0..{oid - 1}")
     attrs = RecordVal(tuple((a.name, a.init) for a in cls.attributes))
-    ds = _with(s.ds, oid, StoredObject(cls.name, attrs))
-    cs = _with(s.cs, oid, type(s.cs)())
-    es = _with(s.es, oid, ())
-    if ds is s.ds and cs is s.cs and es is s.es:  # all three owned
-        return s, oid
-    return SimState(ds, cs, es, s.next_tid, s.next_seq), oid
+    s.ds[oid] = StoredObject(cls.name, attrs)
+    s.cs[oid] = {}
+    s.es[oid] = ()
+    return s, oid
 
 
 def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
-    """Overwrite one attribute; the stored value kind must be preserved."""
+    """Overwrite one attribute, in place; the stored value kind must be
+    preserved."""
     obj = s.ds.get(oid)
     if obj is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
@@ -260,20 +248,18 @@ def write_attr(s: SimState, oid: int, name: str, v: Value) -> SimState:
         raise ExecError(
             f"type error writing attribute {name!r} of object {oid}: "
             f"{v!r} does not match the stored kind", oid=oid)
-    new_obj = StoredObject(obj.class_name, obj.attrs.set(name, v))
-    if type(s.ds) is _Owned:
-        s.ds[oid] = new_obj
-        return s
-    return SimState({**s.ds, oid: new_obj}, s.cs, s.es, s.next_tid,
-                    s.next_seq)
+    s.ds[oid] = StoredObject(obj.class_name, obj.attrs.set(name, v))
+    return s
 
 
 def enqueue_event(es: EventStore, e: Event) -> EventStore:
-    """Append an event to its receiver's queue; other queues are untouched."""
+    """Append an event to its receiver's queue, in place; other queues
+    are untouched."""
     dst = e.msg.receiver
     if dst not in es:
         raise ExecError(f"event delivery to unknown object {dst}", oid=dst)
-    return _with(es, dst, es[dst] + (e,))
+    es[dst] += (e,)
+    return es
 
 
 def take_matching_event(es: EventStore, oid: int,
@@ -281,46 +267,36 @@ def take_matching_event(es: EventStore, oid: int,
     """Remove and return the oldest event of ``oid`` satisfying ``pred``.
 
     The relative order of the remaining events is preserved; no match is a
-    normal result, not an error. ``es`` is never written, even if owned:
-    the traced pass reads it after the call to find the event taken.
+    normal result, not an error. ``es`` is never written: the result is a
+    copy of it with the new queue, so a caller hands it only the queues it
+    needs (``vm.consume_event`` hands it one), and the traced pass reads
+    ``es`` after the call to find the event taken.
     """
     queue = es.get(oid)
     if queue is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
     for i, e in enumerate(queue):
         if pred(e):
-            rest = type(es)(es)
-            rest[oid] = queue[:i] + queue[i + 1:]
-            return rest, e
+            return {**es, oid: queue[:i] + queue[i + 1:]}, e
     return es, None
 
 
 def end_thread(s: SimState, oid: int, tid: int) -> SimState:
-    """``s`` without thread ``tid`` of ``oid``, whose activation returned;
-    ``s`` itself when it does not hold the thread, as for a handler on a
-    plain thread map that returns at its first action, which is never
-    stored."""
+    """``s`` without thread ``tid`` of ``oid``, whose activation returned,
+    removed in place; a thread ``s`` does not hold is no error."""
     threads = s.cs.get(oid)
-    if threads is None or tid not in threads:
-        return s
-    if type(threads) is _Owned:
-        del threads[tid]
-        return s
-    threads = dict(threads)
-    del threads[tid]
-    return SimState(s.ds, _with(s.cs, oid, threads), s.es, s.next_tid,
-                    s.next_seq)
+    if threads is not None:
+        threads.pop(tid, None)
+    return s
 
 
 def update_thread(s: SimState, oid: int, tid: int, thr: Thread) -> SimState:
+    """``s`` with ``thr`` stored as thread ``tid`` of ``oid``, in place."""
     threads = s.cs.get(oid)
     if threads is None:
         raise ExecError(f"no object with id {oid}", oid=oid)
-    if type(threads) is _Owned:  # ``s.cs[oid]`` already holds it
-        threads[tid] = thr
-        return s
-    return SimState(s.ds, _with(s.cs, oid, {**threads, tid: thr}), s.es,
-                    s.next_tid, s.next_seq)
+    threads[tid] = thr
+    return s
 
 
 def validate_state(s: SimState, cfg: Config | None = None) -> list[str]:

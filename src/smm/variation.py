@@ -48,19 +48,21 @@ acting one can change status, so the heap re-applies ``is_live`` to the
 acting thread and to the waiting threads of the objects whose queue
 changed.
 
-The medium contract: the store ``medium(es, e)`` returns may differ from
-``es`` only at ``e.msg.receiver``. It has the same object ids, and every
-other id keeps the very queue object it had. ``deliver_reliable`` keeps
-it, and so does a wrapper that returns its result. The engine relies on
-it for the footprint above; a medium that writes another queue leaves
-that object's offers stale. A medium may return a plain dict. And as
-``vm.run`` writes the stores of the states it hands a strategy in place,
-and a step there may hand back the very state it was given, no strategy
-may keep a store or a state after it returns, nor tell states apart by
-identity. Their threads are the run's own, each one's ``locals`` a plain
-dict the steps write in place (see ``smm.state``), so a strategy must not
-keep a thread or its locals either. Every state outside a run holds
-records.
+The medium contract: ``medium(es, e)`` writes only the queue of
+``e.msg.receiver``, either in the store ``es`` it is handed, in place,
+and returns ``es``, or in a new dict it returns. Either way the result
+has the same object ids, and every other id keeps the very queue object
+it had. ``deliver_reliable`` writes ``es`` in place and returns it, and
+a wrapper that returns its result keeps the contract too. The engine
+relies on it for the footprint above; a medium that writes another queue
+leaves that object's offers stale. And as ``vm.run`` and ``vm.step``
+write the stores of the states they hand a strategy in place, and a step
+may hand back the very state it was given, no strategy may keep a store
+or a state after it returns, nor tell states apart by identity. Their
+threads are the step's own, each one's ``locals`` a plain dict the
+actions write in place (see ``smm.state``), so a strategy must not keep
+a thread or its locals either. Every state ``run`` or ``step`` hands
+back holds records.
 
 The dispatcher contract: the method ``dispatcher(scl, mm, ds, oid, op)``
 returns depends only on the class of object ``oid`` and on ``op``. The
@@ -243,7 +245,8 @@ def dispatch_single(scl: SubclassRel, mm: MethMap, ds: DataStore,
 
 
 def deliver_reliable(es: EventStore, e: Event) -> EventStore:
-    """Loss-free, order-preserving, zero-latency delivery."""
+    """Loss-free, order-preserving, zero-latency delivery, into ``es``
+    in place."""
     return enqueue_event(es, e)
 
 

@@ -40,8 +40,8 @@ from .actions import Action, interpret, store_local
 from .errors import Diagnostic, ExecError, InternalError, ModelError
 from .state import (
     CallerRef, CallPayload, ControlStore, DataStore, Event, RecordVal,
-    SimState, StoredObject, Thread, ThreadStatus, _Owned, _set_status,
-    copy_stores, own_thread, returns_to, take_matching_event, update_thread,
+    SimState, StoredObject, Thread, ThreadStatus, _set_status, copy_stores,
+    returns_to, settle_stores, take_matching_event, update_thread,
 )
 from .universe import (
     ClassType, Hierarchy, OidVal, OpSig, Problem, value_class,
@@ -372,43 +372,47 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
                   event: Event | None = None) -> tuple[SimState, Thread]:
     """Consume the event that makes thread ``tid`` of ``oid`` ready.
 
-    Returns the state without that event, and the ready thread, owned by
-    the step, which the action that runs next writes. Two cases:
+    Writes the stores of ``s`` in place: the event leaves the queue of
+    ``oid``, whose new queue replaces the old one. Returns the state and
+    the ready thread, which ``s`` holds and the action that runs next
+    writes. Two cases:
     - ``tid`` is waiting and its return event is buffered: remove it and
-      bind the value to the thread's result local, in place, on the step's
-      own copy of a thread from a plain map. A result local that exists
-      keeps its kind; a missing one is created.
+      bind the value to the thread's result local, in place. A result
+      local that exists keeps its kind; a missing one is created.
     - ``tid`` is a reserved handler id and ``event`` the pending call or
       signal it stands for: remove that very event object from the queue
       (not one merely equal to it) and build the thread under that id,
       whose ``next_tid`` it passes, running the dispatched method with
       the message arguments bound to its parameters and no locals yet. A
-      call records who to answer; a signal has no caller to answer. A
-      thread map a run owns stores the new thread here; a plain one is
-      left as it is, and the action settles and stores the thread.
+      call records who to answer; a signal has no caller to answer. The
+      new thread is stored through ``update_thread``.
     Anything else, a ready thread among them, raises ``InternalError``.
+    ``take_matching_event`` is handed the one queue of ``oid`` only.
     """
     thr = s.thread(oid, tid)
+    es = s.es
     if thr is not None:
-        es, answer = take_matching_event(s.es, oid, returns_to(tid))
+        rest, answer = take_matching_event({oid: es.get(oid)}, oid,
+                                           returns_to(tid))
         if answer is None or thr.status is not ThreadStatus.WAITING:
             raise InternalError(
                 f"thread {tid} of object {oid} was scheduled but is not "
                 f"ready (selector contract violation)")
-        if type(s.cs[oid]) is not _Owned:
-            thr = own_thread(thr)
+        es[oid] = rest[oid]
         payload = answer.msg.payload
         store_local(thr, payload.result_local, payload.value, create=True)
         _set_status(thr, ThreadStatus.READY)
-        return SimState(s.ds, s.cs, es, s.next_tid, s.next_seq), thr
+        return s, thr
 
     taken = None
     if event is not None:
-        es, taken = take_matching_event(s.es, oid, lambda e: e is event)
+        rest, taken = take_matching_event({oid: es.get(oid)}, oid,
+                                          lambda e: e is event)
     if taken is None:
         raise InternalError(
             f"scheduled thread {tid} of object {oid} neither exists nor "
             f"names a pending event")
+    es[oid] = rest[oid]
     payload = taken.msg.payload
     meth = cfg.method(s.ds, oid, payload.op)
     if len(meth.params) != len(payload.args.fields):
@@ -426,9 +430,35 @@ def consume_event(s: SimState, cfg: Config, oid: int, tid: int,
     thr = Thread(payload.prio, ThreadStatus.READY, meth, params, {},
                  caller=caller)
     s = SimState(s.ds, s.cs, es, max(s.next_tid, tid + 1), s.next_seq)
-    if type(s.cs.get(oid)) is _Owned:
-        s = update_thread(s, oid, tid, thr)
-    return s, thr
+    return update_thread(s, oid, tid, thr), thr
+
+
+def _step(s: SimState, cfg: Config, oid: int, tid: int,
+          event: Event | None = None
+          ) -> tuple[SimState, int, Action, int | None]:
+    """``step`` on stores and threads its caller owns, written in place:
+    the step ``run`` takes, on the copy it made at entry.
+
+    The successor may be ``s`` itself: a step builds a new state only
+    where it moves a counter, and a thread only where it starts a handler.
+    This is the one place that attaches the running (oid, tid, pc) to an
+    ``ExecError``; an error raised while the event is consumed names no
+    pc, because no action ran.
+    """
+    pc = None
+    try:
+        thr = None if event is not None else s.thread(oid, tid)
+        if thr is None or thr.status is not ThreadStatus.READY:
+            s, thr = consume_event(s, cfg, oid, tid, event)
+        pc, body = thr.pc, thr.meth.body
+        if pc >= len(body):
+            raise ExecError(f"fell off the end of "
+                            f"{thr.meth.implements.name!r} without a return")
+        action = body[pc]
+        s, receiver = interpret(action, s, oid, tid, thr, cfg)
+    except ExecError as err:
+        raise ExecError(err.message, oid=oid, tid=tid, pc=pc) from None
+    return s, pc, action, receiver
 
 
 def step(s: SimState, cfg: Config, oid: int, tid: int,
@@ -439,35 +469,15 @@ def step(s: SimState, cfg: Config, oid: int, tid: int,
     ``event`` is the pending event a reserved ``tid`` stands for, as
     ``collect_runnables`` or the offer heap reported it. A reserved id
     names no thread yet; otherwise the thread is fetched once, and
-    ``consume_event`` is called only when it is not ready. The action gets
-    the ready thread, owned by the step, and writes it in place, its dict
-    locals too: a thread from a plain map is copied first, so a plain
-    ``s`` and its threads are never written. Returns the successor state,
-    the pc and action that ran, and the receiver ``interpret`` names.
-    Inside ``run``, whose stores and threads are its own, the successor
-    may be ``s`` itself: a step builds a new state only where it moves a
-    counter or consumes an event, and a thread only where it starts a
-    handler.
-    This is the one place that attaches the running (oid, tid, pc) to an
-    ``ExecError``; an error raised while the event is consumed names no
-    pc, because no action ran.
+    ``consume_event`` is called only when it is not ready. The step is
+    pure: it writes a copy of the stores of ``s``, each thread in them
+    too (``state.copy_stores``), and settles the copy once the action ran,
+    so ``s`` and its threads are never written and the successor holds
+    records for locals. Returns the successor state, the pc and action
+    that ran, and the receiver ``interpret`` names.
     """
-    pc = None
-    try:
-        thr = None if event is not None else s.thread(oid, tid)
-        if thr is None or thr.status is not ThreadStatus.READY:
-            s, thr = consume_event(s, cfg, oid, tid, event)
-        elif type(s.cs[oid]) is not _Owned:
-            thr = own_thread(thr)
-        pc, body = thr.pc, thr.meth.body
-        if pc >= len(body):
-            raise ExecError(f"fell off the end of "
-                            f"{thr.meth.implements.name!r} without a return")
-        action = body[pc]
-        s, receiver = interpret(action, s, oid, tid, thr, cfg)
-    except ExecError as err:
-        raise ExecError(err.message, oid=oid, tid=tid, pc=pc) from None
-    return s, pc, action, receiver
+    s, pc, action, receiver = _step(copy_stores(s), cfg, oid, tid, event)
+    return settle_stores(s), pc, action, receiver
 
 
 # --- the run loop -------------------------------------------------------------------
@@ -490,11 +500,13 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
     returns can never arrive. ``max_steps`` bounds the number of steps for
     non-terminating models, must not be negative and yields ``StepLimit``
     when exhausted. The optional ``on_step`` hook observes every step as
-    ``(t, oid, tid, pc, action)``. The run writes copies of the stores of
-    ``s``, and of its threads, in place, each copied thread's locals a
-    dict (see ``smm.variation`` for what that asks of a strategy); ``s``,
-    the final state, of plain dicts with records for locals, and their
-    threads stay unwritten.
+    ``(t, oid, tid, pc, action)``. The run copies the stores of ``s``,
+    each thread in them too, once on entry, writes that copy in place on
+    every step, each thread's locals a dict (see ``smm.variation`` for
+    what that asks of a strategy), and settles it at the halt, so ``s``
+    and the final state hold records for locals and neither is written
+    by the run. A step in a run pays no copy: the run calls the step body
+    on its own stores, not the pure ``step``.
 
     ``times`` maps thread ids to the step each last ran at. A thread's
     time is dropped once it ends, since ids are never reused. It must name
@@ -542,14 +554,12 @@ def run(times: TimesMap, t: int, cfg: Config, s: SimState, *,
         if not offered.refresh(s, dirty):
             waiting = _waiting_threads(s)
             halt: HaltReason = Blocked(waiting) if waiting else AllDone()
-            return RunResult(copy_stores(s, dict), t, halt)
+            return RunResult(settle_stores(s), t, halt)
         if max_steps is not None and steps >= max_steps:
-            return RunResult(copy_stores(s, dict), t, StepLimit())
+            return RunResult(settle_stores(s), t, StepLimit())
         oid, tid, event = offered.choose(s, t)
         objects = len(s.ds)
-        s, pc, action, receiver = step(s, cfg, oid, tid, event)
-        if type(s.es) is not _Owned:  # a medium returned a plain dict
-            s = SimState(s.ds, s.cs, _Owned(s.es), s.next_tid, s.next_seq)
+        s, pc, action, receiver = _step(s, cfg, oid, tid, event)
         if on_step is not None:
             on_step(t, oid, tid, pc, action)
         if tid in s.cs[oid]:

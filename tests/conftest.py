@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from smm import (
     AttrDef, ClassDef, INT, IntVal, MethodDef, OpSig, VOID, VOID_VAL,
@@ -11,6 +12,15 @@ from smm import (
 from smm.actions import (
     LocalFromAttr, LocalFromParam, NewLocal, ReturnConst, ReturnLocal, SetAttr,
 )
+
+# Tier-1 draws the same examples on every run: derandomized, with no
+# example database to replay or record earlier failures. The explore
+# profile, chosen with --hypothesis-profile=explore, draws fresh random
+# examples, ten times the default count, for local hunts. An explicit
+# ``@settings(max_examples=...)`` keeps its count under both.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", max_examples=1000)
+settings.load_profile("tier1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"

@@ -16,7 +16,8 @@ from smm.actions import (
     SetAttr, interpret,
 )
 from smm.state import (
-    Message, ReturnPayload, make_event, own_thread, update_thread,
+    Message, ReturnPayload, copy_stores, make_event, settle_stores,
+    update_thread,
 )
 from smm.vm import step
 from smm.universe import OpSig
@@ -52,11 +53,18 @@ def _setup(locals_=(), params=(), pc=0, caller=None, op=WORK_OP):
     return s, buf, worker
 
 
+def _interpreted(action, s, oid):
+    """What ``interpret`` hands back on thread 0 of ``oid``, run as
+    ``vm.step`` runs it: on a copy of ``s``, settled after, so ``s`` is
+    not written."""
+    s = copy_stores(s)
+    s2, receiver = interpret(action, s, oid, 0, s.thread(oid, 0), _cfg())
+    return settle_stores(s2), receiver
+
+
 def _interpret(action, s, oid):
-    """The state ``interpret`` hands back on thread 0 of ``oid``, handed an
-    owned copy of the thread as ``vm.step`` hands it."""
-    return interpret(action, s, oid, 0, own_thread(s.thread(oid, 0)),
-                     _cfg())[0]
+    """The state ``interpret`` hands back on thread 0 of ``oid``."""
+    return _interpreted(action, s, oid)[0]
 
 
 def _top(s, oid, tid=0):
@@ -301,8 +309,7 @@ class TestIsolation:
 
 def _receiver(action, s, oid):
     """The receiver ``interpret`` names for ``action`` on thread 0."""
-    return interpret(action, s, oid, 0, own_thread(s.thread(oid, 0)),
-                     _cfg())[1]
+    return _interpreted(action, s, oid)[1]
 
 
 class TestReceiver:

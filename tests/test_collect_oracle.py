@@ -21,8 +21,8 @@ Every thread must hold the method its operation dispatches to.
 ``run`` asks again only the objects a step touched, whatever the medium,
 so the differential also runs under a wrapped ``deliver_reliable`` and
 under ``drop_every_third``, a medium that loses events, and once under
-``plain_reliable``, which hands back a plain dict that the run must own
-again. Every medium is held on every call to the medium contract that
+``plain_reliable``, which hands back a new dict in place of the store it
+was handed. Every medium is held on every call to the medium contract that
 choice rests on: it writes only its event's receiver queue.
 
 Of the threads of those objects, ``run`` applies the live-thread rule
@@ -177,7 +177,7 @@ def _seqs(reserved: dict) -> dict:
 
 def plain_stores(s) -> bool:
     """Whether every store of ``s``, each thread map too, is a plain dict:
-    what ``run`` returns and ``step`` on a plain state keeps."""
+    what ``run`` and ``step`` hand back."""
     return type(s.ds) is type(s.cs) is type(s.es) is dict and all(
         type(threads) is dict for threads in s.cs.values())
 
@@ -237,7 +237,8 @@ def oracle_run(cfg, runnables: str, s, times=None, t: int = 0, *,
 def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
              wrap: bool = False) -> Trace:
     """``run``, observed through its step hook and a recording
-    ``vm.step``, which sees the event each pick consumes.
+    ``vm._step``, the step body ``run`` calls, which sees the event each
+    pick consumes.
 
     With ``wrap``, the config's scheduler is wrapped, which leaves it no
     static order, and the entries and reserved ids the run hands it are
@@ -246,7 +247,7 @@ def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
     never call that.
     """
     picks, steps, offered = [], [], []
-    collect, step_ = smm.vm.collect_runnables, smm.vm.step
+    collect, step_ = smm.vm.collect_runnables, smm.vm._step
     collected = []
 
     def collect_runnables(*args):
@@ -264,7 +265,7 @@ def fast_run(cfg, s, times=None, t: int = 0, *, max_steps: int = MAX_STEPS,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(smm.vm, "collect_runnables", collect_runnables)
-        patch.setattr(smm.vm, "step", recorded_step)
+        patch.setattr(smm.vm, "_step", recorded_step)
         try:
             result = run(dict(times or {}), t,
                          dataclasses.replace(cfg, scheduler=scheduler)
@@ -356,8 +357,8 @@ def drop_every_third(es, event):
 
 
 def plain_reliable(es, event):
-    """``deliver_reliable``, its result handed back as a plain dict, which
-    a run must take ownership of again."""
+    """``deliver_reliable``, its result handed back as a new dict, which a
+    run then writes in place of the store it handed the medium."""
     return dict(deliver_reliable(es, event))
 
 
@@ -429,7 +430,7 @@ def test_an_object_that_sends_to_itself_matches_the_oracle(text):
     # The receiver a step reports is its own object, so the footprint is
     # that one object. Random models never link an object to itself.
     model = parse_model(text)
-    step_, home = smm.vm.step, []
+    step_, home = smm.vm._step, []
 
     def recorded(s, cfg, oid, tid, event=None):
         out = step_(s, cfg, oid, tid, event)
@@ -437,7 +438,7 @@ def test_an_object_that_sends_to_itself_matches_the_oracle(text):
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smm.vm, "step", recorded)
+        patch.setattr(smm.vm, "_step", recorded)
         _check_media(model)
     assert any(home)
     # Under rtc the self call waits behind its own caller for good, and
@@ -634,7 +635,7 @@ def _outputs(model, runnables: str, scheduler: str, medium) -> tuple:
 
 def test_a_medium_that_returns_a_plain_store_changes_nothing(
         prodcons_model, deadlock_model):
-    # The run takes ownership of the plain store again after such a step.
+    # The run goes on writing the new store after such a step.
     models = [prodcons_model, deadlock_model, parse_model(FAN)] + [
         random_model(random.Random(659_000 + seed)) for seed in range(10)]
     for model in models:
@@ -734,7 +735,7 @@ def test_returns_that_arrive_out_of_order_match_the_oracle():
     # Under conc the desk holds all four handler threads waiting at once,
     # and the returns resume them in another order than their calls went
     # out.
-    step_, waiting, resumed = smm.vm.step, [], []
+    step_, waiting, resumed = smm.vm._step, [], []
 
     def recorded(s, cfg, oid, tid, event=None):
         waiting.append(sum(thr.status is ThreadStatus.WAITING
@@ -748,7 +749,7 @@ def test_returns_that_arrive_out_of_order_match_the_oracle():
         waiting.clear()
         resumed.clear()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(smm.vm, "step", recorded)
+            patch.setattr(smm.vm, "_step", recorded)
             result = run_model(model, runnables="conc", scheduler=scheduler)
         assert result.halt == AllDone()
         assert max(waiting) == 4
@@ -1027,7 +1028,7 @@ def test_a_step_costs_the_same_whatever_the_threads_of_its_object(
     cfg = build_config(model, runnables="conc", scheduler="prio")
     hub = len(model.setup) - 1
     work: list[list[str]] = [[]]  # per refresh: "live" or "ask" per call
-    live, step_, threads = smm.vm.is_live, smm.vm.step, []
+    live, step_, threads = smm.vm.is_live, smm.vm._step, []
 
     def counted(thr, tid, queue):
         work[-1].append("live")
@@ -1039,7 +1040,7 @@ def test_a_step_costs_the_same_whatever_the_threads_of_its_object(
         return out
 
     monkeypatch.setattr(smm.vm, "is_live", counted)
-    monkeypatch.setattr(smm.vm, "step", recorded)
+    monkeypatch.setattr(smm.vm, "_step", recorded)
     sel = observed(cfg.runnables_sel, lambda _oid: work[-1].append("ask"))
     s = build_initial_state(cfg, model.setup)
     result = run({}, 0, dataclasses.replace(cfg, runnables_sel=sel), s,

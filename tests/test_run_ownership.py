@@ -1,19 +1,18 @@
 """``run`` owns its stores: it writes them in place and stays a value outside.
 
 On entry ``run`` copies the stores of the state it is given, each thread
-map and each thread, into stores it owns, which the ``state`` primitives
-and ``actions.advance`` write in place; at exit it hands back plain dicts.
-The pure path, ``step`` on plain states, is the oracle
-(``test_collect_oracle`` compares the two over the bundled and generated
-models). Here: the state a run was given, and each of its threads, is
-never written, its result is a value that a further run leaves alone, and
-the data and control stores keep one identity for a whole run, so a step
-copies neither. The event store is copied only where an event is
-consumed, because ``take_matching_event`` never writes its argument, and
-a thread is built only there too. A thread's locals are a dict the run
-writes in place, so a local write builds no record. ``step`` on a plain
-state runs its action on its own copy of the thread, so it writes neither
-the state nor any of its threads either.
+map and each thread, into plain dicts of its own, which the ``state``
+primitives and the actions write in place; at the halt it settles each
+thread's locals back into a record. The pure path, ``step``, which copies
+its state first, is the oracle (``test_collect_oracle`` compares the two
+over the bundled and generated models). Here: the state a run was given,
+and each of its threads, is never written, its result is a value that a
+further run leaves alone, and all three stores keep one identity for a
+whole run, so a step copies none of them: a consumed event replaces only
+its object's queue. A thread is built only where an event is consumed. A
+thread's locals are a dict the run writes in place, so a local write
+builds no record. ``step`` writes neither the state it is given nor any
+of its threads either.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from smm.actions import (
     BinOp, Call, LocalConst, LocalFromAttr, LocalFromParam, NewLocal,
     NewObject, ReturnConst, SendSignal, SetAttr,
 )
-from smm.state import RecordVal, SimState, Thread, ThreadStatus, _Owned
+from smm.state import RecordVal, SimState, Thread, ThreadStatus
 from smm.vm import step
 
 from conftest import CONFIGS
@@ -109,8 +108,10 @@ def _identities(model_text: str, runnables: str, scheduler: str,
     """Run the model, recording the identities of the three stores of the
     state each ``_OfferHeap.refresh`` is handed, per step: the first list
     is the first refresh's, each later one the refresh after a step. The
-    selector is handed only what the heap reads from those stores. Also
-    returns, per step, whether it consumed an event."""
+    selector is handed only what the heap reads from those stores. Each
+    record also says whether the three stores, and the thread map of each
+    object the refresh asks, were exact dicts. Also returns, per step,
+    whether it consumed an event."""
     model = parse_model(model_text)
     cfg = build_config(model, runnables=runnables, scheduler=scheduler)
     seen: list[list[tuple[int, int, int]]] = [[]]
@@ -119,7 +120,9 @@ def _identities(model_text: str, runnables: str, scheduler: str,
     refresh, consume = smm.vm._OfferHeap.refresh, smm.vm.consume_event
 
     def recorded(self, s, dirty):
-        seen[-1].append((id(s.ds), id(s.cs), id(s.es)))
+        exact = type(s.ds) is type(s.cs) is type(s.es) is dict and all(
+            type(s.cs[oid]) is dict for oid in dirty)
+        seen[-1].append((id(s.ds), id(s.cs), id(s.es), exact))
         return refresh(self, s, dirty)
 
     def counted(*args):
@@ -146,10 +149,12 @@ def _identities(model_text: str, runnables: str, scheduler: str,
 def test_a_run_copies_no_data_or_control_store(runnables, scheduler,
                                                model_text, max_steps, halt,
                                                monkeypatch):
-    # A count, not a timing: every store a step hands the selector is the
-    # very one the run started with, except the event store after a step
-    # that consumed an event. Stores consecutive in a run are alive at
-    # once, so their ids differ exactly when they are different objects.
+    # A count, not a timing: every store of the state each refresh is
+    # handed is the very one the run started with, the event store too,
+    # on a step that consumed an event as on any other, and every store
+    # and thread map is an exact dict. Stores consecutive in a run are
+    # alive at once, so their ids differ exactly when they are different
+    # objects.
     result, seen, consumed = _identities(model_text, runnables, scheduler,
                                          max_steps, monkeypatch)
     assert result.halt == halt and len(consumed) == result.time
@@ -158,7 +163,8 @@ def test_a_run_copies_no_data_or_control_store(runnables, scheduler,
     es = [each[0][2] for each in seen]
     assert all(len({ids[2] for ids in each}) == 1 for each in seen)
     copied = [k for k in range(result.time) if es[k + 1] != es[k]]
-    assert all(consumed[k] for k in copied)
+    assert copied == []
+    assert all(ids[3] for each in seen for ids in each)
 
 
 def _counted_run(cls: type, model_name: str, runnables: str,
@@ -195,10 +201,10 @@ def _counted_run(cls: type, model_name: str, runnables: str,
 def test_a_step_builds_a_state_only_where_a_counter_moves(
         runnables, scheduler, model_name, prodcons_model, monkeypatch):
     # A count, not a timing: inside a run only an emitted event (next_seq)
-    # or a consumed one (a new event store, and next_tid for a handler)
-    # builds a SimState. Writes of attributes and threads, allocations and
-    # ends hand back the state they were given. The constant is the copy
-    # of the stores on entry and the plain copy at the halt.
+    # or a started handler (next_tid) builds a SimState. Writes of
+    # attributes, queues and threads, allocations and ends hand back the
+    # state they were given. The constant covers the copy of the stores
+    # on entry.
     s, result, built, consumed = _counted_run(
         SimState, model_name, runnables, scheduler, prodcons_model,
         monkeypatch)
@@ -260,7 +266,7 @@ def test_an_action_in_a_run_finds_its_thread_stored(
 
     def checked(action, s, oid, tid, thr, config):
         threads = s.cs[oid]
-        handed.append(type(threads) is _Owned and threads.get(tid) is thr)
+        handed.append(type(threads) is dict and threads.get(tid) is thr)
         return interpret(action, s, oid, tid, thr, config)
 
     monkeypatch.setattr(smm.vm, "interpret", checked)

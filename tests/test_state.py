@@ -15,7 +15,8 @@ from smm import (
     validate_state, write_attr,
 )
 from smm.state import (
-    SignalPayload, SimState, _Owned, copy_stores, make_event, update_thread,
+    SignalPayload, SimState, copy_stores, make_event, settle_stores,
+    update_thread,
 )
 
 from conftest import PUT_OP, buffer_class, buffer_tables, get_method
@@ -84,11 +85,12 @@ class TestAttrAccess:
         s = write_attr(s, oid, "data", IntVal(20))
         assert s.ds[oid].attrs.get("data") == IntVal(20)
 
-    def test_write_does_not_mutate_the_old_state(self):
+    def test_a_write_is_made_in_place_and_a_copy_keeps_the_old_value(self):
         s, oid = _state_with_buffer()
-        s2 = write_attr(s, oid, "data", IntVal(10))
-        assert s.ds[oid].attrs.get("data") == IntVal(-1)
-        assert s2.ds[oid].attrs.get("data") == IntVal(10)
+        kept = copy_stores(s)
+        assert write_attr(s, oid, "data", IntVal(10)) is s
+        assert s.ds[oid].attrs.get("data") == IntVal(10)
+        assert kept.ds[oid].attrs.get("data") == IntVal(-1)
 
     def test_last_write_wins(self):
         s, oid = _state_with_buffer()
@@ -204,17 +206,17 @@ class TestTakeMatchingEvent:
                                        lambda e: e.kind is EventKind.CALL)
         assert taken == c1
 
-    @pytest.mark.parametrize("kind", [dict, _Owned])
-    def test_the_store_is_never_written_even_when_a_run_owns_it(self, kind):
+    def test_the_store_is_never_written(self):
         # A tracer reads the argument after the call to find the event
-        # taken, so even a store a run owns is copied, not written.
+        # taken, so it is copied, not written; ``consume_event`` hands it
+        # a store of one queue.
         s, oid = _state_with_buffer()
         queue = (_call_event(0, receiver=oid), _call_event(1, receiver=oid))
-        es = kind({oid: queue})
+        es = {oid: queue}
         rest, taken = take_matching_event(es, oid, lambda e: True)
         assert taken is queue[0] and rest[oid] == queue[1:]
         assert es[oid] is queue
-        assert rest is not es and type(rest) is kind
+        assert rest is not es and type(rest) is dict
 
 
 def _with_thread(s, oid):
@@ -269,10 +271,10 @@ def _counterless_writes(oid):
 
 
 def _holds(owned, s) -> bool:
-    """Whether ``owned``, a state a run owns, holds what the plain ``s``
+    """Whether ``owned``, a state from ``copy_stores``, holds what ``s``
     does: the stores and counters are equal, and so is each thread, field
-    by field, except that a thread the run copied keeps its locals as a
-    dict, equal to the fields of the record ``s`` holds."""
+    by field, except that a copied thread keeps its locals as a dict,
+    equal to the fields of the record ``s`` holds."""
     if (owned.ds, owned.es, owned.next_tid, owned.next_seq) != (
             s.ds, s.es, s.next_tid, s.next_seq) \
             or owned.cs.keys() != s.cs.keys():
@@ -291,42 +293,34 @@ def _holds(owned, s) -> bool:
     return True
 
 
-class TestOwnedStores:
-    def test_an_owned_write_hands_back_the_state_it_was_given(self):
-        s, oid = _state_with_buffer()
-        for name, write in _counterless_writes(oid):
-            owned = copy_stores(_with_thread(s, oid))
-            assert write(owned) is owned, name
-            assert _holds(owned, write(_with_thread(s, oid))), name
+class TestStoresInPlace:
+    def test_a_write_hands_back_the_state_it_was_given(self):
+        for name, write in _counterless_writes(0):
+            s = _with_thread(*_state_with_buffer())
+            copied = copy_stores(s)
+            assert write(s) is s, name
+            assert write(copied) is copied, name
+            assert _holds(copied, s), name
 
-    def test_a_plain_write_builds_a_new_state(self):
-        s, oid = _state_with_buffer()
-        held = _with_thread(s, oid)
-        for name, write in _counterless_writes(oid):
-            assert write(held) is not held, name
-            assert held == _with_thread(*_state_with_buffer()), name
-        assert s == _state_with_buffer()[0]
-
-    def test_a_plain_store_is_never_written(self):
+    def test_every_store_is_written_in_place(self):
         s, oid = _state_with_buffer()
         for name, before, after in _writes(s, oid):
             for old, new in zip(before, after):
-                assert new is not old and type(new) is dict, name
-        assert s == _state_with_buffer()[0]
+                assert new is old and type(new) is dict, name
 
-    def test_a_store_a_run_owns_is_written_in_place(self):
+    def test_writes_to_a_copy_leave_the_original_alone(self):
         s, oid = _state_with_buffer()
-        for name, before, after in _writes(copy_stores(s), oid):
-            for old, new in zip(before, after):
-                assert new is old and type(new) is _Owned, name
+        _writes(copy_stores(s), oid)
+        assert s == _state_with_buffer()[0]
 
     def test_stores_are_copied_at_every_level(self):
         s = _with_thread(*_state_with_buffer())
-        owned = copy_stores(s)
-        assert _holds(owned, s)
-        assert type(owned.cs[0]) is _Owned and owned.cs[0] is not s.cs[0]
-        plain = copy_stores(owned, dict)
-        assert plain == s and type(plain.cs[0]) is dict
+        copied = copy_stores(s)
+        assert _holds(copied, s)
+        assert type(copied.cs[0]) is dict and copied.cs[0] is not s.cs[0]
+        assert copied.cs[0][0] is not s.cs[0][0]
+        settled = settle_stores(copied)
+        assert settled is copied and settled == s
 
     def test_a_run_keeps_a_threads_locals_as_a_dict_it_hands_back_as_a_record(
             self):
@@ -339,9 +333,9 @@ class TestOwnedStores:
         assert thr.locals == {"a": IntVal(1), "b": OidVal(oid)}
         thr.locals["a"] = IntVal(2)
         assert s.cs[oid][0].locals is record
-        plain = copy_stores(owned, dict)
+        settled = settle_stores(owned)
         # The same thread, its locals a record again, in their order.
-        assert plain.cs[oid][0] is thr
+        assert settled.cs[oid][0] is thr
         assert thr.locals == record.set("a", IntVal(2))
 
 

@@ -18,7 +18,7 @@ from smm import (
     run, run_main, run_model,
 )
 from smm.actions import Jump, ReturnConst
-from smm.state import ReturnPayload, make_event, update_thread
+from smm.state import ReturnPayload, copy_stores, make_event, update_thread
 from smm.variation import RtcRunnables
 from smm.vm import step
 
@@ -254,8 +254,10 @@ class TestConsumeEvent:
         assert thr.caller == CallerRef(5, 7, "result")
         assert s2.es[buf] == ()
         assert s2.next_tid == reserved + 1
-        # The thread is handed over, not stored: the action writes it.
-        assert s2.cs == s.cs
+        # The thread is stored where it is built, in the very thread map
+        # of the state handed in, and the action writes it there.
+        assert s2.cs is s.cs and s2.cs[buf] == {reserved: thr}
+        assert s2.cs[buf][reserved] is thr
 
     def test_signal_event_has_no_caller(self):
         from smm.state import SignalPayload
@@ -277,13 +279,15 @@ class TestConsumeEvent:
         s = replace(s, next_tid=1)
         msg = Message(9, 0, buf, ReturnPayload(IntVal(-1), "v"))
         s = replace(s, es=deliver_reliable(s.es, make_event(msg, 0)), next_seq=1)
+        # A copy, its thread's locals a dict, as ``step`` and ``run`` hand it.
+        s = copy_stores(s)
         s2, thr2 = consume_event(s, cfg, buf, 0)
         assert thr2.status is ThreadStatus.READY
-        assert thr2.locals.get("v") == IntVal(-1)
+        assert thr2.locals == {"v": IntVal(-1)}
         assert thr2.pc == 3
         assert s2.es[buf] == ()
-        # The state still holds the waiting version; the action replaces it.
-        assert s2.cs == s.cs
+        # The state holds the very thread, resumed in place.
+        assert s2.cs[buf][0] is thr2
 
     def test_ready_thread_is_an_internal_error(self):
         # Only a thread that is not ready is scheduled for consumption.
@@ -301,8 +305,8 @@ class TestConsumeEvent:
         # reserved id stands for is taken, not the first equal-seq one.
         cfg = buffer_config(runnables="conc")
         s, buf = self._buffer()
-        first = _queued_call(s, buf, value=1).es[buf][0]
-        second = _queued_call(s, buf, value=2).es[buf][0]
+        first = _queued_call(self._buffer()[0], buf, value=1).es[buf][0]
+        second = _queued_call(self._buffer()[0], buf, value=2).es[buf][0]
         s = replace(s, es={**s.es, buf: (first, second)}, next_seq=1)
         s2, thr = consume_event(s, cfg, buf, s.next_tid, second)
         assert s2.es[buf] == (first,)
