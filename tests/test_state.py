@@ -338,6 +338,28 @@ class TestStoresInPlace:
         assert settled.cs[oid][0] is thr
         assert thr.locals == record.set("a", IntVal(2))
 
+    def test_settling_turns_every_threads_locals_into_a_record_in_order(self):
+        # Every thread of every object is settled, and a local the run
+        # added after the copy comes last in the record, as it did in the
+        # dict.
+        s, a = _state_with_buffer()
+        s, b = alloc_object(s, buffer_class())
+        record = RecordVal((("x", IntVal(1)),))
+        for oid, tid in ((a, 0), (a, 1), (b, 2)):
+            s = update_thread(s, oid, tid, Thread(1, ThreadStatus.READY,
+                                                  get_method(), locals=record))
+        copied = copy_stores(s)
+        copied.cs[a][1].locals["y"] = IntVal(2)
+        settle_stores(copied)
+        settled = {(oid, tid): thr.locals
+                   for oid, threads in copied.cs.items()
+                   for tid, thr in threads.items()}
+        assert all(type(v) is RecordVal for v in settled.values())
+        assert settled == {
+            (a, 0): record, (b, 2): record,
+            (a, 1): RecordVal((("x", IntVal(1)), ("y", IntVal(2))))}
+        assert s.cs[a][1].locals is record
+
 
 class TestValidateState:
     def test_fresh_states_validate(self):

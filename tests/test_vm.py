@@ -259,6 +259,19 @@ class TestConsumeEvent:
         assert s2.cs is s.cs and s2.cs[buf] == {reserved: thr}
         assert s2.cs[buf][reserved] is thr
 
+    def test_a_consumed_event_replaces_only_its_own_queue(self):
+        # The event store is written in place, and only the receiver's
+        # queue is replaced: another object's queue is the very tuple it
+        # was.
+        cfg = buffer_config(runnables="conc")
+        s, buf = self._buffer()
+        s, other = alloc_object(s, buffer_class())
+        s = _queued_call(_queued_call(s, buf), other)
+        es, kept = s.es, s.es[other]
+        s2, _ = consume_event(s, cfg, buf, s.next_tid, s.es[buf][0])
+        assert s2.es is es and s2.es[buf] == ()
+        assert s2.es[other] is kept and len(kept) == 1
+
     def test_signal_event_has_no_caller(self):
         from smm.state import SignalPayload
         cfg = buffer_config(runnables="conc")
